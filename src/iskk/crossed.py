@@ -12,8 +12,17 @@ minimal polynomial of a generic central element, and a floating eigenvalue
 clustering oracle can cross-check the block count. When the center does not
 split over the rationals, the reported witness is a non-linear irreducible
 factor found by a fixed search that does not depend on the generic weights.
+
+The center, the unit and the minimal polynomial's coefficients each come
+from one sparse exact system (``linalg.sparse_solve``) built straight from
+the structure constants: the center is the kernel of the commutators with
+every basis vector, the unit solves x b_j = b_j = b_j x. Each primary
+central idempotent is a combination of the powers of the generic element
+that the minimal polynomial search already holds, and its block size comes
+from tr L_e, which is the rank of L_e because e is checked to be idempotent.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -21,9 +30,9 @@ from itertools import chain
 import numpy as np
 import sympy
 
-from .errors import CenterDoesNotSplit, InvalidAction, NonIntegralMultiplicity
+from .errors import BrokenInvariant, InvalidAction, NonIntegralMultiplicity, NotIdempotent
 from .galgebra import GAlgebra, HAlgebra, StarAlgebra, zero_matrix
-from .linalg import ONE, ZERO, QuotientSpace, Span, identity, mat_vec, nullspace, solve, zeros
+from .linalg import ONE, ZERO, QuotientSpace, Span, mat_vec, nullspace, sparse_solve, zeros
 from .semigroup import FiniteInvSgp, iter_mask, leq
 from .spectrum import germ_range, germ_source, tilde_mul, tilde_star
 
@@ -247,6 +256,12 @@ class SemisimpleDecomposition:
     otherwise it is an irreducible factor over the rationals, of degree > 1,
     of the minimal polynomial of a canonical central element, printed as a
     primitive integer polynomial in ``x`` (see ``semisimple_quotient``).
+
+    ``radical_space`` is the algebra's space modulo its radical; its
+    ``to_coords`` and ``lift`` map to and from the quotient's basis.
+    ``center_basis`` is the basis of the quotient's center that the generic
+    element was built from. Both are kept for reuse and left out of
+    ``to_json``.
     """
 
     radical_dim: int
@@ -259,6 +274,8 @@ class SemisimpleDecomposition:
     witness_poly: str | None
     central_idempotents: list
     method: str
+    radical_space: QuotientSpace = field(repr=False)
+    center_basis: list = field(repr=False)
 
     def to_json(self):
         return {
@@ -322,47 +339,46 @@ def _quotient_by_ideal(alg: StarAlgebra, ideal_vectors):
 
 
 def _center_basis(alg: StarAlgebra):
-    if alg.dim == 0:
-        return []
-    basis_cols = identity(alg.dim)
-    current = [list(col) for col in zip(*basis_cols)]  # columns as vectors
-    for i in range(alg.dim):
-        li = alg.left_mult_matrix(alg.basis_vec(i))
-        ri = alg.right_mult_matrix(alg.basis_vec(i))
-        diff = [[li[r][c] - ri[r][c] for c in range(alg.dim)] for r in range(alg.dim)]
-        rows = [[sum(diff[r][t] * v[t] for t in range(alg.dim)) for v in current]
-                for r in range(alg.dim)]
-        ker = nullspace(rows)
-        current = [
-            [sum(k[c] * current[c][t] for c in range(len(current))) for t in range(alg.dim)]
-            for k in ker
-        ]
-        if not current:
-            return []
-    return current
+    """Basis of the center as the kernel of one sparse system.
+
+    z is central iff sum_j z_j (b_j b_i - b_i b_j) = 0 for every i, so row
+    (i, k) holds c_ji^k - c_ij^k at column j. Pairs whose cells (i, j) and
+    (j, i) are equal add nothing.
+    """
+    rows = {}
+    for i, j in {(min(p), max(p)) for p in alg.mul if p[0] != p[1]}:
+        ij, ji = alg.mul.get((i, j), {}), alg.mul.get((j, i), {})
+        if ij == ji:
+            continue
+        for k in ij.keys() | ji.keys():
+            v = ji.get(k, ZERO) - ij.get(k, ZERO)
+            if v:
+                rows.setdefault((i, k), {})[j] = v
+                rows.setdefault((j, k), {})[i] = -v
+    return sparse_solve(rows, alg.dim)[1]
 
 
 def _minimal_polynomial(alg: StarAlgebra, unit, zeta):
-    """Monic minimal polynomial of zeta as exact rational coefficients."""
-    span = Span()
+    """Monic minimal polynomial of zeta as exact rational coefficients, and
+    the powers 1, zeta, ..., zeta**(deg - 1) it was read from."""
+    span = Span([unit])
     powers = [list(unit)]
-    span.add(unit)
     x = sympy.symbols("x")
-    current = list(unit)
     for deg in range(1, alg.dim + 2):
-        current = alg.mul_vec(current, zeta)
+        current = alg.mul_vec(powers[-1], zeta)
         if not span.add(current):
             # dependency: solve for coefficients over previous powers
-            rows = [[powers[d][t] for d in range(deg)] for t in range(alg.dim)]
-            rhs = list(current)
-            coeffs = solve(rows, rhs)
-            assert coeffs is not None
+            rows = {t: {d: p[t] for d, p in enumerate(powers) if p[t]} for t in range(alg.dim)}
+            coeffs = sparse_solve(rows, deg, dict(enumerate(current)))[0]
+            if coeffs is None:
+                raise BrokenInvariant("a dependent power of a central element solves to nothing",
+                                      witness={"degree": deg})
             poly = sympy.Poly(
                 x ** deg - sum(sympy.Rational(c) * x ** d for d, c in enumerate(coeffs)),
                 x,
             )
-            return poly
-        powers.append(list(current))
+            return poly, powers
+        powers.append(current)
     raise RuntimeError("minimal polynomial search exceeded the dimension bound")
 
 
@@ -384,39 +400,45 @@ def semisimple_quotient(x) -> SemisimpleDecomposition:
     broken by the printed form. Step 1 keeps the witness independent of the
     weights of the generic element and of how the center basis is computed:
     in Q[Z/n], d_g has minimal polynomial x**n - 1.
+
+    A primary central idempotent e for a factor f of degree k has
+    dim(e A) = tr L_e, which must be k * m**2 for the block size m.
     """
     alg = _as_star_algebra(x)
     if alg.dim == 0:
-        return SemisimpleDecomposition(0, alg, 0, 0, 0, [], True, None, [], "exact")
+        return SemisimpleDecomposition(0, alg, 0, 0, 0, [], True, None, [], "exact",
+                                       QuotientSpace(0), [])
     t = _trace_form(alg)
     radical = nullspace(t)
-    quotient, _ = _quotient_by_ideal(alg, radical)
+    quotient, space = _quotient_by_ideal(alg, radical)
+    if quotient.dim == 0:
+        return SemisimpleDecomposition(len(radical), quotient, 0, 0, 0, [], True, None, [], "exact",
+                                       space, [])
     center = _center_basis(quotient)
     cdim = len(center)
-    if quotient.dim == 0:
-        return SemisimpleDecomposition(len(radical), quotient, 0, 0, 0, [], True, None, [], "exact")
     unit = quotient.unit_vector()
     if unit is None:
         raise InvalidAction("semisimple quotient has no unit; structure data unreliable")
 
     x_sym = sympy.symbols("x")
-    poly = None
     for attempt in range(1, 9):
         zeta = zeros(quotient.dim)
         for i, c in enumerate(center):
             w = Fraction((i + 1) ** attempt)
             zeta = [a + w * b for a, b in zip(zeta, c)]
-        poly = _minimal_polynomial(quotient, unit, zeta)
+        poly, powers = _minimal_polynomial(quotient, unit, zeta)
         if poly.degree() == cdim:
             break
-    if poly is None or poly.degree() != cdim:
-        raise InvalidAction("no generic central element found; center data unreliable")
+    else:
+        raise InvalidAction("no generic central element found; center data unreliable",
+                            witness={"center_dim": cdim, "degree": poly.degree()})
 
     factors = sympy.factor_list(poly.as_expr())[1]
-    factor_list = []
     for f, mult in factors:
-        assert mult == 1, "semisimple center has squarefree minimal polynomial"
-        factor_list.append(sympy.Poly(f, x_sym))
+        if mult != 1:
+            raise BrokenInvariant("minimal polynomial of a semisimple center is not squarefree",
+                                  witness={"factor": str(f), "multiplicity": mult})
+    factor_list = [sympy.Poly(f, x_sym) for f, _ in factors]
     splits = all(f.degree() == 1 for f in factor_list)
     witness = None if splits else _split_witness(quotient, unit, center, factor_list)
 
@@ -431,10 +453,13 @@ def semisimple_quotient(x) -> SemisimpleDecomposition:
                 rest = rest * g
         inv = sympy.invert(rest, f)
         qpoly = sympy.Poly(inv * rest, x_sym) % poly
-        vec = _eval_poly(quotient, unit, zeta, qpoly)
+        vec = _eval_poly(powers, qpoly)
+        if quotient.mul_vec(vec, vec) != vec:
+            raise NotIdempotent("primary central idempotent is not idempotent",
+                                witness={"factor": str(f.as_expr())})
         idems.append(vec)
-        lz = quotient.left_mult_matrix(vec)
-        d_i = _matrix_rank(lz)
+        # L_vec is idempotent, so its rank is its trace
+        d_i = quotient.trace_left_mult(vec)
         deg = f.degree()
         m2, rem = divmod(d_i, deg)
         if rem != 0:
@@ -445,11 +470,13 @@ def semisimple_quotient(x) -> SemisimpleDecomposition:
         blocks += deg
         block_dims.extend([m] * deg)
 
-    assert blocks == cdim
+    if blocks != cdim:
+        raise BrokenInvariant("primary blocks do not fill the center",
+                              witness={"blocks": blocks, "center_dim": cdim})
     method = "exact" if splits else "numeric"
     return SemisimpleDecomposition(
         len(radical), quotient, quotient.dim, cdim, blocks, sorted(block_dims, reverse=True),
-        splits, witness, idems, method,
+        splits, witness, idems, method, space, center,
     )
 
 
@@ -461,7 +488,8 @@ def _split_witness(alg: StarAlgebra, unit, center, generic_factors) -> str:
     own = (alg.basis_vec(i) for i in range(alg.dim)
            if all(alg.mul.get((i, j)) == alg.mul.get((j, i)) for j in range(alg.dim)))
     for z in chain(own, center):
-        nonlinear = [f for f, _ in _minimal_polynomial(alg, unit, z).factor_list()[1] if f.degree() > 1]
+        poly = _minimal_polynomial(alg, unit, z)[0]
+        nonlinear = [f for f, _ in poly.factor_list()[1] if f.degree() > 1]
         if nonlinear:
             break
     else:
@@ -469,29 +497,21 @@ def _split_witness(alg: StarAlgebra, unit, center, generic_factors) -> str:
     return min((f.degree(), str(f.as_expr())) for f in nonlinear)[1]
 
 
-def _eval_poly(alg: StarAlgebra, unit, zeta, poly):
-    coeffs = poly.all_coeffs()  # highest degree first
-    acc = zeros(alg.dim)
-    for c in coeffs:
-        acc = alg.mul_vec(acc, zeta)
+def _eval_poly(powers, poly):
+    """poly(zeta) from the powers of zeta, for deg poly < len(powers)."""
+    acc = zeros(len(powers[0]))
+    for c, p in zip(reversed(poly.all_coeffs()), powers):
         if c != 0:
-            f = Fraction(sympy.Rational(c).p, sympy.Rational(c).q)
-            acc = [a + f * u for a, u in zip(acc, unit)]
+            f = Fraction(int(c.p), int(c.q))
+            acc = [a + f * u for a, u in zip(acc, p)]
     return acc
 
 
-def _matrix_rank(m):
-    from .linalg import rank
-
-    return rank(m)
-
-
 def _isqrt_exact(n):
-    r = int(round(n ** 0.5))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand * cand == n:
-            return cand
-    return None
+    if n < 0:
+        return None
+    r = math.isqrt(n)
+    return r if r * r == n else None
 
 
 def center_info(x) -> dict:
@@ -511,15 +531,18 @@ def center_dim(x) -> int:
 
 def numeric_block_oracle(x, seed: int = 0, tol: float = 1e-9) -> dict:
     """Float eigenvalue clustering of a random central element of the
-    semisimple quotient; returns cluster count and certification data."""
-    d = semisimple_quotient(x)
+    semisimple quotient; returns cluster count and certification data.
+
+    ``x`` is an algebra, or its ``SemisimpleDecomposition``, whose quotient
+    and center basis are then used as they are.
+    """
+    d = x if isinstance(x, SemisimpleDecomposition) else semisimple_quotient(x)
     if d.quotient_dim == 0:
         return {"blocks": 0, "certified": True, "max_residual": 0.0}
-    center = _center_basis(d.quotient)
     rng = np.random.default_rng(seed)
-    coeffs = rng.integers(1, 1000, size=len(center))
+    coeffs = rng.integers(1, 1000, size=len(d.center_basis))
     zeta = zeros(d.quotient.dim)
-    for c, vec in zip(coeffs, center):
+    for c, vec in zip(coeffs, d.center_basis):
         zeta = [a + Fraction(int(c)) * b for a, b in zip(zeta, vec)]
     lz = np.array([[float(v) for v in row] for row in d.quotient.left_mult_matrix(zeta)])
     eig = np.linalg.eigvals(lz)

@@ -65,6 +65,11 @@ class InvalidAction(ValidationError):
     pass
 
 
+class BrokenInvariant(ValidationError):
+    """A computed invariant that every valid input satisfies failed, such as
+    a non-squarefree minimal polynomial of a semisimple center."""
+
+
 class ChainTooLong(IskkError):
     pass
 

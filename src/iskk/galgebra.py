@@ -17,10 +17,10 @@ from .linalg import (
     Basis,
     Span,
     QuotientSpace,
-    frac,
     identity,
     mat_mul,
     mat_vec,
+    sparse_solve,
     zeros,
 )
 from .semigroup import FiniteInvSgp, bit, iter_mask, mask_of
@@ -92,10 +92,6 @@ class StarAlgebra:
         cols = [self.mul_vec(x, self.basis_vec(j)) for j in range(self.dim)]
         return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
-    def right_mult_matrix(self, x):
-        cols = [self.mul_vec(self.basis_vec(j), x) for j in range(self.dim)]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
-
     def trace_left_mult(self, x):
         """tr(L_x) without materializing the matrix."""
         t = ZERO
@@ -111,18 +107,21 @@ class StarAlgebra:
         return t
 
     def unit_vector(self):
-        """Two-sided unit if one exists, else None."""
-        from .linalg import solve
+        """Two-sided unit if one exists, else None.
 
-        rows = []
-        rhs = []
+        Solves x b_j = b_j = b_j x as one sparse system: a mul cell (a, b)
+        puts its constants into the rows (left, b, k) at column a and
+        (right, a, k) at column b. The unit is unique when it exists.
+        """
+        rows = {}
+        for (a, b), cell in self.mul.items():
+            for k, c in cell.items():
+                rows.setdefault(("left", b, k), {})[a] = c
+                rows.setdefault(("right", a, k), {})[b] = c
+        rhs = {}
         for j in range(self.dim):
-            for k in range(self.dim):
-                rows.append([self.mul.get((i, j), {}).get(k, ZERO) for i in range(self.dim)])
-                rhs.append(ONE if j == k else ZERO)
-                rows.append([self.mul.get((j, i), {}).get(k, ZERO) for i in range(self.dim)])
-                rhs.append(ONE if j == k else ZERO)
-        return solve(rows, rhs)
+            rhs[("left", j, j)] = rhs[("right", j, j)] = ONE
+        return sparse_solve(rows, self.dim, rhs)[0]
 
     def is_commutative(self):
         for i in range(self.dim):
@@ -130,17 +129,6 @@ class StarAlgebra:
                 if self.mul.get((i, j), {}) != self.mul.get((j, i), {}):
                     return False
         return True
-
-
-def mul_from_dense(c):
-    """Structure constants c[i][j][k] -> sparse table."""
-    mul = {}
-    for i, plane in enumerate(c):
-        for j, row in enumerate(plane):
-            cell = {k: frac(v) for k, v in enumerate(row) if v}
-            if cell:
-                mul[(i, j)] = cell
-    return mul
 
 
 def diagonal_star_algebra(n, label=""):

@@ -14,7 +14,6 @@ from fractions import Fraction
 from .crossed import (
     CrossedProductAlgebra,
     SemisimpleDecomposition,
-    _as_star_algebra,
     crossed,
     numeric_block_oracle,
     semisimple_quotient,
@@ -63,7 +62,7 @@ class K0Map:
 def k0(x) -> K0Group:
     d = semisimple_quotient(x)
     if not d.splits and d.quotient_dim:
-        oracle = numeric_block_oracle(x)
+        oracle = numeric_block_oracle(d)
         if not (oracle["certified"] and oracle["blocks"] == d.blocks):
             raise CenterDoesNotSplit(
                 "numeric block certification failed", witness_poly=d.witness_poly
@@ -82,31 +81,12 @@ def _split_block_data(x):
 
 def _quotient_map(f: StarHomomorphism, dsrc, ddst):
     """Descend a *-homomorphism to the semisimple quotients."""
-    from .linalg import zeros
-
-    src_alg = _as_star_algebra(f.source)
-    qsrc = _QuotHelper(src_alg, dsrc)
-    qdst = _QuotHelper(_as_star_algebra(f.target), ddst)
+    qsrc, qdst = dsrc.radical_space, ddst.radical_space
     cols = []
     for i in range(dsrc.quotient_dim):
-        v = qsrc.lift_basis(i)
+        v = qsrc.lift([ONE if t == i else ZERO for t in range(qsrc.dim)])
         cols.append(qdst.to_coords(mat_vec(f.matrix, v)))
     return [[cols[j][i] for j in range(dsrc.quotient_dim)] for i in range(ddst.quotient_dim)]
-
-
-class _QuotHelper:
-    def __init__(self, alg, decomp):
-        from .crossed import _quotient_by_ideal, _trace_form
-        from .linalg import nullspace
-
-        radical = nullspace(_trace_form(alg))
-        _, self.q = _quotient_by_ideal(alg, radical)
-
-    def lift_basis(self, i):
-        return self.q.lift([ONE if t == i else ZERO for t in range(self.q.dim)])
-
-    def to_coords(self, v):
-        return self.q.to_coords(v)
 
 
 def k0_map(f: StarHomomorphism) -> K0Map:

@@ -1,10 +1,14 @@
 """Exact rational linear algebra: RREF, kernels, spans, quotients, LDL^T PSD checks.
 
 All matrices are lists/tuples of rows of fractions.Fraction; nothing here is
-floating point.
+floating point. ``sparse_solve`` takes sparse rows instead and eliminates
+them with sympy's sparse RREF over QQ.
 """
 
 from fractions import Fraction
+
+from sympy.polys.domains import QQ
+from sympy.polys.matrices.sdm import sdm_irref, sdm_nullspace_from_rref
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -41,22 +45,6 @@ def mat_mul(a, b) -> list:
                     if bj[c]:
                         oi[c] += x * bj[c]
     return out
-
-
-def transpose(m) -> list:
-    return [list(col) for col in zip(*m)] if m else []
-
-
-def vec_add(u, v) -> list:
-    return [a + b for a, b in zip(u, v)]
-
-
-def vec_sub(u, v) -> list:
-    return [a - b for a, b in zip(u, v)]
-
-
-def vec_scale(u, c) -> list:
-    return [c * a for a in u]
 
 
 def is_zero_vec(v) -> bool:
@@ -115,22 +103,43 @@ def nullspace(m) -> list:
     return basis
 
 
-def solve(m, b):
-    """One solution x of m x = b, or None. m given as rows."""
-    if not m:
-        return None if any(b) else []
-    aug = [list(row) + [bv] for row, bv in zip(m, b)]
-    red, pivots = rref(aug)
-    ncols = len(m[0])
-    for row in red:
-        if all(x == 0 for x in row[:ncols]) and row[ncols] != 0:
-            return None
-    x = zeros(ncols)
-    for i, p in enumerate(pivots):
-        if p == ncols:
-            return None
-        x[p] = red[i][ncols]
-    return x
+def sparse_solve(rows: dict, ncols: int, rhs: dict | None = None):
+    """Solve sum_c rows[r][c] x_c = rhs[r] exactly for every row key r.
+
+    ``rows`` maps any hashable row key to a ``{col: Fraction}`` dict that
+    omits zeros; ``rhs`` maps row keys to right-hand sides (missing keys and
+    ``rhs=None`` mean 0, and a key absent from ``rows`` is a zero row).
+    Returns ``(x, kernel)``: one solution as a dense list (None when the
+    system is inconsistent) and a basis of the kernel as dense lists, the one
+    read off the reduced row echelon form (1 at each free column, 0 at the
+    other free columns).
+    """
+    aug = {}
+    for key, row in rows.items():
+        qrow = {c: QQ(v.numerator, v.denominator) for c, v in row.items() if v}
+        if qrow:
+            aug[key] = qrow
+    for key, v in (rhs or {}).items():
+        if v:
+            aug.setdefault(key, {})[ncols] = QQ(v.numerator, v.denominator)
+    red, pivots, nonzero_cols = sdm_irref(dict(enumerate(aug.values())))
+    if pivots and pivots[-1] == ncols:
+        x = None
+    else:
+        x = zeros(ncols)
+        for i, p in enumerate(pivots):
+            x[p] = _frac_qq(red[i].get(ncols, QQ.zero))
+    kernel = []
+    for vec in sdm_nullspace_from_rref(red, QQ.one, ncols, pivots, nonzero_cols)[0]:
+        dense = zeros(ncols)
+        for c, v in vec.items():
+            dense[c] = _frac_qq(v)
+        kernel.append(dense)
+    return x, kernel
+
+
+def _frac_qq(q) -> Fraction:
+    return Fraction(int(q.numerator), int(q.denominator))
 
 
 def mat_inv(m):

@@ -4,9 +4,10 @@ import pytest
 
 from iskk import crossed as cr
 from iskk import galgebra as ga
+from iskk import ktheory as kt
 from iskk import semigroup as sg
-from iskk.errors import NonIntegralMultiplicity
-from iskk.linalg import ONE, ZERO, identity
+from iskk.errors import BrokenInvariant, NonIntegralMultiplicity, NotIdempotent
+from iskk.linalg import ONE, ZERO, Span, identity, nullspace
 
 
 def test_group_algebra_z2():
@@ -180,3 +181,135 @@ def test_center_info():
     info = cr.center_info(cr.crossed(ga.trivial_algebra(s), kind="universal"))
     assert info["center_dim"] == 4 and info["splits"]
     assert cr.center_dim(cr.crossed(ga.trivial_algebra(s), kind="universal")) == 4
+
+
+# ---------------------------------------------------------------------------
+# the semisimple step against independent oracles
+
+SMALL_SPECS = ["chain:2", "chain:3", "diamond", "cyclic:2", "cyclic:3", "cyclic:4", "symmetric:3",
+               "symmetric_inverse:2", "product:symmetric_inverse:2*chain:2"]
+# a Brandt semigroup has zero divisors, so its trivial line carries no action
+# (trivial_algebra's docstring); it enters with C0(X) coefficients only
+SMALL_ALGEBRAS = [(spec, coeff, kind)
+                  for spec in SMALL_SPECS for coeff in ("trivial", "c0x")
+                  for kind in ("universal", "sieben")]
+SMALL_ALGEBRAS += [("brandt_unital:2", "c0x", kind) for kind in ("universal", "sieben")]
+
+
+def _small_algebra(spec, coeff, kind):
+    s = sg.parse_builder(spec)
+    a = ga.trivial_algebra(s) if coeff == "trivial" else ga.c0x_algebra(s)
+    return cr.crossed(a, kind=kind).alg
+
+
+def _dense_center(alg):
+    """Brute force: the nullspace of all commutators [z, b_i], built from
+    products of basis vectors, one dense row per (i, coordinate)."""
+    n = alg.dim
+    prods = {(i, j): alg.mul_vec(alg.basis_vec(i), alg.basis_vec(j))
+             for i in range(n) for j in range(n)}
+    rows = [[prods[(j, i)][k] - prods[(i, j)][k] for j in range(n)]
+            for i in range(n) for k in range(n)]
+    return nullspace(rows)
+
+
+@pytest.mark.parametrize("spec, coeff, kind", SMALL_ALGEBRAS)
+def test_sparse_center_matches_dense_commutator_nullspace(spec, coeff, kind):
+    alg = _small_algebra(spec, coeff, kind)
+    sparse = cr._center_basis(alg)
+    dense = _dense_center(alg)
+    assert len(sparse) == len(dense)
+    span = Span(dense)
+    assert span.dim == len(dense)
+    assert all(span.contains(z) for z in sparse)
+    assert Span(sparse).dim == len(sparse)
+    for z in sparse:
+        for i in range(alg.dim):
+            b = alg.basis_vec(i)
+            assert alg.mul_vec(z, b) == alg.mul_vec(b, z)
+
+
+def test_unit_vector_of_matrix_algebra_is_identity():
+    # basis e_ij at index 2i + j, so the identity is e_00 + e_11
+    assert ga.matrix_algebra(2).unit_vector() == [ONE, ZERO, ZERO, ONE]
+
+
+def test_unit_vector_none_without_two_sided_unit():
+    # span{e11, e12} in M2: e11 is a left unit, but e12 x = 0 for every x
+    mul = {(0, 0): {0: ONE}, (0, 1): {1: ONE}}
+    alg = ga.StarAlgebra(2, mul, identity(2), "row")
+    assert alg.unit_vector() is None
+    # nilpotent: no unit at all
+    assert ga.StarAlgebra(1, {}, identity(1), "nil").unit_vector() is None
+
+
+@pytest.mark.parametrize("spec, coeff, kind", SMALL_ALGEBRAS)
+def test_central_idempotents_are_a_partition_of_unity(spec, coeff, kind):
+    d = cr.semisimple_quotient(_small_algebra(spec, coeff, kind))
+    q = d.quotient
+    idems = d.central_idempotents
+    assert len(idems) == len({tuple(e) for e in idems})
+    total = [ZERO] * q.dim
+    for e in idems:
+        assert q.mul_vec(e, e) == e
+        for i in range(q.dim):
+            b = q.basis_vec(i)
+            assert q.mul_vec(e, b) == q.mul_vec(b, e)
+        total = [a + c for a, c in zip(total, e)]
+    for e in idems:
+        for f in idems:
+            if e is not f:
+                assert not any(q.mul_vec(e, f))
+    for i in range(q.dim):
+        b = q.basis_vec(i)
+        assert q.mul_vec(total, b) == b == q.mul_vec(b, total)
+
+
+def test_k0_computes_the_decomposition_once(monkeypatch):
+    calls = []
+    original = cr.semisimple_quotient
+
+    def counted(x):
+        calls.append(x)
+        return original(x)
+
+    monkeypatch.setattr(cr, "semisimple_quotient", counted)
+    monkeypatch.setattr(kt, "semisimple_quotient", counted)
+    s = sg.parse_builder("cyclic:3")
+    group = kt.k0(cr.crossed(ga.trivial_algebra(s), kind="universal"))
+    assert group.rank == 3 and group.method == "numeric"
+    assert len(calls) == 1
+
+
+def test_numeric_oracle_reuses_a_decomposition():
+    x = cr.crossed(ga.trivial_algebra(sg.parse_builder("cyclic:3")), kind="universal")
+    d = cr.semisimple_quotient(x)
+    assert cr.numeric_block_oracle(d, seed=7) == cr.numeric_block_oracle(x, seed=7)
+
+
+def test_isqrt_exact_beyond_float_precision():
+    m = 10 ** 20 + 7
+    assert cr._isqrt_exact(m * m) == m
+    assert cr._isqrt_exact(m * m + 1) is None
+    assert cr._isqrt_exact(-4) is None
+
+
+def test_non_squarefree_minimal_polynomial_is_a_typed_error(monkeypatch):
+    real = cr.sympy.factor_list
+
+    def squared(expr):
+        content, factors = real(expr)
+        return content, [(f, 2 * m) for f, m in factors]
+
+    monkeypatch.setattr(cr.sympy, "factor_list", squared)
+    with pytest.raises(BrokenInvariant) as err:
+        cr.semisimple_quotient(ga.matrix_algebra(2))
+    assert err.value.witness == {"factor": "x - 1", "multiplicity": 2}
+
+
+def test_non_idempotent_primary_component_is_a_typed_error(monkeypatch):
+    real = cr._eval_poly
+    monkeypatch.setattr(cr, "_eval_poly", lambda powers, poly: [2 * v for v in real(powers, poly)])
+    with pytest.raises(NotIdempotent) as err:
+        cr.semisimple_quotient(ga.matrix_algebra(2))
+    assert err.value.witness == {"factor": "x - 1"}
