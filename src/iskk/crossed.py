@@ -31,10 +31,10 @@ import numpy as np
 import sympy
 
 from .errors import BrokenInvariant, InvalidAction, NonIntegralMultiplicity, NotIdempotent
-from .galgebra import GAlgebra, HAlgebra, StarAlgebra, zero_matrix
-from .linalg import ONE, ZERO, QuotientSpace, Span, mat_vec, nullspace, sparse_solve, zeros
-from .semigroup import FiniteInvSgp, iter_mask, leq
-from .spectrum import germ_range, germ_source, tilde_mul, tilde_star
+from .galgebra import GAlgebra, HAlgebra, StarAlgebra, quotient, zero_matrix
+from .linalg import ZERO, QuotientSpace, Span, mat_vec, nullspace, sparse_solve, zeros
+from .semigroup import leq
+from .spectrum import germ_range, tilde_mul, tilde_star
 
 
 @dataclass
@@ -54,11 +54,7 @@ def _range_spans(a: GAlgebra):
     for g in a.sgp.elements():
         e = a.sgp.range_of(g)
         if e not in spans:
-            m = a.action[e]
-            sp = Span()
-            for j in range(a.dim):
-                sp.add([m[i][j] for i in range(a.dim)])
-            spans[e] = sp
+            spans[e] = Span(map(list, zip(*a.action[e])))
     return spans
 
 
@@ -162,21 +158,8 @@ def _sieben(a: GAlgebra) -> CrossedProductAlgebra:
                     nxt.append(c)
         frontier = nxt
 
-    q = QuotientSpace(uni.dim, ideal.rows)
-    k = q.dim
-    lifts = [q.lift([ONE if t == i else ZERO for t in range(k)]) for i in range(k)]
-    mul = {}
-    for i in range(k):
-        for j in range(k):
-            cell = {t: v for t, v in enumerate(q.to_coords(uni.alg.mul_vec(lifts[i], lifts[j]))) if v}
-            if cell:
-                mul[(i, j)] = cell
-    star = zero_matrix(k)
-    for j in range(k):
-        for i, v in enumerate(q.to_coords(uni.alg.star_vec(lifts[j]))):
-            star[i][j] = v
-    labels = [f"q{i}" for i in range(k)]
-    return CrossedProductAlgebra("sieben", StarAlgebra(k, mul, star, "Ax^G"), labels, uni.dim)
+    alg, _ = quotient(uni.alg, ideal.rows, "Ax^G")
+    return CrossedProductAlgebra("sieben", alg, [f"q{i}" for i in range(alg.dim)], uni.dim)
 
 
 def _groupoid(d: HAlgebra) -> CrossedProductAlgebra:
@@ -227,11 +210,11 @@ def _groupoid(d: HAlgebra) -> CrossedProductAlgebra:
     return CrossedProductAlgebra("groupoid", StarAlgebra(dim, mul, star, "DxH"), labels, dim)
 
 
-def crossed(coeff, carrier=None, kind="universal") -> CrossedProductAlgebra:
+def crossed(coeff, kind="universal") -> CrossedProductAlgebra:
     """Crossed product of a coefficient algebra.
 
-    kind 'universal'/'sieben' expect a GAlgebra (carrier ignored); 'groupoid'
-    expects an HAlgebra.
+    kind 'universal'/'sieben' expect a GAlgebra; 'groupoid' expects an
+    HAlgebra.
     """
     if kind == "universal":
         return _universal(coeff)
@@ -258,7 +241,7 @@ class SemisimpleDecomposition:
     primitive integer polynomial in ``x`` (see ``semisimple_quotient``).
 
     ``radical_space`` is the algebra's space modulo its radical; its
-    ``to_coords`` and ``lift`` map to and from the quotient's basis.
+    ``to_coords`` and ``lifts`` map to and from the quotient's basis.
     ``center_basis`` is the basis of the quotient's center that the generic
     element was built from. Both are kept for reuse and left out of
     ``to_json``.
@@ -319,23 +302,6 @@ def _trace_form(alg: StarAlgebra):
             if cell:
                 t[i][j] = sum((v * t_vec[l] for l, v in cell.items()), ZERO)
     return t
-
-
-def _quotient_by_ideal(alg: StarAlgebra, ideal_vectors):
-    q = QuotientSpace(alg.dim, ideal_vectors)
-    k = q.dim
-    lifts = [q.lift([ONE if t == i else ZERO for t in range(k)]) for i in range(k)]
-    mul = {}
-    for i in range(k):
-        for j in range(k):
-            cell = {t: v for t, v in enumerate(q.to_coords(alg.mul_vec(lifts[i], lifts[j]))) if v}
-            if cell:
-                mul[(i, j)] = cell
-    star = zero_matrix(k)
-    for j in range(k):
-        for i, v in enumerate(q.to_coords(alg.star_vec(lifts[j]))):
-            star[i][j] = v
-    return StarAlgebra(k, mul, star, f"{alg.label}/rad"), q
 
 
 def _center_basis(alg: StarAlgebra):
@@ -410,23 +376,23 @@ def semisimple_quotient(x) -> SemisimpleDecomposition:
                                        QuotientSpace(0), [])
     t = _trace_form(alg)
     radical = nullspace(t)
-    quotient, space = _quotient_by_ideal(alg, radical)
-    if quotient.dim == 0:
-        return SemisimpleDecomposition(len(radical), quotient, 0, 0, 0, [], True, None, [], "exact",
+    qalg, space = quotient(alg, radical, f"{alg.label}/rad")
+    if qalg.dim == 0:
+        return SemisimpleDecomposition(len(radical), qalg, 0, 0, 0, [], True, None, [], "exact",
                                        space, [])
-    center = _center_basis(quotient)
+    center = _center_basis(qalg)
     cdim = len(center)
-    unit = quotient.unit_vector()
+    unit = qalg.unit_vector()
     if unit is None:
         raise InvalidAction("semisimple quotient has no unit; structure data unreliable")
 
     x_sym = sympy.symbols("x")
     for attempt in range(1, 9):
-        zeta = zeros(quotient.dim)
+        zeta = zeros(qalg.dim)
         for i, c in enumerate(center):
             w = Fraction((i + 1) ** attempt)
             zeta = [a + w * b for a, b in zip(zeta, c)]
-        poly, powers = _minimal_polynomial(quotient, unit, zeta)
+        poly, powers = _minimal_polynomial(qalg, unit, zeta)
         if poly.degree() == cdim:
             break
     else:
@@ -440,7 +406,7 @@ def semisimple_quotient(x) -> SemisimpleDecomposition:
                                   witness={"factor": str(f), "multiplicity": mult})
     factor_list = [sympy.Poly(f, x_sym) for f, _ in factors]
     splits = all(f.degree() == 1 for f in factor_list)
-    witness = None if splits else _split_witness(quotient, unit, center, factor_list)
+    witness = None if splits else _split_witness(qalg, unit, center, factor_list)
 
     # primary central idempotents via CRT: q_i = 1 mod f_i, 0 mod others
     idems = []
@@ -454,12 +420,12 @@ def semisimple_quotient(x) -> SemisimpleDecomposition:
         inv = sympy.invert(rest, f)
         qpoly = sympy.Poly(inv * rest, x_sym) % poly
         vec = _eval_poly(powers, qpoly)
-        if quotient.mul_vec(vec, vec) != vec:
+        if qalg.mul_vec(vec, vec) != vec:
             raise NotIdempotent("primary central idempotent is not idempotent",
                                 witness={"factor": str(f.as_expr())})
         idems.append(vec)
         # L_vec is idempotent, so its rank is its trace
-        d_i = quotient.trace_left_mult(vec)
+        d_i = qalg.trace_left_mult(vec)
         deg = f.degree()
         m2, rem = divmod(d_i, deg)
         if rem != 0:
@@ -475,7 +441,7 @@ def semisimple_quotient(x) -> SemisimpleDecomposition:
                               witness={"blocks": blocks, "center_dim": cdim})
     method = "exact" if splits else "numeric"
     return SemisimpleDecomposition(
-        len(radical), quotient, quotient.dim, cdim, blocks, sorted(block_dims, reverse=True),
+        len(radical), qalg, qalg.dim, cdim, blocks, sorted(block_dims, reverse=True),
         splits, witness, idems, method, space, center,
     )
 

@@ -65,6 +65,11 @@ class InvalidAction(ValidationError):
     pass
 
 
+class BaseMismatch(ValidationError):
+    """Algebras that one operation combines live over different semigroups
+    or groupoids."""
+
+
 class BrokenInvariant(ValidationError):
     """A computed invariant that every valid input satisfies failed, such as
     a non-squarefree minimal polynomial of a semisimple center."""

@@ -5,12 +5,16 @@ semigroup element (possibly only for a sub-semigroup's elements). Groupoid
 coefficient algebras (HAlgebra) keep a fiber-adapted basis: every basis vector
 belongs to the fiber of one groupoid unit, so unit actions are coordinate
 projections.
+
+Every change of basis (corners, restriction to a groupoid, rebasing,
+quotients) goes through ``transport``, which expresses an algebra on new
+vectors given their coordinate map, and ``transport_matrix`` for the action
+matrices; direct sums go through ``direct_sum``.
 """
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
-from .errors import InvalidAction, NotCentral
+from .errors import BaseMismatch, InvalidAction, NotCentral
 from .linalg import (
     ONE,
     ZERO,
@@ -23,7 +27,7 @@ from .linalg import (
     sparse_solve,
     zeros,
 )
-from .semigroup import FiniteInvSgp, bit, iter_mask, mask_of
+from .semigroup import FiniteInvSgp, iter_mask
 from .spectrum import ExtendedElement, germ_range, germ_source, spectrum, tilde_mul
 
 
@@ -152,21 +156,76 @@ def matrix_algebra(n, label=None):
     return StarAlgebra(n * n, mul, star, label or f"M{n}")
 
 
-def star_algebra_direct_sum(a, b, label=""):
-    dim = a.dim + b.dim
+def block_diag(mats):
+    """Block-diagonal matrix of the square matrices mats, in order."""
+    out = zero_matrix(sum(len(m) for m in mats))
+    off = 0
+    for m in mats:
+        for i, row in enumerate(m):
+            out[off + i][off:off + len(row)] = row
+        off += len(m)
+    return out
+
+
+def star_sum(algs, label=""):
+    """Direct sum of *-algebras, the basis of each following its predecessors."""
     mul = {}
-    for (i, j), cell in a.mul.items():
-        mul[(i, j)] = dict(cell)
-    for (i, j), cell in b.mul.items():
-        mul[(a.dim + i, a.dim + j)] = {a.dim + k: v for k, v in cell.items()}
-    star = zero_matrix(dim)
-    for i in range(a.dim):
-        for j in range(a.dim):
-            star[i][j] = a.star[i][j]
-    for i in range(b.dim):
-        for j in range(b.dim):
-            star[a.dim + i][a.dim + j] = b.star[i][j]
-    return StarAlgebra(dim, mul, star, label or f"{a.label}+{b.label}")
+    off = 0
+    for a in algs:
+        for (i, j), cell in a.mul.items():
+            mul[(off + i, off + j)] = {off + k: v for k, v in cell.items()}
+        off += a.dim
+    star = block_diag([a.star for a in algs])
+    return StarAlgebra(off, mul, star, label or "+".join(a.label for a in algs) or "0")
+
+
+# ---------------------------------------------------------------------------
+# expressing an algebra on new vectors
+
+
+def span_coords(space, error):
+    """Coordinates over a Span or Basis; raises ``error`` for a vector
+    outside it instead of returning None."""
+
+    def coords(v):
+        c = space.coords(v)
+        if c is None:
+            raise error
+        return c
+
+    return coords
+
+
+def transport(alg: StarAlgebra, lifts, coords, label="") -> StarAlgebra:
+    """The algebra on the vectors ``lifts`` of ``alg``: basis vector i is
+    lifts[i], products and stars are read back with ``coords``.
+
+    ``coords`` maps a vector of ``alg`` to coordinates over the new basis
+    (a subspace's coordinates, or a quotient's) and raises the caller's
+    typed error when the vector has none.
+    """
+    k = len(lifts)
+    mul = {}
+    for i in range(k):
+        for j in range(k):
+            cell = {t: v for t, v in enumerate(coords(alg.mul_vec(lifts[i], lifts[j]))) if v}
+            if cell:
+                mul[(i, j)] = cell
+    return StarAlgebra(k, mul, transport_matrix(alg.star, lifts, coords), label)
+
+
+def transport_matrix(m, lifts, coords):
+    """The linear map m on the vectors ``lifts``: column j is coords(m lifts[j])."""
+    cols = [coords(mat_vec(m, v)) for v in lifts]
+    return [list(row) for row in zip(*cols)]
+
+
+def quotient(alg: StarAlgebra, relations, label="") -> tuple:
+    """alg modulo the span of ``relations``, which must be a two-sided
+    *-ideal: (StarAlgebra, QuotientSpace). The quotient's basis vector i is
+    the class of ``space.lifts[i]``."""
+    space = QuotientSpace(alg.dim, relations)
+    return transport(alg, space.lifts, space.to_coords, label), space
 
 
 # ---------------------------------------------------------------------------
@@ -287,22 +346,6 @@ def from_points(s: FiniteInvSgp, npoints: int, maps: dict, label="points") -> GA
     return GAlgebra(s, diagonal_star_algebra(npoints, label), action, label)
 
 
-def direct_sum_g(a: GAlgebra, b: GAlgebra, label="") -> GAlgebra:
-    assert a.sgp is b.sgp
-    alg = star_algebra_direct_sum(a.alg, b.alg, label)
-    action = {}
-    for g in set(a.action) & set(b.action):
-        m = zero_matrix(alg.dim)
-        for i in range(a.dim):
-            for j in range(a.dim):
-                m[i][j] = a.action[g][i][j]
-        for i in range(b.dim):
-            for j in range(b.dim):
-                m[a.dim + i][a.dim + j] = b.action[g][i][j]
-        action[g] = m
-    return GAlgebra(a.sgp, alg, action, label or f"{a.label}+{b.label}")
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -313,37 +356,85 @@ def _first_failure(gen):
     return None
 
 
+def _report(kind, label, checks) -> dict:
+    for c in checks:
+        c["pass"] = c["witness"] is None
+    return {"check": kind, "label": label, "pass": all(c["pass"] for c in checks), "checks": checks}
+
+
+def associativity_failures(alg: StarAlgebra):
+    """(i, j, k) for each basis triple with (b_i b_j) b_k != b_i (b_j b_k)."""
+    d = alg.dim
+    basis = [alg.basis_vec(i) for i in range(d)]
+    for i in range(d):
+        for j in range(d):
+            ij = alg.mul_vec(basis[i], basis[j])
+            for k in range(d):
+                if alg.mul_vec(ij, basis[k]) != alg.mul_vec(basis[i], alg.mul_vec(basis[j], basis[k])):
+                    yield (i, j, k)
+
+
+def star_failures(alg: StarAlgebra):
+    """"star not involutive", then (i, j) for each basis pair with
+    (b_i b_j)* != b_j* b_i*."""
+    d = alg.dim
+    if not mat_eq(mat_mul(alg.star, alg.star), identity(d)):
+        yield "star not involutive"
+    basis = [alg.basis_vec(i) for i in range(d)]
+    for i in range(d):
+        for j in range(d):
+            if alg.star_vec(alg.mul_vec(basis[i], basis[j])) != alg.mul_vec(
+                alg.star_vec(basis[j]), alg.star_vec(basis[i])
+            ):
+                yield (i, j)
+
+
+def central_multiplier_failures(alg: StarAlgebra, m):
+    """Witnesses that the linear map m is not a central multiplier of alg:
+    (i, j) where (m b_i) b_j != b_i (m b_j), and (i, j, "not a multiplier")
+    where m(b_i b_j) != (m b_i) b_j."""
+    d = alg.dim
+    basis = [alg.basis_vec(i) for i in range(d)]
+    images = [[row[j] for row in m] for j in range(d)]
+    for i in range(d):
+        for j in range(d):
+            left = alg.mul_vec(images[i], basis[j])
+            if left != alg.mul_vec(basis[i], images[j]):
+                yield (i, j)
+            product = zeros(d)
+            for k, v in alg.mul.get((i, j), {}).items():
+                product[k] = v
+            if mat_vec(m, product) != left:
+                yield (i, j, "not a multiplier")
+
+
+def multiplicative_failures(m, sa: StarAlgebra, sb: StarAlgebra):
+    """(i, j) for each basis pair of sa with m(b_i b_j) != (m b_i)(m b_j)."""
+    images = [[row[j] for row in m] for j in range(sa.dim)]
+    for i in range(sa.dim):
+        for j in range(sa.dim):
+            if mat_vec(m, sa.mul_vec(sa.basis_vec(i), sa.basis_vec(j))) != sb.mul_vec(images[i], images[j]):
+                yield (i, j)
+
+
+def star_preserving_failures(m, sa: StarAlgebra, sb: StarAlgebra):
+    """i for each basis vector of sa with m(b_i*) != (m b_i)*."""
+    for i in range(sa.dim):
+        if mat_vec(m, sa.star_vec(sa.basis_vec(i))) != sb.star_vec([row[i] for row in m]):
+            yield i
+
+
+def _endomorphism_failures(alg: StarAlgebra, m):
+    """(i, "star") and (i, j) where m fails to be a *-endomorphism of alg."""
+    for i in star_preserving_failures(m, alg, alg):
+        yield (i, "star")
+    yield from multiplicative_failures(m, alg, alg)
+
+
 def validate_g_algebra(a: GAlgebra) -> dict:
     """Exhaustive check of the *-algebra and action axioms; reports witnesses."""
     s, alg = a.sgp, a.alg
     d = alg.dim
-    basis = [alg.basis_vec(i) for i in range(d)]
-    checks = []
-
-    def assoc():
-        for i in range(d):
-            for j in range(d):
-                ij = alg.mul_vec(basis[i], basis[j])
-                for k in range(d):
-                    lhs = alg.mul_vec(ij, basis[k])
-                    rhs = alg.mul_vec(basis[i], alg.mul_vec(basis[j], basis[k]))
-                    if lhs != rhs:
-                        yield (i, j, k)
-
-    checks.append({"name": "associative", "witness": _first_failure(assoc())})
-
-    def star_ok():
-        if not mat_eq(mat_mul(a.alg.star, a.alg.star), identity(d)):
-            yield "star not involutive"
-        for i in range(d):
-            for j in range(d):
-                lhs = alg.star_vec(alg.mul_vec(basis[i], basis[j]))
-                rhs = alg.mul_vec(alg.star_vec(basis[j]), alg.star_vec(basis[i]))
-                if lhs != rhs:
-                    yield (i, j)
-
-    checks.append({"name": "star_antimultiplicative", "witness": _first_failure(star_ok())})
-
     keys = set(a.action)
 
     def hom():
@@ -362,22 +453,10 @@ def validate_g_algebra(a: GAlgebra) -> dict:
                 ):
                     yield (s.names[g], s.names[h])
 
-    checks.append({"name": "action_homomorphism", "witness": _first_failure(hom())})
-
     def endo():
         for g in keys:
-            m = a.action[g]
-            for i in range(d):
-                gi = mat_vec(m, basis[i])
-                if mat_vec(m, alg.star_vec(basis[i])) != alg.star_vec(gi):
-                    yield (s.names[g], i, "star")
-                for j in range(d):
-                    lhs = mat_vec(m, alg.mul_vec(basis[i], basis[j]))
-                    rhs = alg.mul_vec(gi, mat_vec(m, basis[j]))
-                    if lhs != rhs:
-                        yield (s.names[g], i, j)
-
-    checks.append({"name": "star_endomorphisms", "witness": _first_failure(endo())})
+            for w in _endomorphism_failures(alg, a.action[g]):
+                yield (s.names[g], *w)
 
     def central():
         seen = set()
@@ -386,18 +465,16 @@ def validate_g_algebra(a: GAlgebra) -> dict:
             if e in seen or e not in keys:
                 continue
             seen.add(e)
-            m = a.action[e]
-            for i in range(d):
-                mi = mat_vec(m, basis[i])
-                for j in range(d):
-                    if alg.mul_vec(mi, basis[j]) != alg.mul_vec(basis[i], mat_vec(m, basis[j])):
-                        yield (s.names[e], i, j)
+            for w in central_multiplier_failures(alg, a.action[e]):
+                yield (s.names[e], *w)
 
-    checks.append({"name": "range_projections_central", "witness": _first_failure(central())})
-
-    for c in checks:
-        c["pass"] = c["witness"] is None
-    return {"check": "g_algebra", "label": a.label, "pass": all(c["pass"] for c in checks), "checks": checks}
+    return _report("g_algebra", a.label, [
+        {"name": "associative", "witness": _first_failure(associativity_failures(alg))},
+        {"name": "star_antimultiplicative", "witness": _first_failure(star_failures(alg))},
+        {"name": "action_homomorphism", "witness": _first_failure(hom())},
+        {"name": "star_endomorphisms", "witness": _first_failure(endo())},
+        {"name": "range_projections_central", "witness": _first_failure(central())},
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -441,29 +518,6 @@ def validate_h_algebra(d: HAlgebra) -> dict:
     alg = d.alg
     n = alg.dim
     basis = [alg.basis_vec(i) for i in range(n)]
-    checks = []
-
-    def assoc():
-        for i in range(n):
-            for j in range(n):
-                ij = alg.mul_vec(basis[i], basis[j])
-                for k in range(n):
-                    if alg.mul_vec(ij, basis[k]) != alg.mul_vec(basis[i], alg.mul_vec(basis[j], basis[k])):
-                        yield (i, j, k)
-
-    checks.append({"name": "associative", "witness": _first_failure(assoc())})
-
-    def star_ok():
-        if not mat_eq(mat_mul(alg.star, alg.star), identity(n)):
-            yield "star not involutive"
-        for i in range(n):
-            for j in range(n):
-                if alg.star_vec(alg.mul_vec(basis[i], basis[j])) != alg.mul_vec(
-                    alg.star_vec(basis[j]), alg.star_vec(basis[i])
-                ):
-                    yield (i, j)
-
-    checks.append({"name": "star_antimultiplicative", "witness": _first_failure(star_ok())})
 
     def unit_structure():
         for upos, u in enumerate(d.gpd.units):
@@ -484,11 +538,9 @@ def validate_h_algebra(d: HAlgebra) -> dict:
                         if v and d.unit_of_basis[k] != d.unit_of_basis[i]:
                             yield (i, j, "product leaves fiber")
 
-    checks.append({"name": "c0_units_structure", "witness": _first_failure(unit_structure())})
-
     def arrows():
         for x, m in d.action.items():
-            src = d.gpd.unit_pos_of_mask(germ_source(s, x))
+            src = d.gpd.unit_pos_of_mask(germ_source(x))
             rng = d.gpd.unit_pos_of_mask(germ_range(s, x))
             for i in range(n):
                 col = [m[r][i] for r in range(n)]
@@ -508,26 +560,15 @@ def validate_h_algebra(d: HAlgebra) -> dict:
                         yield (x, y, "non-composable product acts nonzero")
                 elif expected is not None and not mat_eq(got, expected):
                     yield (x, y, "composition mismatch")
-            for i in range(n):
-                mi = mat_vec(m, basis[i])
-                if mat_vec(m, alg.star_vec(basis[i])) != alg.star_vec(mi):
-                    yield (x, i, "star")
-                for j in range(n):
-                    if mat_vec(m, alg.mul_vec(basis[i], basis[j])) != alg.mul_vec(
-                        mi, mat_vec(m, basis[j])
-                    ):
-                        yield (x, i, j)
+            for w in _endomorphism_failures(alg, m):
+                yield (x, *w)
 
-    checks.append({"name": "arrow_actions", "witness": _first_failure(arrows())})
-
-    for c in checks:
-        c["pass"] = c["witness"] is None
-    return {
-        "check": "h_algebra",
-        "label": d.label,
-        "pass": all(c["pass"] for c in checks),
-        "checks": checks,
-    }
+    return _report("h_algebra", d.label, [
+        {"name": "associative", "witness": _first_failure(associativity_failures(alg))},
+        {"name": "star_antimultiplicative", "witness": _first_failure(star_failures(alg))},
+        {"name": "c0_units_structure", "witness": _first_failure(unit_structure())},
+        {"name": "arrow_actions", "witness": _first_failure(arrows())},
+    ])
 
 
 def trivial_line(gpd, unit_pos: int, label="C") -> HAlgebra:
@@ -536,7 +577,7 @@ def trivial_line(gpd, unit_pos: int, label="C") -> HAlgebra:
     alg = diagonal_star_algebra(1, label)
     action = {}
     for x in gpd.elements:
-        src = gpd.unit_pos_of_mask(germ_source(s, x))
+        src = gpd.unit_pos_of_mask(germ_source(x))
         rng = gpd.unit_pos_of_mask(germ_range(s, x))
         action[x] = [[ONE]] if src == unit_pos and rng == unit_pos else [[ZERO]]
     return HAlgebra(gpd, alg, action, [unit_pos], label)
@@ -550,31 +591,32 @@ def c0_units(gpd, label="C0(units)") -> HAlgebra:
     action = {}
     for x in gpd.elements:
         m = zero_matrix(n)
-        src = gpd.unit_pos_of_mask(germ_source(s, x))
+        src = gpd.unit_pos_of_mask(germ_source(x))
         rng = gpd.unit_pos_of_mask(germ_range(s, x))
         m[rng][src] = ONE
         action[x] = m
     return HAlgebra(gpd, alg, action, list(range(n)), label)
 
 
-def h_direct_sum(a: HAlgebra, b: HAlgebra, label="") -> HAlgebra:
-    assert a.gpd is b.gpd
-    alg = star_algebra_direct_sum(a.alg, b.alg, label)
-    action = {}
-    for x in a.gpd.elements:
-        m = zero_matrix(alg.dim)
-        ma, mb = a.action[x], b.action[x]
-        for i in range(a.dim):
-            for j in range(a.dim):
-                m[i][j] = ma[i][j]
-        for i in range(b.dim):
-            for j in range(b.dim):
-                m[a.dim + i][a.dim + j] = mb[i][j]
-        action[x] = m
-    return HAlgebra(
-        a.gpd, alg, action, list(a.unit_of_basis) + list(b.unit_of_basis),
-        label or f"{a.label}+{b.label}",
-    )
+def direct_sum(base, parts, label=""):
+    """Direct sum of GAlgebras over the semigroup ``base``, or of HAlgebras
+    over the groupoid ``base``; the empty sum is the zero algebra.
+
+    Each part's basis follows its predecessors' and every action matrix is
+    block-diagonal. A sum of GAlgebras keeps the elements that act on every
+    part.
+    """
+    for pos, p in enumerate(parts):
+        if (p.gpd if isinstance(p, HAlgebra) else p.sgp) is not base:
+            raise BaseMismatch("direct summands live over different bases",
+                               witness={"part": pos, "label": p.label})
+    lbl = label or "+".join(p.label for p in parts) or "0"
+    alg = star_sum([p.alg for p in parts], lbl)
+    if isinstance(base, FiniteInvSgp):
+        keys = [g for g in base.elements() if all(g in p.action for p in parts)]
+        return GAlgebra(base, alg, {g: block_diag([p.action[g] for p in parts]) for g in keys}, lbl)
+    action = {x: block_diag([p.action[x] for p in parts]) for x in base.elements}
+    return HAlgebra(base, alg, action, [u for p in parts for u in p.unit_of_basis], lbl)
 
 
 # ---------------------------------------------------------------------------
@@ -583,34 +625,11 @@ def h_direct_sum(a: HAlgebra, b: HAlgebra, label="") -> HAlgebra:
 
 def subalgebra_on_projection(a: GAlgebra, p, label="") -> tuple:
     """Corner of a central projection matrix: (GAlgebra, embedding vectors)."""
-    span = Span()
-    for j in range(a.dim):
-        span.add([p[i][j] for i in range(a.dim)])
+    span = Span(map(list, zip(*p)))
     basis = [list(r) for r in span.rows]
-    k = len(basis)
-
-    def coords(v):
-        c = span.coords(v)
-        if c is None:
-            raise InvalidAction(f"corner of {a.label!r} is not closed")
-        return c
-
-    mul = {}
-    for i in range(k):
-        for j in range(k):
-            cell = {t: v for t, v in enumerate(coords(a.alg.mul_vec(basis[i], basis[j]))) if v}
-            if cell:
-                mul[(i, j)] = cell
-    star = [[ZERO] * k for _ in range(k)]
-    for j in range(k):
-        for i, v in enumerate(coords(a.alg.star_vec(basis[j]))):
-            star[i][j] = v
-    action = {}
-    for g, m in a.action.items():
-        cols = [coords(mat_vec(m, basis[j])) for j in range(k)]
-        action[g] = [[cols[j][i] for j in range(k)] for i in range(k)]
-    sub = GAlgebra(a.sgp, StarAlgebra(k, mul, star, label), action, label)
-    return sub, basis
+    coords = span_coords(span, InvalidAction(f"corner of {a.label!r} is not closed"))
+    action = {g: transport_matrix(m, basis, coords) for g, m in a.action.items()}
+    return GAlgebra(a.sgp, transport(a.alg, basis, coords, label), action, label), basis
 
 
 def cutdown(a: GAlgebra, p: int) -> tuple:
@@ -624,13 +643,9 @@ def cutdown(a: GAlgebra, p: int) -> tuple:
     m = a.action[p]
     if not mat_eq(mat_mul(m, m), m):
         raise NotCentral(f"action of {s.names[p]} is not idempotent", witness=p)
-    for i in range(a.dim):
-        x = a.alg.basis_vec(i)
-        mx = mat_vec(m, x)
-        for j in range(a.dim):
-            y = a.alg.basis_vec(j)
-            if a.alg.mul_vec(mx, y) != a.alg.mul_vec(x, mat_vec(m, y)):
-                raise NotCentral(f"action of {s.names[p]} is not a central multiplier", witness=(i, j))
+    witness = _first_failure(central_multiplier_failures(a.alg, m))
+    if witness is not None:
+        raise NotCentral(f"action of {s.names[p]} is not a central multiplier", witness=witness)
     comp = [[(ONE if i == j else ZERO) - m[i][j] for j in range(a.dim)] for i in range(a.dim)]
     part, _ = subalgebra_on_projection(a, m, f"{s.names[p]}({a.label})")
     rest, _ = subalgebra_on_projection(a, comp, f"(1-{s.names[p]})({a.label})")
@@ -640,43 +655,27 @@ def cutdown(a: GAlgebra, p: int) -> tuple:
 def restrict(a: GAlgebra, h) -> HAlgebra:
     """Cut a semigroup algebra down to a finite groupoid: the corner of the
     unit-projection sum, with the germ actions, in a fiber-adapted basis."""
-    s = a.sgp
-    basis = []
-    unit_of_basis = []
-    for upos, u in enumerate(h.units):
-        m = a.mask_matrix(u.chars)
-        span = Span()
-        for j in range(a.dim):
-            span.add([m[i][j] for i in range(a.dim)])
-        for row in span.rows:
-            basis.append(list(row))
-            unit_of_basis.append(upos)
-    k = len(basis)
-    basis_all = Basis(basis)
+    return _fiber_rebase(a, h, [a.mask_matrix(u.chars) for u in h.units],
+                         InvalidAction(f"groupoid corner of {a.label!r} is not closed"),
+                         f"Res({a.label})")
 
-    def coords(v):
-        c = basis_all.coords(v)
-        if c is None:
-            raise InvalidAction(f"groupoid corner of {a.label!r} is not closed")
-        return c
 
-    mul = {}
-    for i in range(k):
-        for j in range(k):
-            cell = {t: v for t, v in enumerate(coords(a.alg.mul_vec(basis[i], basis[j]))) if v}
-            if cell:
-                mul[(i, j)] = cell
-    star = [[ZERO] * k for _ in range(k)]
-    for j in range(k):
-        for i, v in enumerate(coords(a.alg.star_vec(basis[j]))):
-            star[i][j] = v
+def _fiber_rebase(a: GAlgebra, h, projections, error, label) -> HAlgebra:
+    """a on a fiber-adapted basis over the groupoid h: the columns of
+    projections[u] span the fiber of unit u, and a germ x acts as x.g after
+    the projection of its source unit. ``error`` is raised when a product, a
+    star or a germ image leaves the span of the fibers."""
+    basis, unit_of_basis = [], []
+    for upos, m in enumerate(projections):
+        rows = Span(map(list, zip(*m))).rows
+        basis.extend(list(r) for r in rows)
+        unit_of_basis.extend([upos] * len(rows))
+    coords = span_coords(Basis(basis), error)
     action = {}
     for x in h.elements:
-        gm = a.germ_matrix(x)
-        cols = [coords(mat_vec(gm, basis[j])) for j in range(k)]
-        action[x] = [[cols[j][i] for j in range(k)] for i in range(k)]
-    label = f"Res({a.label})"
-    return HAlgebra(h, StarAlgebra(k, mul, star, label), action, unit_of_basis, label,
+        gm = mat_mul(a.action[x.g], projections[h.unit_pos_of_mask(germ_source(x))])
+        action[x] = transport_matrix(gm, basis, coords)
+    return HAlgebra(h, transport(a.alg, basis, coords, label), action, unit_of_basis, label,
                     embed=basis, parent=a)
 
 
@@ -686,7 +685,9 @@ def restrict(a: GAlgebra, h) -> HAlgebra:
 
 def tensor_g(a: GAlgebra, b: GAlgebra, label="") -> GAlgebra:
     """Plain tensor product with the diagonal action."""
-    assert a.sgp is b.sgp
+    if a.sgp is not b.sgp:
+        raise BaseMismatch("tensor factors live over different semigroups",
+                           witness=(a.label, b.label))
     da, db = a.dim, b.dim
     mul = {}
     for (i1, j1), cell1 in a.alg.mul.items():
@@ -702,27 +703,6 @@ def tensor_g(a: GAlgebra, b: GAlgebra, label="") -> GAlgebra:
         action[g] = mat_kron(a.action[g], b.action[g])
     return GAlgebra(a.sgp, StarAlgebra(da * db, mul, star, label), action,
                     label or f"{a.label}(x){b.label}")
-
-
-def _quotient_algebra(sgp, big: GAlgebra, relations, label):
-    q = QuotientSpace(big.dim, relations)
-    k = q.dim
-    lifts = [q.lift([ONE if t == i else ZERO for t in range(k)]) for i in range(k)]
-    mul = {}
-    for i in range(k):
-        for j in range(k):
-            cell = {t: v for t, v in enumerate(q.to_coords(big.alg.mul_vec(lifts[i], lifts[j]))) if v}
-            if cell:
-                mul[(i, j)] = cell
-    star = [[ZERO] * k for _ in range(k)]
-    for j in range(k):
-        for i, v in enumerate(q.to_coords(big.alg.star_vec(lifts[j]))):
-            star[i][j] = v
-    action = {}
-    for g, m in big.action.items():
-        cols = [q.to_coords(mat_vec(m, lifts[j])) for j in range(k)]
-        action[g] = [[cols[j][i] for j in range(k)] for i in range(k)]
-    return GAlgebra(sgp, StarAlgebra(k, mul, star, label), action, label), q
 
 
 def balanced_tensor(a: GAlgebra, b: GAlgebra, label="") -> GAlgebra:
@@ -745,8 +725,10 @@ def balanced_tensor(a: GAlgebra, b: GAlgebra, label="") -> GAlgebra:
                         v[i * db + r] -= eb[r][j]
                 if any(v):
                     relations.append(v)
-    out, _ = _quotient_algebra(s, big, relations, label or f"{a.label}(x)X{b.label}")
-    return out
+    lbl = label or f"{a.label}(x)X{b.label}"
+    alg, q = quotient(big.alg, relations, lbl)
+    action = {g: transport_matrix(m, q.lifts, q.to_coords) for g, m in big.action.items()}
+    return GAlgebra(s, alg, action, lbl)
 
 
 # ---------------------------------------------------------------------------
@@ -768,36 +750,13 @@ def verify_star_hom(f: StarHomomorphism, equivariant_keys=None) -> dict:
     """Multiplicativity, star preservation and optional equivariance."""
     sa = f.source.alg if hasattr(f.source, "alg") else f.source
     sb = f.target.alg if hasattr(f.target, "alg") else f.target
-    checks = []
-
-    def multiplicative():
-        for i in range(sa.dim):
-            fi = f.apply(sa.basis_vec(i))
-            for j in range(sa.dim):
-                lhs = f.apply(sa.mul_vec(sa.basis_vec(i), sa.basis_vec(j)))
-                rhs = sb.mul_vec(fi, f.apply(sa.basis_vec(j)))
-                if lhs != rhs:
-                    yield (i, j)
-
-    checks.append({"name": "multiplicative", "witness": _first_failure(multiplicative())})
-
-    def star_pres():
-        for i in range(sa.dim):
-            if f.apply(sa.star_vec(sa.basis_vec(i))) != sb.star_vec(f.apply(sa.basis_vec(i))):
-                yield i
-
-    checks.append({"name": "star_preserving", "witness": _first_failure(star_pres())})
-
+    checks = [
+        {"name": "multiplicative", "witness": _first_failure(multiplicative_failures(f.matrix, sa, sb))},
+        {"name": "star_preserving", "witness": _first_failure(star_preserving_failures(f.matrix, sa, sb))},
+    ]
     if equivariant_keys is not None:
-        def equivariant():
-            for g in equivariant_keys:
-                ma = f.source.action[g]
-                mb = f.target.action[g]
-                if not mat_eq(mat_mul(f.matrix, ma), mat_mul(mb, f.matrix)):
-                    yield g
-
-        checks.append({"name": "equivariant", "witness": _first_failure(equivariant())})
-
-    for c in checks:
-        c["pass"] = c["witness"] is None
-    return {"check": "star_homomorphism", "label": f.label, "pass": all(c["pass"] for c in checks), "checks": checks}
+        checks.append({"name": "equivariant", "witness": _first_failure(
+            g for g in equivariant_keys
+            if not mat_eq(mat_mul(f.matrix, f.source.action[g]), mat_mul(f.target.action[g], f.matrix))
+        )})
+    return _report("star_homomorphism", f.label, checks)

@@ -14,7 +14,10 @@ hides a failure inside an assertion.
 from dataclasses import dataclass
 
 from .errors import (
+    BaseMismatch,
+    BrokenInvariant,
     ChainTooLong,
+    InvalidAction,
     InvalidCoefficientAlgebra,
     NotEquivariant,
     NotEUnitary,
@@ -26,28 +29,30 @@ from .galgebra import (
     StarAlgebra,
     StarHomomorphism,
     _first_failure,
-    diagonal_star_algebra,
-    h_direct_sum,
+    _fiber_rebase,
+    central_multiplier_failures,
+    direct_sum,
     mat_eq,
-    mat_kron,
     restrict,
-    star_algebra_direct_sum,
+    span_coords,
+    star_sum,
     subalgebra_on_projection,
     tensor_g,
-    trivial_line,
+    transport,
+    transport_matrix,
+    trivial_algebra,
+    validate_g_algebra,
     verify_star_hom,
     zero_matrix,
 )
-from .linalg import ONE, ZERO, Basis, QuotientSpace, Span, identity, mat_inv, mat_mul, mat_vec, zeros
+from .linalg import ONE, ZERO, Basis, Span, identity, mat_inv, mat_mul, mat_vec, zeros
 from .semigroup import (
     FiniteInvSgp,
-    bit,
     check_subsemigroup,
     generate,
     is_e_unitary,
     iter_mask,
     mask_of,
-    popcount,
 )
 from .spectrum import (
     ExtendedElement,
@@ -204,7 +209,9 @@ def compute_GH(s: FiniteInvSgp, h: FiniteGroupoid, within: int | None = None) ->
         for x in orbits[find(r)]:
             orbit_of[x] = idx
             t = tilde_mul(s, tilde_star(s, r), x)
-            assert t in h.element_set() and tilde_mul(s, r, t) == x
+            if t not in h.element_set() or tilde_mul(s, r, t) != x:
+                raise BrokenInvariant("no groupoid germ carries an orbit's representative to its point",
+                                      witness={"rep": r, "point": x, "transfer": t})
             transfer[x] = t
     return GHSpace(s, h, points, orbit_of, reps, transfer)
 
@@ -224,9 +231,6 @@ class InducedAlgebra:
     def dim(self):
         return self.galg.dim
 
-    def block_of_rep(self, idx):
-        return self.blocks[idx]
-
 
 def build_induced(s: FiniteInvSgp, h: FiniteGroupoid, d: HAlgebra,
                   within: int | None = None, label="") -> InducedAlgebra:
@@ -236,7 +240,7 @@ def build_induced(s: FiniteInvSgp, h: FiniteGroupoid, d: HAlgebra,
     blocks = []
     offset = 0
     for idx, r in enumerate(gh.reps):
-        upos = h.unit_pos_of_mask(germ_source(s, r))
+        upos = h.unit_pos_of_mask(germ_source(r))
         fib = d.fiber_indices(upos)
         blocks.append((r, upos, fib, offset))
         offset += len(fib)
@@ -317,54 +321,40 @@ def induce_hom(f: StarHomomorphism, ind_a: InducedAlgebra, ind_b: InducedAlgebra
 
 def c0_orbits_algebra(s: FiniteInvSgp, gh: GHSpace, b: GAlgebra, label=""):
     """The span of (orbit class) x (range-cut coefficient): the translation
-    ideal inside functions-on-orbits tensor the coefficient algebra."""
+    ideal inside functions-on-orbits tensor the coefficient algebra.
+
+    It is the direct sum over orbits of the corner of b on the range of the
+    orbit's representative; g maps the block of r into the block of g.r."""
     sp = spectrum(s)
     blocks = []
     offset = 0
-    for idx, r in enumerate(gh.reps):
+    for r in gh.reps:
         rng = germ_range(s, r)
-        m = b.mask_matrix(rng)
-        span = Span()
-        for j in range(b.dim):
-            span.add([m[i][j] for i in range(b.dim)])
+        span = Span(map(list, zip(*b.mask_matrix(rng))))
         basis = [list(row) for row in span.rows]
-        blocks.append((r, rng, basis, offset, Basis(basis)))
+        blocks.append((r, rng, basis, offset, span))
         offset += len(basis)
-    dim = offset
 
-    mul = {}
-    star = zero_matrix(dim)
-    for (r, rng, basis, off, span) in blocks:
-        for i, vi in enumerate(basis):
-            for j, vj in enumerate(basis):
-                prod = span.coords(b.alg.mul_vec(vi, vj))
-                cell = {off + k: v for k, v in enumerate(prod) if v}
-                if cell:
-                    mul[(off + i, off + j)] = cell
-            for k, v in enumerate(span.coords(b.alg.star_vec(vi))):
-                if v:
-                    star[off + k][off + i] = v
+    def coords(span):
+        return span_coords(span, InvalidCoefficientAlgebra(
+            f"range-cut corner of {b.label!r} is not closed"))
 
+    lbl = label or f"C0(orbits,{b.label})"
+    alg = star_sum([transport(b.alg, basis, coords(span)) for (_, _, basis, _, span) in blocks], lbl)
     action = {}
     for g in s.elements():
-        m = zero_matrix(dim)
+        m = zero_matrix(alg.dim)
         src_mask = sp.proj(s.source(g))
         gext = extended(s, g)
         for (r, rng, basis, off, span) in blocks:
             if rng & ~src_mask:
                 continue
-            y = tilde_mul(s, gext, r)
-            idx2 = gh.orbit_of[y]
-            (r2, rng2, basis2, off2, span2) = blocks[idx2]
-            ag = b.action[g]
-            for j, vj in enumerate(basis):
-                img = span2.coords(mat_vec(ag, vj))
-                for k, v in enumerate(img):
-                    if v:
-                        m[off2 + k][off + j] = v
+            (_, _, basis2, off2, span2) = blocks[gh.orbit_of[tilde_mul(s, gext, r)]]
+            blk = transport_matrix(b.action[g], basis, coords(span2))
+            for k, row in enumerate(blk):
+                m[off2 + k][off:off + len(row)] = row
         action[g] = m
-    lbl = label or f"C0(orbits,{b.label})"
-    return GAlgebra(s, StarAlgebra(dim, mul, star, lbl), action, lbl), blocks
+    return GAlgebra(s, alg, action, lbl), blocks
 
 
 def _verify_iso(theta_matrix, src_alg: GAlgebra, dst_alg: GAlgebra, keys, lemma, instance, dims):
@@ -415,76 +405,54 @@ def theta_res_ind(s: FiniteInvSgp, h: FiniteGroupoid, b: GAlgebra, instance="") 
 
 
 def h_balanced_tensor(a: HAlgebra, b: HAlgebra, label="") -> HAlgebra:
-    """Tensor of groupoid algebras balanced over the unit space, by explicit
-    relation-span quotient of Q_u x 1 - 1 x Q_u."""
-    assert a.gpd is b.gpd
+    """Tensor of groupoid algebras balanced over the unit space: the quotient
+    by Q_u x 1 - 1 x Q_u. Each such relation is a multiple of one coordinate
+    b_i x b_j, nonzero exactly when i and j lie over different units, so the
+    quotient keeps the pairs (i, j) over one unit."""
+    if a.gpd is not b.gpd:
+        raise BaseMismatch("tensor factors live over different groupoids",
+                           witness=(a.label, b.label))
     gpd = a.gpd
-    da, db = a.dim, b.dim
-    big_dim = da * db
-    relations = []
-    for upos in range(len(gpd.units)):
-        pa = a.unit_projection(upos)
-        pb = b.unit_projection(upos)
-        for i in range(da):
-            for j in range(db):
-                v = zeros(big_dim)
-                if pa[i][i]:
-                    v[i * db + j] += pa[i][i]
-                if pb[j][j]:
-                    v[i * db + j] -= pb[j][j]
-                if any(v):
-                    relations.append(v)
-    q = QuotientSpace(big_dim, relations)
-    pairs = []
-    unit_of_basis = []
-    for c in q.free:
-        i, j = divmod(c, db)
-        if a.unit_of_basis[i] != b.unit_of_basis[j]:
-            raise InvalidCoefficientAlgebra("unbalanced coordinate survived the quotient")
-        pairs.append((i, j))
-        unit_of_basis.append(a.unit_of_basis[i])
-        lift = q.lift([ONE if t == len(pairs) - 1 else ZERO for t in range(q.dim)])
-        expected = zeros(big_dim)
-        expected[i * db + j] = ONE
-        assert lift == expected
+    pairs = [(i, j) for i in range(a.dim) for j in range(b.dim)
+             if a.unit_of_basis[i] == b.unit_of_basis[j]]
+    pos = {pair: x for x, pair in enumerate(pairs)}
+    k = len(pairs)
 
-    k = q.dim
+    def place(out, ka, kb, v):
+        if (ka, kb) in pos:
+            out[pos[(ka, kb)]] = v
+        elif v:
+            raise InvalidCoefficientAlgebra("balanced product escapes pairs", witness=(ka, kb))
+
     mul = {}
     for x, (i1, j1) in enumerate(pairs):
         for y, (i2, j2) in enumerate(pairs):
-            cell_a = a.alg.mul.get((i1, i2), {})
-            cell_b = b.alg.mul.get((j1, j2), {})
             out = {}
-            for ka, va in cell_a.items():
-                for kb, vb in cell_b.items():
-                    if (ka, kb) in pairs:
-                        out[pairs.index((ka, kb))] = va * vb
-                    elif va * vb:
-                        raise InvalidCoefficientAlgebra("balanced product escapes pairs")
+            for ka, va in a.alg.mul.get((i1, i2), {}).items():
+                for kb, vb in b.alg.mul.get((j1, j2), {}).items():
+                    place(out, ka, kb, va * vb)
             if out:
                 mul[(x, y)] = out
     star = zero_matrix(k)
     for x, (i, j) in enumerate(pairs):
-        sa = a.alg.star_vec(a.alg.basis_vec(i))
-        sb = b.alg.star_vec(b.alg.basis_vec(j))
-        for ka, va in enumerate(sa):
-            for kb, vb in enumerate(sb):
+        for ka, va in enumerate(a.alg.star_vec(a.alg.basis_vec(i))):
+            for kb, vb in enumerate(b.alg.star_vec(b.alg.basis_vec(j))):
                 if va * vb:
-                    star[pairs.index((ka, kb))][x] = va * vb
+                    star[pos[(ka, kb)]][x] = va * vb
     action = {}
     for germ in gpd.elements:
         ma, mb = a.action[germ], b.action[germ]
         m = zero_matrix(k)
         for x, (i, j) in enumerate(pairs):
-            for r in range(da):
+            for r in range(a.dim):
                 if not ma[r][i]:
                     continue
-                for t in range(db):
+                for t in range(b.dim):
                     if mb[t][j]:
-                        m[pairs.index((r, t))][x] = ma[r][i] * mb[t][j]
+                        m[pos[(r, t)]][x] = ma[r][i] * mb[t][j]
         action[germ] = m
     lbl = label or f"{a.label}(x)U{b.label}"
-    out = HAlgebra(gpd, StarAlgebra(k, mul, star, lbl), action, unit_of_basis, lbl)
+    out = HAlgebra(gpd, StarAlgebra(k, mul, star, lbl), action, [a.unit_of_basis[i] for i, _ in pairs], lbl)
     out.pairs = pairs
     return out
 
@@ -505,21 +473,8 @@ def central_decomp_tensor(s: FiniteInvSgp, h: FiniteGroupoid, a: HAlgebra, b: GA
                 for j in range(db):
                     if mr[i][j]:
                         p[u * db + i][u * db + j] = mr[i][j]
-    checks = []
-    checks.append(check("idempotent", None if mat_eq(mat_mul(p, p), p) else "p^2 != p"))
-
-    def central():
-        for i in range(big.dim):
-            x = big.alg.basis_vec(i)
-            px = mat_vec(p, x)
-            for j in range(big.dim):
-                y = big.alg.basis_vec(j)
-                if big.alg.mul_vec(px, y) != big.alg.mul_vec(x, mat_vec(p, y)):
-                    yield (i, j)
-                if mat_vec(p, big.alg.mul_vec(x, y)) != big.alg.mul_vec(px, y):
-                    yield (i, j, "not a multiplier")
-
-    checks.append(check("central_multiplier", _first_failure(central())))
+    checks = [check("idempotent", None if mat_eq(mat_mul(p, p), p) else "p^2 != p"),
+              check("central_multiplier", _first_failure(central_multiplier_failures(big.alg, p)))]
 
     def action_commutes():
         for g in s.elements():
@@ -686,7 +641,9 @@ def technical_split(s: FiniteInvSgp, uprime: int, lset: int, g_ext: ExtendedElem
         tinv = tilde_star(s, ind_u.gh.transfer[x_pt])
         tm = resu.action[tinv]
         col_off = carrier_offsets.get(oidx)
-        assert col_off is not None, "class presentation left the carrier"
+        if col_off is None:
+            raise BrokenInvariant("class presentation left the carrier",
+                                  witness={"point": rho, "orbit": oidx})
         for bslot, db_idx in enumerate(fib2):
             # value of the indicator function at x_pt, pushed into D and cut to rng
             vec_resu = mat_vec(tm, resu.alg.basis_vec(db_idx))
@@ -721,39 +678,9 @@ def technical_split(s: FiniteInvSgp, uprime: int, lset: int, g_ext: ExtendedElem
         emb[col][c] = ONE
     theta_full = mat_mul(emb, theta_m)
 
-    def multiplicative():
-        for i in range(ind_m.dim):
-            ti = [theta_full[r][i] for r in range(ind_u.dim)]
-            for j in range(ind_m.dim):
-                lhs_small = ind_m.galg.alg.mul_vec(
-                    ind_m.galg.alg.basis_vec(i), ind_m.galg.alg.basis_vec(j)
-                )
-                lhs = mat_vec(theta_full, lhs_small)
-                tj = [theta_full[r][j] for r in range(ind_u.dim)]
-                if lhs != ind_u.galg.alg.mul_vec(ti, tj):
-                    yield (i, j)
-
-    checks.append(check("multiplicative", _first_failure(multiplicative())))
-
-    def star_pres():
-        for i in range(ind_m.dim):
-            lhs = mat_vec(theta_full, ind_m.galg.alg.star_vec(ind_m.galg.alg.basis_vec(i)))
-            rhs = ind_u.galg.alg.star_vec([theta_full[r][i] for r in range(ind_u.dim)])
-            if lhs != rhs:
-                yield i
-
-    checks.append(check("star_preserving", _first_failure(star_pres())))
-
-    def equivariant():
-        for l in iter_mask(lset):
-            lhs = mat_mul(theta_full, ind_m.galg.action[l])
-            rhs = mat_mul(ind_u.galg.action[l], theta_full)
-            if not mat_eq(lhs, rhs):
-                yield s.names[l]
-
-    checks.append(check("l_equivariant", _first_failure(equivariant())))
-    report = make_report("technical-split", instance, checks, dims)
     theta_hom = StarHomomorphism(ind_m.galg, ind_u.galg, theta_full, label="theta")
+    checks.extend(verify_star_hom(theta_hom, equivariant_keys=list(iter_mask(lset)))["checks"])
+    report = make_report("technical-split", instance, checks, dims)
     report["ind_m"] = ind_m
     report["ind_u"] = ind_u
     report["carrier_cols"] = carrier_cols
@@ -831,7 +758,7 @@ def res_ind_split(s: FiniteInvSgp, hprime: int, lset: int, d: GAlgebra, instance
                     phi[r][col + j] = th[r][j]
         col += s_["ind_m"].dim
 
-    source = _direct_sum_galgebras([s_["ind_m"].galg for s_ in summands], lset, s)
+    source = direct_sum(s, [s_["ind_m"].galg for s_ in summands])
     inv = mat_inv(phi) if dim_sum == ind.dim else None
     checks.append(check("bijective", None if inv is not None else "assembled map not invertible"))
     hom = StarHomomorphism(source, ind.galg, phi, label="res-ind-split")
@@ -840,27 +767,6 @@ def res_ind_split(s: FiniteInvSgp, hprime: int, lset: int, d: GAlgebra, instance
     report = make_report("res-ind-split", instance, checks, dims)
     report["ind"] = ind
     return j_reps, summands, hom, report
-
-
-def _direct_sum_galgebras(parts, keys_mask, s):
-    if not parts:
-        return GAlgebra(s, diagonal_star_algebra(0, "0"), {g: [] for g in iter_mask(keys_mask)}, "0")
-    acc = parts[0]
-    for p in parts[1:]:
-        alg = star_algebra_direct_sum(acc.alg, p.alg)
-        action = {}
-        for g in iter_mask(keys_mask):
-            m = zero_matrix(alg.dim)
-            ma, mb = acc.action[g], p.action[g]
-            for i in range(acc.dim):
-                for j in range(acc.dim):
-                    m[i][j] = ma[i][j]
-            for i in range(p.dim):
-                for j in range(p.dim):
-                    m[acc.dim + i][acc.dim + j] = mb[i][j]
-            action[g] = m
-        acc = GAlgebra(s, alg, action, f"{acc.label}+{p.label}")
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -880,63 +786,14 @@ def sgp_to_h_algebra(a: GAlgebra, h: FiniteGroupoid, label="") -> HAlgebra:
     missing = [e for e in hidem if e not in a.action]
     if missing:
         raise InvalidCoefficientAlgebra(f"action does not cover idempotents {missing}")
-    basis, unit_of_basis = [], []
-    for upos in range(len(h.units)):
-        m = _atom_matrix(a, h, upos, hidem)
-        span = Span()
-        for j in range(a.dim):
-            span.add([m[i][j] for i in range(a.dim)])
-        for row in span.rows:
-            basis.append(list(row))
-            unit_of_basis.append(upos)
-    basis_all = Basis(basis)
-    k = len(basis)
-    if k != a.dim:
-        raise InvalidCoefficientAlgebra(
-            f"groupoid rebasing changed dimension {a.dim} -> {k}"
-        )
-
-    def coords(v):
-        c = basis_all.coords(v)
-        if c is None:
-            raise InvalidCoefficientAlgebra("rebasing is not closed")
-        return c
-
-    mul = {}
-    for i in range(k):
-        for j in range(k):
-            cell = {t: v for t, v in enumerate(coords(a.alg.mul_vec(basis[i], basis[j]))) if v}
-            if cell:
-                mul[(i, j)] = cell
-    star = zero_matrix(k)
-    for j in range(k):
-        for i, v in enumerate(coords(a.alg.star_vec(basis[j]))):
-            star[i][j] = v
-    action = {}
-    for x in h.elements:
-        base = a.action[x.g]
-        upos = h.unit_pos_of_mask(germ_source(s, x))
-        gm = mat_mul(base, _atom_matrix(a, h, upos, hidem))
-        cols = [coords(mat_vec(gm, basis[j])) for j in range(k)]
-        action[x] = [[cols[j][i] for j in range(k)] for i in range(k)]
-    lbl = label or f"{a.label}|gpd"
-    return HAlgebra(h, StarAlgebra(k, mul, star, lbl), action, unit_of_basis, lbl, embed=basis, parent=a)
-
-
-def _atom_matrix(a: GAlgebra, h: FiniteGroupoid, upos: int, hidem):
-    s = a.sgp
     sp = spectrum(s)
-    u = h.units[upos]
-    m = None
-    for e in hidem:
-        pe = a.action[e]
-        inside = (u.chars & ~sp.proj(e)) == 0
-        term = pe if inside else [
-            [(ONE if i == j else ZERO) - pe[i][j] for j in range(a.dim)]
-            for i in range(a.dim)
-        ]
-        m = term if m is None else mat_mul(m, term)
-    return m if m is not None else identity(a.dim)
+    projections = [_signature_matrix(a, hidem, [(u.chars & ~sp.proj(e)) == 0 for e in hidem])
+                   for u in h.units]
+    out = _fiber_rebase(a, h, projections, InvalidCoefficientAlgebra("rebasing is not closed"),
+                        label or f"{a.label}|gpd")
+    if out.dim != a.dim:
+        raise InvalidCoefficientAlgebra(f"groupoid rebasing changed dimension {a.dim} -> {out.dim}")
+    return out
 
 
 def minimal_invariant_ideal_dims(a: GAlgebra) -> list:
@@ -975,8 +832,6 @@ def ci0_enumerate(s: FiniteInvSgp, chain: list, instance="") -> tuple:
     """
     if len(chain) > 3:
         raise ChainTooLong("chains of length > 3 are out of desk scale")
-    from .galgebra import trivial_algebra, validate_g_algebra
-
     d = trivial_algebra(s)
     rep0 = validate_g_algebra(d)
     if not rep0["pass"]:
@@ -1013,7 +868,7 @@ def ci0_enumerate(s: FiniteInvSgp, chain: list, instance="") -> tuple:
         part_h.append(bh)
 
     # transported assembled iso in the rebased coordinates, then induced
-    sum_h = part_h[0] if len(part_h) == 1 else _h_direct_sum_many(part_h)
+    sum_h = direct_sum(h2, part_h)
     target_h = sgp_to_h_algebra(ind_tower.galg, h2)
     phi_h = _rebase_hom(hom, sum_h, target_h, part_h, summands)
     ind_sum = build_induced(s, h2, sum_h)
@@ -1055,13 +910,6 @@ def ci0_enumerate(s: FiniteInvSgp, chain: list, instance="") -> tuple:
     return pairs, report
 
 
-def _h_direct_sum_many(parts):
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = h_direct_sum(acc, p)
-    return acc
-
-
 def _rebase_hom(hom: StarHomomorphism, sum_h: HAlgebra, target_h: HAlgebra, part_h, summands):
     """Express an assembled semigroup-level iso in rebased fiber coordinates."""
     # columns: embed sum_h basis into the concatenated semigroup coordinates,
@@ -1081,7 +929,9 @@ def _rebase_hom(hom: StarHomomorphism, sum_h: HAlgebra, target_h: HAlgebra, part
                 big[offsets[pidx] + k] = v
             out = mat_vec(hom.matrix, big)
             coords = tspan.coords(out)
-            assert coords is not None
+            if coords is None:
+                raise BrokenInvariant("the assembled split leaves the rebased target's span",
+                                      witness={"part": pidx, "basis": j})
             for i, v in enumerate(coords):
                 if v:
                     m[i][col] = v
@@ -1168,10 +1018,10 @@ def build_bprime(s: FiniteInvSgp, lset: int, pset: int, a: GAlgebra, b: GAlgebra
 
     corners = {}
     for cs in coarse_sigs:
-        sub, emb = subalgebra_on_projection(
-            GAlgebra(s, b.alg, {s.unit: identity(b.dim)}, b.label), n_mats[cs]
-        )
-        corners[cs] = (sub.alg, emb, Basis(emb))
+        span = Span(map(list, zip(*n_mats[cs])))
+        emb = [list(r) for r in span.rows]
+        coords = span_coords(span, InvalidAction(f"corner of {b.label!r} is not closed"))
+        corners[cs] = (transport(b.alg, emb, coords), emb, span)
     checks.append(check("reassembly_dimension",
                         None if sum(c[0].dim for c in corners.values()) + defect_rank == b.dim
                         else [c[0].dim for c in corners.values()]))
@@ -1184,15 +1034,6 @@ def build_bprime(s: FiniteInvSgp, lset: int, pset: int, a: GAlgebra, b: GAlgebra
             blocks.append((cs, fs, offset))
             offset += corners[cs][0].dim
     dim_bp = offset
-    mul = {}
-    star = zero_matrix(dim_bp)
-    for (cs, fs, off) in blocks:
-        alg_c = corners[cs][0]
-        for (i, j), cell in alg_c.mul.items():
-            mul[(off + i, off + j)] = {off + k: v for k, v in cell.items()}
-        for i in range(alg_c.dim):
-            for j in range(alg_c.dim):
-                star[off + i][off + j] = alg_c.star[i][j]
 
     # route the refined action block-by-block: a fine block maps into the fine
     # block of its image, with the module action of any presenting element
@@ -1222,21 +1063,12 @@ def build_bprime(s: FiniteInvSgp, lset: int, pset: int, a: GAlgebra, b: GAlgebra
             # presenting elements: l in L with l*(source of lp) == lp
             presenters = [l for l in iter_mask(lset) if s.table[l][src_e] == lp]
             maps = []
-            alg_src, emb_src, span_src = corners[cs]
-            alg_dst, emb_dst, span_dst = corners[cs2]
+            alg_src, emb_src, _ = corners[cs]
+            alg_dst, _, span_dst = corners[cs2]
             for l in presenters:
-                cols = []
-                good = True
-                for jj in range(alg_src.dim):
-                    out = mat_vec(b.action[l], emb_src[jj])
-                    cc = span_dst.coords(out)
-                    if cc is None:
-                        good = False
-                        break
-                    cols.append(cc)
-                if good:
-                    maps.append([[cols[jj][ii] for jj in range(alg_src.dim)]
-                                 for ii in range(alg_dst.dim)])
+                cols = [span_dst.coords(mat_vec(b.action[l], v)) for v in emb_src]
+                if None not in cols:
+                    maps.append([list(row) for row in zip(*cols)])
             if not maps:
                 continue
             for other in maps[1:]:
@@ -1251,9 +1083,7 @@ def build_bprime(s: FiniteInvSgp, lset: int, pset: int, a: GAlgebra, b: GAlgebra
         action[lp] = m
     checks.append(check("well_defined_presentations", ambiguity))
 
-    bprime = GAlgebra(s, StarAlgebra(dim_bp, mul, star, "B'"), action, "B'")
-    from .galgebra import validate_g_algebra
-
+    bprime = GAlgebra(s, star_sum([corners[cs][0] for (cs, _, _) in blocks], "B'"), action, "B'")
     vrep = validate_g_algebra(bprime)
     checks.append(check("bprime_action_valid", None if vrep["pass"] else vrep))
     info = {

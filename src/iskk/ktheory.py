@@ -9,39 +9,23 @@ the compressed form of the Green-Julg diagram.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .crossed import (
-    CrossedProductAlgebra,
-    SemisimpleDecomposition,
-    crossed,
-    numeric_block_oracle,
-    semisimple_quotient,
-)
+from .crossed import crossed, numeric_block_oracle, semisimple_quotient
 from .errors import CenterDoesNotSplit, HypothesesNotMet, NonIntegralMultiplicity
 from .galgebra import (
-    GAlgebra,
-    StarAlgebra,
     StarHomomorphism,
     c0_units,
-    diagonal_star_algebra,
-    h_direct_sum,
-    mat_eq,
+    direct_sum,
     restrict,
+    transport_matrix,
+    trivial_algebra,
     trivial_line,
     verify_star_hom,
-    zero_matrix,
 )
-from .induction import (
-    FiniteGroupoid,
-    assoc_groupoid,
-    build_induced,
-    check,
-    make_report,
-)
-from .linalg import ONE, ZERO, identity, mat_mul, mat_vec
-from .semigroup import FiniteInvSgp, bit, generate, iter_mask, mask_of, popcount
-from .spectrum import germ_range, germ_source, spectrum
+from .induction import assoc_groupoid, build_induced, check, make_report
+from .linalg import ONE, ZERO, mat_mul, mat_vec
+from .semigroup import FiniteInvSgp, bit, build, iter_mask, mask_of
+from .spectrum import spectrum
 
 
 @dataclass
@@ -81,12 +65,7 @@ def _split_block_data(x):
 
 def _quotient_map(f: StarHomomorphism, dsrc, ddst):
     """Descend a *-homomorphism to the semisimple quotients."""
-    qsrc, qdst = dsrc.radical_space, ddst.radical_space
-    cols = []
-    for i in range(dsrc.quotient_dim):
-        v = qsrc.lift([ONE if t == i else ZERO for t in range(qsrc.dim)])
-        cols.append(qdst.to_coords(mat_vec(f.matrix, v)))
-    return [[cols[j][i] for j in range(dsrc.quotient_dim)] for i in range(ddst.quotient_dim)]
+    return transport_matrix(f.matrix, dsrc.radical_space.lifts, ddst.radical_space.to_coords)
 
 
 def k0_map(f: StarHomomorphism) -> K0Map:
@@ -171,10 +150,7 @@ def verify_green_julg_diagram(s: FiniteInvSgp, hprime: int, parts, instance="") 
         d = b if hasattr(b, "gpd") else restrict(b, h)
         res_parts.append(d)
         ranks.append(k0(crossed(d, kind="groupoid")).rank)
-    summed = res_parts[0]
-    for d in res_parts[1:]:
-        summed = h_direct_sum(summed, d)
-    total = k0(crossed(summed, kind="groupoid")).rank
+    total = k0(crossed(direct_sum(h, res_parts), kind="groupoid")).rank
     checks.append(check("k0_additive_over_sums",
                         None if total == sum(ranks) else f"{total} != {ranks}"))
     return make_report("green-julg-diagram", instance, checks,
@@ -241,8 +217,6 @@ def verify_remark_counterexamples(s: FiniteInvSgp, instance="") -> dict:
         checks.append(check("proper_projections_annihilate", witness))
 
     if s._idem_mask == mask_of(s.elements()) and s.zero is None:
-        from .galgebra import trivial_algebra
-
         rank = k0(crossed(trivial_algebra(s), kind="universal")).rank
         m = sp.size
         checks.append(check("semilattice_rank_is_size",
@@ -251,11 +225,7 @@ def verify_remark_counterexamples(s: FiniteInvSgp, instance="") -> dict:
         checks.append(check("semilattice_rank_is_size", None,
                             note="inapplicable: not a zero-free semilattice"))
 
-    from .semigroup import build
-
     triv = build("chain", 1)
-    from .galgebra import trivial_algebra
-
     rank1 = k0(crossed(trivial_algebra(triv), kind="sieben")).rank
     checks.append(check("trivial_subsemigroup_rank_one", None if rank1 == 1 else rank1))
     return make_report("remark-counterexamples", instance, checks, {})

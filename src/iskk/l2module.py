@@ -10,7 +10,7 @@ pivoted LDL^T, and the stacked system is checked for full column rank.
 from dataclasses import dataclass
 
 from .linalg import psd_certificate, rank
-from .semigroup import FiniteInvSgp, bit, iter_mask, leq, nonzero_idempotents
+from .semigroup import FiniteInvSgp, iter_mask, leq, nonzero_idempotents
 from .spectrum import (
     act_alg_star,
     alg_star_from_mask,

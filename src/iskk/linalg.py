@@ -6,6 +6,7 @@ them with sympy's sparse RREF over QQ.
 """
 
 from fractions import Fraction
+from functools import cached_property
 
 from sympy.polys.domains import QQ
 from sympy.polys.matrices.sdm import sdm_irref, sdm_nullspace_from_rref
@@ -257,7 +258,8 @@ class QuotientSpace:
     def __init__(self, ambient_dim: int, relations=()):
         self.ambient_dim = ambient_dim
         self.span = Span(relations)
-        self.free = [c for c in range(ambient_dim) if c not in set(self.span.pivots)]
+        pivots = set(self.span.pivots)
+        self.free = [c for c in range(ambient_dim) if c not in pivots]
 
     @property
     def dim(self) -> int:
@@ -270,11 +272,16 @@ class QuotientSpace:
         red = self.reduce(v)
         return [red[c] for c in self.free]
 
-    def lift(self, coords) -> list:
-        v = zeros(self.ambient_dim)
-        for c, x in zip(self.free, coords):
-            v[c] = frac(x)
-        return self.reduce(v)
+    @cached_property
+    def lifts(self) -> list:
+        """The reduced representatives of the quotient's basis vectors: the
+        unit vectors at the free columns, reduced."""
+        out = []
+        for c in self.free:
+            v = zeros(self.ambient_dim)
+            v[c] = ONE
+            out.append(self.reduce(v))
+        return out
 
 
 def psd_certificate(m):

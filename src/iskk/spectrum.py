@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import NotIdempotent
 from .linalg import ZERO, ONE
-from .semigroup import FiniteInvSgp, bit, iter_mask, leq, mask_of, nonzero_idempotents
+from .semigroup import FiniteInvSgp, iter_mask, leq, mask_of, nonzero_idempotents
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ def tilde_star(s: FiniteInvSgp, a: ExtendedElement) -> ExtendedElement:
     return extended(s, s.star[a.g], spectrum(s).act_mask(a.g, a.chars))
 
 
-def germ_source(s: FiniteInvSgp, a: ExtendedElement) -> int:
+def germ_source(a: ExtendedElement) -> int:
     return a.chars
 
 
@@ -180,10 +180,6 @@ def germ_key(a: ExtendedElement) -> tuple:
 
 # ---------------------------------------------------------------------------
 # Alg*(E) elements: rational functions on the character space
-
-
-def alg_star_zero(s: FiniteInvSgp) -> tuple:
-    return (ZERO,) * spectrum(s).size
 
 
 def alg_star_from_mask(s: FiniteInvSgp, mask: int) -> tuple:

@@ -117,7 +117,7 @@ def test_cutdown_rank2_of_diagonal():
     part, rest = ga.cutdown(a, e)
     assert (part.dim, rest.dim) == (2, 1)
     # reassembly preserves total structure
-    back = ga.direct_sum_g(part, rest)
+    back = ga.direct_sum(s, [part, rest])
     assert back.dim == a.dim
     assert ga.validate_g_algebra(back)["pass"]
 
@@ -173,6 +173,81 @@ def test_h_algebra_constructors():
     assert ga.validate_h_algebra(cx)["pass"]
     line = ga.trivial_line(h, 0)
     assert ga.validate_h_algebra(line)["pass"]
-    both = ga.h_direct_sum(cx, line)
+    both = ga.direct_sum(h, [cx, line])
     assert ga.validate_h_algebra(both)["pass"]
     assert both.dim == cx.dim + 1
+
+
+# ---------------------------------------------------------------------------
+# the shared plumbing against independent oracles
+
+MERGE_CORPUS = ["chain:2", "chain:3", "diamond", "cyclic:2", "cyclic:3", "symmetric_inverse:2",
+                "brandt_unital:2", "product:symmetric_inverse:2*chain:2"]
+
+
+def _fields(d):
+    return (d.alg.mul, d.alg.star, d.action, d.unit_of_basis, d.embed)
+
+
+@pytest.mark.parametrize("spec", MERGE_CORPUS)
+def test_restrict_and_rebasing_agree(spec):
+    # the two differ only in how they get each unit's projection: from the
+    # character projections, or as a product of the generating idempotents
+    from iskk.induction import assoc_groupoid, sgp_to_h_algebra
+
+    s = sg.parse_builder(spec)
+    coeffs = [a for a in (ga.c0x_algebra(s), ga.trivial_algebra(s)) if ga.validate_g_algebra(a)["pass"]]
+    for subset in ("unit", "idempotents", "all"):
+        h = assoc_groupoid(s, sg.parse_subset(s, subset))
+        for a in coeffs:
+            assert _fields(ga.restrict(a, h)) == _fields(sgp_to_h_algebra(a, h)), (spec, subset, a.label)
+
+
+PAIRS = [(ga.matrix_algebra(2), ga.diagonal_star_algebra(2)),
+         (ga.diagonal_star_algebra(3), ga.matrix_algebra(2)),
+         (ga.matrix_algebra(2), ga.matrix_algebra(3))]
+
+
+@pytest.mark.parametrize("a, b", PAIRS)
+def test_quotient_of_a_sum_by_a_summand(a, b):
+    # A + B modulo B is A, whichever side B sits on
+    for parts, b_first in (([a, b], False), ([b, a], True)):
+        total = ga.star_sum(parts)
+        offset = 0 if b_first else a.dim
+        relations = [total.basis_vec(offset + i) for i in range(b.dim)]
+        q, space = ga.quotient(total, relations)
+        assert (q.dim, q.mul, q.star) == (a.dim, a.mul, a.star)
+        assert space.dim == a.dim
+
+
+def test_corner_of_a_sum_is_the_summand():
+    s = sg.parse_builder("symmetric_inverse:2")
+    a, b = ga.c0x_algebra(s), ga.trivial_algebra(s)
+    total = ga.direct_sum(s, [a, b])
+    assert ga.validate_g_algebra(total)["pass"]
+    for part, p in ((a, ga.block_diag([identity(a.dim), ga.zero_matrix(b.dim)])),
+                    (b, ga.block_diag([ga.zero_matrix(a.dim), identity(b.dim)]))):
+        sub, basis = ga.subalgebra_on_projection(total, p)
+        assert (sub.alg.mul, sub.alg.star, sub.action) == (part.alg.mul, part.alg.star, part.action)
+        assert basis == [total.alg.basis_vec(i) for i in range(total.dim) if p[i][i]]
+
+
+def test_empty_direct_sum_is_zero():
+    s = sg.parse_builder("chain:2")
+    zero = ga.direct_sum(s, [])
+    assert zero.dim == 0 and set(zero.action) == set(s.elements())
+    assert ga.validate_g_algebra(zero)["pass"]
+
+
+def test_operations_reject_algebras_over_different_semigroups():
+    from iskk.errors import BaseMismatch
+
+    s, t = sg.parse_builder("chain:2"), sg.parse_builder("chain:2")
+    a, b = ga.c0x_algebra(s), ga.c0x_algebra(t)
+    with pytest.raises(BaseMismatch):
+        ga.tensor_g(a, b)
+    with pytest.raises(BaseMismatch):
+        ga.balanced_tensor(a, b)
+    with pytest.raises(BaseMismatch) as err:
+        ga.direct_sum(s, [a, b])
+    assert err.value.witness == {"part": 1, "label": b.label}

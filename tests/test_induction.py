@@ -119,7 +119,7 @@ def test_induced_direct_sum_intertwines():
     h = ind.assoc_groupoid(s, sg.idempotents(s))
     cx = ga.c0_units(h)
     line = ga.trivial_line(h, 0)
-    both = ga.h_direct_sum(cx, line)
+    both = ga.direct_sum(h, [cx, line])
     ind_both = ind.build_induced(s, h, both)
     ind_cx = ind.build_induced(s, h, cx)
     ind_line = ind.build_induced(s, h, line)
@@ -135,7 +135,7 @@ def test_induced_direct_sum_intertwines():
                 perm[row][col] = ONE
                 col += 1
     hom = ga.StarHomomorphism(
-        ind.  _direct_sum_galgebras([ind_cx.galg, ind_line.galg], sg.mask_of(s.elements()), s),
+        ga.direct_sum(s, [ind_cx.galg, ind_line.galg]),
         ind_both.galg, perm)
     rep = ga.verify_star_hom(hom, equivariant_keys=list(s.elements()))
     assert rep["pass"], rep
@@ -147,7 +147,7 @@ def test_induced_split_exactness():
     h = ind.assoc_groupoid(s, sg.idempotents(s))
     a = ga.trivial_line(h, 0)
     b = ga.trivial_line(h, 1)
-    d = ga.h_direct_sum(a, b)
+    d = ga.direct_sum(h, [a, b])
     inc = ga.StarHomomorphism(a, d, [[ONE], [ZERO]])
     quo = ga.StarHomomorphism(d, b, [[ZERO, ONE]])
     sec = ga.StarHomomorphism(b, d, [[ZERO], [ONE]])
@@ -168,7 +168,7 @@ def test_induce_hom_functorial():
     s = sg.parse_builder("chain:3")
     h = ind.assoc_groupoid(s, sg.idempotents(s))
     cx = ga.c0_units(h)
-    two = ga.h_direct_sum(cx, cx)
+    two = ga.direct_sum(h, [cx, cx])
     indc = ind.build_induced(s, h, cx)
     ind2 = ind.build_induced(s, h, two)
     n = len(h.units)
@@ -316,7 +316,7 @@ def test_technical_split_empty_m():
     gh = ind.compute_GH(s, h)
     g22 = next(x for x in gh.points
                if sp.germ_range(s, x) == sp.proj(s, s.index("(2,2)"))
-               and sp.germ_source(s, x) == sp.proj(s, s.index("(2,2)")))
+               and sp.germ_source(x) == sp.proj(s, s.index("(2,2)")))
     m, lp, theta, rep = ind.technical_split(s, sg.idempotents(s), sg.bit(e11), g22,
                                             ga.c0x_algebra(s), "disconnected")
     assert rep.get("empty") is True
@@ -469,3 +469,26 @@ def test_bprime_requires_e_unitary():
     with pytest.raises(NotEUnitary):
         # tau with the partial identities generates a non-E-unitary monoid
         ind.build_bprime(s, lset, sg.bit(e), a, ga.c0x_algebra(s))
+
+
+def test_balanced_tensor_rejects_different_groupoids():
+    from iskk.errors import BaseMismatch
+
+    s = sg.parse_builder("chain:2")
+    h1 = ind.assoc_groupoid(s, sg.idempotents(s))
+    h2 = ind.assoc_groupoid(s, sg.idempotents(s))
+    with pytest.raises(BaseMismatch):
+        ind.h_balanced_tensor(ga.c0_units(h1), ga.c0_units(h2))
+    with pytest.raises(BaseMismatch):
+        ga.direct_sum(h1, [ga.c0_units(h1), ga.c0_units(h2)])
+
+
+def test_balanced_tensor_keeps_pairs_over_one_unit():
+    s = sg.parse_builder("brandt_unital:2")
+    h = ind.assoc_groupoid(s, sg.idempotents(s))
+    a = ga.direct_sum(h, [ga.c0_units(h), ga.trivial_line(h, 0)])
+    b = ga.c0_units(h)
+    t = ind.h_balanced_tensor(a, b)
+    assert t.pairs == [(i, j) for i in range(a.dim) for j in range(b.dim)
+                       if a.unit_of_basis[i] == b.unit_of_basis[j]]
+    assert ga.validate_h_algebra(t)["pass"]
