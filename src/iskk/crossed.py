@@ -1,10 +1,11 @@
 """Algebraic crossed products and exact Wedderburn-style decompositions.
 
 The universal crossed product has basis {a d_g} with a running over the range
-ideal of g; the tighter variant further identifies a d_e with a d_f for
-idempotents e <= f on the corner where e acts (quotient by the generated
-*-ideal). Groupoid coefficients give the usual convolution algebra with
-non-composable products equal to zero.
+ideal of g; the tight (Sieben) product further identifies a d_r with a d_t
+for r <= t. Those two-term relations already span a *-ideal (the proof is in
+``_sieben``), so the tight product is the universal one modulo their span,
+with no ideal closure. Groupoid coefficients give the usual convolution
+algebra with non-composable products equal to zero.
 
 Semisimple quotients are computed over the rationals: the radical is the
 null space of the regular trace form, block data comes from the factored
@@ -32,7 +33,7 @@ import sympy
 
 from .errors import BrokenInvariant, InvalidAction, NonIntegralMultiplicity, NotIdempotent
 from .galgebra import GAlgebra, HAlgebra, StarAlgebra, quotient, zero_matrix
-from .linalg import ZERO, QuotientSpace, Span, mat_vec, nullspace, sparse_solve, zeros
+from .linalg import ONE, ZERO, QuotientSpace, Span, mat_vec, nullspace, sparse_solve, zeros
 from .semigroup import leq
 from .spectrum import germ_range, tilde_mul, tilde_star
 
@@ -73,29 +74,36 @@ def _universal(a: GAlgebra) -> CrossedProductAlgebra:
             labels.append(f"[{k}]d_{s.names[g]}")
             pos += 1
     dim = pos
+    coeffs = [list(spans[s.range_of(g)].rows[k]) for g, k in layout]
 
+    # (a d_g)(b d_h) = a alpha_g(b) d_gh. Both b and the range g hh* g* of gh
+    # depend on h only through hh* and b's index, so each product is reduced
+    # once per such pair and placed at d_gh for every h with that range.
     mul = {}
-    for i, (g, ki) in enumerate(layout):
-        sp_g = spans[s.range_of(g)]
-        avec = list(sp_g.rows[ki])
-        for j, (h, kj) in enumerate(layout):
-            sp_h = spans[s.range_of(h)]
-            bvec = mat_vec(a.action[g], list(sp_h.rows[kj]))
-            prod = a.alg.mul_vec(avec, bvec)
-            if not any(prod):
-                continue
-            gh = s.table[g][h]
-            coords = spans[s.range_of(gh)].coords(prod)
-            if coords is None:
-                raise InvalidAction("crossed product coefficient escapes its range ideal")
-            cell = {offs[gh] + k: v for k, v in enumerate(coords) if v}
-            if cell:
-                mul[(i, j)] = cell
+    for g in s.elements():
+        size = spans[s.range_of(g)].dim
+        acted = {}  # (hh*, index of b) -> alpha_g(b)
+        for i in range(offs[g], offs[g] + size):
+            local = {}  # (hh*, index of b) -> nonzero coordinates of a alpha_g(b)
+            for j, (h, kj) in enumerate(layout):
+                key = (s.range_of(h), kj)
+                if key not in local:
+                    if key not in acted:
+                        acted[key] = mat_vec(a.action[g], coeffs[j])
+                    prod = a.alg.mul_vec(coeffs[i], acted[key])
+                    coords = []
+                    if any(prod):
+                        coords = spans[s.range_of(s.table[g][h])].coords(prod)
+                        if coords is None:
+                            raise InvalidAction("crossed product coefficient escapes its range ideal")
+                    local[key] = {k: v for k, v in enumerate(coords) if v}
+                if local[key]:
+                    off = offs[s.table[g][h]]
+                    mul[(i, j)] = {off + k: v for k, v in local[key].items()}
     star = zero_matrix(dim)
     for i, (g, ki) in enumerate(layout):
-        sp_g = spans[s.range_of(g)]
         gstar = s.star[g]
-        w = mat_vec(a.action[gstar], a.alg.star_vec(list(sp_g.rows[ki])))
+        w = mat_vec(a.action[gstar], a.alg.star_vec(coeffs[i]))
         coords = spans[s.range_of(gstar)].coords(w)
         if coords is None:
             raise InvalidAction("crossed product star escapes its range ideal")
@@ -111,55 +119,50 @@ def _universal(a: GAlgebra) -> CrossedProductAlgebra:
 
 
 def _sieben(a: GAlgebra) -> CrossedProductAlgebra:
-    s = a.sgp
+    """The tight product: the universal product modulo the span of the
+    two-term relations a d_r - a d_t, for r <= t in S and a running over the
+    basis of the range ideal of r.
+
+    That span is already the *-ideal the relations generate, so nothing is
+    closed. With the product (a d_g)(b d_h) = a alpha_g(b) d_gh:
+
+    - right product: (a d_r - a d_t)(b d_u) = x d_ru - x d_tu with
+      x = a alpha_r(b), which is a alpha_t(b) because a lies in D_rr*, and
+      ru <= tu;
+    - left product: (b d_u)(a d_r - a d_t) = y d_ur - y d_ut with
+      y = b alpha_u(a), and ur <= ut;
+    - star: (a d_r)* = alpha_r*(a*) d_r*, and r* <= t*;
+    - Sieben's idempotent relations a d_e - a d_f (e <= f) are the case of
+      idempotent r and t, and they give the rest back: a d_rr* - a d_tt*
+      times 1_{D_tt*} d_t on the right is a d_r - a d_t.
+    """
     uni = _universal(a)
+    alg, _ = quotient(uni.alg, _tight_relations(uni), "Ax^G")
+    return CrossedProductAlgebra("sieben", alg, [f"q{i}" for i in range(alg.dim)], uni.dim)
+
+
+def _tight_relations(uni: CrossedProductAlgebra) -> list:
+    """The two-term relations a d_r - a d_t of ``_sieben`` as sparse
+    ``{index: value}`` vectors of the universal product ``uni``."""
+    s = uni.coeff.sgp
     spans, offs = uni.spans, uni.offs
     relations = []
-    idem = [e for e in s.elements() if s.is_idempotent(e)]
-    for e in idem:
-        for f in idem:
-            if e == f or not leq(s, e, f):
+    for r in s.elements():
+        rows = spans[s.range_of(r)].rows
+        for t in s.elements():
+            if r == t or not leq(s, r, t):
                 continue
-            # corner where e acts: span of e(x) y over basis pairs
-            corner = Span()
-            for i in range(a.dim):
-                ex = mat_vec(a.action[e], a.alg.basis_vec(i))
-                if not any(ex):
-                    continue
-                for j in range(a.dim):
-                    corner.add(a.alg.mul_vec(ex, a.alg.basis_vec(j)))
-            for row in corner.rows:
-                v = zeros(uni.dim)
-                ce = spans[s.range_of(e)].coords(list(row))
-                cf = spans[s.range_of(f)].coords(list(row))
-                if ce is None or cf is None:
+            target = spans[s.range_of(t)]
+            for k, row in enumerate(rows):
+                coords = target.coords(list(row))
+                if coords is None:
                     raise InvalidAction("tight relation coefficient escapes range ideals")
-                for k, c in enumerate(ce):
-                    v[offs[e] + k] += c
-                for k, c in enumerate(cf):
-                    v[offs[f] + k] -= c
-                if any(v):
-                    relations.append(v)
-
-    ideal = Span()
-    frontier = []
-    for v in relations:
-        if ideal.add(v):
-            frontier.append(v)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            candidates = [uni.alg.star_vec(v)]
-            for i in range(uni.dim):
-                candidates.append(uni.alg.mul_vec(uni.alg.basis_vec(i), v))
-                candidates.append(uni.alg.mul_vec(v, uni.alg.basis_vec(i)))
-            for c in candidates:
-                if any(c) and ideal.add(c):
-                    nxt.append(c)
-        frontier = nxt
-
-    alg, _ = quotient(uni.alg, ideal.rows, "Ax^G")
-    return CrossedProductAlgebra("sieben", alg, [f"q{i}" for i in range(alg.dim)], uni.dim)
+                rel = {offs[r] + k: ONE}
+                for m, c in enumerate(coords):
+                    if c:
+                        rel[offs[t] + m] = -c
+                relations.append(rel)
+    return relations
 
 
 def _groupoid(d: HAlgebra) -> CrossedProductAlgebra:

@@ -6,10 +6,11 @@ coefficient algebras (HAlgebra) keep a fiber-adapted basis: every basis vector
 belongs to the fiber of one groupoid unit, so unit actions are coordinate
 projections.
 
-Every change of basis (corners, restriction to a groupoid, rebasing,
-quotients) goes through ``transport``, which expresses an algebra on new
-vectors given their coordinate map, and ``transport_matrix`` for the action
-matrices; direct sums go through ``direct_sum``.
+Every change of basis (corners, restriction to a groupoid, rebasing) goes
+through ``transport``, which expresses an algebra on new vectors given their
+coordinate map, and ``transport_matrix`` for the action matrices. Quotients
+go through ``quotient``, which reads the products of its lifts straight from
+the structure constants; direct sums go through ``direct_sum``.
 """
 
 from dataclasses import dataclass
@@ -223,9 +224,25 @@ def transport_matrix(m, lifts, coords):
 def quotient(alg: StarAlgebra, relations, label="") -> tuple:
     """alg modulo the span of ``relations``, which must be a two-sided
     *-ideal: (StarAlgebra, QuotientSpace). The quotient's basis vector i is
-    the class of ``space.lifts[i]``."""
+    the class of ``space.lifts[i]``.
+
+    The lifts are unit vectors at the free columns, so the product of lifts
+    i and j is the ``alg.mul`` cell of their columns, reduced sparsely, and
+    star column j is alg's star column at free column j, reduced."""
     space = QuotientSpace(alg.dim, relations)
-    return transport(alg, space.lifts, space.to_coords, label), space
+    pos = space.free_pos
+    cells = []
+    for (a, b), cell in alg.mul.items():
+        if a in pos and b in pos:
+            red = space.sparse_coords(cell)
+            if red:
+                cells.append(((pos[a], pos[b]), red))
+    star = zero_matrix(space.dim)
+    for j, c in enumerate(space.free):
+        col = {r: row[c] for r, row in enumerate(alg.star) if row[c]}
+        for i, v in space.sparse_coords(col).items():
+            star[i][j] = v
+    return StarAlgebra(space.dim, dict(sorted(cells)), star, label), space
 
 
 # ---------------------------------------------------------------------------

@@ -764,9 +764,7 @@ def res_ind_split(s: FiniteInvSgp, hprime: int, lset: int, d: GAlgebra, instance
     hom = StarHomomorphism(source, ind.galg, phi, label="res-ind-split")
     rep2 = verify_star_hom(hom, equivariant_keys=list(iter_mask(lset)))
     checks.extend(rep2["checks"])
-    report = make_report("res-ind-split", instance, checks, dims)
-    report["ind"] = ind
-    return j_reps, summands, hom, report
+    return j_reps, summands, hom, make_report("res-ind-split", instance, checks, dims)
 
 
 # ---------------------------------------------------------------------------
@@ -856,8 +854,8 @@ def ci0_enumerate(s: FiniteInvSgp, chain: list, instance="") -> tuple:
     if not split_rep["pass"]:
         return [], make_report("ci0", instance, checks, {})
 
-    ind_tower = split_rep["ind"]  # Res Ind Res(D) as a G-algebra
-    tower2 = build_induced(s, h2, sgp_to_h_algebra(ind_tower.galg, h2))
+    ind_tower = hom.target  # Res Ind Res(D) as a G-algebra
+    tower2 = build_induced(s, h2, sgp_to_h_algebra(ind_tower, h2))
     pairs = []
     part_h = []
     for s_ in summands:
@@ -869,7 +867,7 @@ def ci0_enumerate(s: FiniteInvSgp, chain: list, instance="") -> tuple:
 
     # transported assembled iso in the rebased coordinates, then induced
     sum_h = direct_sum(h2, part_h)
-    target_h = sgp_to_h_algebra(ind_tower.galg, h2)
+    target_h = sgp_to_h_algebra(ind_tower, h2)
     phi_h = _rebase_hom(hom, sum_h, target_h, part_h, summands)
     ind_sum = build_induced(s, h2, sum_h)
     ind_phi = induce_hom(phi_h, ind_sum, tower2)

@@ -2,7 +2,8 @@
 
 All matrices are lists/tuples of rows of fractions.Fraction; nothing here is
 floating point. ``sparse_solve`` takes sparse rows instead and eliminates
-them with sympy's sparse RREF over QQ.
+them with sympy's sparse RREF over QQ, and ``QuotientSpace`` reduces its
+relations the same way, once, and reduces sparse vectors without densifying.
 """
 
 from fractions import Fraction
@@ -28,7 +29,8 @@ def identity(n: int) -> list:
 
 
 def mat_vec(m, v) -> list:
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), ZERO) for row in m]
+    nonzero = [(j, x) for j, x in enumerate(v) if x]
+    return [sum((row[j] * x for j, x in nonzero if row[j]), ZERO) for row in m]
 
 
 def mat_mul(a, b) -> list:
@@ -253,34 +255,67 @@ class Basis:
 
 
 class QuotientSpace:
-    """Ambient space modulo a relation span, with reduced representatives."""
+    """Ambient space modulo a relation span, with reduced representatives.
+
+    The relations, ``{col: value}`` dicts or dense lists, are put in reduced
+    row echelon form once with sympy's sparse ``sdm_irref``. That form is
+    unique for the span, so the free (non-pivot) columns, the coordinates and
+    the lifts depend only on the span, not on the relations that span it.
+    """
 
     def __init__(self, ambient_dim: int, relations=()):
         self.ambient_dim = ambient_dim
-        self.span = Span(relations)
-        pivots = set(self.span.pivots)
-        self.free = [c for c in range(ambient_dim) if c not in pivots]
+        rows = {}
+        for i, rel in enumerate(relations):
+            items = rel.items() if isinstance(rel, dict) else enumerate(rel)
+            qrow = {c: QQ(v.numerator, v.denominator) for c, v in items if v}
+            if qrow:
+                rows[i] = qrow
+        red, pivots, _ = sdm_irref(rows)
+        pivset = set(pivots)
+        self.free = [c for c in range(ambient_dim) if c not in pivset]
+        self.free_pos = {c: i for i, c in enumerate(self.free)}
+        # pivot column -> minus the rest of its reduced row, over free positions:
+        # the unit vector at the pivot is congruent to that combination
+        self._pivot_rows = {p: {self.free_pos[c]: -_frac_qq(v) for c, v in red[i].items() if c != p}
+                            for i, p in enumerate(pivots)}
 
     @property
     def dim(self) -> int:
-        return self.ambient_dim - self.span.dim
-
-    def reduce(self, v) -> list:
-        return self.span._reduce(list(map(frac, v)))
+        return len(self.free)
 
     def to_coords(self, v) -> list:
-        red = self.reduce(v)
-        return [red[c] for c in self.free]
+        """Coordinates of a dense vector's class over the free columns."""
+        out = [frac(v[c]) for c in self.free]
+        for p, row in self._pivot_rows.items():
+            x = v[p]
+            if x:
+                for i, r in row.items():
+                    out[i] += x * r
+        return out
+
+    def sparse_coords(self, vec: dict) -> dict:
+        """``to_coords`` of a ``{col: value}`` vector as a ``{position: value}``
+        dict, in position order and without zeros."""
+        out = {}
+        for c, x in vec.items():
+            i = self.free_pos.get(c)
+            if i is not None:
+                out[i] = out.get(i, ZERO) + x
+            else:
+                for i, r in self._pivot_rows[c].items():
+                    out[i] = out.get(i, ZERO) + x * r
+        return {i: out[i] for i in sorted(out) if out[i]}
 
     @cached_property
     def lifts(self) -> list:
         """The reduced representatives of the quotient's basis vectors: the
-        unit vectors at the free columns, reduced."""
+        unit vectors at the free columns."""
         out = []
         for c in self.free:
             v = zeros(self.ambient_dim)
             v[c] = ONE
-            out.append(self.reduce(v))
+            out.append(v)
         return out
 
 

@@ -4,10 +4,11 @@ import pytest
 
 from iskk import crossed as cr
 from iskk import galgebra as ga
+from iskk import induction as ind
 from iskk import ktheory as kt
 from iskk import semigroup as sg
-from iskk.errors import BrokenInvariant, NonIntegralMultiplicity, NotIdempotent
-from iskk.linalg import ONE, ZERO, Span, identity, nullspace
+from iskk.errors import BrokenInvariant, InvalidAction, NonIntegralMultiplicity, NotIdempotent
+from iskk.linalg import ONE, ZERO, Span, identity, mat_vec, nullspace
 
 
 def test_group_algebra_z2():
@@ -313,3 +314,139 @@ def test_non_idempotent_primary_component_is_a_typed_error(monkeypatch):
     with pytest.raises(NotIdempotent) as err:
         cr.semisimple_quotient(ga.matrix_algebra(2))
     assert err.value.witness == {"factor": "x - 1"}
+
+
+# ---------------------------------------------------------------------------
+# the tight product from its two-term relations, against independent oracles
+
+TIGHT_SPECS = ["chain:2", "chain:3", "chain:4", "diamond", "cyclic:2", "cyclic:3", "cyclic:4",
+               "symmetric:3", "symmetric_inverse:2", "symmetric_inverse:3", "brandt_unital:2",
+               "brandt_unital:3", "product:symmetric_inverse:2*chain:2"]
+TIGHT_COEFFS = ["trivial", "c0x", "induced:unit", "induced:idempotents", "induced:all"]
+# universal products above this size make the closure oracle too slow for a unit test
+TIGHT_MAX_DIM = 100
+
+
+def _tight_coeff(spec, coeff):
+    s = sg.parse_builder(spec)
+    if coeff == "trivial":
+        return ga.trivial_algebra(s)
+    c0x = ga.c0x_algebra(s)
+    if coeff == "c0x":
+        return c0x
+    h = ind.assoc_groupoid(s, sg.parse_subset(s, coeff.split(":")[1]))
+    return ind.build_induced(s, h, ga.restrict(c0x, h)).galg
+
+
+def _tight_corpus():
+    cases = []
+    for spec in TIGHT_SPECS:
+        for coeff in TIGHT_COEFFS:
+            if spec.startswith("brandt") and coeff == "trivial":
+                continue  # no action there; see test_tight_errors_agree
+            a = _tight_coeff(spec, coeff)
+            spans = cr._range_spans(a)
+            if sum(spans[a.sgp.range_of(g)].dim for g in a.sgp.elements()) <= TIGHT_MAX_DIM:
+                cases.append((spec, coeff))
+    return cases
+
+
+TIGHT_CORPUS = _tight_corpus()
+
+
+def _dense_quotient(alg, relations):
+    """alg modulo span(relations) with a dense reduced Span: the lifts are the
+    unit vectors at the non-pivot columns, the coordinates the reduced vector
+    there."""
+    span = Span(relations)
+    free = [c for c in range(alg.dim) if c not in span.pivots]
+    lifts = [alg.basis_vec(c) for c in free]
+    return ga.transport(alg, lifts, lambda v: [span._reduce(list(v))[c] for c in free])
+
+
+def _closure_sieben(a):
+    """The tight product as the universal product modulo the *-ideal that
+    Sieben's idempotent relations generate, closed by brute force: for
+    idempotents e <= f, a d_e - a d_f over the corner span{alpha_e(x) y}."""
+    s = a.sgp
+    uni = cr._universal(a)
+    spans, offs = uni.spans, uni.offs
+    relations = []
+    idem = [e for e in s.elements() if s.is_idempotent(e)]
+    for e in idem:
+        for f in idem:
+            if e == f or not sg.leq(s, e, f):
+                continue
+            corner = Span()
+            for i in range(a.dim):
+                ex = mat_vec(a.action[e], a.alg.basis_vec(i))
+                if any(ex):
+                    for j in range(a.dim):
+                        corner.add(a.alg.mul_vec(ex, a.alg.basis_vec(j)))
+            for row in corner.rows:
+                v = [ZERO] * uni.dim
+                ce = spans[s.range_of(e)].coords(list(row))
+                cf = spans[s.range_of(f)].coords(list(row))
+                for k, c in enumerate(ce):
+                    v[offs[e] + k] += c
+                for k, c in enumerate(cf):
+                    v[offs[f] + k] -= c
+                if any(v):
+                    relations.append(v)
+    ideal = Span()
+    frontier = [v for v in relations if ideal.add(v)]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            candidates = [uni.alg.star_vec(v)]
+            for i in range(uni.dim):
+                b = uni.alg.basis_vec(i)
+                candidates += [uni.alg.mul_vec(b, v), uni.alg.mul_vec(v, b)]
+            nxt += [c for c in candidates if any(c) and ideal.add(c)]
+        frontier = nxt
+    return _dense_quotient(uni.alg, ideal.rows)
+
+
+@pytest.mark.parametrize("spec, coeff", TIGHT_CORPUS)
+def test_tight_product_equals_the_closed_ideal_quotient(spec, coeff):
+    a = _tight_coeff(spec, coeff)
+    tight = cr.crossed(a, kind="sieben").alg
+    oracle = _closure_sieben(a)
+    assert (tight.dim, tight.mul, tight.star) == (oracle.dim, oracle.mul, oracle.star)
+
+
+@pytest.mark.parametrize("spec, coeff", TIGHT_CORPUS)
+def test_two_term_relations_span_a_star_ideal(spec, coeff):
+    uni = cr._universal(_tight_coeff(spec, coeff))
+    alg = uni.alg
+    relations = [[r.get(c, ZERO) for c in range(alg.dim)] for r in cr._tight_relations(uni)]
+    span = Span(relations)
+    for v in span.rows:
+        assert span.contains(alg.star_vec(v))
+        for i in range(alg.dim):
+            b = alg.basis_vec(i)
+            assert span.contains(alg.mul_vec(b, v)) and span.contains(alg.mul_vec(v, b))
+
+
+@pytest.mark.parametrize("spec, coeff", TIGHT_CORPUS)
+def test_tight_product_matches_the_germ_groupoid_product(spec, coeff):
+    # the tight product of A is the groupoid product of A restricted to the
+    # groupoid of germs of all of S (Exel's tight groupoid)
+    a = _tight_coeff(spec, coeff)
+    s = a.sgp
+    tight = cr.crossed(a, kind="sieben")
+    gpd = cr.crossed(ga.restrict(a, ind.assoc_groupoid(s, sg.parse_subset(s, "all"))), "groupoid")
+    assert tight.dim == gpd.dim
+    d, e = cr.semisimple_quotient(tight), cr.semisimple_quotient(gpd)
+    assert (d.radical_dim, d.center_dim, d.block_dims, d.splits) == \
+        (e.radical_dim, e.center_dim, e.block_dims, e.splits)
+
+
+@pytest.mark.parametrize("spec", ["brandt_unital:2", "brandt_unital:3"])
+def test_tight_errors_agree(spec):
+    a = _tight_coeff(spec, "trivial")
+    s = a.sgp
+    with pytest.raises(InvalidAction):
+        cr.crossed(a, kind="sieben")
+    with pytest.raises(InvalidAction):
+        cr.crossed(ga.restrict(a, ind.assoc_groupoid(s, sg.parse_subset(s, "all"))), "groupoid")

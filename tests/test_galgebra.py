@@ -220,6 +220,18 @@ def test_quotient_of_a_sum_by_a_summand(a, b):
         assert space.dim == a.dim
 
 
+def test_quotient_by_nothing_reads_the_structure_constants(monkeypatch):
+    alg = ga.star_sum([ga.matrix_algebra(2), ga.diagonal_star_algebra(3)])
+
+    def forbidden(*args):
+        raise AssertionError("quotient must not multiply vectors")
+
+    monkeypatch.setattr(ga.StarAlgebra, "mul_vec", forbidden)
+    q, space = ga.quotient(alg, [])
+    assert (q.dim, q.mul, q.star) == (alg.dim, alg.mul, alg.star)
+    assert space.free == list(range(alg.dim))
+
+
 def test_corner_of_a_sum_is_the_summand():
     s = sg.parse_builder("symmetric_inverse:2")
     a, b = ga.c0x_algebra(s), ga.trivial_algebra(s)

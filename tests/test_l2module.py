@@ -138,3 +138,56 @@ def test_equivariance_pointwise(spec, data):
     else:
         rhs = l2.phi_inner(s, jg, jh)
     assert lhs == rhs
+
+
+def module_axioms_oracle(s):
+    """check_module_axioms compared as functions on the character space,
+    every inner product recomputed where it is used."""
+    x = sp.spectrum(s)
+    basis = l2.l2_basis(s)
+    zero = sp.alg_star_from_mask(s, 0)
+
+    def first(triples, bad):
+        return next((tuple(s.names[t] for t in tr) for tr in triples if bad(*tr)), None)
+
+    sym = first(((g, h) for g in basis for h in basis),
+                lambda g, h: l2.phi_inner(s, g, h) != l2.phi_inner(s, h, g))
+    idem = list(sg.iter_mask(sg.nonzero_idempotents(s)))
+
+    def semi_bad(g, h, f):
+        fh = s.table[f][h]
+        lhs = l2.phi_inner(s, g, fh) if fh != s.zero else zero
+        pf = x.proj(f)
+        return lhs != tuple(v if pf >> i & 1 else 0 * v
+                            for i, v in enumerate(l2.phi_inner(s, g, h)))
+
+    semi = first(((g, h, f) for g in basis for h in basis for f in idem), semi_bad)
+
+    def eq_bad(j, g, h):
+        jg, jh = s.table[j][g], s.table[j][h]
+        rhs = zero if s.zero in (jg, jh) else l2.phi_inner(s, jg, jh)
+        return sp.act_alg_star(s, j, l2.phi_inner(s, g, h)) != rhs
+
+    eq = first(((j, g, h) for j in s.elements() for g in basis for h in basis), eq_bad)
+    checks = [{"name": name, "pass": w is None, "witness": w}
+              for name, w in (("symmetry", sym), ("module_semilinearity", semi),
+                              ("equivariance", eq))]
+    return {"check": "module_axioms", "pass": all(c["pass"] for c in checks), "checks": checks}
+
+
+@pytest.mark.parametrize("spec", CORPUS)
+@pytest.mark.parametrize("broken", [None, "flip_one_pair", "add_first_character",
+                                    "add_last_character"])
+def test_module_axioms_match_the_recomputing_oracle(spec, broken, monkeypatch):
+    # broken inner products break each of the three axioms on some specs;
+    # the failures and witnesses must match too
+    real = l2.phi_mask
+    if broken == "flip_one_pair":
+        monkeypatch.setattr(l2, "phi_mask", lambda s, g, h: real(s, g, h) ^ (g == 1 and h == 0))
+    elif broken == "add_first_character":
+        monkeypatch.setattr(l2, "phi_mask", lambda s, g, h: real(s, g, h) | 1)
+    elif broken == "add_last_character":
+        monkeypatch.setattr(l2, "phi_mask",
+                            lambda s, g, h: real(s, g, h) | 1 << sp.spectrum(s).size - 1)
+    s = sg.parse_builder(spec)
+    assert l2.check_module_axioms(s) == module_axioms_oracle(s)

@@ -1,0 +1,64 @@
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from iskk.linalg import ONE, ZERO, QuotientSpace, Span
+
+
+class DenseQuotient:
+    """Reference: the quotient read off a dense reduced Span."""
+
+    def __init__(self, ambient_dim, relations):
+        self.span = Span(relations)
+        self.free = [c for c in range(ambient_dim) if c not in self.span.pivots]
+        self.ambient_dim = ambient_dim
+
+    def to_coords(self, v):
+        red = self.span._reduce([Fraction(x) for x in v])
+        return [red[c] for c in self.free]
+
+    def lifts(self):
+        out = []
+        for c in self.free:
+            v = [ZERO] * self.ambient_dim
+            v[c] = ONE
+            out.append(self.span._reduce(v))
+        return out
+
+
+entries = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)]).map(Fraction)
+
+
+@st.composite
+def quotient_problems(draw):
+    n = draw(st.integers(0, 7))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=9))
+    if n and draw(st.booleans()):
+        # a full-rank set: every unit vector, mixed with the drawn rows
+        rows += [[ONE if c == r else ZERO for c in range(n)] for r in range(n)]
+    vectors = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=4))
+    return n, rows, vectors, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(quotient_problems())
+def test_sparse_quotient_space_matches_dense_span(problem):
+    n, rows, vectors, as_dicts = problem
+    relations = [{c: x for c, x in enumerate(r) if x} for r in rows] if as_dicts else rows
+    q, ref = QuotientSpace(n, relations), DenseQuotient(n, rows)
+    assert q.free == ref.free and q.dim == len(ref.free)
+    assert q.lifts == ref.lifts()
+    for v in vectors:
+        assert q.to_coords(v) == ref.to_coords(v)
+        sparse = q.sparse_coords({c: x for c, x in enumerate(v) if x})
+        assert sparse == {i: x for i, x in enumerate(ref.to_coords(v)) if x}
+        assert list(sparse) == sorted(sparse)
+
+
+def test_quotient_space_edge_cases():
+    empty = QuotientSpace(3)
+    assert empty.free == [0, 1, 2] and empty.to_coords([1, 2, 3]) == [1, 2, 3]
+    full = QuotientSpace(2, [{0: ONE, 1: ONE}, [ONE, -ONE]])
+    assert full.dim == 0 and full.lifts == [] and full.to_coords([5, 7]) == []
+    assert QuotientSpace(0).dim == 0
