@@ -25,6 +25,9 @@ from .linalg import (
     identity,
     mat_mul,
     mat_vec,
+    nonzero_pairs,
+    nonzero_rows,
+    rows_mul,
     sparse_solve,
     zeros,
 )
@@ -33,7 +36,18 @@ from .spectrum import ExtendedElement, germ_range, germ_source, spectrum, tilde_
 
 
 def mat_eq(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    """Entrywise equality over the rows and columns a and b have in common."""
+    return all(_rows_eq(ra, rb) for ra, rb in zip(a, b))
+
+
+def _rows_eq(ra, rb) -> bool:
+    # rows of one type and length compare as whole lists; others entry by
+    # entry over their common prefix, as zip does
+    if ra == rb:
+        return True
+    if type(ra) is type(rb) and len(ra) == len(rb):
+        return False
+    return all(x == y for x, y in zip(ra, rb))
 
 
 def zero_matrix(n, m=None):
@@ -71,13 +85,15 @@ class StarAlgebra:
         self.label = label
 
     def mul_vec(self, u, v):
+        return self.mul_pairs(nonzero_pairs(u), nonzero_pairs(v))
+
+    def mul_pairs(self, u, v):
+        """u v as a dense vector, for u and v given by (index, value) pairs
+        that cover their nonzero entries (``nonzero_pairs``, a mul cell's
+        items, or a single basis vector [(i, ONE)])."""
         out = zeros(self.dim)
-        for i, x in enumerate(u):
-            if not x:
-                continue
-            for j, y in enumerate(v):
-                if not y:
-                    continue
+        for i, x in u:
+            for j, y in v:
                 cell = self.mul.get((i, j))
                 if cell:
                     xy = x * y
@@ -249,7 +265,18 @@ def quotient(alg: StarAlgebra, relations, label="") -> tuple:
 # algebras with inverse-semigroup actions
 
 
-class GAlgebra:
+class _SplitActions:
+    """Keeps each action matrix split into ``nonzero_rows`` after its first
+    use; action matrices are not changed once an algebra is built."""
+
+    def action_rows(self, g):
+        cache = self.__dict__.setdefault("_action_rows", {})
+        if g not in cache:
+            cache[g] = nonzero_rows(self.action[g])
+        return cache[g]
+
+
+class GAlgebra(_SplitActions):
     """A *-algebra with an action matrix per semigroup element.
 
     The action dict may cover only a sub-semigroup (always including the
@@ -277,22 +304,18 @@ class GAlgebra:
         s = self.sgp
         sp = spectrum(s)
         mats = []
-        for i, f in enumerate(sp.gens):
+        for f in sp.gens:
             m = [row[:] for row in self.action[f]]
             for e in sp.gens:
                 if s.table[f][e] != f:  # f <= e fails: multiply by (1 - e)
-                    em = self.action[e]
-                    m = [
-                        [m[r][c] - sum(em[r][k] * m[k][c] for k in range(self.dim) if m[k][c])
-                         for c in range(self.dim)]
-                        for r in range(self.dim)
-                    ]
+                    em = rows_mul(self.action_rows(e), nonzero_rows(m), self.dim)
+                    for rm, re in zip(m, em):
+                        for c, y in nonzero_pairs(re):
+                            rm[c] -= y
             mats.append(m)
         total = zero_matrix(self.dim)
         for m in mats:
-            for r in range(self.dim):
-                for c in range(self.dim):
-                    total[r][c] += m[r][c]
+            _add_nonzeros(total, m)
         if not mat_eq(total, identity(self.dim)):
             raise InvalidAction(
                 f"character projections of {self.label!r} do not sum to the identity"
@@ -305,15 +328,20 @@ class GAlgebra:
         mats = self.char_matrices()
         out = zero_matrix(self.dim)
         for i in iter_mask(mask):
-            m = mats[i]
-            for r in range(self.dim):
-                for c in range(self.dim):
-                    out[r][c] += m[r][c]
+            _add_nonzeros(out, mats[i])
         return out
 
     def germ_matrix(self, x: ExtendedElement):
         """Extended action of a germ: alpha_g composed with its domain projection."""
         return mat_mul(self.action[x.g], self.mask_matrix(x.chars))
+
+
+def _add_nonzeros(out, m):
+    """out += m in place, adding only the nonzero entries of m."""
+    for orow, row in zip(out, m):
+        for c, x in enumerate(row):
+            if x:
+                orow[c] += x
 
 
 def galgebra(sgp, alg, action, label=""):
@@ -380,14 +408,15 @@ def _report(kind, label, checks) -> dict:
 
 
 def associativity_failures(alg: StarAlgebra):
-    """(i, j, k) for each basis triple with (b_i b_j) b_k != b_i (b_j b_k)."""
+    """(i, j, k) for each basis triple with (b_i b_j) b_k != b_i (b_j b_k);
+    both sides are read from the mul cells."""
     d = alg.dim
-    basis = [alg.basis_vec(i) for i in range(d)]
     for i in range(d):
         for j in range(d):
-            ij = alg.mul_vec(basis[i], basis[j])
+            ij = alg.mul.get((i, j), {}).items()
             for k in range(d):
-                if alg.mul_vec(ij, basis[k]) != alg.mul_vec(basis[i], alg.mul_vec(basis[j], basis[k])):
+                jk = alg.mul.get((j, k), {}).items()
+                if alg.mul_pairs(ij, [(k, ONE)]) != alg.mul_pairs([(i, ONE)], jk):
                     yield (i, j, k)
 
 
@@ -397,12 +426,11 @@ def star_failures(alg: StarAlgebra):
     d = alg.dim
     if not mat_eq(mat_mul(alg.star, alg.star), identity(d)):
         yield "star not involutive"
-    basis = [alg.basis_vec(i) for i in range(d)]
+    stars = _nonzero_columns(alg.star, d)
     for i in range(d):
         for j in range(d):
-            if alg.star_vec(alg.mul_vec(basis[i], basis[j])) != alg.mul_vec(
-                alg.star_vec(basis[j]), alg.star_vec(basis[i])
-            ):
+            ij = alg.mul.get((i, j), {}).items()
+            if _combine(stars, ij, d) != alg.mul_pairs(stars[j], stars[i]):
                 yield (i, j)
 
 
@@ -411,27 +439,42 @@ def central_multiplier_failures(alg: StarAlgebra, m):
     (i, j) where (m b_i) b_j != b_i (m b_j), and (i, j, "not a multiplier")
     where m(b_i b_j) != (m b_i) b_j."""
     d = alg.dim
-    basis = [alg.basis_vec(i) for i in range(d)]
-    images = [[row[j] for row in m] for j in range(d)]
+    images = _nonzero_columns(m, d)
     for i in range(d):
         for j in range(d):
-            left = alg.mul_vec(images[i], basis[j])
-            if left != alg.mul_vec(basis[i], images[j]):
+            left = alg.mul_pairs(images[i], [(j, ONE)])
+            if left != alg.mul_pairs([(i, ONE)], images[j]):
                 yield (i, j)
-            product = zeros(d)
-            for k, v in alg.mul.get((i, j), {}).items():
-                product[k] = v
-            if mat_vec(m, product) != left:
+            if _combine(images, alg.mul.get((i, j), {}).items(), len(m)) != left:
                 yield (i, j, "not a multiplier")
 
 
 def multiplicative_failures(m, sa: StarAlgebra, sb: StarAlgebra):
-    """(i, j) for each basis pair of sa with m(b_i b_j) != (m b_i)(m b_j)."""
-    images = [[row[j] for row in m] for j in range(sa.dim)]
+    """(i, j) for each basis pair of sa with m(b_i b_j) != (m b_i)(m b_j).
+
+    m(b_i b_j) is read from the ``sa.mul`` cell (i, j) as a combination of
+    the nonzero entries of m's columns."""
+    images = _nonzero_columns(m, sa.dim)
     for i in range(sa.dim):
         for j in range(sa.dim):
-            if mat_vec(m, sa.mul_vec(sa.basis_vec(i), sa.basis_vec(j))) != sb.mul_vec(images[i], images[j]):
+            ij = sa.mul.get((i, j), {}).items()
+            if _combine(images, ij, len(m)) != sb.mul_pairs(images[i], images[j]):
                 yield (i, j)
+
+
+def _nonzero_columns(m, ncols):
+    """The first ncols columns of m, each as its ``nonzero_pairs``."""
+    return [nonzero_pairs([row[j] for row in m]) for j in range(ncols)]
+
+
+def _combine(cols, coeffs, n):
+    """sum of c * cols[k] over the (k, c) pairs ``coeffs``, as a dense vector
+    of length n; each column is given by its nonzero pairs."""
+    out = zeros(n)
+    for k, c in coeffs:
+        for r, x in cols[k]:
+            out[r] += c * x
+    return out
 
 
 def star_preserving_failures(m, sa: StarAlgebra, sb: StarAlgebra):
@@ -465,9 +508,8 @@ def validate_g_algebra(a: GAlgebra) -> dict:
         for g in keys:
             for h in keys:
                 gh = s.table[g][h]
-                if gh in keys and not mat_eq(
-                    mat_mul(a.action[g], a.action[h]), a.action[gh]
-                ):
+                if gh in keys and not mat_eq(rows_mul(a.action_rows(g), a.action_rows(h), d),
+                                             a.action[gh]):
                     yield (s.names[g], s.names[h])
 
     def endo():
@@ -498,7 +540,7 @@ def validate_g_algebra(a: GAlgebra) -> dict:
 # groupoid coefficient algebras (fiber-adapted basis)
 
 
-class HAlgebra:
+class HAlgebra(_SplitActions):
     """Coefficient algebra over a finite groupoid; also a C0(units)-algebra.
 
     unit_of_basis[i] is the index (into gpd.units) of the fiber holding basis
@@ -772,8 +814,15 @@ def verify_star_hom(f: StarHomomorphism, equivariant_keys=None) -> dict:
         {"name": "star_preserving", "witness": _first_failure(star_preserving_failures(f.matrix, sa, sb))},
     ]
     if equivariant_keys is not None:
-        checks.append({"name": "equivariant", "witness": _first_failure(
-            g for g in equivariant_keys
-            if not mat_eq(mat_mul(f.matrix, f.source.action[g]), mat_mul(f.target.action[g], f.matrix))
-        )})
+        checks.append({"name": "equivariant",
+                       "witness": _first_failure(_equivariance_failures(f, equivariant_keys))})
     return _report("star_homomorphism", f.label, checks)
+
+
+def _equivariance_failures(f: StarHomomorphism, keys):
+    """g for each key with f alpha_g != alpha_g f."""
+    f_rows = nonzero_rows(f.matrix)
+    for g in keys:
+        left = rows_mul(f_rows, f.source.action_rows(g), f.source.dim)
+        if not mat_eq(left, rows_mul(f.target.action_rows(g), f_rows, f.source.dim)):
+            yield g

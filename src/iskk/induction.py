@@ -551,6 +551,15 @@ def technical_split(s: FiniteInvSgp, uprime: int, lset: int, g_ext: ExtendedElem
     report). theta maps the small induced algebra onto the carrier block.
     """
     u = assoc_groupoid(s, uprime)
+    return _split_class(s, lset, g_ext, d, build_induced(s, u, restrict(d, u)), instance)
+
+
+def _split_class(s: FiniteInvSgp, lset: int, g_ext: ExtendedElement, d: GAlgebra,
+                 ind_u: InducedAlgebra, instance="") -> tuple:
+    """technical_split with the induced restriction Ind(Res_U(d)) over the
+    associated groupoid U already built, so one induction serves every class."""
+    u, resu = ind_u.gh.gpd, ind_u.coeff
+    uprime = u.from_subset
     sp = spectrum(s)
     g0 = g_ext.g
     conj = mask_of(
@@ -574,8 +583,6 @@ def technical_split(s: FiniteInvSgp, uprime: int, lset: int, g_ext: ExtendedElem
             gug.add(x)
     m_elems = sorted(lcut & gug, key=germ_key)
 
-    resu = restrict(d, u)
-    ind_u = build_induced(s, u, resu)
     # carrier: orbits reachable from g's orbit by allowed left translations
     start = ind_u.gh.orbit_of[g_ext]
     carrier = {start}
@@ -681,8 +688,6 @@ def technical_split(s: FiniteInvSgp, uprime: int, lset: int, g_ext: ExtendedElem
     theta_hom = StarHomomorphism(ind_m.galg, ind_u.galg, theta_full, label="theta")
     checks.extend(verify_star_hom(theta_hom, equivariant_keys=list(iter_mask(lset)))["checks"])
     report = make_report("technical-split", instance, checks, dims)
-    report["ind_m"] = ind_m
-    report["ind_u"] = ind_u
     report["carrier_cols"] = carrier_cols
     return m_elems, lprime, theta_hom, report
 
@@ -722,7 +727,6 @@ def res_ind_split(s: FiniteInvSgp, hprime: int, lset: int, d: GAlgebra, instance
 
     j_reps = []
     summands = []
-    total_cols = []
     checks = []
     for root in sorted(classes):
         orbits = classes[root]
@@ -730,19 +734,20 @@ def res_ind_split(s: FiniteInvSgp, hprime: int, lset: int, d: GAlgebra, instance
         if cdim == 0:
             continue
         g_rep = min((ind.gh.reps[o] for o in orbits), key=germ_key)
-        m_elems, lprime, theta, rep = technical_split(s, hprime, lset, g_rep, d,
-                                                      instance=f"{instance}/class{len(j_reps)}")
+        m_elems, lprime, theta, rep = _split_class(s, lset, g_rep, d, ind,
+                                                   instance=f"{instance}/class{len(j_reps)}")
         checks.append(check(f"class_{len(j_reps)}_split", None if rep["pass"] else rep))
         if not rep["pass"]:
             return j_reps, summands, None, make_report("res-ind-split", instance, checks, {})
         j_reps.append(g_rep)
         summands.append({"m": m_elems, "lprime": lprime, "theta": theta,
-                         "ind_m": rep["ind_m"], "carrier_cols": rep["carrier_cols"]})
-        total_cols.append(rep["carrier_cols"])
+                         "carrier_cols": rep["carrier_cols"]})
 
-    dim_sum = sum(s_["ind_m"].dim for s_ in summands)
+    # each summand algebra is the source of its theta
+    parts = [s_["theta"].source for s_ in summands]
+    dim_sum = sum(p.dim for p in parts)
     dims = {"res_ind_res": ind.dim,
-            "summands": [s_["ind_m"].dim for s_ in summands],
+            "summands": [p.dim for p in parts],
             "classes": len(summands)}
     checks.append(check("dimension_identity",
                         None if dim_sum == ind.dim else f"{dim_sum} != {ind.dim}"))
@@ -750,15 +755,15 @@ def res_ind_split(s: FiniteInvSgp, hprime: int, lset: int, d: GAlgebra, instance
     # assemble the block isomorphism and verify it globally
     phi = zero_matrix(ind.dim, dim_sum)
     col = 0
-    for s_ in summands:
+    for s_, part in zip(summands, parts):
         th = s_["theta"].matrix
-        for j in range(s_["ind_m"].dim):
+        for j in range(part.dim):
             for r in range(ind.dim):
                 if th[r][j]:
                     phi[r][col + j] = th[r][j]
-        col += s_["ind_m"].dim
+        col += part.dim
 
-    source = direct_sum(s, [s_["ind_m"].galg for s_ in summands])
+    source = direct_sum(s, parts)
     inv = mat_inv(phi) if dim_sum == ind.dim else None
     checks.append(check("bijective", None if inv is not None else "assembled map not invertible"))
     hom = StarHomomorphism(source, ind.galg, phi, label="res-ind-split")
@@ -828,6 +833,15 @@ def ci0_enumerate(s: FiniteInvSgp, chain: list, instance="") -> tuple:
     Returns (pairs, report): pairs are (groupoid, HAlgebra) with the verified
     identity  direct-sum of Ind(pairs)  ==  the iterated tower algebra.
     """
+    pairs, report, _ = _ci0_tower(s, chain, instance)
+    return pairs, report
+
+
+def _ci0_tower(s: FiniteInvSgp, chain: list, instance="") -> tuple:
+    """ci0_enumerate with its live objects: (pairs, report, live). live holds
+    the tower InducedAlgebra under "tower" and, for a chain of length 2, the
+    induction of each summand under "per_part"; it is empty when a check
+    stops the tower early."""
     if len(chain) > 3:
         raise ChainTooLong("chains of length > 3 are out of desk scale")
     d = trivial_algebra(s)
@@ -841,9 +855,7 @@ def ci0_enumerate(s: FiniteInvSgp, chain: list, instance="") -> tuple:
     checks = [check("level1_valid", None if validate_g_algebra(ind1.galg)["pass"] else "invalid")]
     if len(chain) == 1:
         pairs = [(h1, res1)]
-        report = make_report("ci0", instance, checks, {"tower": ind1.dim})
-        report["tower"] = ind1
-        return pairs, report
+        return pairs, make_report("ci0", instance, checks, {"tower": ind1.dim}), {"tower": ind1}
 
     # level 2: split the restriction of the tower so far along classes
     l2 = chain[1]
@@ -852,14 +864,14 @@ def ci0_enumerate(s: FiniteInvSgp, chain: list, instance="") -> tuple:
                                                      instance=f"{instance}/level2")
     checks.append(check("level2_split", None if split_rep["pass"] else split_rep))
     if not split_rep["pass"]:
-        return [], make_report("ci0", instance, checks, {})
+        return [], make_report("ci0", instance, checks, {}), {}
 
     ind_tower = hom.target  # Res Ind Res(D) as a G-algebra
     tower2 = build_induced(s, h2, sgp_to_h_algebra(ind_tower, h2))
     pairs = []
     part_h = []
     for s_ in summands:
-        bh = sgp_to_h_algebra(s_["ind_m"].galg, h2)
+        bh = sgp_to_h_algebra(s_["theta"].source, h2)
         com = bh.alg.is_commutative()
         checks.append(check("summand_commutative", None if com else bh.label))
         pairs.append((h2, bh))
@@ -895,24 +907,21 @@ def ci0_enumerate(s: FiniteInvSgp, chain: list, instance="") -> tuple:
             "tower": tower3.dim,
             "summands": [p[1].dim for p in pairs],
         })
-        report["tower"] = tower3
-        return pairs, report
+        return pairs, report, {"tower": tower3}
 
     report = make_report("ci0", instance, checks, {
         "tower": tower2.dim,
         "summands": [bh.dim for bh in part_h],
         "ind_summands": [p.dim for p in per_part],
     })
-    report["tower"] = tower2
-    report["per_part"] = per_part
-    return pairs, report
+    return pairs, report, {"tower": tower2, "per_part": per_part}
 
 
 def _rebase_hom(hom: StarHomomorphism, sum_h: HAlgebra, target_h: HAlgebra, part_h, summands):
     """Express an assembled semigroup-level iso in rebased fiber coordinates."""
     # columns: embed sum_h basis into the concatenated semigroup coordinates,
     # apply hom, express in target_h basis
-    src_dims = [s_["ind_m"].dim for s_ in summands]
+    src_dims = [s_["theta"].source.dim for s_ in summands]
     offsets = [0]
     for dsz in src_dims:
         offsets.append(offsets[-1] + dsz)

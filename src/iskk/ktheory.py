@@ -55,11 +55,16 @@ def k0(x) -> K0Group:
 
 
 def _split_block_data(x):
-    d = semisimple_quotient(x)
-    if not d.splits:
-        raise CenterDoesNotSplit(
-            "induced K0 maps need a rationally split center", witness_poly=d.witness_poly
-        )
+    """semisimple_quotient of x, which must split. It is kept on x, so the
+    K0 maps of one diagram decompose each of its algebras once."""
+    d = x.__dict__.get("_split_blocks")
+    if d is None:
+        d = semisimple_quotient(x)
+        if not d.splits:
+            raise CenterDoesNotSplit(
+                "induced K0 maps need a rationally split center", witness_poly=d.witness_poly
+            )
+        x._split_blocks = d
     return d
 
 

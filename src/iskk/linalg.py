@@ -1,9 +1,11 @@
 """Exact rational linear algebra: RREF, kernels, spans, quotients, LDL^T PSD checks.
 
 All matrices are lists/tuples of rows of fractions.Fraction; nothing here is
-floating point. ``sparse_solve`` takes sparse rows instead and eliminates
-them with sympy's sparse RREF over QQ, and ``QuotientSpace`` reduces its
-relations the same way, once, and reduces sparse vectors without densifying.
+floating point. ``mat_vec`` and ``mat_mul`` keep that dense interface but
+multiply only nonzero entries. ``sparse_solve`` takes sparse rows instead
+and eliminates them with sympy's sparse RREF over QQ, and ``QuotientSpace``
+reduces its relations the same way, once, and reduces sparse vectors
+without densifying.
 """
 
 from fractions import Fraction
@@ -28,25 +30,38 @@ def identity(n: int) -> list:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
+def nonzero_pairs(v) -> list:
+    """The (index, value) pairs of v with value != 0, in index order."""
+    return [(j, x) for j, x in enumerate(v) if x]
+
+
+def nonzero_rows(m) -> list:
+    """Each row of m as its ``nonzero_pairs``."""
+    return [nonzero_pairs(row) for row in m]
+
+
 def mat_vec(m, v) -> list:
-    nonzero = [(j, x) for j, x in enumerate(v) if x]
+    nonzero = nonzero_pairs(v)
     return [sum((row[j] * x for j, x in nonzero if row[j]), ZERO) for row in m]
 
 
 def mat_mul(a, b) -> list:
-    n, k = len(a), len(b)
-    cols = len(b[0]) if b else 0
-    out = [[ZERO] * cols for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for j in range(k):
-            x = ai[j]
-            if x:
-                bj = b[j]
-                for c in range(cols):
-                    if bj[c]:
-                        oi[c] += x * bj[c]
+    """a b, touching only nonzero entries: each row of a and of b is read
+    once as its (column, value) pairs."""
+    return rows_mul(nonzero_rows(a), nonzero_rows(b), len(b[0]) if b else 0)
+
+
+def rows_mul(a_rows, b_rows, cols) -> list:
+    """The dense product of two matrices given by their ``nonzero_rows``;
+    ``cols`` is the column count of the right factor. Callers that multiply
+    one matrix many times split it into rows once."""
+    out = []
+    for ai in a_rows:
+        oi = [ZERO] * cols
+        for j, x in ai:
+            for c, y in b_rows[j]:
+                oi[c] += x * y
+        out.append(oi)
     return out
 
 

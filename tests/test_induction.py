@@ -372,6 +372,42 @@ def test_res_ind_split_full_l():
     assert rep["pass"], rep
 
 
+@pytest.mark.parametrize("spec", ["symmetric_inverse:2", "symmetric_inverse:3", "brandt_unital:3"])
+@pytest.mark.parametrize("lset", ["unit", "all"])
+def test_res_ind_split_classes_match_standalone_technical_split(spec, lset, monkeypatch):
+    # res_ind_split induces once and hands the induction to every class; each
+    # class must come out exactly as a technical_split call that builds its own
+    s = sg.parse_builder(spec)
+    d = ga.c0x_algebra(s)
+    hprime, l = sg.idempotents(s), sg.parse_subset(s, lset)
+    calls = {"build_induced": 0, "split": []}
+    split_class, build_induced = ind._split_class, ind.build_induced
+
+    def counting_build(*args, **kwargs):
+        calls["build_induced"] += 1
+        return build_induced(*args, **kwargs)
+
+    def recording_split(s_, lset_, g_ext, d_, ind_u, instance=""):
+        out = split_class(s_, lset_, g_ext, d_, ind_u, instance)
+        calls["split"].append((g_ext, instance, out))
+        return out
+
+    monkeypatch.setattr(ind, "build_induced", counting_build)
+    monkeypatch.setattr(ind, "_split_class", recording_split)
+    j, summands, hom, rep = ind.res_ind_split(s, hprime, l, d, "hoisted")
+    monkeypatch.undo()
+    assert rep["pass"], rep
+    assert len(calls["split"]) == len(j) == rep["dims"]["classes"]
+    # one induction of the whole restriction plus one per class
+    assert calls["build_induced"] == 1 + len(j)
+    for g_ext, instance, (m, lprime, theta, class_rep) in calls["split"]:
+        m2, lprime2, theta2, rep2 = ind.technical_split(s, hprime, l, g_ext, d, instance)
+        assert (m, lprime, class_rep) == (m2, lprime2, rep2)
+        assert theta.matrix == theta2.matrix
+        assert theta.source.alg.mul == theta2.source.alg.mul
+        assert theta.source.action == theta2.source.action
+
+
 # -- iterated decompositions --------------------------------------------------
 
 
@@ -384,17 +420,17 @@ def test_ci0_length_one():
 
 def test_ci0_two_chain_depth_two():
     s = two_chain()
-    pairs, rep = ind.ci0_enumerate(s, [0b11, 0b11], "2chain n=2")
+    pairs, rep, live = ind._ci0_tower(s, [0b11, 0b11], "2chain n=2")
     assert rep["pass"], rep
     assert sum(p[1].dim for p in pairs) == sum(rep["dims"]["summands"])
-    tower = rep["tower"]
+    tower = live["tower"]
     assert sum(rep["dims"]["ind_summands"]) == tower.dim
     for h2, b in pairs:
         assert b.alg.is_commutative()
     # oracle: minimal invariant ideals of the tower match the induced summands
     oracle = ind.minimal_invariant_ideal_dims(tower.galg)
     got = sorted(
-        d for p in rep["per_part"] for d in ind.minimal_invariant_ideal_dims(p.galg)
+        d for p in live["per_part"] for d in ind.minimal_invariant_ideal_dims(p.galg)
     )
     assert oracle == got
 
@@ -402,14 +438,14 @@ def test_ci0_two_chain_depth_two():
 def test_ci0_i2_depth_two():
     s = sg.parse_builder("symmetric_inverse:2")
     chain_sub = sg.generate(s, sg.bit(s.index("[1>1]")))
-    pairs, rep = ind.ci0_enumerate(s, [chain_sub, chain_sub], "I2 n=2")
+    pairs, rep, live = ind._ci0_tower(s, [chain_sub, chain_sub], "I2 n=2")
     assert rep["pass"], rep
     for h2, b in pairs:
         assert b.alg.is_commutative()
-    tower = rep["tower"]
+    tower = live["tower"]
     oracle = ind.minimal_invariant_ideal_dims(tower.galg)
     got = sorted(
-        d for p in rep["per_part"] for d in ind.minimal_invariant_ideal_dims(p.galg)
+        d for p in live["per_part"] for d in ind.minimal_invariant_ideal_dims(p.galg)
     )
     assert oracle == got
 

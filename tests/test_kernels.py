@@ -1,0 +1,287 @@
+"""The sparse action-matrix kernels against the dense loops they replaced.
+
+Each ``dense_*`` function below is the earlier dense implementation, kept
+here as the reference: the sparse kernels must give equal values of the same
+type (``Fraction``) and, for the checks, the same witnesses in the same order.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from iskk import galgebra as ga
+from iskk import semigroup as sg
+from iskk import spectrum as sp
+from iskk.linalg import ONE, ZERO, identity, mat_mul, mat_vec, nonzero_rows, rows_mul, zeros
+
+
+def dense_mat_mul(a, b):
+    n, k = len(a), len(b)
+    cols = len(b[0]) if b else 0
+    out = [[ZERO] * cols for _ in range(n)]
+    for i in range(n):
+        ai = a[i]
+        oi = out[i]
+        for j in range(k):
+            x = ai[j]
+            if x:
+                bj = b[j]
+                for c in range(cols):
+                    if bj[c]:
+                        oi[c] += x * bj[c]
+    return out
+
+
+def dense_mat_eq(a, b):
+    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def dense_mul_vec(alg, u, v):
+    out = zeros(alg.dim)
+    for i, x in enumerate(u):
+        if not x:
+            continue
+        for j, y in enumerate(v):
+            if not y:
+                continue
+            cell = alg.mul.get((i, j))
+            if cell:
+                xy = x * y
+                for k, c in cell.items():
+                    out[k] += xy * c
+    return out
+
+
+def dense_char_matrices(a):
+    s = a.sgp
+    d = a.dim
+    mats = []
+    for f in sp.spectrum(s).gens:
+        m = [row[:] for row in a.action[f]]
+        for e in sp.spectrum(s).gens:
+            if s.table[f][e] != f:
+                em = a.action[e]
+                m = [[m[r][c] - sum(em[r][k] * m[k][c] for k in range(d) if m[k][c])
+                      for c in range(d)] for r in range(d)]
+        mats.append(m)
+    return mats
+
+
+def dense_mask_matrix(a, mask):
+    mats = dense_char_matrices(a)
+    out = [[ZERO] * a.dim for _ in range(a.dim)]
+    for i in sg.iter_mask(mask):
+        for r in range(a.dim):
+            for c in range(a.dim):
+                out[r][c] += mats[i][r][c]
+    return out
+
+
+def dense_multiplicative_failures(m, sa, sb):
+    images = [[row[j] for row in m] for j in range(sa.dim)]
+    for i in range(sa.dim):
+        for j in range(sa.dim):
+            if mat_vec(m, dense_mul_vec(sa, sa.basis_vec(i), sa.basis_vec(j))) != dense_mul_vec(
+                    sb, images[i], images[j]):
+                yield (i, j)
+
+
+def dense_associativity_failures(alg):
+    d = alg.dim
+    basis = [alg.basis_vec(i) for i in range(d)]
+    for i in range(d):
+        for j in range(d):
+            ij = dense_mul_vec(alg, basis[i], basis[j])
+            for k in range(d):
+                if dense_mul_vec(alg, ij, basis[k]) != dense_mul_vec(
+                        alg, basis[i], dense_mul_vec(alg, basis[j], basis[k])):
+                    yield (i, j, k)
+
+
+def dense_star_failures(alg):
+    d = alg.dim
+    if not dense_mat_eq(dense_mat_mul(alg.star, alg.star), identity(d)):
+        yield "star not involutive"
+    basis = [alg.basis_vec(i) for i in range(d)]
+    for i in range(d):
+        for j in range(d):
+            if alg.star_vec(dense_mul_vec(alg, basis[i], basis[j])) != dense_mul_vec(
+                    alg, alg.star_vec(basis[j]), alg.star_vec(basis[i])):
+                yield (i, j)
+
+
+def dense_central_multiplier_failures(alg, m):
+    d = alg.dim
+    basis = [alg.basis_vec(i) for i in range(d)]
+    images = [[row[j] for row in m] for j in range(d)]
+    for i in range(d):
+        for j in range(d):
+            left = dense_mul_vec(alg, images[i], basis[j])
+            if left != dense_mul_vec(alg, basis[i], images[j]):
+                yield (i, j)
+            product = zeros(d)
+            for k, v in alg.mul.get((i, j), {}).items():
+                product[k] = v
+            if mat_vec(m, product) != left:
+                yield (i, j, "not a multiplier")
+
+
+def types(m):
+    return [[type(x) for x in row] for row in m]
+
+
+# -- strategies ---------------------------------------------------------------
+
+entries = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)]).map(Fraction)
+
+
+def matrices(n, m):
+    rows = st.lists(entries, min_size=m, max_size=m)
+    return st.lists(rows, min_size=n, max_size=n)
+
+
+def as_tuples(m, yes):
+    return [tuple(row) for row in m] if yes else m
+
+
+@st.composite
+def products(draw):
+    n, k, m = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    a, b = draw(matrices(n, k)), draw(matrices(k, m))
+    if draw(st.booleans()):
+        b = [[ZERO] * m for _ in range(k)]  # all-zero right factor
+    return as_tuples(a, draw(st.booleans())), as_tuples(b, draw(st.booleans()))
+
+
+@st.composite
+def star_algebras(draw):
+    d = draw(st.integers(0, 5))
+    index = st.integers(0, max(d - 1, 0))
+    cells = draw(st.dictionaries(st.tuples(index, index), st.dictionaries(index, entries, max_size=3),
+                                 max_size=d * d))
+    mul = cells if d else {}
+    star = identity(d) if draw(st.booleans()) else draw(matrices(d, d))
+    alg = ga.StarAlgebra(d, mul, star)
+    u = draw(st.lists(entries, min_size=d, max_size=d))
+    v = draw(st.lists(entries, min_size=d, max_size=d))
+    return alg, as_tuples([u], draw(st.booleans()))[0], as_tuples([v], draw(st.booleans()))[0]
+
+
+# -- the kernels ----------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(products())
+def test_mat_mul_matches_the_dense_loop(ab):
+    a, b = ab
+    got, ref = mat_mul(a, b), dense_mat_mul(a, b)
+    assert got == ref and types(got) == types(ref)
+    cols = len(b[0]) if b else 0
+    assert rows_mul(nonzero_rows(a), nonzero_rows(b), cols) == ref
+
+
+def test_mat_mul_edge_cases():
+    assert mat_mul([], []) == dense_mat_mul([], []) == []
+    assert mat_mul([[], []], []) == dense_mat_mul([[], []], []) == [[], []]
+    a = [(ONE, 2), (0, 0)]  # tuple rows with int entries
+    assert mat_mul(a, a) == dense_mat_mul(a, a) == [[1, 2], [0, 0]]
+    assert types(mat_mul(a, a)) == types(dense_mat_mul(a, a))
+    assert nonzero_rows([(0, Fraction(3), ZERO)]) == [[(1, Fraction(3))]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_mat_eq_matches_zip_semantics(n1, m1, n2, m2, data):
+    a = data.draw(matrices(n1, m1))
+    b = data.draw(st.one_of(matrices(n2, m2), st.just([list(row) for row in a])))
+    if b and data.draw(st.booleans()):  # perturb or truncate one row
+        r = data.draw(st.integers(0, len(b) - 1))
+        b[r] = data.draw(st.lists(entries, max_size=5))
+    a, b = as_tuples(a, data.draw(st.booleans())), as_tuples(b, data.draw(st.booleans()))
+    assert ga.mat_eq(a, b) == dense_mat_eq(a, b)
+
+
+def test_mat_eq_edge_cases():
+    assert ga.mat_eq([], [[ONE]]) and dense_mat_eq([], [[ONE]])
+    assert ga.mat_eq([(ONE, ZERO)], [[1, 0]])          # tuple row against list row
+    assert ga.mat_eq([[ONE, ZERO]], [[ONE]])           # rows of different lengths
+    assert not ga.mat_eq([[ONE, ZERO]], [[ZERO]])
+    assert not ga.mat_eq([(ONE, ZERO)], [(ONE, ONE)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(star_algebras())
+def test_mul_vec_matches_the_dense_loop(problem):
+    alg, u, v = problem
+    got, ref = alg.mul_vec(u, v), dense_mul_vec(alg, u, v)
+    assert got == ref and [type(x) for x in got] == [type(x) for x in ref]
+
+
+@settings(max_examples=200, deadline=None)
+@given(star_algebras(), st.data())
+def test_algebra_checks_match_the_dense_loops(problem, data):
+    # random constants are rarely associative or star-compatible, so the
+    # witness lists are long and their order is compared too
+    alg = problem[0]
+    m = data.draw(matrices(alg.dim, alg.dim))
+    assert list(ga.associativity_failures(alg)) == list(dense_associativity_failures(alg))
+    assert list(ga.star_failures(alg)) == list(dense_star_failures(alg))
+    assert list(ga.central_multiplier_failures(alg, m)) == list(dense_central_multiplier_failures(alg, m))
+    assert list(ga.multiplicative_failures(m, alg, alg)) == list(dense_multiplicative_failures(m, alg, alg))
+
+
+# -- the action-matrix kernels on real coefficient algebras ------------------
+
+BUILDERS = ["chain:3", "diamond", "cyclic:3", "symmetric:3", "symmetric_inverse:2",
+            "symmetric_inverse:3", "brandt_unital:2", "product:symmetric_inverse:2*chain:2"]
+
+
+@pytest.mark.parametrize("spec", BUILDERS)
+def test_char_and_mask_matrices_match_the_dense_loops(spec):
+    s = sg.parse_builder(spec)
+    a = ga.c0x_algebra(s)
+    ref = dense_char_matrices(a)
+    got = a.char_matrices()
+    assert got == ref and [types(m) for m in got] == [types(m) for m in ref]
+    size = sp.spectrum(s).size
+    masks = [1 << i for i in range(size)] + [(1 << size) - 1, 0b0101010101 & ((1 << size) - 1), 0]
+    for mask in masks:
+        got_m, ref_m = a.mask_matrix(mask), dense_mask_matrix(a, mask)
+        assert got_m == ref_m and types(got_m) == types(ref_m)
+    for x in sp.spectrum(s).gens:
+        germ = sp.extended(s, x)
+        assert a.germ_matrix(germ) == dense_mat_mul(a.action[x], dense_mask_matrix(a, germ.chars))
+
+
+@pytest.mark.parametrize("spec", BUILDERS)
+def test_multiplicative_and_equivariance_failures_match_the_dense_loops(spec):
+    s = sg.parse_builder(spec)
+    a = ga.c0x_algebra(s)
+    broken = [list(row) for row in a.action[s.unit]]
+    broken[0][0] = Fraction(2)  # 2 b_0 is not idempotent, so b_0 b_0 fails
+    for m in [a.action[g] for g in s.elements()] + [broken]:
+        got = list(ga.multiplicative_failures(m, a.alg, a.alg))
+        assert got == list(dense_multiplicative_failures(m, a.alg, a.alg))
+    ident = ga.StarHomomorphism(a, a, identity(a.dim))
+    assert list(ga._equivariance_failures(ident, s.elements())) == []
+    for g in s.elements():
+        f = ga.StarHomomorphism(a, a, a.action[g])
+        ref = [h for h in s.elements() if not dense_mat_eq(dense_mat_mul(f.matrix, a.action[h]),
+                                                           dense_mat_mul(a.action[h], f.matrix))]
+        assert list(ga._equivariance_failures(f, s.elements())) == ref
+
+
+@pytest.mark.parametrize("spec", ["symmetric_inverse:2", "brandt_unital:2"])
+def test_validation_checks_match_the_dense_loops_on_valid_algebras(spec):
+    s = sg.parse_builder(spec)
+    for alg in (ga.c0x_algebra(s).alg, ga.matrix_algebra(2), ga.matrix_algebra(3)):
+        assert list(ga.associativity_failures(alg)) == list(dense_associativity_failures(alg)) == []
+        assert list(ga.star_failures(alg)) == list(dense_star_failures(alg)) == []
+    a = ga.c0x_algebra(s)
+    for g in s.elements():
+        m = a.action[s.range_of(g)]
+        assert list(ga.central_multiplier_failures(a.alg, m)) == []
+        assert list(ga.central_multiplier_failures(a.alg, a.action[g])) == list(
+            dense_central_multiplier_failures(a.alg, a.action[g]))

@@ -70,3 +70,21 @@ def test_k0_map_unit_atom_retract(spec):
         mf, mp = kt.k0_map(f).matrix, kt.k0_map(p).matrix
         assert mat_mul(mp, mf) == [[1]]
         assert sum(map(sum, mf)) == 1 and sum(map(sum, mp)) == 1
+
+
+def test_green_julg_decomposes_each_algebra_once(monkeypatch):
+    # the inclusion and the evaluation share their two algebras, the unit-atom
+    # line and C0 of the units; each is decomposed once per diagram, and the
+    # two crossed products of the additivity check once each
+    s = sg.parse_builder("product:symmetric_inverse:2*chain:2")
+    seen = []
+    semisimple_quotient = kt.semisimple_quotient
+
+    def counting(x):
+        seen.append(x)  # holding x keeps its id unique
+        return semisimple_quotient(x)
+
+    monkeypatch.setattr(kt, "semisimple_quotient", counting)
+    rep = kt.verify_green_julg_diagram(s, sg.idempotents(s), [ga.c0x_algebra(s)])
+    assert rep["pass"], rep
+    assert len(seen) == len({id(x) for x in seen}) == 4
