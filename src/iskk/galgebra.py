@@ -491,11 +491,26 @@ def _endomorphism_failures(alg: StarAlgebra, m):
     yield from multiplicative_failures(m, alg, alg)
 
 
+def _check_shapes(alg: StarAlgebra, action: dict, name):
+    """Raise InvalidAction, with witness {element, shape}, when the star or an
+    action matrix (its key labelled by ``name``) is not dim x dim; a ragged
+    matrix reports its first row of the wrong length."""
+    d = alg.dim
+    for key, m in [("star", alg.star), *((name(x), m) for x, m in action.items())]:
+        bad = [len(row) for row in m if len(row) != d]
+        if len(m) != d or bad:
+            shape = (len(m), bad[0] if bad else d)
+            raise InvalidAction(f"matrix of {key!r} is {shape[0]}x{shape[1]}, not {d}x{d}",
+                                witness={"element": key, "shape": shape})
+
+
 def validate_g_algebra(a: GAlgebra) -> dict:
-    """Exhaustive check of the *-algebra and action axioms; reports witnesses."""
+    """Exhaustive check of the *-algebra and action axioms; reports witnesses.
+    Raises InvalidAction first if a matrix has the wrong shape."""
     s, alg = a.sgp, a.alg
     d = alg.dim
     keys = set(a.action)
+    _check_shapes(alg, a.action, s.names.__getitem__)
 
     def hom():
         if s.unit not in keys or not mat_eq(a.action[s.unit], identity(d)):
@@ -572,10 +587,12 @@ class HAlgebra(_SplitActions):
 
 def validate_h_algebra(d: HAlgebra) -> dict:
     """Groupoid-sense validation: units act as orthogonal central coordinate
-    projections spanning the algebra; arrows act as fiber *-isomorphisms."""
+    projections spanning the algebra; arrows act as fiber *-isomorphisms.
+    Raises InvalidAction first if a matrix has the wrong shape."""
     s = d.gpd.sgp
     alg = d.alg
     n = alg.dim
+    _check_shapes(alg, d.action, lambda x: (s.names[x.g], x.chars))
     basis = [alg.basis_vec(i) for i in range(n)]
 
     def unit_structure():
@@ -722,14 +739,17 @@ def restrict(a: GAlgebra, h) -> HAlgebra:
 def _fiber_rebase(a: GAlgebra, h, projections, error, label) -> HAlgebra:
     """a on a fiber-adapted basis over the groupoid h: the columns of
     projections[u] span the fiber of unit u, and a germ x acts as x.g after
-    the projection of its source unit. ``error`` is raised when a product, a
-    star or a germ image leaves the span of the fibers."""
+    the projection of its source unit. ``error`` is raised when the fibers
+    overlap, or when a product, a star or a germ image leaves their span."""
     basis, unit_of_basis = [], []
     for upos, m in enumerate(projections):
         rows = Span(map(list, zip(*m))).rows
         basis.extend(list(r) for r in rows)
         unit_of_basis.extend([upos] * len(rows))
-    coords = span_coords(Basis(basis), error)
+    try:
+        coords = span_coords(Basis(basis), error)
+    except ValueError:  # overlapping fibers
+        raise error from None
     action = {}
     for x in h.elements:
         gm = mat_mul(a.action[x.g], projections[h.unit_pos_of_mask(germ_source(x))])

@@ -113,7 +113,7 @@ def check_module_axioms(s: FiniteInvSgp) -> dict:
     """Symmetry, E-semilinearity and full equivariance of the inner product.
 
     Inner products are 0/1-valued, so each is compared as its character
-    mask; the n**2 masks are computed once.
+    mask; the n**2 masks and each (element, distinct mask) action are computed once.
     """
     sp = spectrum(s)
     basis = l2_basis(s)
@@ -150,11 +150,12 @@ def check_module_axioms(s: FiniteInvSgp) -> dict:
 
     eq_witness = None
     for j in s.elements():
+        acted = {m: sp.act_mask(j, m) for m in set(mask.values())}
         for g in basis:
             jg = s.table[j][g]
             for h in basis:
                 jh = s.table[j][h]
-                lhs = sp.act_mask(j, mask[g, h])
+                lhs = acted[mask[g, h]]
                 rhs = 0 if jg == s.zero or jh == s.zero else mask[jg, jh]
                 if lhs != rhs:
                     eq_witness = (s.names[j], s.names[g], s.names[h])

@@ -1,11 +1,11 @@
-"""Exact rational linear algebra: RREF, kernels, spans, quotients, LDL^T PSD checks.
+"""Exact rational linear algebra over fractions.Fraction; nothing here is floating point.
 
-All matrices are lists/tuples of rows of fractions.Fraction; nothing here is
-floating point. ``mat_vec`` and ``mat_mul`` keep that dense interface but
-multiply only nonzero entries. ``sparse_solve`` takes sparse rows instead
-and eliminates them with sympy's sparse RREF over QQ, and ``QuotientSpace``
-reduces its relations the same way, once, and reduces sparse vectors
-without densifying.
+One batch engine, ``_irref`` (sympy's sparse reduced row echelon form over
+QQ), serves ``rref`` and its readers ``rank``, ``nullspace`` and ``mat_inv``,
+``sparse_solve`` and ``QuotientSpace``. ``Span`` is the one incremental
+engine, and ``Basis`` is a ``Span`` plus one ``mat_inv``. ``psd_certificate``
+is a pivoted LDL^T check. ``mat_vec`` and ``mat_mul`` keep the dense
+interface of lists of rows but multiply only nonzero entries.
 """
 
 from fractions import Fraction
@@ -69,33 +69,25 @@ def is_zero_vec(v) -> bool:
     return all(x == 0 for x in v)
 
 
+def _irref(rows):
+    """The batch elimination: the reduced row echelon form, over QQ, of rows
+    given as ``{col: value}`` dicts that omit zeros or as dense lists.
+    Returns sympy's ``(reduced rows, pivots, nonzero columns)``; the reduced
+    rows are ``{col: QQ}`` dicts keyed by position, in pivot order."""
+    qrows = {}
+    for i, row in enumerate(rows):
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        qrow = {c: QQ(v.numerator, v.denominator) for c, v in items if v}
+        if qrow:
+            qrows[i] = qrow
+    return sdm_irref(qrows)
+
+
 def rref(rows):
     """Reduced row echelon form. Returns (reduced nonzero rows, pivot columns)."""
-    work = [list(map(frac, r)) for r in rows]
-    pivots = []
-    r = 0
-    ncols = len(work[0]) if work else 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        lead = work[r][c]
-        if lead != 1:
-            work[r] = [x / lead for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
+    ncols = len(rows[0]) if rows else 0
+    red, pivots, _ = _irref(rows)
+    return [_dense(red[i], ncols) for i in range(len(pivots))], pivots
 
 
 def rank(rows) -> int:
@@ -104,15 +96,10 @@ def rank(rows) -> int:
 
 def nullspace(m) -> list:
     """Basis of {v : m v = 0} for a matrix given as rows."""
-    if not m:
-        return []
-    ncols = len(m[0])
+    ncols = len(m[0]) if m else 0
     red, pivots = rref(m)
-    pivset = set(pivots)
     basis = []
-    for free in range(ncols):
-        if free in pivset:
-            continue
+    for free in sorted(set(range(ncols)) - set(pivots)):
         v = zeros(ncols)
         v[free] = ONE
         for i, p in enumerate(pivots):
@@ -132,38 +119,34 @@ def sparse_solve(rows: dict, ncols: int, rhs: dict | None = None):
     read off the reduced row echelon form (1 at each free column, 0 at the
     other free columns).
     """
-    aug = {}
-    for key, row in rows.items():
-        qrow = {c: QQ(v.numerator, v.denominator) for c, v in row.items() if v}
-        if qrow:
-            aug[key] = qrow
+    aug = dict(rows)
     for key, v in (rhs or {}).items():
         if v:
-            aug.setdefault(key, {})[ncols] = QQ(v.numerator, v.denominator)
-    red, pivots, nonzero_cols = sdm_irref(dict(enumerate(aug.values())))
-    if pivots and pivots[-1] == ncols:
-        x = None
-    else:
-        x = zeros(ncols)
-        for i, p in enumerate(pivots):
-            x[p] = _frac_qq(red[i].get(ncols, QQ.zero))
-    kernel = []
-    for vec in sdm_nullspace_from_rref(red, QQ.one, ncols, pivots, nonzero_cols)[0]:
-        dense = zeros(ncols)
-        for c, v in vec.items():
-            dense[c] = _frac_qq(v)
-        kernel.append(dense)
-    return x, kernel
+            aug[key] = {**aug.get(key, {}), ncols: v}
+    red, pivots, nonzero_cols = _irref(aug.values())
+    x = None
+    if not pivots or pivots[-1] != ncols:  # consistent
+        x = _dense({p: red[i][ncols] for i, p in enumerate(pivots) if ncols in red[i]}, ncols)
+    kernel = sdm_nullspace_from_rref(red, QQ.one, ncols, pivots, nonzero_cols)[0]
+    return x, [_dense(vec, ncols) for vec in kernel]
 
 
 def _frac_qq(q) -> Fraction:
     return Fraction(int(q.numerator), int(q.denominator))
 
 
+def _dense(row: dict, n: int) -> list:
+    """A ``{col: QQ}`` row as a dense list of Fractions of length n."""
+    out = zeros(n)
+    for c, v in row.items():
+        out[c] = _frac_qq(v)
+    return out
+
+
 def mat_inv(m):
     """Inverse of a square rational matrix, or None if singular."""
     n = len(m)
-    aug = [list(map(frac, m[i])) + identity(n)[i] for i in range(n)]
+    aug = [list(row) + unit for row, unit in zip(m, identity(n))]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         return None
@@ -219,37 +202,17 @@ class Span:
 
 
 class Basis:
-    """Independent vectors with coordinate solving in the given order."""
+    """Independent vectors B_i, with coordinates over them in the given order.
+    With R_j, p_j the span's reduced rows and pivots, B_i = sum_j C[i][j] R_j for
+    C[i][j] = B_i[p_j], so coordinates over B are (coordinates over R) inv(C)."""
 
     def __init__(self, vectors):
         self.vectors = [list(map(frac, v)) for v in vectors]
-        n = len(self.vectors)
-        self._rows = []    # internal rref rows
-        self._pivots = []
-        self._trans = []   # rref row as a combination of self.vectors
+        self._span = Span()
         for idx, v in enumerate(self.vectors):
-            row = list(v)
-            t = zeros(n)
-            t[idx] = ONE
-            for r, p, tr in zip(self._rows, self._pivots, self._trans):
-                if row[p]:
-                    f = row[p]
-                    row = [a - f * b for a, b in zip(row, r)]
-                    t = [a - f * b for a, b in zip(t, tr)]
-            piv = next((c for c, x in enumerate(row) if x), None)
-            if piv is None:
+            if not self._span.add(v):
                 raise ValueError(f"vector {idx} is dependent on its predecessors")
-            lead = row[piv]
-            row = [a / lead for a in row]
-            t = [a / lead for a in t]
-            for i in range(len(self._rows)):
-                if self._rows[i][piv]:
-                    f = self._rows[i][piv]
-                    self._rows[i] = [a - f * b for a, b in zip(self._rows[i], row)]
-                    self._trans[i] = [a - f * b for a, b in zip(self._trans[i], t)]
-            self._rows.append(row)
-            self._pivots.append(piv)
-            self._trans.append(t)
+        self._inv_rows = nonzero_rows(mat_inv([[v[p] for p in self._span.pivots] for v in self.vectors]))
 
     @property
     def dim(self):
@@ -257,36 +220,22 @@ class Basis:
 
     def coords(self, v):
         """Coefficients of v over the original vectors, or None."""
-        v = list(map(frac, v))
-        out = zeros(self.dim)
-        for r, p, tr in zip(self._rows, self._pivots, self._trans):
-            if v[p]:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, r)]
-                out = [a + f * b for a, b in zip(out, tr)]
-        if not is_zero_vec(v):
-            return None
-        return out
+        c = self._span.coords(v)
+        return None if c is None else rows_mul([nonzero_pairs(c)], self._inv_rows, self.dim)[0]
 
 
 class QuotientSpace:
     """Ambient space modulo a relation span, with reduced representatives.
 
     The relations, ``{col: value}`` dicts or dense lists, are put in reduced
-    row echelon form once with sympy's sparse ``sdm_irref``. That form is
-    unique for the span, so the free (non-pivot) columns, the coordinates and
-    the lifts depend only on the span, not on the relations that span it.
+    row echelon form once with ``_irref``. That form is unique for the span,
+    so the free (non-pivot) columns, the coordinates and the lifts depend
+    only on the span, not on the relations that span it.
     """
 
     def __init__(self, ambient_dim: int, relations=()):
         self.ambient_dim = ambient_dim
-        rows = {}
-        for i, rel in enumerate(relations):
-            items = rel.items() if isinstance(rel, dict) else enumerate(rel)
-            qrow = {c: QQ(v.numerator, v.denominator) for c, v in items if v}
-            if qrow:
-                rows[i] = qrow
-        red, pivots, _ = sdm_irref(rows)
+        red, pivots, _ = _irref(relations)
         pivset = set(pivots)
         self.free = [c for c in range(ambient_dim) if c not in pivset]
         self.free_pos = {c: i for i, c in enumerate(self.free)}
@@ -326,12 +275,7 @@ class QuotientSpace:
     def lifts(self) -> list:
         """The reduced representatives of the quotient's basis vectors: the
         unit vectors at the free columns."""
-        out = []
-        for c in self.free:
-            v = zeros(self.ambient_dim)
-            v[c] = ONE
-            out.append(v)
-        return out
+        return [[ONE if i == c else ZERO for i in range(self.ambient_dim)] for c in self.free]
 
 
 def psd_certificate(m):

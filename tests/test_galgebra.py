@@ -5,7 +5,7 @@ import pytest
 from iskk import galgebra as ga
 from iskk import semigroup as sg
 from iskk import spectrum as sp
-from iskk.errors import NotCentral
+from iskk.errors import InvalidAction, NotCentral
 from iskk.linalg import ONE, ZERO, identity
 
 
@@ -152,6 +152,52 @@ def test_restrict_composes():
     d1 = ga.restrict(c, h_small)
     assert ga.validate_h_algebra(d1)["pass"]
     assert d1.dim == c.dim  # atoms partition the character space
+
+
+@pytest.mark.parametrize("element", ["1", "e1"])
+@pytest.mark.parametrize("cut", ["row", "column"])
+def test_malformed_action_shape_raises_invalid_action(element, cut):
+    s = sg.parse_builder("chain:2")
+    a = ga.c0x_algebra(s)
+    g = s.index(element)
+    m = a.action[g]
+    a.action[g] = m[:-1] if cut == "row" else [row[:-1] for row in m]
+    with pytest.raises(InvalidAction) as err:
+        ga.validate_g_algebra(a)
+    assert err.value.witness == {"element": element, "shape": (1, 2) if cut == "row" else (2, 1)}
+
+
+def test_malformed_star_and_germ_action_shapes_raise_invalid_action():
+    from iskk.induction import assoc_groupoid
+
+    s = sg.parse_builder("chain:2")
+    a = ga.c0x_algebra(s)
+    a.alg.star = [row + [ZERO] for row in a.alg.star]
+    with pytest.raises(InvalidAction) as err:
+        ga.validate_g_algebra(a)
+    assert err.value.witness == {"element": "star", "shape": (2, 3)}
+    d = ga.restrict(ga.c0x_algebra(s), assoc_groupoid(s, 0b11))
+    assert ga.validate_h_algebra(d)["pass"]
+    x = next(iter(d.action))
+    d.action[x] = [[ONE, ZERO], [ONE]]  # ragged: the second row is short
+    with pytest.raises(InvalidAction) as err:
+        ga.validate_h_algebra(d)
+    assert err.value.witness == {"element": (s.names[x.g], x.chars), "shape": (2, 1)}
+    d.action[x] = [[ONE, ZERO], [ZERO, ONE]]
+    d.alg.star = d.alg.star[:1]
+    with pytest.raises(InvalidAction) as err:
+        ga.validate_h_algebra(d)
+    assert err.value.witness == {"element": "star", "shape": (1, 2)}
+
+
+def test_restrict_with_overlapping_fibers_raises_invalid_action():
+    from iskk.induction import assoc_groupoid
+
+    s = sg.parse_builder("chain:2")
+    a = ga.c0x_algebra(s)
+    a.action[s.index("e1")] = [[ONE, ONE], [ZERO, ONE]]  # its unit fiber overlaps the other
+    with pytest.raises(InvalidAction, match="groupoid corner of 'C0\\(X\\)' is not closed"):
+        ga.restrict(a, assoc_groupoid(s, 0b11))
 
 
 def test_star_hom_verification():

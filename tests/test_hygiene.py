@@ -1,7 +1,9 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene, by AST scans of the package's modules.
 
-Neither pyflakes nor ruff ships with the toolchain, so this AST scan stands
-in for their unused-import rule.
+- No module imports a name it never uses. Neither pyflakes nor ruff ships
+  with the toolchain, so this scan stands in for their unused-import rule.
+- Batch elimination has one engine: ``sdm_irref`` is used, and Fractions are
+  converted with ``QQ(...)``, only inside ``linalg._irref``.
 """
 
 import ast
@@ -35,3 +37,34 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_only_what_it_uses(path):
     assert unused_imports(path.read_text()) == []
+
+
+def elimination_sites(source: str) -> list:
+    """(top-level function or class, line, name) for each use of ``sdm_irref``
+    and each ``QQ(...)`` call; "" stands for module level."""
+    out = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "QQ":
+                    out.append((owner, node.lineno, "QQ("))
+            elif getattr(node, "id", None) == "sdm_irref" or getattr(node, "attr", None) == "sdm_irref":
+                out.append((owner, node.lineno, "sdm_irref"))
+    return sorted(out, key=lambda site: site[1])
+
+
+def test_scan_finds_elimination_sites():
+    src = ("from sympy.polys.matrices import sdm\nx = QQ(1, 2)\n"
+           "def f(rows):\n    return sdm.sdm_irref({0: {0: domains.QQ(3)}}), QQ.one\n")
+    assert elimination_sites(src) == [("", 2, "QQ("), ("f", 4, "sdm_irref"), ("f", 4, "QQ(")]
+
+
+def test_sparse_rref_is_called_from_one_function():
+    sites = {path.name: elimination_sites(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    stray = [(name, *site) for name, found in sites.items() for site in found
+             if (name, site[0]) != ("linalg.py", "_irref")]
+    assert stray == []
+    assert {site[2] for site in sites["linalg.py"]} == {"QQ(", "sdm_irref"}

@@ -1,8 +1,10 @@
-"""The sparse action-matrix kernels against the dense loops they replaced.
+"""The sparse kernels against the dense loops they replaced.
 
-Each ``dense_*`` function below is the earlier dense implementation, kept
-here as the reference: the sparse kernels must give equal values of the same
-type (``Fraction``) and, for the checks, the same witnesses in the same order.
+Each ``dense_*`` function (and ``DenseBasis``) below is the earlier dense
+implementation, kept here as the reference: the action-matrix kernels and the
+eliminations (``rref``, ``nullspace``, ``rank``, ``mat_inv``, ``Basis``) must
+give equal values of the same type (``Fraction``) and, for the checks, the
+same witnesses in the same order.
 """
 
 from fractions import Fraction
@@ -14,7 +16,22 @@ from hypothesis import strategies as st
 from iskk import galgebra as ga
 from iskk import semigroup as sg
 from iskk import spectrum as sp
-from iskk.linalg import ONE, ZERO, identity, mat_mul, mat_vec, nonzero_rows, rows_mul, zeros
+from iskk.linalg import (
+    ONE,
+    ZERO,
+    Basis,
+    frac,
+    identity,
+    mat_inv,
+    mat_mul,
+    mat_vec,
+    nonzero_rows,
+    nullspace,
+    rank,
+    rows_mul,
+    rref,
+    zeros,
+)
 
 
 def dense_mat_mul(a, b):
@@ -128,6 +145,107 @@ def dense_central_multiplier_failures(alg, m):
                 yield (i, j, "not a multiplier")
 
 
+def dense_rref(rows):
+    """Gauss-Jordan elimination on dense rows: (reduced nonzero rows, pivots)."""
+    work = [list(map(frac, r)) for r in rows]
+    pivots = []
+    r = 0
+    ncols = len(work[0]) if work else 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, len(work)):
+            if work[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        lead = work[r][c]
+        if lead != 1:
+            work[r] = [x / lead for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return work[:r], pivots
+
+
+def dense_nullspace(m):
+    if not m:
+        return []
+    ncols = len(m[0])
+    red, pivots = dense_rref(m)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = zeros(ncols)
+        v[free] = ONE
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][free]
+        basis.append(v)
+    return basis
+
+
+def dense_mat_inv(m):
+    n = len(m)
+    red, pivots = dense_rref([list(map(frac, m[i])) + identity(n)[i] for i in range(n)])
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in red]
+
+
+class DenseBasis:
+    """Elimination that tracks each reduced row as a combination of the
+    given vectors, so coordinates come out over those vectors."""
+
+    def __init__(self, vectors):
+        self.vectors = [list(map(frac, v)) for v in vectors]
+        n = len(self.vectors)
+        self._rows, self._pivots, self._trans = [], [], []
+        for idx, v in enumerate(self.vectors):
+            row = list(v)
+            t = zeros(n)
+            t[idx] = ONE
+            for r, p, tr in zip(self._rows, self._pivots, self._trans):
+                if row[p]:
+                    f = row[p]
+                    row = [a - f * b for a, b in zip(row, r)]
+                    t = [a - f * b for a, b in zip(t, tr)]
+            piv = next((c for c, x in enumerate(row) if x), None)
+            if piv is None:
+                raise ValueError(f"vector {idx} is dependent on its predecessors")
+            lead = row[piv]
+            row = [a / lead for a in row]
+            t = [a / lead for a in t]
+            for i in range(len(self._rows)):
+                if self._rows[i][piv]:
+                    f = self._rows[i][piv]
+                    self._rows[i] = [a - f * b for a, b in zip(self._rows[i], row)]
+                    self._trans[i] = [a - f * b for a, b in zip(self._trans[i], t)]
+            self._rows.append(row)
+            self._pivots.append(piv)
+            self._trans.append(t)
+
+    @property
+    def dim(self):
+        return len(self.vectors)
+
+    def coords(self, v):
+        v = list(map(frac, v))
+        out = zeros(self.dim)
+        for r, p, tr in zip(self._rows, self._pivots, self._trans):
+            if v[p]:
+                f = v[p]
+                v = [a - f * b for a, b in zip(v, r)]
+                out = [a + f * b for a, b in zip(out, tr)]
+        return out if all(x == 0 for x in v) else None
+
+
 def types(m):
     return [[type(x) for x in row] for row in m]
 
@@ -144,6 +262,47 @@ def matrices(n, m):
 
 def as_tuples(m, yes):
     return [tuple(row) for row in m] if yes else m
+
+
+def typed(x):
+    """x with every leaf paired with its type, so 1 and Fraction(1) differ."""
+    if isinstance(x, (list, tuple)):
+        return [typed(y) for y in x]
+    return (type(x), x)
+
+
+@st.composite
+def eliminations(draw):
+    """Rows to eliminate (empty, all-zero, rectangular, with dependent rows,
+    tuple rows, int entries), a square matrix, and vectors to take
+    coordinates of, some inside the span of the rows."""
+    n, m = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rows = draw(matrices(n, m))
+    kind = draw(st.sampled_from(["drawn", "zero", "dependent"]))
+    if kind == "zero":
+        rows = [[ZERO] * m for _ in range(n)]
+    elif kind == "dependent" and rows:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = draw(entries)
+        rows.insert(draw(st.integers(0, n)), [a + c * b for a, b in zip(rows[i], rows[j])])
+    if draw(st.booleans()):
+        rows = [[int(x) if x.denominator == 1 else x for x in row] for row in rows]
+    k = draw(st.integers(0, 5))
+    square = draw(matrices(k, k))
+    if k > 1 and draw(st.booleans()):
+        square[-1] = [a - b for a, b in zip(square[0], square[1])]  # singular
+    probes = draw(st.lists(st.lists(entries, min_size=m, max_size=m), max_size=3))
+    coeffs = draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+    probes.append([sum((c * frac(r[col]) for c, r in zip(coeffs, rows)), ZERO) for col in range(m)])
+    return as_tuples(rows, draw(st.booleans())), as_tuples(square, draw(st.booleans())), probes + rows
+
+
+def basis_outcome(cls, vectors, probes):
+    try:
+        b = cls(vectors)
+    except ValueError as e:
+        return str(e)
+    return b.dim, typed(b.vectors), [None if c is None else typed(c) for c in map(b.coords, probes)]
 
 
 @st.composite
@@ -285,3 +444,39 @@ def test_validation_checks_match_the_dense_loops_on_valid_algebras(spec):
         assert list(ga.central_multiplier_failures(a.alg, m)) == []
         assert list(ga.central_multiplier_failures(a.alg, a.action[g])) == list(
             dense_central_multiplier_failures(a.alg, a.action[g]))
+
+
+# -- the eliminations -----------------------------------------------------------
+
+
+@settings(max_examples=400, deadline=None)
+@given(eliminations())
+def test_eliminations_match_the_dense_loops(problem):
+    rows, square, probes = problem
+    (red, pivots), (ref_red, ref_pivots) = rref(rows), dense_rref(rows)
+    assert typed(red) == typed(ref_red) and pivots == ref_pivots
+    assert typed(nullspace(rows)) == typed(dense_nullspace(rows))
+    assert rank(rows) == len(dense_rref(rows)[0])
+    inv = mat_inv(square)
+    assert (inv is None) == (dense_mat_inv(square) is None)
+    if inv is not None:
+        assert typed(inv) == typed(dense_mat_inv(square))
+    assert basis_outcome(Basis, rows, probes) == basis_outcome(DenseBasis, rows, probes)
+
+
+def test_elimination_edge_cases():
+    assert rref([]) == dense_rref([]) == ([], [])
+    assert rref([[]]) == dense_rref([[]]) == ([], [])
+    assert rref([[0, 0], [0, 0]]) == ([], [])
+    assert nullspace([]) == [] and nullspace([[0, 0]]) == identity(2)
+    assert rank([(0, 2), (0, Fraction(1, 3))]) == 1
+    assert mat_inv([]) == [] and mat_inv([[0]]) is None
+    assert typed(mat_inv([(2, 0), (0, 1)])) == typed([[Fraction(1, 2), ZERO], [ZERO, ONE]])
+    empty = Basis([])
+    assert empty.dim == 0 and empty.coords([]) == [] and empty.coords([1]) is None
+    b = Basis([[1, 1, 0], [0, 1, 0]])
+    assert typed(b.coords([2, 3, 0])) == typed([Fraction(2), Fraction(1)])
+    assert b.coords([0, 0, 1]) is None
+    for vectors, idx in (([[0, 0]], 0), ([[1, 2], [2, 4]], 1), ([[1, 0], [0, 1], [1, 1]], 2), ([[]], 0)):
+        with pytest.raises(ValueError, match=f"^vector {idx} is dependent on its predecessors$"):
+            Basis(vectors)

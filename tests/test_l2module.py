@@ -191,3 +191,19 @@ def test_module_axioms_match_the_recomputing_oracle(spec, broken, monkeypatch):
                             lambda s, g, h: real(s, g, h) | 1 << sp.spectrum(s).size - 1)
     s = sg.parse_builder(spec)
     assert l2.check_module_axioms(s) == module_axioms_oracle(s)
+
+
+def test_module_axioms_act_once_per_element_and_distinct_mask(monkeypatch):
+    s = sg.parse_builder("product:symmetric_inverse:2*symmetric_inverse:2")
+    basis = l2.l2_basis(s)
+    distinct = {l2.phi_mask(s, g, h) for g in basis for h in basis}
+    calls = []
+    real = sp.Spectrum.act_mask
+
+    def counted(self, g, mask):
+        calls.append((g, mask))
+        return real(self, g, mask)
+
+    monkeypatch.setattr(sp.Spectrum, "act_mask", counted)
+    assert l2.check_module_axioms(s)["pass"]
+    assert len(calls) == len(set(calls)) == len(s.elements()) * len(distinct)
