@@ -8,19 +8,19 @@ with no ideal closure. Groupoid coefficients give the usual convolution
 algebra with non-composable products equal to zero.
 
 Semisimple quotients are computed over the rationals: the radical is the
-null space of the regular trace form, block data comes from the factored
-minimal polynomial of a generic central element, and a floating eigenvalue
-clustering oracle can cross-check the block count. When the center does not
-split over the rationals, the reported witness is a non-linear irreducible
-factor found by a fixed search that does not depend on the generic weights.
+null space of the regular trace form, and block data comes from splitting
+the quotient's center, as its own c-dim commutative algebra, one center
+basis vector at a time; there is no generic central element. A floating
+eigenvalue clustering oracle can cross-check the block count. When the
+center does not split over the rationals, the reported witness is a
+non-linear irreducible factor found by a fixed search.
 
-The center, the unit and the minimal polynomial's coefficients each come
-from one sparse exact system (``linalg.sparse_solve``) built straight from
-the structure constants: the center is the kernel of the commutators with
-every basis vector, the unit solves x b_j = b_j = b_j x. Each primary
-central idempotent is a combination of the powers of the generic element
-that the minimal polynomial search already holds, and its block size comes
-from tr L_e, which is the rank of L_e because e is checked to be idempotent.
+The center and the unit each come from one sparse exact system
+(``linalg.sparse_solve``) built straight from the structure constants: the
+center is the kernel of the commutators with every basis vector, the unit
+solves x b_j = b_j = b_j x. Each primitive central idempotent is lifted from
+its center coordinates and checked to be idempotent, and its block size
+comes from tr L_e, which is the rank of L_e because e is idempotent.
 """
 
 import math
@@ -33,7 +33,7 @@ import sympy
 
 from .errors import BrokenInvariant, InvalidAction, NonIntegralMultiplicity, NotIdempotent
 from .galgebra import GAlgebra, HAlgebra, StarAlgebra, quotient, zero_matrix
-from .linalg import ONE, ZERO, QuotientSpace, Span, mat_vec, nullspace, sparse_solve, zeros
+from .linalg import ONE, ZERO, QuotientSpace, Span, mat_vec, nonzero_pairs, nullspace, sparse_solve, zeros
 from .semigroup import leq
 from .spectrum import germ_range, tilde_mul, tilde_star
 
@@ -237,17 +237,18 @@ class SemisimpleDecomposition:
     """Wedderburn data of an algebra's semisimple quotient over the rationals.
 
     ``blocks``, ``block_dims``, ``splits``, ``method`` and
-    ``central_idempotents`` come from the minimal polynomial of one generic
-    central element. ``witness_poly`` is None when the center splits;
-    otherwise it is an irreducible factor over the rationals, of degree > 1,
-    of the minimal polynomial of a canonical central element, printed as a
-    primitive integer polynomial in ``x`` (see ``semisimple_quotient``).
+    ``central_idempotents`` come from splitting ``center_basis`` one vector
+    at a time; the primitive central idempotents are listed in the order in
+    which that split finalizes them. ``witness_poly`` is None when the
+    center splits; otherwise it is an irreducible factor over the rationals,
+    of degree > 1, of the minimal polynomial of a canonical central element,
+    printed as a primitive integer polynomial in ``x`` (see
+    ``semisimple_quotient``).
 
     ``radical_space`` is the algebra's space modulo its radical; its
     ``to_coords`` and ``lifts`` map to and from the quotient's basis.
-    ``center_basis`` is the basis of the quotient's center that the generic
-    element was built from. Both are kept for reuse and left out of
-    ``to_json``.
+    ``center_basis`` is the basis of the quotient's center that is split.
+    Both are kept for reuse and left out of ``to_json``.
     """
 
     radical_dim: int
@@ -288,22 +289,19 @@ def _as_star_algebra(x) -> StarAlgebra:
     raise TypeError(f"not an algebra: {x!r}")
 
 
+def _left_traces(alg: StarAlgebra) -> list:
+    """tr L_{b_l} = sum_k c_lk^k for every basis vector b_l, in one pass over the cells."""
+    t = zeros(alg.dim)
+    for (l, k), cell in alg.mul.items():
+        t[l] += cell.get(k, ZERO)
+    return t
+
+
 def _trace_form(alg: StarAlgebra):
-    # t_vec[l] = tr(L_{b_l}) = sum_k mul[(l,k)][k]
-    t_vec = []
-    for l in range(alg.dim):
-        acc = ZERO
-        for k in range(alg.dim):
-            cell = alg.mul.get((l, k))
-            if cell:
-                acc += cell.get(k, ZERO)
-        t_vec.append(acc)
+    t_vec = _left_traces(alg)
     t = zero_matrix(alg.dim)
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            cell = alg.mul.get((i, j))
-            if cell:
-                t[i][j] = sum((v * t_vec[l] for l, v in cell.items()), ZERO)
+    for (i, j), cell in alg.mul.items():
+        t[i][j] = sum((v * t_vec[l] for l, v in cell.items()), ZERO)
     return t
 
 
@@ -327,11 +325,27 @@ def _center_basis(alg: StarAlgebra):
     return sparse_solve(rows, alg.dim)[1]
 
 
-def _minimal_polynomial(alg: StarAlgebra, unit, zeta):
-    """Monic minimal polynomial of zeta as exact rational coefficients, and
-    the powers 1, zeta, ..., zeta**(deg - 1) it was read from."""
-    span = Span([unit])
-    powers = [list(unit)]
+def _center_algebra(alg: StarAlgebra, pairs, free) -> StarAlgebra:
+    """The center of ``alg`` as its own commutative algebra, on the center
+    basis z_k given by its ``nonzero_pairs``. A central v is sum_k v[f_k] z_k
+    for the ``free`` columns f_k, so cell (i, j) is z_i z_j read there; the
+    c(c+1)/2 products with i <= j fill it. It has no star: none is read."""
+    mul = {}
+    for i, zi in enumerate(pairs):
+        for j in range(i, len(pairs)):
+            prod = alg.mul_pairs(zi, pairs[j])
+            cell = {k: prod[f] for k, f in enumerate(free) if prod[f]}
+            if cell:
+                mul[(i, j)] = mul[(j, i)] = cell
+    return StarAlgebra(len(pairs), mul, None, f"Z({alg.label})")
+
+
+def _minimal_polynomial(alg: StarAlgebra, start, zeta):
+    """Monic minimal polynomial of multiplication by zeta on the vectors
+    start zeta**k, as exact rational coefficients, and the vectors
+    start zeta**k (k < deg) it was read from; from the unit, it is zeta's."""
+    span = Span([start])
+    powers = [list(start)]
     x = sympy.symbols("x")
     for deg in range(1, alg.dim + 2):
         current = alg.mul_vec(powers[-1], zeta)
@@ -348,30 +362,70 @@ def _minimal_polynomial(alg: StarAlgebra, unit, zeta):
             )
             return poly, powers
         powers.append(current)
-    raise RuntimeError("minimal polynomial search exceeded the dimension bound")
+    raise BrokenInvariant("minimal polynomial search exceeded the dimension bound",
+                          witness={"degree": deg, "dim": alg.dim})
+
+
+def _split_center(z: StarAlgebra, unit) -> list:
+    """The primitive idempotents of a commutative semisimple algebra z over
+    the rationals, as (coordinates, dim e z) pairs in the order in which
+    they are finalized.
+
+    One pass: from the unit, each basis vector z_i in order cuts every piece
+    e by the CRT idempotents of the factors of the minimal polynomial of z_i
+    on e z. A piece where that is one irreducible factor of degree dim e z
+    is the field Q[z_i e], finalized at once; the rest are finalized last.
+
+    They are fields too. On K_1 + K_2, fields of degrees n_1 and n_2, an
+    element (u, v) with an irreducible minimal polynomial p has u and v both
+    roots of p, so Tr_1(u)/n_1 = Tr_2(v)/n_2 (the mean root of p). Such
+    elements lie in a proper hyperplane, which cannot hold all the e z_i, as
+    they span e z; one of them cuts e. So a piece has dim e z blocks, not
+    the degree of a factor: no basis vector generates Q(sqrt 2, sqrt 3).
+    """
+    done, pieces = [], [(unit, z.dim)]
+    for i in range(z.dim):
+        cut = []
+        for e, _ in pieces:
+            poly, powers = _minimal_polynomial(z, e, z.basis_vec(i))
+            factors = sympy.factor_list(poly.as_expr())[1]
+            for f, mult in factors:
+                if mult != 1:
+                    raise BrokenInvariant("minimal polynomial of a semisimple center is not squarefree",
+                                          witness={"factor": str(f), "multiplicity": mult})
+            for f, _ in factors:
+                f = sympy.Poly(f, poly.gen)
+                rest = poly.exquo(f)  # q = 1 mod f and 0 mod the other factors
+                piece = _eval_poly(powers, (rest * sympy.invert(rest, f)) % poly)
+                if z.mul_vec(piece, piece) != piece:
+                    raise NotIdempotent("primary central idempotent is not idempotent",
+                                        witness={"factor": str(f.as_expr())})
+                dim = z.trace_left_mult(piece)
+                (done if f.degree() == dim else cut).append((piece, dim))
+        pieces = cut
+    return done + pieces
 
 
 def semisimple_quotient(x) -> SemisimpleDecomposition:
-    """Radical via the regular trace form, block data via the factored
-    minimal polynomial of a generic central element.
+    """Radical via the regular trace form, block data by splitting the
+    center as its own c-dim algebra with ``_split_center``.
 
-    When that polynomial has a non-linear factor, the center does not split
-    and ``witness_poly`` is chosen by ``_split_witness``. It tries these
-    central elements of the quotient in order:
+    A primitive central idempotent e with e z a field of degree n has
+    dim(e A) = tr L_e = n * m**2 for the block size m; tr L_e is linear in e.
+
+    When the center does not split, ``witness_poly`` is chosen by
+    ``_split_witness``. It tries these central elements of the quotient in
+    order:
 
     1. the quotient's own basis vectors that are central, in index order
        (images of the structure basis, such as d_g in a group algebra);
-    2. each vector of the center basis alone;
-    3. the generic central element.
+    2. each vector of the center basis alone.
 
     The first candidate whose minimal polynomial has a non-linear irreducible
     factor decides. Among its non-linear factors the least degree wins, ties
-    broken by the printed form. Step 1 keeps the witness independent of the
-    weights of the generic element and of how the center basis is computed:
-    in Q[Z/n], d_g has minimal polynomial x**n - 1.
-
-    A primary central idempotent e for a factor f of degree k has
-    dim(e A) = tr L_e, which must be k * m**2 for the block size m.
+    broken by the printed form. Step 1 keeps the witness independent of how
+    the center basis is computed: in Q[Z/n], d_g has minimal polynomial
+    x**n - 1.
     """
     alg = _as_star_algebra(x)
     if alg.dim == 0:
@@ -389,59 +443,44 @@ def semisimple_quotient(x) -> SemisimpleDecomposition:
     if unit is None:
         raise InvalidAction("semisimple quotient has no unit; structure data unreliable")
 
-    x_sym = sympy.symbols("x")
-    for attempt in range(1, 9):
-        zeta = zeros(qalg.dim)
-        for i, c in enumerate(center):
-            w = Fraction((i + 1) ** attempt)
-            zeta = [a + w * b for a, b in zip(zeta, c)]
-        poly, powers = _minimal_polynomial(qalg, unit, zeta)
-        if poly.degree() == cdim:
-            break
-    else:
-        raise InvalidAction("no generic central element found; center data unreliable",
-                            witness={"center_dim": cdim, "degree": poly.degree()})
+    # sparse_solve's kernel vector k is 1 at its free column f_k, 0 at the
+    # other free columns and nonzero elsewhere only at pivot columns before
+    # f_k, so f_k is its last nonzero column
+    pairs = [nonzero_pairs(z) for z in center]
+    free = [p[-1][0] for p in pairs]
+    z = _center_algebra(qalg, pairs, free)
+    unit = [unit[f] for f in free]
+    pieces = _split_center(z, unit)
 
-    factors = sympy.factor_list(poly.as_expr())[1]
-    for f, mult in factors:
-        if mult != 1:
-            raise BrokenInvariant("minimal polynomial of a semisimple center is not squarefree",
-                                  witness={"factor": str(f), "multiplicity": mult})
-    factor_list = [sympy.Poly(f, x_sym) for f, _ in factors]
-    splits = all(f.degree() == 1 for f in factor_list)
-    witness = None if splits else _split_witness(qalg, unit, center, factor_list)
-
-    # primary central idempotents via CRT: q_i = 1 mod f_i, 0 mod others
+    lift = list(zip(*center))  # center coordinates to quotient vectors
+    traces = _left_traces(qalg)
     idems = []
     block_dims = []
-    blocks = 0
-    for f in factor_list:
-        rest = sympy.Poly(1, x_sym)
-        for g in factor_list:
-            if g is not f:
-                rest = rest * g
-        inv = sympy.invert(rest, f)
-        qpoly = sympy.Poly(inv * rest, x_sym) % poly
-        vec = _eval_poly(powers, qpoly)
+    for e, n in pieces:
+        vec = mat_vec(lift, e)
         if qalg.mul_vec(vec, vec) != vec:
-            raise NotIdempotent("primary central idempotent is not idempotent",
-                                witness={"factor": str(f.as_expr())})
+            raise NotIdempotent("primitive central idempotent is not idempotent",
+                                witness={"piece": len(idems)})
         idems.append(vec)
         # L_vec is idempotent, so its rank is its trace
-        d_i = qalg.trace_left_mult(vec)
-        deg = f.degree()
-        m2, rem = divmod(d_i, deg)
+        d_i = sum((v * traces[l] for l, v in nonzero_pairs(vec)), ZERO)
+        m2, rem = divmod(d_i, n)
         if rem != 0:
-            raise NonIntegralMultiplicity(f"primary component dim {d_i} not divisible by {deg}")
+            raise NonIntegralMultiplicity(f"primary component dim {d_i} not divisible by {n}")
         m = _isqrt_exact(m2)
         if m is None:
             raise NonIntegralMultiplicity(f"block dimension {m2} is not a perfect square")
-        blocks += deg
-        block_dims.extend([m] * deg)
+        block_dims.extend([m] * int(n))
 
+    blocks = len(block_dims)
     if blocks != cdim:
         raise BrokenInvariant("primary blocks do not fill the center",
                               witness={"blocks": blocks, "center_dim": cdim})
+    splits = all(n == 1 for _, n in pieces)
+    # a central b_i is sum_k b_i[f_k] z_k, the z_k with f_k = i: the own
+    # central basis vectors are the z_k with one nonzero entry
+    own = [k for k, p in enumerate(pairs) if len(p) == 1]
+    witness = None if splits else _split_witness(z, unit, own)
     method = "exact" if splits else "numeric"
     return SemisimpleDecomposition(
         len(radical), qalg, qalg.dim, cdim, blocks, sorted(block_dims, reverse=True),
@@ -449,21 +488,19 @@ def semisimple_quotient(x) -> SemisimpleDecomposition:
     )
 
 
-def _split_witness(alg: StarAlgebra, unit, center, generic_factors) -> str:
-    """Canonical non-linear factor witnessing that the center of ``alg`` does
-    not split; the candidate order is given in ``semisimple_quotient``."""
-    # the quotient's cells hold no zero entries, so e_i is central exactly
-    # when every cell (i, j) equals the cell (j, i)
-    own = (alg.basis_vec(i) for i in range(alg.dim)
-           if all(alg.mul.get((i, j)) == alg.mul.get((j, i)) for j in range(alg.dim)))
-    for z in chain(own, center):
-        poly = _minimal_polynomial(alg, unit, z)[0]
+def _split_witness(z: StarAlgebra, unit, own) -> str:
+    """Canonical non-linear factor witnessing that the center z, with unit
+    ``unit``, does not split; ``own`` lists the basis vectors of z that are
+    basis vectors of the quotient, and the candidate order is given in
+    ``semisimple_quotient``."""
+    for k in chain(own, range(z.dim)):
+        poly = _minimal_polynomial(z, unit, z.basis_vec(k))[0]
         nonlinear = [f for f, _ in poly.factor_list()[1] if f.degree() > 1]
         if nonlinear:
-            break
-    else:
-        nonlinear = [f for f in generic_factors if f.degree() > 1]
-    return min((f.degree(), str(f.as_expr())) for f in nonlinear)[1]
+            return min((f.degree(), str(f.as_expr())) for f in nonlinear)[1]
+    # commuting z_k that all split would diagonalize together over Q
+    raise BrokenInvariant("the center does not split, yet every center basis vector splits",
+                          witness={"center_dim": z.dim})
 
 
 def _eval_poly(powers, poly):

@@ -592,16 +592,19 @@ def validate_h_algebra(d: HAlgebra) -> dict:
     s = d.gpd.sgp
     alg = d.alg
     n = alg.dim
-    _check_shapes(alg, d.action, lambda x: (s.names[x.g], x.chars))
+
+    def key(x):  # a germ as JSON-safe data
+        return (s.names[x.g], x.chars)
+    _check_shapes(alg, d.action, key)
     basis = [alg.basis_vec(i) for i in range(n)]
 
     def unit_structure():
         for upos, u in enumerate(d.gpd.units):
             if u not in d.action:
-                yield f"missing unit action {u}"
+                yield f"missing unit action {key(u)}"
                 continue
             if not mat_eq(d.action[u], d.unit_projection(upos)):
-                yield f"unit {u} is not its coordinate projection"
+                yield f"unit {key(u)} is not its coordinate projection"
         # fibers multiply within themselves and orthogonally across units
         for i in range(n):
             for j in range(n):
@@ -622,22 +625,22 @@ def validate_h_algebra(d: HAlgebra) -> dict:
                 col = [m[r][i] for r in range(n)]
                 if d.unit_of_basis[i] != src:
                     if any(col):
-                        yield (x, i, "acts outside source fiber")
+                        yield (key(x), i, "acts outside source fiber")
                     continue
                 for r, v in enumerate(col):
                     if v and d.unit_of_basis[r] != rng:
-                        yield (x, i, "image outside range fiber")
+                        yield (key(x), i, "image outside range fiber")
             for y, my in d.action.items():
                 prod = tilde_mul(s, x, y)
                 expected = d.action.get(prod)
                 got = mat_mul(m, my)
                 if prod.is_zero():
                     if not mat_eq(got, zero_matrix(n)):
-                        yield (x, y, "non-composable product acts nonzero")
+                        yield (key(x), key(y), "non-composable product acts nonzero")
                 elif expected is not None and not mat_eq(got, expected):
-                    yield (x, y, "composition mismatch")
+                    yield (key(x), key(y), "composition mismatch")
             for w in _endomorphism_failures(alg, m):
-                yield (x, *w)
+                yield (key(x), *w)
 
     return _report("h_algebra", d.label, [
         {"name": "associative", "witness": _first_failure(associativity_failures(alg))},

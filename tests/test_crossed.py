@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from iskk import induction as ind
 from iskk import ktheory as kt
 from iskk import semigroup as sg
 from iskk.errors import BrokenInvariant, InvalidAction, NonIntegralMultiplicity, NotIdempotent
-from iskk.linalg import ONE, ZERO, Span, identity, mat_vec
+from iskk.linalg import ONE, ZERO, Span, identity, mat_vec, nonzero_pairs
 from test_kernels import dense_nullspace
 
 
@@ -98,7 +99,7 @@ def test_z3_center_does_not_split_with_witness():
 
 @pytest.mark.parametrize("spec, witness", [
     # in Q[Z/n] the generator d_g has minimal polynomial x**n - 1, so the
-    # witness is its least non-linear factor whatever the generic weights
+    # witness is its least non-linear factor whatever the center basis
     ("cyclic:4", "x**2 + 1"),
     ("cyclic:5", "x**4 + x**3 + x**2 + x + 1"),
     # d_(g,1) in Q[Z/3 x I2] satisfies x**3 - 1 as well
@@ -316,6 +317,140 @@ def test_non_idempotent_primary_component_is_a_typed_error(monkeypatch):
     with pytest.raises(NotIdempotent) as err:
         cr.semisimple_quotient(ga.matrix_algebra(2))
     assert err.value.witness == {"factor": "x - 1"}
+
+
+def test_non_idempotent_lifted_idempotent_is_a_typed_error(monkeypatch):
+    # the exact e e = e check in the quotient catches center coordinates that
+    # do not describe an idempotent there
+    monkeypatch.setattr(cr, "_split_center", lambda z, unit: [([2 * v for v in unit], 1)])
+    with pytest.raises(NotIdempotent) as err:
+        cr.semisimple_quotient(ga.matrix_algebra(2))
+    assert err.value.witness == {"piece": 0}
+
+
+def test_minimal_polynomial_beyond_the_dimension_is_a_typed_error(monkeypatch):
+    class NeverDependent(Span):
+        def add(self, v):
+            return True
+
+    monkeypatch.setattr(cr, "Span", NeverDependent)
+    with pytest.raises(BrokenInvariant) as err:
+        cr.semisimple_quotient(ga.matrix_algebra(2))
+    assert err.value.witness == {"degree": 2, "dim": 1}
+
+
+def test_split_witness_of_a_split_center_is_a_typed_error():
+    # every basis vector of Q + Q has a split minimal polynomial
+    with pytest.raises(BrokenInvariant):
+        cr._split_witness(ga.diagonal_star_algebra(2), [ONE, ONE], [])
+
+
+# ---------------------------------------------------------------------------
+# the center split on number fields, basis permutations and product counts
+
+
+def _number_field_algebra(squares):
+    """Q(sqrt a_1, ..., sqrt a_n) for the ``squares`` a_k, on the square roots
+    of the products of subsets of them: basis vector i is the product of the
+    sqrt a_k with bit k set in i. Commutative, with the identity as star."""
+    n = 1 << len(squares)
+    mul = {}
+    for i in range(n):
+        for j in range(n):
+            c = 1
+            for k, a in enumerate(squares):
+                if i & j & (1 << k):
+                    c *= a
+            mul[(i, j)] = {i ^ j: Fraction(c)}
+    return ga.StarAlgebra(n, mul, identity(n), "field")
+
+
+def test_biquadratic_field_is_one_piece_of_four_blocks():
+    # on 1, sqrt 2, sqrt 3, sqrt 6 no basis vector generates the field, so
+    # its block count is its dimension, not the degree of a factor
+    d = cr.semisimple_quotient(_number_field_algebra([2, 3]))
+    assert d.to_json() == {"radical_dim": 0, "quotient_dim": 4, "center_dim": 4, "blocks": 4,
+                           "block_dims": [1, 1, 1, 1], "splits": False, "witness_poly": "x**2 - 2",
+                           "method": "numeric"}
+    assert d.central_idempotents == [[ONE, ZERO, ZERO, ZERO]]
+
+
+def test_two_copies_of_a_quadratic_field_are_two_pieces():
+    alg = ga.star_sum([_number_field_algebra([2])] * 2)
+    d = cr.semisimple_quotient(alg)
+    assert (d.blocks, d.block_dims, d.splits, d.witness_poly) == (4, [1, 1, 1, 1], False, "x**2 - 2")
+    assert sorted(d.central_idempotents) == [[ZERO, ZERO, ONE, ZERO], [ONE, ZERO, ZERO, ZERO]]
+
+
+def _tensor(a, b):
+    """a tensor b on the products of basis vectors, a_i b_k at index i * b.dim + k."""
+    n = b.dim
+    mul = {(i * n + k, j * n + m): {p * n + q: u * v for p, u in ca.items() for q, v in cb.items()}
+           for (i, j), ca in a.mul.items() for (k, m), cb in b.mul.items()}
+    return ga.StarAlgebra(a.dim * n, mul, ga.mat_kron(a.star, b.star), f"{a.label}x{b.label}")
+
+
+def test_split_witness_tries_the_own_central_basis_vectors_first():
+    # the center basis of M2(Q(sqrt 2)) + Q[Z/3] starts with the identity and
+    # sqrt 2 of the matrix block, whose minimal polynomial has the factor
+    # x**2 - 2; the first own central basis vector with a non-linear factor
+    # is d_g of Q[Z/3], whose factor is x**2 + x + 1
+    group = cr.crossed(ga.trivial_algebra(sg.parse_builder("cyclic:3")), kind="universal").alg
+    matrices = _tensor(ga.matrix_algebra(2), _number_field_algebra([2]))
+    d = cr.semisimple_quotient(ga.star_sum([matrices, group]))
+    assert (d.center_dim, d.blocks, d.block_dims) == (5, 5, [2, 2, 1, 1, 1])
+    assert d.witness_poly == "x**2 + x + 1"
+
+
+def _permuted(alg, perm):
+    """alg with basis vector i renumbered perm[i]."""
+    mul = {(perm[i], perm[j]): {perm[k]: v for k, v in cell.items()}
+           for (i, j), cell in alg.mul.items()}
+    star = [[ZERO] * alg.dim for _ in range(alg.dim)]
+    for i, row in enumerate(alg.star):
+        for j, v in enumerate(row):
+            star[perm[i]][perm[j]] = v
+    return ga.StarAlgebra(alg.dim, mul, star, alg.label)
+
+
+@pytest.mark.parametrize("spec, coeff, kind", SMALL_ALGEBRAS)
+def test_permuting_the_quotient_basis_permutes_the_central_idempotents(spec, coeff, kind):
+    q = cr.semisimple_quotient(_small_algebra(spec, coeff, kind)).quotient
+    perm = list(range(q.dim))
+    random.Random(q.dim).shuffle(perm)
+    d, e = cr.semisimple_quotient(q), cr.semisimple_quotient(_permuted(q, perm))
+    assert e.to_json() == d.to_json()
+
+    def moved(v):
+        out = [None] * len(v)
+        for i, x in enumerate(v):
+            out[perm[i]] = x
+        return tuple(out)
+
+    assert {moved(v) for v in d.central_idempotents} == {tuple(v) for v in e.central_idempotents}
+
+
+def test_center_split_makes_no_quotient_dim_krylov(monkeypatch):
+    # on kI2xI2 (dim 49, center dim 16) the only products of quotient vectors
+    # are the c(c+1)/2 products of center basis vectors and one e e = e check
+    # per piece; powers of central elements are taken in the center
+    s = sg.parse_builder("product:symmetric_inverse:2*symmetric_inverse:2")
+    alg = cr.crossed(ga.trivial_algebra(s), kind="universal").alg
+    calls = []
+    real = ga.StarAlgebra.mul_pairs
+
+    def counted(self, u, v):
+        if self.dim == alg.dim:
+            calls.append((u, v))
+        return real(self, u, v)
+
+    monkeypatch.setattr(ga.StarAlgebra, "mul_pairs", counted)
+    d = cr.semisimple_quotient(alg)
+    c = d.center_dim
+    assert (d.quotient_dim, c, d.blocks) == (49, 16, 16)
+    assert len(calls) <= c * (c + 1) // 2 + d.blocks
+    basis = [nonzero_pairs(z) for z in d.center_basis]
+    assert all(u == v or (u in basis and v in basis) for u, v in calls)
 
 
 # ---------------------------------------------------------------------------

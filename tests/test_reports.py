@@ -55,3 +55,18 @@ def test_empty_class_report_is_json():
                                             ga.c0x_algebra(s))
     assert rep["empty"] is True and theta is None
     assert json.loads(json.dumps(rep)) == rep
+
+
+def test_failing_h_algebra_report_is_json():
+    # a germ acting by [[1, 1], [1, 1]] fails two checks; the witnesses name
+    # the germ as (element name, character mask), not as a live object
+    s = sg.parse_builder("chain:2")
+    d = ga.restrict(ga.c0x_algebra(s), ind.assoc_groupoid(s, sg.parse_subset(s, "all")))
+    germ = next(iter(d.action))
+    d.action[germ] = [[1, 1], [1, 1]]
+    rep = ga.validate_h_algebra(d)
+    key = (s.names[germ.g], germ.chars)
+    witnesses = {c["name"]: c["witness"] for c in rep["checks"]}
+    assert witnesses["c0_units_structure"] == f"unit {key} is not its coordinate projection"
+    assert witnesses["arrow_actions"] == (key, 0, "image outside range fiber")
+    assert json.loads(json.dumps(rep))["pass"] is False
