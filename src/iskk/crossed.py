@@ -1,8 +1,10 @@
 """Algebraic crossed products and exact Wedderburn-style decompositions.
 
 The universal crossed product has basis {a d_g} with a running over the range
-ideal of g; the tight (Sieben) product further identifies a d_r with a d_t
-for r <= t. Those two-term relations already span a *-ideal (the proof is in
+ideal of g, given by the sparse reduced rows of its ``Span``; it is built
+from nonzero coordinates only, one product a alpha_g(b) per a and distinct
+(range of h, index of b). The tight (Sieben) product further identifies
+a d_r with a d_t for r <= t. Those two-term relations already span a *-ideal (the proof is in
 ``_sieben``), so the tight product is the universal one modulo their span,
 with no ideal closure. Groupoid coefficients give the usual convolution
 algebra with non-composable products equal to zero.
@@ -33,7 +35,8 @@ import sympy
 
 from .errors import BrokenInvariant, InvalidAction, NonIntegralMultiplicity, NotIdempotent
 from .galgebra import GAlgebra, HAlgebra, StarAlgebra, quotient, zero_matrix
-from .linalg import ONE, ZERO, QuotientSpace, Span, mat_vec, nonzero_pairs, nullspace, sparse_solve, zeros
+from .linalg import (ONE, ZERO, QuotientSpace, Span, mat_vec, nonzero_columns, nonzero_pairs, nullspace,
+                     sparse_solve, zeros)
 from .semigroup import leq
 from .spectrum import germ_range, tilde_mul, tilde_star
 
@@ -74,48 +77,77 @@ def _universal(a: GAlgebra) -> CrossedProductAlgebra:
             labels.append(f"[{k}]d_{s.names[g]}")
             pos += 1
     dim = pos
-    coeffs = [list(spans[s.range_of(g)].rows[k]) for g, k in layout]
 
     # (a d_g)(b d_h) = a alpha_g(b) d_gh. Both b and the range g hh* g* of gh
-    # depend on h only through hh* and b's index, so each product is reduced
-    # once per such pair and placed at d_gh for every h with that range.
+    # depend on h only through hh* and b's index, so the layout is grouped by
+    # that key once, and each product is reduced once per (a, key) and placed
+    # at d_gh for every h in the group.
+    groups = {}  # (hh*, index of b) -> [(j, h)]
+    for j, (h, k) in enumerate(layout):
+        groups.setdefault((s.range_of(h), k), []).append((j, h))
+    cols = {g: nonzero_columns(a.action[g], a.dim) for g in s.elements()}
     mul = {}
     for g in s.elements():
-        size = spans[s.range_of(g)].dim
-        acted = {}  # (hh*, index of b) -> alpha_g(b)
-        for i in range(offs[g], offs[g] + size):
-            local = {}  # (hh*, index of b) -> nonzero coordinates of a alpha_g(b)
-            for j, (h, kj) in enumerate(layout):
-                key = (s.range_of(h), kj)
-                if key not in local:
-                    if key not in acted:
-                        acted[key] = mat_vec(a.action[g], coeffs[j])
-                    prod = a.alg.mul_vec(coeffs[i], acted[key])
-                    coords = []
-                    if any(prod):
-                        coords = spans[s.range_of(s.table[g][h])].coords(prod)
-                        if coords is None:
-                            raise InvalidAction("crossed product coefficient escapes its range ideal")
-                    local[key] = {k: v for k, v in enumerate(coords) if v}
-                if local[key]:
+        coeffs = spans[s.range_of(g)].sparse_rows
+        if not coeffs:
+            continue
+        acted = {(e, k): _apply(cols[g], spans[e].sparse_rows[k]) for e, k in groups}
+        for ki, coeff in enumerate(coeffs):
+            cells = {}
+            for key, members in groups.items():
+                prod = _product(a.alg, coeff, acted[key])
+                if not prod:
+                    continue
+                coords = spans[s.range_of(s.table[g][members[0][1]])].sparse_coords(prod)
+                if coords is None:
+                    raise InvalidAction("crossed product coefficient escapes its range ideal")
+                for j, h in members:
                     off = offs[s.table[g][h]]
-                    mul[(i, j)] = {off + k: v for k, v in local[key].items()}
+                    cells[j] = {off + k: v for k, v in coords.items()}
+            i = offs[g] + ki
+            for j in sorted(cells):
+                mul[(i, j)] = cells[j]
     star = zero_matrix(dim)
-    for i, (g, ki) in enumerate(layout):
+    star_cols = nonzero_columns(a.alg.star, a.dim)
+    for g in s.elements():
         gstar = s.star[g]
-        w = mat_vec(a.action[gstar], a.alg.star_vec(coeffs[i]))
-        coords = spans[s.range_of(gstar)].coords(w)
-        if coords is None:
-            raise InvalidAction("crossed product star escapes its range ideal")
-        for k, v in enumerate(coords):
-            if v:
-                star[offs[gstar] + k][i] = v
+        for ki, coeff in enumerate(spans[s.range_of(g)].sparse_rows):
+            w = _apply(cols[gstar], _apply(star_cols, coeff))
+            coords = spans[s.range_of(gstar)].sparse_coords(w)
+            if coords is None:
+                raise InvalidAction("crossed product star escapes its range ideal")
+            for k, v in coords.items():
+                star[offs[gstar] + k][offs[g] + ki] = v
     out = CrossedProductAlgebra("universal", StarAlgebra(dim, mul, star, "AxG"), labels, dim)
     out.layout = layout
     out.offs = offs
     out.spans = spans
     out.coeff = a
     return out
+
+
+def _apply(cols, v: dict) -> dict:
+    """m v for m given by its ``nonzero_columns`` and v a ``{col: value}`` dict
+    without zeros, as such a dict."""
+    out = {}
+    for c, x in v.items():
+        for r, y in cols[c]:
+            out[r] = out.get(r, ZERO) + y * x
+    return {r: x for r, x in out.items() if x}
+
+
+def _product(alg: StarAlgebra, u: dict, v: dict) -> dict:
+    """u v for ``{col: value}`` dicts without zeros, from the nonzero pairs
+    on the ``mul`` cells, as such a dict."""
+    out = {}
+    for i, x in u.items():
+        for j, y in v.items():
+            cell = alg.mul.get((i, j))
+            if cell:
+                xy = x * y
+                for k, c in cell.items():
+                    out[k] = out.get(k, ZERO) + xy * c
+    return {k: x for k, x in out.items() if x}
 
 
 def _sieben(a: GAlgebra) -> CrossedProductAlgebra:
@@ -148,19 +180,18 @@ def _tight_relations(uni: CrossedProductAlgebra) -> list:
     spans, offs = uni.spans, uni.offs
     relations = []
     for r in s.elements():
-        rows = spans[s.range_of(r)].rows
+        rows = spans[s.range_of(r)].sparse_rows
         for t in s.elements():
             if r == t or not leq(s, r, t):
                 continue
             target = spans[s.range_of(t)]
             for k, row in enumerate(rows):
-                coords = target.coords(list(row))
+                coords = target.sparse_coords(row)
                 if coords is None:
                     raise InvalidAction("tight relation coefficient escapes range ideals")
                 rel = {offs[r] + k: ONE}
-                for m, c in enumerate(coords):
-                    if c:
-                        rel[offs[t] + m] = -c
+                for m, c in coords.items():
+                    rel[offs[t] + m] = -c
                 relations.append(rel)
     return relations
 
@@ -388,13 +419,12 @@ def _split_center(z: StarAlgebra, unit) -> list:
         cut = []
         for e, _ in pieces:
             poly, powers = _minimal_polynomial(z, e, z.basis_vec(i))
-            factors = sympy.factor_list(poly.as_expr())[1]
+            factors = poly.factor_list()[1]
             for f, mult in factors:
                 if mult != 1:
                     raise BrokenInvariant("minimal polynomial of a semisimple center is not squarefree",
-                                          witness={"factor": str(f), "multiplicity": mult})
+                                          witness={"factor": str(f.as_expr()), "multiplicity": mult})
             for f, _ in factors:
-                f = sympy.Poly(f, poly.gen)
                 rest = poly.exquo(f)  # q = 1 mod f and 0 mod the other factors
                 piece = _eval_poly(powers, (rest * sympy.invert(rest, f)) % poly)
                 if z.mul_vec(piece, piece) != piece:

@@ -25,6 +25,7 @@ from .linalg import (
     identity,
     mat_mul,
     mat_vec,
+    nonzero_columns,
     nonzero_pairs,
     nonzero_rows,
     rows_mul,
@@ -426,7 +427,7 @@ def star_failures(alg: StarAlgebra):
     d = alg.dim
     if not mat_eq(mat_mul(alg.star, alg.star), identity(d)):
         yield "star not involutive"
-    stars = _nonzero_columns(alg.star, d)
+    stars = nonzero_columns(alg.star, d)
     for i in range(d):
         for j in range(d):
             ij = alg.mul.get((i, j), {}).items()
@@ -439,7 +440,7 @@ def central_multiplier_failures(alg: StarAlgebra, m):
     (i, j) where (m b_i) b_j != b_i (m b_j), and (i, j, "not a multiplier")
     where m(b_i b_j) != (m b_i) b_j."""
     d = alg.dim
-    images = _nonzero_columns(m, d)
+    images = nonzero_columns(m, d)
     for i in range(d):
         for j in range(d):
             left = alg.mul_pairs(images[i], [(j, ONE)])
@@ -454,17 +455,12 @@ def multiplicative_failures(m, sa: StarAlgebra, sb: StarAlgebra):
 
     m(b_i b_j) is read from the ``sa.mul`` cell (i, j) as a combination of
     the nonzero entries of m's columns."""
-    images = _nonzero_columns(m, sa.dim)
+    images = nonzero_columns(m, sa.dim)
     for i in range(sa.dim):
         for j in range(sa.dim):
             ij = sa.mul.get((i, j), {}).items()
             if _combine(images, ij, len(m)) != sb.mul_pairs(images[i], images[j]):
                 yield (i, j)
-
-
-def _nonzero_columns(m, ncols):
-    """The first ncols columns of m, each as its ``nonzero_pairs``."""
-    return [nonzero_pairs([row[j] for row in m]) for j in range(ncols)]
 
 
 def _combine(cols, coeffs, n):

@@ -3,11 +3,13 @@
 One batch engine, ``_irref`` (sympy's sparse reduced row echelon form over
 QQ), serves ``rref`` and its readers ``rank``, ``nullspace`` and ``mat_inv``,
 ``sparse_solve`` and ``QuotientSpace``. ``Span`` is the one incremental
-engine, and ``Basis`` is a ``Span`` plus one ``mat_inv``. ``psd_certificate``
-is a pivoted LDL^T check. ``mat_vec`` and ``mat_mul`` keep the dense
-interface of lists of rows but multiply only nonzero entries.
+engine; it keeps its reduced rows as sparse ``{col: Fraction}`` dicts and
+touches only nonzeros. ``Basis`` is a ``Span`` plus one ``mat_inv``.
+``psd_certificate`` is a pivoted LDL^T check. ``mat_vec`` and ``mat_mul``
+keep the dense interface of lists of rows but multiply only nonzero entries.
 """
 
+import bisect
 from fractions import Fraction
 from functools import cached_property
 
@@ -40,6 +42,11 @@ def nonzero_rows(m) -> list:
     return [nonzero_pairs(row) for row in m]
 
 
+def nonzero_columns(m, ncols) -> list:
+    """The first ncols columns of m, each as its ``nonzero_pairs``."""
+    return [nonzero_pairs([row[j] for row in m]) for j in range(ncols)]
+
+
 def mat_vec(m, v) -> list:
     nonzero = nonzero_pairs(v)
     return [sum((row[j] * x for j, x in nonzero if row[j]), ZERO) for row in m]
@@ -63,10 +70,6 @@ def rows_mul(a_rows, b_rows, cols) -> list:
                 oi[c] += x * y
         out.append(oi)
     return out
-
-
-def is_zero_vec(v) -> bool:
-    return all(x == 0 for x in v)
 
 
 def _irref(rows):
@@ -154,51 +157,96 @@ def mat_inv(m):
 
 
 class Span:
-    """Row span with reduced basis; supports membership and coordinates."""
+    """Row span with a reduced basis; supports membership and coordinates.
+
+    The reduced rows are ``sparse_rows``: ``{col: Fraction}`` dicts without
+    zeros, in pivot order, each 1 at its own pivot and 0 at every other
+    pivot. So a vector of the span is the combination of the rows with its
+    own entries at the pivots as coefficients, and every method touches only
+    nonzeros. ``add`` takes dense vectors; ``contains``, ``coords`` and
+    ``sparse_coords`` also take ``{col: value}`` dicts. ``rows`` is the dense
+    view of the reduced rows, as long as the vectors added.
+    """
 
     def __init__(self, vectors=()):
-        self.rows = []
+        self.sparse_rows = []
         self.pivots = []
+        self._row_at = {}  # pivot -> its reduced row
+        self._ncols = 0
         for v in vectors:
             self.add(v)
 
     def add(self, v) -> bool:
         """Reduce v against the span; add if independent. Returns True if added."""
-        v = self._reduce(list(map(frac, v)))
-        for c, x in enumerate(v):
-            if x:
-                v = [a / x for a in v]
-                # keep rows sorted by pivot and fully reduced
-                for i, row in enumerate(self.rows):
-                    if row[c]:
-                        self.rows[i] = [a - row[c] * b for a, b in zip(row, v)]
-                pos = sum(1 for p in self.pivots if p < c)
-                self.rows.insert(pos, v)
-                self.pivots.insert(pos, c)
-                return True
-        return False
+        self._ncols = len(v)
+        v = self._reduce(_sparse(v))
+        if not v:
+            return False
+        c = min(v)
+        x = v[c]
+        v = {k: y / x for k, y in v.items()}
+        # keep every row fully reduced
+        for row in self.sparse_rows:
+            f = row.get(c)
+            if f:
+                _subtract(row, f, v)
+        pos = bisect.bisect(self.pivots, c)
+        self.sparse_rows.insert(pos, v)
+        self.pivots.insert(pos, c)
+        self._row_at[c] = v
+        return True
 
-    def _reduce(self, v):
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
+    def _reduce(self, v: dict) -> dict:
+        """v minus the combination of the rows with v's pivot entries as
+        coefficients, for v a ``{col: Fraction}`` dict without zeros. The
+        rows are 0 at each other's pivots, so the order does not matter."""
+        out = dict(v)
+        for p, f in v.items():
+            row = self._row_at.get(p)
+            if row is not None:
+                _subtract(out, f, row)
+        return out
+
+    def sparse_coords(self, v) -> dict | None:
+        """Coefficients of v over the reduced rows as a ``{position: value}``
+        dict in position order and without zeros, or None."""
+        v = _sparse(v)
+        if self._reduce(v):
+            return None
+        return {bisect.bisect_left(self.pivots, p): v[p] for p in sorted(v) if p in self._row_at}
 
     def contains(self, v) -> bool:
-        return is_zero_vec(self._reduce(list(map(frac, v))))
+        return not self._reduce(_sparse(v))
 
     def coords(self, v):
         """Coefficients of v over the reduced basis rows, or None."""
-        v = list(map(frac, v))
-        cs = [v[p] for p in self.pivots]
-        if is_zero_vec(self._reduce(v)):
-            return cs
-        return None
+        cs = self.sparse_coords(v)
+        return None if cs is None else [cs.get(k, ZERO) for k in range(self.dim)]
+
+    @property
+    def rows(self) -> list:
+        return [[row.get(c, ZERO) for c in range(self._ncols)] for row in self.sparse_rows]
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.sparse_rows)
+
+
+def _sparse(v) -> dict:
+    """A dense vector, or a ``{col: value}`` dict, as a ``{col: Fraction}``
+    dict without zeros."""
+    items = v.items() if isinstance(v, dict) else enumerate(v)
+    return {c: frac(x) for c, x in items if x}
+
+
+def _subtract(out: dict, f, row: dict):
+    """out -= f row in place, for sparse dicts; zeros are dropped."""
+    for c, x in row.items():
+        y = out.get(c, ZERO) - f * x
+        if y:
+            out[c] = y
+        else:
+            out.pop(c, None)
 
 
 class Basis:
@@ -220,8 +268,8 @@ class Basis:
 
     def coords(self, v):
         """Coefficients of v over the original vectors, or None."""
-        c = self._span.coords(v)
-        return None if c is None else rows_mul([nonzero_pairs(c)], self._inv_rows, self.dim)[0]
+        c = self._span.sparse_coords(v)
+        return None if c is None else rows_mul([list(c.items())], self._inv_rows, self.dim)[0]
 
 
 class QuotientSpace:

@@ -135,9 +135,15 @@ def validate(table, unit, zero=None, names=None) -> FiniteInvSgp:
     if not 0 <= unit < n:
         raise MalformedInput("unit index out of range")
 
+    # compare whole rows, (ab)c against a(bc) for every c at once, and scan c
+    # only on a row that differs; rows are lists, as a tuple never equals one
+    rows = [list(row) for row in table]
     for a in range(n):
+        ra = rows[a]
         for b in range(n):
-            ab = table[a][b]
+            ab = ra[b]
+            if rows[ab] == [ra[bc] for bc in rows[b]]:
+                continue
             for c in range(n):
                 if table[ab][c] != table[a][table[b][c]]:
                     raise NotAssociative(

@@ -299,13 +299,13 @@ def test_isqrt_exact_beyond_float_precision():
 
 
 def test_non_squarefree_minimal_polynomial_is_a_typed_error(monkeypatch):
-    real = cr.sympy.factor_list
+    real = cr.sympy.Poly.factor_list
 
-    def squared(expr):
-        content, factors = real(expr)
+    def squared(poly):
+        content, factors = real(poly)
         return content, [(f, 2 * m) for f, m in factors]
 
-    monkeypatch.setattr(cr.sympy, "factor_list", squared)
+    monkeypatch.setattr(cr.sympy.Poly, "factor_list", squared)
     with pytest.raises(BrokenInvariant) as err:
         cr.semisimple_quotient(ga.matrix_algebra(2))
     assert err.value.witness == {"factor": "x - 1", "multiplicity": 2}
@@ -498,7 +498,7 @@ def _dense_quotient(alg, relations):
     span = Span(relations)
     free = [c for c in range(alg.dim) if c not in span.pivots]
     lifts = [alg.basis_vec(c) for c in free]
-    return ga.transport(alg, lifts, lambda v: [span._reduce(list(v))[c] for c in free])
+    return ga.transport(alg, lifts, lambda v: [span._reduce(dict(nonzero_pairs(v))).get(c, ZERO) for c in free])
 
 
 def _closure_sieben(a):
@@ -577,6 +577,39 @@ def test_tight_product_matches_the_germ_groupoid_product(spec, coeff):
     d, e = cr.semisimple_quotient(tight), cr.semisimple_quotient(gpd)
     assert (d.radical_dim, d.center_dim, d.block_dims, d.splits) == \
         (e.radical_dim, e.center_dim, e.block_dims, e.splits)
+
+
+def _scalar_action(spec, scalars):
+    """Q with element g acting as the scalar scalars[name of g]: the range
+    ideal of g is Q or 0, so a hand-picked scalar breaks one containment."""
+    s = sg.parse_builder(spec)
+    q = ga.StarAlgebra(1, {(0, 0): {0: ONE}}, [[ONE]], "Q")
+    return ga.GAlgebra(s, q, {g: [[Fraction(scalars[s.names[g]])]] for g in s.elements()})
+
+
+def test_universal_coefficient_escape_is_a_typed_error():
+    # a = b = 1 over (1,2) and (1,1): a alpha_(1,2)(b) = 1, but the range
+    # (1,2)(1,1)(2,1) = 0 acts as 0
+    a = _scalar_action("brandt_unital:2", {"1": 1, "(1,1)": 1, "(1,2)": 1, "(2,1)": 1, "(2,2)": 1, "0": 0})
+    with pytest.raises(InvalidAction, match="^crossed product coefficient escapes its range ideal$"):
+        cr.crossed(a)
+
+
+def test_universal_star_escape_is_a_typed_error():
+    # every product stays in its range ideal, but (1 d_(1,2))* = alpha_(2,1)(1) d_(2,1)
+    # is 1 d_(2,1), and the range (2,2) of (2,1) acts as 0
+    a = _scalar_action("brandt_unital:2", {"1": 1, "(1,1)": 1, "(1,2)": 0, "(2,1)": 1, "(2,2)": 0, "0": 0})
+    with pytest.raises(InvalidAction, match="^crossed product star escapes its range ideal$"):
+        cr.crossed(a)
+
+
+def test_tight_relation_escape_is_a_typed_error():
+    # e1 <= 1, but the unit acts as 0, so the range ideal Q of e1 is not in
+    # the range ideal 0 of 1; the universal product itself is well formed
+    a = _scalar_action("chain:2", {"1": 0, "e1": 1})
+    assert cr.crossed(a).dim == 1
+    with pytest.raises(InvalidAction, match="^tight relation coefficient escapes range ideals$"):
+        cr.crossed(a, kind="sieben")
 
 
 @pytest.mark.parametrize("spec", ["brandt_unital:2", "brandt_unital:3"])

@@ -2,7 +2,7 @@
 
 Each ``dense_*`` function (and ``DenseBasis``) below is the earlier dense
 implementation, kept here as the reference: the action-matrix kernels and the
-eliminations (``rref``, ``nullspace``, ``rank``, ``mat_inv``, ``Basis``) must
+eliminations (``rref``, ``nullspace``, ``rank``, ``mat_inv``, ``Basis``, ``Span``) must
 give equal values of the same type (``Fraction``) and, for the checks, the
 same witnesses in the same order.
 """
@@ -20,6 +20,7 @@ from iskk.linalg import (
     ONE,
     ZERO,
     Basis,
+    Span,
     frac,
     identity,
     mat_inv,
@@ -462,6 +463,17 @@ def test_eliminations_match_the_dense_loops(problem):
     if inv is not None:
         assert typed(inv) == typed(dense_mat_inv(square))
     assert basis_outcome(Basis, rows, probes) == basis_outcome(DenseBasis, rows, probes)
+    # the incremental Span reaches the same reduced rows, and its coordinates
+    # over them are the dense reference basis's
+    span, ref_basis = Span(rows), DenseBasis(ref_red)
+    assert typed(span.rows) == typed(ref_red) and span.pivots == ref_pivots
+    for probe in probes:
+        ref = ref_basis.coords(probe)
+        got = span.coords(probe)
+        assert span.contains(probe) == (ref is not None) == (got is not None)
+        assert got is None or typed(got) == typed(ref)
+        sparse = span.sparse_coords({c: x for c, x in enumerate(probe) if x})
+        assert sparse == (None if ref is None else {k: x for k, x in enumerate(ref) if x})
 
 
 def test_elimination_edge_cases():

@@ -15,15 +15,14 @@ class DenseQuotient:
         self.ambient_dim = ambient_dim
 
     def to_coords(self, v):
-        red = self.span._reduce([Fraction(x) for x in v])
-        return [red[c] for c in self.free]
+        red = self.span._reduce({c: Fraction(x) for c, x in enumerate(v) if x})
+        return [red.get(c, ZERO) for c in self.free]
 
     def lifts(self):
         out = []
         for c in self.free:
-            v = [ZERO] * self.ambient_dim
-            v[c] = ONE
-            out.append(self.span._reduce(v))
+            red = self.span._reduce({c: ONE})
+            out.append([red.get(k, ZERO) for k in range(self.ambient_dim)])
         return out
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from iskk import semigroup as sg
 from iskk.errors import (
     BadUnit,
+    IskkError,
     MalformedInput,
     NoUniqueInverse,
     NotAssociative,
@@ -51,9 +52,44 @@ def test_left_zero_semigroup_rejected():
         sg.validate([[0, 0], [1, 1]], unit=0)
 
 
+def _first_non_associative_triple(table):
+    n = len(table)
+    return next((a, b, c) for a in range(n) for b in range(n) for c in range(n)
+                if table[table[a][b]][c] != table[a][table[b][c]])
+
+
 def test_not_associative_detected():
-    with pytest.raises((NotAssociative, BadUnit)):
-        sg.validate([[0, 1, 2], [1, 2, 1], [2, 0, 0]], unit=0)
+    # the whole-row comparison must find the brute-force first triple, on
+    # list rows and on tuple rows alike
+    for rows in (list, tuple):
+        table = [rows(r) for r in ([0, 1, 2], [1, 2, 1], [2, 0, 0])]
+        with pytest.raises(NotAssociative) as err:
+            sg.validate(table, unit=0)
+        a, b, c = err.value.witness
+        assert (a, b, c) == _first_non_associative_triple(table) == (1, 1, 1)
+        assert str(err.value) == f"(x{a}*x{b})*x{c} != x{a}*(x{b}*x{c})"
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(1, 5))
+    row = st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(draw(st.sampled_from([list, tuple])))
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables())
+def test_associativity_witness_is_the_brute_force_first_triple(table):
+    try:
+        sg.validate(table, unit=0)
+    except NotAssociative as err:
+        assert err.witness == _first_non_associative_triple(table)
+        return
+    except IskkError:
+        pass
+    n = len(table)
+    assert all(table[table[a][b]][c] == table[a][table[b][c]]
+               for a in range(n) for b in range(n) for c in range(n))
 
 
 def test_bad_unit_detected():
