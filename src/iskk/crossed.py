@@ -1,13 +1,14 @@
 """Algebraic crossed products and exact Wedderburn-style decompositions.
 
-The universal crossed product has basis {a d_g} with a running over the range
-ideal of g, given by the sparse reduced rows of its ``Span``; it is built
-from nonzero coordinates only, one product a alpha_g(b) per a and distinct
-(range of h, index of b). The tight (Sieben) product further identifies
-a d_r with a d_t for r <= t. Those two-term relations already span a *-ideal (the proof is in
-``_sieben``), so the tight product is the universal one modulo their span,
-with no ideal closure. Groupoid coefficients give the usual convolution
-algebra with non-composable products equal to zero.
+The universal and groupoid crossed products share one builder,
+``_convolution``: basis {a d_g} with a running over the sparse reduced rows
+of the ``Span`` at the range of g, and (a d_g)(b d_h) = a alpha_g(b) d_gh.
+The universal product takes S and its range ideals; the groupoid product
+takes the germs and their range fibers, with no product for a zero germ. It
+reads nonzero coordinates only, one product a alpha_g(b) per a and distinct
+(range of h, index of b). The tight (Sieben) product identifies a d_r with
+a d_t for r <= t; those two-term relations already span a *-ideal (proof in
+``_sieben``), so it is the universal product modulo their span.
 
 Semisimple quotients are computed over the rationals: the radical is the
 null space of the regular trace form, and block data comes from splitting
@@ -35,8 +36,8 @@ import sympy
 
 from .errors import BrokenInvariant, InvalidAction, NonIntegralMultiplicity, NotIdempotent
 from .galgebra import GAlgebra, HAlgebra, StarAlgebra, quotient, zero_matrix
-from .linalg import (ONE, ZERO, QuotientSpace, Span, mat_vec, nonzero_columns, nonzero_pairs, nullspace,
-                     sparse_solve, zeros)
+from .linalg import (ONE, ZERO, QuotientSpace, Span, identity, mat_vec, nonzero_columns, nonzero_pairs,
+                     nullspace, sparse_solve, zeros)
 from .semigroup import leq
 from .spectrum import germ_range, tilde_mul, tilde_star
 
@@ -47,6 +48,11 @@ class CrossedProductAlgebra:
     alg: StarAlgebra
     basis_labels: list
     universal_dim: int
+    # the ``_convolution`` data of the basis; None for a tight product
+    layout: list = field(default=None, repr=False)
+    offs: dict = field(default=None, repr=False)
+    spans: dict = field(default=None, repr=False)
+    coeff: object = field(default=None, repr=False)
 
     @property
     def dim(self):
@@ -64,66 +70,71 @@ def _range_spans(a: GAlgebra):
 
 def _universal(a: GAlgebra) -> CrossedProductAlgebra:
     s = a.sgp
-    spans = _range_spans(a)
-    layout = []  # (g, local index) per crossed basis vector
-    offs = {}
-    labels = []
-    pos = 0
-    for g in s.elements():
-        sp = spans[s.range_of(g)]
-        offs[g] = pos
-        for k in range(sp.dim):
-            layout.append((g, k))
-            labels.append(f"[{k}]d_{s.names[g]}")
-            pos += 1
-    dim = pos
+    return _convolution("universal", a, s.elements(), s.range_of, _range_spans(a),
+                        lambda g, h: s.table[g][h], s.star.__getitem__,
+                        lambda g, k: f"[{k}]d_{s.names[g]}", "AxG")
 
-    # (a d_g)(b d_h) = a alpha_g(b) d_gh. Both b and the range g hh* g* of gh
-    # depend on h only through hh* and b's index, so the layout is grouped by
+
+def _convolution(kind, coeff, elements, range_of, spans, mul, star, label, name):
+    """The convolution algebra of the coefficient algebra ``coeff`` over
+    ``elements``: basis a d_g, with a running over the reduced rows of
+    ``spans[range_of(g)]``, and (a d_g)(b d_h) = a alpha_g(b) d_gh for
+    gh = mul(g, h). None means no product, and for the h of one range either
+    every mul(g, h) is None or none is. The star is (a d_g)* = alpha_g*(a*) d_g*
+    with g* = star(g). Basis vector (g, k) is called label(g, k), and the
+    algebra ``name``."""
+    rng = {g: range_of(g) for g in elements}
+    layout, offs, labels = [], {}, []  # (g, local index) per basis vector, g's first index
+    for g in elements:
+        offs[g] = len(layout)
+        for k in range(spans[rng[g]].dim):
+            layout.append((g, k))
+            labels.append(label(g, k))
+    dim = len(layout)
+
+    # b and the range of gh (g hh* g* in S, gg* for composable germs) depend
+    # on h only through its range and b's index, so the layout is grouped by
     # that key once, and each product is reduced once per (a, key) and placed
     # at d_gh for every h in the group.
-    groups = {}  # (hh*, index of b) -> [(j, h)]
+    groups = {}  # (range of h, index of b) -> [(j, h)]
     for j, (h, k) in enumerate(layout):
-        groups.setdefault((s.range_of(h), k), []).append((j, h))
-    cols = {g: nonzero_columns(a.action[g], a.dim) for g in s.elements()}
-    mul = {}
-    for g in s.elements():
-        coeffs = spans[s.range_of(g)].sparse_rows
+        groups.setdefault((rng[h], k), []).append((j, h))
+    cols = {g: nonzero_columns(coeff.action[g], coeff.dim) for g in elements}
+    cells_at = {}
+    for g in elements:
+        coeffs = spans[rng[g]].sparse_rows
         if not coeffs:
             continue
-        acted = {(e, k): _apply(cols[g], spans[e].sparse_rows[k]) for e, k in groups}
-        for ki, coeff in enumerate(coeffs):
+        # whether h has a product with g depends only on the range of h
+        keyed = [(members, _apply(cols[g], spans[e].sparse_rows[k]))
+                 for (e, k), members in groups.items() if mul(g, members[0][1]) is not None]
+        for ki, a in enumerate(coeffs):
             cells = {}
-            for key, members in groups.items():
-                prod = _product(a.alg, coeff, acted[key])
+            for members, acted in keyed:
+                prod = _product(coeff.alg, a, acted)
                 if not prod:
                     continue
-                coords = spans[s.range_of(s.table[g][members[0][1]])].sparse_coords(prod)
+                coords = spans[rng[mul(g, members[0][1])]].sparse_coords(prod)
                 if coords is None:
                     raise InvalidAction("crossed product coefficient escapes its range ideal")
                 for j, h in members:
-                    off = offs[s.table[g][h]]
+                    off = offs[mul(g, h)]
                     cells[j] = {off + k: v for k, v in coords.items()}
             i = offs[g] + ki
             for j in sorted(cells):
-                mul[(i, j)] = cells[j]
-    star = zero_matrix(dim)
-    star_cols = nonzero_columns(a.alg.star, a.dim)
-    for g in s.elements():
-        gstar = s.star[g]
-        for ki, coeff in enumerate(spans[s.range_of(g)].sparse_rows):
-            w = _apply(cols[gstar], _apply(star_cols, coeff))
-            coords = spans[s.range_of(gstar)].sparse_coords(w)
+                cells_at[(i, j)] = cells[j]
+    adjoint = zero_matrix(dim)
+    star_cols = nonzero_columns(coeff.alg.star, coeff.dim)
+    for g in elements:
+        gs = star(g)
+        for ki, a in enumerate(spans[rng[g]].sparse_rows):
+            coords = spans[rng[gs]].sparse_coords(_apply(cols[gs], _apply(star_cols, a)))
             if coords is None:
                 raise InvalidAction("crossed product star escapes its range ideal")
             for k, v in coords.items():
-                star[offs[gstar] + k][offs[g] + ki] = v
-    out = CrossedProductAlgebra("universal", StarAlgebra(dim, mul, star, "AxG"), labels, dim)
-    out.layout = layout
-    out.offs = offs
-    out.spans = spans
-    out.coeff = a
-    return out
+                adjoint[offs[gs] + k][offs[g] + ki] = v
+    return CrossedProductAlgebra(kind, StarAlgebra(dim, cells_at, adjoint, name), labels, dim,
+                                 layout, offs, spans, coeff)
 
 
 def _apply(cols, v: dict) -> dict:
@@ -197,58 +208,30 @@ def _tight_relations(uni: CrossedProductAlgebra) -> list:
 
 
 def _groupoid(d: HAlgebra) -> CrossedProductAlgebra:
+    """The convolution over the germs, on each unit's fiber as the span of
+    its basis vectors; a zero germ product means no product."""
     gpd = d.gpd
     s = gpd.sgp
-    layout = []
-    offs = {}
-    labels = []
-    pos = 0
-    for h in gpd.elements:
-        rng_pos = gpd.unit_pos_of_mask(germ_range(s, h))
-        fib = d.fiber_indices(rng_pos)
-        offs[h] = pos
-        for k in fib:
-            layout.append((h, k))
-            labels.append(f"[{k}]d_({h.g},{h.chars:#x})")
-            pos += 1
-    dim = pos
-    fibs = {h: d.fiber_indices(gpd.unit_pos_of_mask(germ_range(s, h))) for h in gpd.elements}
+    eye = identity(d.dim)
+    fibers = [d.fiber_indices(u) for u in range(len(gpd.units))]
+    spans = {u: Span(eye[i] for i in fib) for u, fib in enumerate(fibers)}
+    rng = {h: gpd.unit_pos_of_mask(germ_range(s, h)) for h in gpd.elements}
 
-    mul = {}
-    for i, (h, ki) in enumerate(layout):
-        for j, (g2, kj) in enumerate(layout):
-            prod_g = tilde_mul(s, h, g2)
-            if prod_g.is_zero():
-                continue
-            bvec = mat_vec(d.action[h], d.alg.basis_vec(kj))
-            prod = d.alg.mul_vec(d.alg.basis_vec(ki), bvec)
-            if not any(prod):
-                continue
-            fib = fibs[prod_g]
-            cell = {}
-            for t, v in enumerate(prod):
-                if v:
-                    if t not in fib:
-                        raise InvalidAction("groupoid convolution escapes its fiber")
-                    cell[offs[prod_g] + fib.index(t)] = v
-            if cell:
-                mul[(i, j)] = cell
-    star = zero_matrix(dim)
-    for i, (h, ki) in enumerate(layout):
-        hs = tilde_star(s, h)
-        w = mat_vec(d.action[hs], d.alg.star_vec(d.alg.basis_vec(ki)))
-        fib = fibs[hs]
-        for t, v in enumerate(w):
-            if v:
-                star[offs[hs] + fib.index(t)][i] = v
-    return CrossedProductAlgebra("groupoid", StarAlgebra(dim, mul, star, "DxH"), labels, dim)
+    def mul(g, h):
+        gh = tilde_mul(s, g, h)
+        return None if gh.is_zero() else gh
+
+    return _convolution("groupoid", d, gpd.elements, rng.__getitem__, spans, mul,
+                        lambda h: tilde_star(s, h),
+                        lambda h, k: f"[{fibers[rng[h]][k]}]d_({h.g},{h.chars:#x})", "DxH")
 
 
 def crossed(coeff, kind="universal") -> CrossedProductAlgebra:
     """Crossed product of a coefficient algebra.
 
     kind 'universal'/'sieben' expect a GAlgebra; 'groupoid' expects an
-    HAlgebra.
+    HAlgebra. Universal and groupoid products share one convolution build;
+    a product or star leaving its range span raises InvalidAction.
     """
     if kind == "universal":
         return _universal(coeff)
@@ -320,16 +303,8 @@ def _as_star_algebra(x) -> StarAlgebra:
     raise TypeError(f"not an algebra: {x!r}")
 
 
-def _left_traces(alg: StarAlgebra) -> list:
-    """tr L_{b_l} = sum_k c_lk^k for every basis vector b_l, in one pass over the cells."""
-    t = zeros(alg.dim)
-    for (l, k), cell in alg.mul.items():
-        t[l] += cell.get(k, ZERO)
-    return t
-
-
 def _trace_form(alg: StarAlgebra):
-    t_vec = _left_traces(alg)
+    t_vec = alg.left_traces()
     t = zero_matrix(alg.dim)
     for (i, j), cell in alg.mul.items():
         t[i][j] = sum((v * t_vec[l] for l, v in cell.items()), ZERO)
@@ -415,6 +390,7 @@ def _split_center(z: StarAlgebra, unit) -> list:
     the degree of a factor: no basis vector generates Q(sqrt 2, sqrt 3).
     """
     done, pieces = [], [(unit, z.dim)]
+    traces = z.left_traces()
     for i in range(z.dim):
         cut = []
         for e, _ in pieces:
@@ -430,7 +406,7 @@ def _split_center(z: StarAlgebra, unit) -> list:
                 if z.mul_vec(piece, piece) != piece:
                     raise NotIdempotent("primary central idempotent is not idempotent",
                                         witness={"factor": str(f.as_expr())})
-                dim = z.trace_left_mult(piece)
+                dim = sum((v * traces[l] for l, v in nonzero_pairs(piece)), ZERO)
                 (done if f.degree() == dim else cut).append((piece, dim))
         pieces = cut
     return done + pieces
@@ -483,7 +459,7 @@ def semisimple_quotient(x) -> SemisimpleDecomposition:
     pieces = _split_center(z, unit)
 
     lift = list(zip(*center))  # center coordinates to quotient vectors
-    traces = _left_traces(qalg)
+    traces = qalg.left_traces()
     idems = []
     block_dims = []
     for e, n in pieces:

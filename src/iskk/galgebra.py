@@ -114,18 +114,12 @@ class StarAlgebra:
         cols = [self.mul_vec(x, self.basis_vec(j)) for j in range(self.dim)]
         return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
-    def trace_left_mult(self, x):
-        """tr(L_x) without materializing the matrix."""
-        t = ZERO
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j in range(self.dim):
-                cell = self.mul.get((i, j))
-                if cell:
-                    c = cell.get(j)
-                    if c:
-                        t += xi * c
+    def left_traces(self):
+        """tr L_{b_l} = sum_k c_lk^k for every basis vector b_l, in one pass
+        over the cells; tr L_x is then sum_l x_l tr L_{b_l}."""
+        t = zeros(self.dim)
+        for (l, k), cell in self.mul.items():
+            t[l] += cell.get(k, ZERO)
         return t
 
     def unit_vector(self):
@@ -256,7 +250,9 @@ def quotient(alg: StarAlgebra, relations, label="") -> tuple:
                 cells.append(((pos[a], pos[b]), red))
     star = zero_matrix(space.dim)
     for j, c in enumerate(space.free):
-        col = {r: row[c] for r, row in enumerate(alg.star) if row[c]}
+        # most entries are the shared ZERO of a zero_matrix: an identity test
+        # passes over them without the cost of a Fraction truth test
+        col = {r: x for r, row in enumerate(alg.star) if (x := row[c]) is not ZERO and x}
         for i, v in space.sparse_coords(col).items():
             star[i][j] = v
     return StarAlgebra(space.dim, dict(sorted(cells)), star, label), space

@@ -101,9 +101,6 @@ class FiniteGroupoid:
                 return i
         raise KeyError(f"no groupoid unit with character mask {mask:#x}")
 
-    def element_set(self):
-        return set(self.elements)
-
 
 def groupoid_from_elements(s: FiniteInvSgp, elems, from_subset=None) -> FiniteGroupoid:
     """Close the germ-set checks and package a groupoid; units must be disjoint."""
@@ -205,11 +202,12 @@ def compute_GH(s: FiniteInvSgp, h: FiniteGroupoid, within: int | None = None) ->
         orbits.setdefault(find(x), []).append(x)
     reps = sorted((min(v, key=germ_key) for v in orbits.values()), key=germ_key)
     orbit_of, transfer = {}, {}
+    hset = set(h.elements)
     for idx, r in enumerate(reps):
         for x in orbits[find(r)]:
             orbit_of[x] = idx
             t = tilde_mul(s, tilde_star(s, r), x)
-            if t not in h.element_set() or tilde_mul(s, r, t) != x:
+            if t not in hset or tilde_mul(s, r, t) != x:
                 raise BrokenInvariant("no groupoid germ carries an orbit's representative to its point",
                                       witness={"rep": r, "point": x, "transfer": t})
             transfer[x] = t

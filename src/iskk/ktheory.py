@@ -23,7 +23,7 @@ from .galgebra import (
     verify_star_hom,
 )
 from .induction import assoc_groupoid, build_induced, check, make_report
-from .linalg import ONE, ZERO, mat_mul, mat_vec
+from .linalg import ONE, ZERO, mat_mul, mat_vec, nonzero_pairs
 from .semigroup import FiniteInvSgp, bit, build, iter_mask, mask_of
 from .spectrum import spectrum
 
@@ -82,13 +82,18 @@ def k0_map(f: StarHomomorphism) -> K0Map:
     dsrc = _split_block_data(f.source)
     ddst = _split_block_data(f.target)
     fq = _quotient_map(f, dsrc, ddst)
+    traces = ddst.quotient.left_traces()
+
+    def trace(x):  # tr L_x
+        return sum((v * traces[l] for l, v in nonzero_pairs(x)), ZERO)
+
     out = []
     for i, zi in enumerate(ddst.central_idempotents):
-        ti = ddst.quotient.trace_left_mult(zi)
+        ti = trace(zi)
         row = []
         for j, zj in enumerate(dsrc.central_idempotents):
             img = mat_vec(fq, zj)
-            val = ddst.quotient.trace_left_mult(ddst.quotient.mul_vec(zi, img))
+            val = trace(ddst.quotient.mul_vec(zi, img))
             m = val / ti
             if m.denominator != 1:
                 raise NonIntegralMultiplicity(f"entry ({i},{j}) = {m}")

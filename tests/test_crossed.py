@@ -8,6 +8,7 @@ from iskk import galgebra as ga
 from iskk import induction as ind
 from iskk import ktheory as kt
 from iskk import semigroup as sg
+from iskk import spectrum as spc
 from iskk.errors import BrokenInvariant, InvalidAction, NonIntegralMultiplicity, NotIdempotent
 from iskk.linalg import ONE, ZERO, Span, identity, mat_vec, nonzero_pairs
 from test_kernels import dense_nullspace
@@ -166,6 +167,117 @@ def test_groupoid_crossed_one_unit_group():
     x = cr.crossed(line, kind="groupoid")
     assert x.dim == 2  # the group algebra of the isotropy
     assert cr.semisimple_quotient(x).blocks == 2
+
+
+# ---------------------------------------------------------------------------
+# the groupoid product against the dense all-pairs convolution
+
+GROUPOID_SPECS = ["chain:2", "chain:3", "chain:4", "diamond", "cyclic:2", "cyclic:3", "cyclic:4",
+                  "symmetric:3", "symmetric_inverse:2", "symmetric_inverse:3", "brandt_unital:2",
+                  "brandt_unital:3", "adjoin_zero:chain:2", "product:chain:2*cyclic:2",
+                  "product:symmetric_inverse:2*chain:2"]
+
+
+def _dense_groupoid(d):
+    """(dim, mul, star, labels) of the groupoid product by brute force: every
+    pair of basis vectors (a d_h)(b d_g) is a alpha_h(b) d_hg, formed densely
+    and read in the fiber of the range of hg."""
+    gpd = d.gpd
+    s = gpd.sgp
+    fibs = {h: d.fiber_indices(gpd.unit_pos_of_mask(spc.germ_range(s, h))) for h in gpd.elements}
+    layout, offs, labels = [], {}, []
+    for h in gpd.elements:
+        offs[h] = len(layout)
+        for k in fibs[h]:
+            layout.append((h, k))
+            labels.append(f"[{k}]d_({h.g},{h.chars:#x})")
+    dim = len(layout)
+    mul = {}
+    for i, (h, ki) in enumerate(layout):
+        for j, (g, kj) in enumerate(layout):
+            hg = spc.tilde_mul(s, h, g)
+            if hg.is_zero():
+                continue
+            prod = d.alg.mul_vec(d.alg.basis_vec(ki), mat_vec(d.action[h], d.alg.basis_vec(kj)))
+            cell = {offs[hg] + fibs[hg].index(t): v for t, v in enumerate(prod) if v}
+            if cell:
+                mul[(i, j)] = cell
+    star = [[ZERO] * dim for _ in range(dim)]
+    for i, (h, ki) in enumerate(layout):
+        hs = spc.tilde_star(s, h)
+        w = mat_vec(d.action[hs], d.alg.star_vec(d.alg.basis_vec(ki)))
+        for t, v in enumerate(w):
+            if v:
+                star[offs[hs] + fibs[hs].index(t)][i] = v
+    return dim, mul, star, labels
+
+
+def _groupoid_coefficients(spec, coeff):
+    """restrict, c0_units and every trivial_line over the germ groupoids of
+    the unit, the idempotents and all of S; a restriction that is not a
+    groupoid algebra (Brandt semigroups with trivial coefficients) is left out."""
+    s = sg.parse_builder(spec)
+    a = ga.trivial_algebra(s) if coeff == "trivial" else ga.c0x_algebra(s)
+    for sub in ("unit", "idempotents", "all"):
+        h = ind.assoc_groupoid(s, sg.parse_subset(s, sub))
+        if not (spec.startswith("brandt") and coeff == "trivial"):
+            yield ga.restrict(a, h)
+        yield ga.c0_units(h)
+        yield from (ga.trivial_line(h, u) for u in range(len(h.units)))
+
+
+@pytest.mark.parametrize("coeff", ["trivial", "c0x"])
+@pytest.mark.parametrize("spec", GROUPOID_SPECS)
+def test_groupoid_product_equals_the_dense_convolution(spec, coeff):
+    for d in _groupoid_coefficients(spec, coeff):
+        x = cr.crossed(d, "groupoid")
+        dim, mul, star, labels = _dense_groupoid(d)
+        assert (x.kind, x.dim, x.basis_labels) == ("groupoid", dim, labels)
+        assert list(x.alg.mul.items()) == list(mul.items())
+        assert x.alg.star == star
+
+
+def _two_unit_coefficients():
+    """C0 of the two units of the germ groupoid of chain:2, to be broken."""
+    s = sg.parse_builder("chain:2")
+    d = ga.c0_units(ind.assoc_groupoid(s, sg.parse_subset(s, "all")))
+    assert d.dim == 2 and d.unit_of_basis == (0, 1)
+    return d
+
+
+def test_groupoid_product_escape_is_a_typed_error():
+    # b_0 b_0 = b_1: the product of two vectors of unit 0's fiber leaves it
+    d = _two_unit_coefficients()
+    d.alg.mul[(0, 0)] = {1: ONE}
+    with pytest.raises(InvalidAction, match="^crossed product coefficient escapes its range ideal$"):
+        cr.crossed(d, "groupoid")
+
+
+def test_groupoid_star_escape_is_a_typed_error():
+    # unit 0 carries b_0 to b_1, so (b_0 d_u0)* = alpha_u0(b_0) d_u0 leaves
+    # unit 0's fiber; every product b alpha_u0(b_0) = b b_1 with b in that fiber is 0
+    d = _two_unit_coefficients()
+    u0 = d.gpd.units[0]
+    d.action[u0] = [[ZERO, ZERO], [ONE, ZERO]]
+    with pytest.raises(InvalidAction, match="^crossed product star escapes its range ideal$"):
+        cr.crossed(d, "groupoid")
+
+
+def test_groupoid_product_makes_no_dense_products(monkeypatch):
+    # products come from the coefficient algebra's cells, not from mul_vec
+    s = sg.parse_builder("symmetric_inverse:2")
+    d = ga.restrict(ga.c0x_algebra(s), ind.assoc_groupoid(s, sg.idempotents(s)))
+    calls = []
+    real = ga.StarAlgebra.mul_pairs
+
+    def counted(self, u, v):
+        calls.append((u, v))
+        return real(self, u, v)
+
+    monkeypatch.setattr(ga.StarAlgebra, "mul_pairs", counted)
+    x = cr.crossed(d, "groupoid")
+    assert x.dim > 0 and x.alg.mul
+    assert calls == []
 
 
 def test_numeric_oracle_agreement():

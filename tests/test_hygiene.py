@@ -4,6 +4,9 @@
   with the toolchain, so this scan stands in for their unused-import rule.
 - Batch elimination has one engine: ``sdm_irref`` is used, and Fractions are
   converted with ``QQ(...)``, only inside ``linalg._irref``.
+- The crossed-product builders stay sparse: ``_universal``, ``_groupoid``
+  and their shared ``_convolution`` call none of the dense vector helpers
+  ``mat_vec``, ``mul_vec`` and ``basis_vec``.
 """
 
 import ast
@@ -68,3 +71,39 @@ def test_sparse_rref_is_called_from_one_function():
              if (name, site[0]) != ("linalg.py", "_irref")]
     assert stray == []
     assert {site[2] for site in sites["linalg.py"]} == {"QQ(", "sdm_irref"}
+
+
+DENSE_HELPERS = {"mat_vec", "mul_vec", "basis_vec"}
+CROSSED_BUILDERS = {"_universal", "_groupoid", "_convolution"}
+
+
+def dense_calls(source: str, functions) -> dict:
+    """For each top-level function in ``functions`` found in the module,
+    (line, name) of each call of a ``DENSE_HELPERS`` name inside it, nested
+    functions and lambdas included."""
+    out = {}
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.FunctionDef) and top.name in functions:
+            calls = []
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in DENSE_HELPERS:
+                        calls.append((node.lineno, name))
+            out[top.name] = sorted(calls)
+    return out
+
+
+def test_scan_finds_dense_calls():
+    src = ("def _groupoid(d):\n    def inner(k):\n        return d.alg.basis_vec(k)\n"
+           "    return mat_vec(d.action[0], inner(0))\n"
+           "def other(d):\n    return d.alg.mul_vec(d, d)\n"
+           "def _universal(a):\n    return (lambda v: a.alg.mul_vec(v, v))(a)\n")
+    assert dense_calls(src, {"_groupoid", "_universal", "_convolution"}) == {
+        "_groupoid": [(3, "basis_vec"), (4, "mat_vec")], "_universal": [(8, "mul_vec")]}
+
+
+def test_crossed_product_builders_make_no_dense_calls():
+    found = dense_calls((SRC / "crossed.py").read_text(), CROSSED_BUILDERS)
+    assert found == {name: [] for name in CROSSED_BUILDERS}
