@@ -6,9 +6,12 @@ of the ``Span`` at the range of g, and (a d_g)(b d_h) = a alpha_g(b) d_gh.
 The universal product takes S and its range ideals; the groupoid product
 takes the germs and their range fibers, with no product for a zero germ. It
 reads nonzero coordinates only, one product a alpha_g(b) per a and distinct
-(range of h, index of b). The tight (Sieben) product identifies a d_r with
-a d_t for r <= t; those two-term relations already span a *-ideal (proof in
-``_sieben``), so it is the universal product modulo their span.
+(range of h, index of b). Its images, products and coordinates come from
+the sparse kernels ``_apply``, ``_product`` and ``_coords`` of ``galgebra``,
+the ones every change of basis (``galgebra.transport``) uses. The tight
+(Sieben) product identifies a d_r with a d_t for r <= t; those two-term
+relations already span a *-ideal (proof in ``_sieben``), so it is the
+universal product modulo their span.
 
 Semisimple quotients are computed over the rationals: the radical is the
 null space of the regular trace form, and block data comes from splitting
@@ -35,7 +38,7 @@ import numpy as np
 import sympy
 
 from .errors import BrokenInvariant, InvalidAction, NonIntegralMultiplicity, NotIdempotent
-from .galgebra import GAlgebra, HAlgebra, StarAlgebra, quotient, zero_matrix
+from .galgebra import GAlgebra, HAlgebra, StarAlgebra, _apply, _coords, _product, quotient, zero_matrix
 from .linalg import (ONE, ZERO, QuotientSpace, Span, identity, mat_vec, nonzero_columns, nonzero_pairs,
                      nullspace, sparse_solve, zeros)
 from .semigroup import leq
@@ -100,6 +103,7 @@ def _convolution(kind, coeff, elements, range_of, spans, mul, star, label, name)
     for j, (h, k) in enumerate(layout):
         groups.setdefault((rng[h], k), []).append((j, h))
     cols = {g: nonzero_columns(coeff.action[g], coeff.dim) for g in elements}
+    escape = InvalidAction("crossed product coefficient escapes its range ideal")
     cells_at = {}
     for g in elements:
         coeffs = spans[rng[g]].sparse_rows
@@ -114,9 +118,7 @@ def _convolution(kind, coeff, elements, range_of, spans, mul, star, label, name)
                 prod = _product(coeff.alg, a, acted)
                 if not prod:
                     continue
-                coords = spans[rng[mul(g, members[0][1])]].sparse_coords(prod)
-                if coords is None:
-                    raise InvalidAction("crossed product coefficient escapes its range ideal")
+                coords = _coords(spans[rng[mul(g, members[0][1])]], prod, escape)
                 for j, h in members:
                     off = offs[mul(g, h)]
                     cells[j] = {off + k: v for k, v in coords.items()}
@@ -125,40 +127,15 @@ def _convolution(kind, coeff, elements, range_of, spans, mul, star, label, name)
                 cells_at[(i, j)] = cells[j]
     adjoint = zero_matrix(dim)
     star_cols = nonzero_columns(coeff.alg.star, coeff.dim)
+    escape = InvalidAction("crossed product star escapes its range ideal")
     for g in elements:
         gs = star(g)
         for ki, a in enumerate(spans[rng[g]].sparse_rows):
-            coords = spans[rng[gs]].sparse_coords(_apply(cols[gs], _apply(star_cols, a)))
-            if coords is None:
-                raise InvalidAction("crossed product star escapes its range ideal")
+            coords = _coords(spans[rng[gs]], _apply(cols[gs], _apply(star_cols, a)), escape)
             for k, v in coords.items():
                 adjoint[offs[gs] + k][offs[g] + ki] = v
     return CrossedProductAlgebra(kind, StarAlgebra(dim, cells_at, adjoint, name), labels, dim,
                                  layout, offs, spans, coeff)
-
-
-def _apply(cols, v: dict) -> dict:
-    """m v for m given by its ``nonzero_columns`` and v a ``{col: value}`` dict
-    without zeros, as such a dict."""
-    out = {}
-    for c, x in v.items():
-        for r, y in cols[c]:
-            out[r] = out.get(r, ZERO) + y * x
-    return {r: x for r, x in out.items() if x}
-
-
-def _product(alg: StarAlgebra, u: dict, v: dict) -> dict:
-    """u v for ``{col: value}`` dicts without zeros, from the nonzero pairs
-    on the ``mul`` cells, as such a dict."""
-    out = {}
-    for i, x in u.items():
-        for j, y in v.items():
-            cell = alg.mul.get((i, j))
-            if cell:
-                xy = x * y
-                for k, c in cell.items():
-                    out[k] = out.get(k, ZERO) + xy * c
-    return {k: x for k, x in out.items() if x}
 
 
 def _sieben(a: GAlgebra) -> CrossedProductAlgebra:
@@ -190,6 +167,7 @@ def _tight_relations(uni: CrossedProductAlgebra) -> list:
     s = uni.coeff.sgp
     spans, offs = uni.spans, uni.offs
     relations = []
+    escape = InvalidAction("tight relation coefficient escapes range ideals")
     for r in s.elements():
         rows = spans[s.range_of(r)].sparse_rows
         for t in s.elements():
@@ -197,9 +175,7 @@ def _tight_relations(uni: CrossedProductAlgebra) -> list:
                 continue
             target = spans[s.range_of(t)]
             for k, row in enumerate(rows):
-                coords = target.sparse_coords(row)
-                if coords is None:
-                    raise InvalidAction("tight relation coefficient escapes range ideals")
+                coords = _coords(target, row, escape)
                 rel = {offs[r] + k: ONE}
                 for m, c in coords.items():
                     rel[offs[t] + m] = -c
@@ -259,8 +235,10 @@ class SemisimpleDecomposition:
     printed as a primitive integer polynomial in ``x`` (see
     ``semisimple_quotient``).
 
-    ``radical_space`` is the algebra's space modulo its radical; its
-    ``to_coords`` and ``lifts`` map to and from the quotient's basis.
+    ``radical_space`` is the algebra's space modulo its radical: its
+    ``sparse_coords`` give a vector's class over the quotient's basis, and
+    quotient basis vector i is the class of the unit vector at
+    ``radical_space.free[i]``.
     ``center_basis`` is the basis of the quotient's center that is split.
     Both are kept for reuse and left out of ``to_json``.
     """

@@ -6,20 +6,25 @@ coefficient algebras (HAlgebra) keep a fiber-adapted basis: every basis vector
 belongs to the fiber of one groupoid unit, so unit actions are coordinate
 projections.
 
-Every change of basis (corners, restriction to a groupoid, rebasing) goes
-through ``transport``, which expresses an algebra on new vectors given their
-coordinate map, and ``transport_matrix`` for the action matrices. Quotients
-go through ``quotient``, which reads the products of its lifts straight from
+Every change of basis goes through one path. ``transport`` expresses an
+algebra on new vectors, given as sparse ``{col: value}`` lifts, and
+``transport_matrix`` a linear map on them; both read the results as
+coordinates over a ``Span``, ``Basis`` or ``QuotientSpace`` through its
+``sparse_coords`` and raise the caller's typed error for a vector outside
+it. Products and images come from the sparse kernels ``_product`` and
+``_apply``, which the crossed products share. ``corner`` is the algebra on
+the range of a projection: the corners of ``subalgebra_on_projection``, the
+fibers of ``restrict`` and the induction module's corners. Quotients go
+through ``quotient``, which reads the products of its lifts straight from
 the structure constants; direct sums go through ``direct_sum``.
 """
 
 from dataclasses import dataclass
 
-from .errors import BaseMismatch, InvalidAction, NotCentral
+from .errors import BaseMismatch, BrokenInvariant, InvalidAction, NotCentral
 from .linalg import (
     ONE,
     ZERO,
-    Basis,
     Span,
     QuotientSpace,
     identity,
@@ -195,47 +200,79 @@ def star_sum(algs, label=""):
 # expressing an algebra on new vectors
 
 
-def span_coords(space, error):
-    """Coordinates over a Span or Basis; raises ``error`` for a vector
-    outside it instead of returning None."""
-
-    def coords(v):
-        c = space.coords(v)
-        if c is None:
-            raise error
-        return c
-
-    return coords
+def _apply(cols, v: dict) -> dict:
+    """m v for m given by its columns (a list or dict of ``nonzero_pairs``,
+    indexed by column) and v a ``{col: value}`` dict without zeros, as such a
+    dict."""
+    out = {}
+    for c, x in v.items():
+        for r, y in cols[c]:
+            out[r] = out.get(r, ZERO) + y * x
+    return {r: x for r, x in out.items() if x}
 
 
-def transport(alg: StarAlgebra, lifts, coords, label="") -> StarAlgebra:
-    """The algebra on the vectors ``lifts`` of ``alg``: basis vector i is
-    lifts[i], products and stars are read back with ``coords``.
+def _product(alg: StarAlgebra, u: dict, v: dict) -> dict:
+    """u v for ``{col: value}`` dicts without zeros, from the nonzero pairs
+    on the ``mul`` cells, as such a dict."""
+    out = {}
+    for i, x in u.items():
+        for j, y in v.items():
+            cell = alg.mul.get((i, j))
+            if cell:
+                xy = x * y
+                for k, c in cell.items():
+                    out[k] = out.get(k, ZERO) + xy * c
+    return {k: x for k, x in out.items() if x}
 
-    ``coords`` maps a vector of ``alg`` to coordinates over the new basis
-    (a subspace's coordinates, or a quotient's) and raises the caller's
-    typed error when the vector has none.
-    """
-    k = len(lifts)
+
+def _coords(space, v: dict, error) -> dict:
+    """The coordinates of the ``{col: value}`` vector v over ``space`` (a
+    Span, Basis or QuotientSpace) as its ``sparse_coords``; raises ``error``
+    when v has none."""
+    c = space.sparse_coords(v)
+    if c is None:
+        raise error
+    return c
+
+
+def transport(alg: StarAlgebra, lifts, space, error, label="") -> StarAlgebra:
+    """The algebra on the vectors ``lifts`` of ``alg``, each a ``{col: value}``
+    dict without zeros: basis vector i is lifts[i], and products and stars
+    are read back as coordinates over ``space``. ``error`` is raised when one
+    has none (never for a QuotientSpace, where every vector has a class)."""
     mul = {}
-    for i in range(k):
-        for j in range(k):
-            cell = {t: v for t, v in enumerate(coords(alg.mul_vec(lifts[i], lifts[j]))) if v}
+    for i, u in enumerate(lifts):
+        for j, v in enumerate(lifts):
+            cell = _coords(space, _product(alg, u, v), error)
             if cell:
                 mul[(i, j)] = cell
-    return StarAlgebra(k, mul, transport_matrix(alg.star, lifts, coords), label)
+    return StarAlgebra(len(lifts), mul, transport_matrix(alg.star, lifts, space, error), label)
 
 
-def transport_matrix(m, lifts, coords):
-    """The linear map m on the vectors ``lifts``: column j is coords(m lifts[j])."""
-    cols = [coords(mat_vec(m, v)) for v in lifts]
-    return [list(row) for row in zip(*cols)]
+def transport_matrix(m, lifts, space, error):
+    """The linear map m on the ``{col: value}`` vectors ``lifts``: column j is
+    the coordinates of m lifts[j] over ``space``, and ``error`` is raised
+    when it has none. Only the columns of m that the lifts touch are read."""
+    cols = {c: nonzero_pairs([row[c] for row in m]) for c in set().union(*lifts)}
+    out = zero_matrix(space.dim, len(lifts))
+    for j, v in enumerate(lifts):
+        for i, x in _coords(space, _apply(cols, v), error).items():
+            out[i][j] = x
+    return out
+
+
+def corner(alg: StarAlgebra, p, error, label="") -> tuple:
+    """The corner of ``alg`` on the column span of the projection matrix p:
+    (StarAlgebra on the span's reduced rows, that Span). ``error`` is raised
+    when a product or a star leaves the span."""
+    span = Span(map(list, zip(*p)))
+    return transport(alg, span.sparse_rows, span, error, label), span
 
 
 def quotient(alg: StarAlgebra, relations, label="") -> tuple:
     """alg modulo the span of ``relations``, which must be a two-sided
     *-ideal: (StarAlgebra, QuotientSpace). The quotient's basis vector i is
-    the class of ``space.lifts[i]``.
+    the class of the unit vector at ``space.free[i]``.
 
     The lifts are unit vectors at the free columns, so the product of lifts
     i and j is the ``alg.mul`` cell of their columns, reduced sparsely, and
@@ -291,9 +328,6 @@ class GAlgebra(_SplitActions):
     def dim(self):
         return self.alg.dim
 
-    def act(self, g: int, v):
-        return mat_vec(self.action[g], v)
-
     def char_matrices(self):
         """Minimal character projections acting on the algebra."""
         if self._char_mats is not None:
@@ -339,10 +373,6 @@ def _add_nonzeros(out, m):
         for c, x in enumerate(row):
             if x:
                 orow[c] += x
-
-
-def galgebra(sgp, alg, action, label=""):
-    return GAlgebra(sgp, alg, action, label)
 
 
 def trivial_algebra(s: FiniteInvSgp) -> GAlgebra:
@@ -696,11 +726,10 @@ def direct_sum(base, parts, label=""):
 
 def subalgebra_on_projection(a: GAlgebra, p, label="") -> tuple:
     """Corner of a central projection matrix: (GAlgebra, embedding vectors)."""
-    span = Span(map(list, zip(*p)))
-    basis = [list(r) for r in span.rows]
-    coords = span_coords(span, InvalidAction(f"corner of {a.label!r} is not closed"))
-    action = {g: transport_matrix(m, basis, coords) for g, m in a.action.items()}
-    return GAlgebra(a.sgp, transport(a.alg, basis, coords, label), action, label), basis
+    error = InvalidAction(f"corner of {a.label!r} is not closed")
+    alg, span = corner(a.alg, p, error, label)
+    action = {g: transport_matrix(m, span.sparse_rows, span, error) for g, m in a.action.items()}
+    return GAlgebra(a.sgp, alg, action, label), span.rows
 
 
 def cutdown(a: GAlgebra, p: int) -> tuple:
@@ -732,25 +761,31 @@ def restrict(a: GAlgebra, h) -> HAlgebra:
 
 
 def _fiber_rebase(a: GAlgebra, h, projections, error, label) -> HAlgebra:
-    """a on a fiber-adapted basis over the groupoid h: the columns of
-    projections[u] span the fiber of unit u, and a germ x acts as x.g after
-    the projection of its source unit. ``error`` is raised when the fibers
-    overlap, or when a product, a star or a germ image leaves their span."""
-    basis, unit_of_basis = [], []
-    for upos, m in enumerate(projections):
-        rows = Span(map(list, zip(*m))).rows
-        basis.extend(list(r) for r in rows)
-        unit_of_basis.extend([upos] * len(rows))
-    try:
-        coords = span_coords(Basis(basis), error)
-    except ValueError:  # overlapping fibers
-        raise error from None
+    """a on a fiber-adapted basis over the groupoid h: the fiber of unit u is
+    the ``corner`` of a on the column span of projections[u], and a germ x
+    maps the fiber of its source unit into the fiber of its range unit by
+    x.g. ``error`` is raised when the fibers overlap, or when a product, a
+    star or a germ image leaves its fiber."""
+    s = a.sgp
+    fibers = [corner(a.alg, p, error) for p in projections]
+    embed = [row for _, span in fibers for row in span.rows]
+    if Span(embed).dim < len(embed):  # overlapping fibers
+        raise error
+    offs, unit_of_basis = [], []
+    for upos, (alg, _) in enumerate(fibers):
+        offs.append(len(unit_of_basis))
+        unit_of_basis.extend([upos] * alg.dim)
     action = {}
     for x in h.elements:
-        gm = mat_mul(a.action[x.g], projections[h.unit_pos_of_mask(germ_source(x))])
-        action[x] = transport_matrix(gm, basis, coords)
-    return HAlgebra(h, transport(a.alg, basis, coords, label), action, unit_of_basis, label,
-                    embed=basis, parent=a)
+        src = h.unit_pos_of_mask(germ_source(x))
+        rng = h.unit_pos_of_mask(germ_range(s, x))
+        m = zero_matrix(len(embed))
+        blk = transport_matrix(a.action[x.g], fibers[src][1].sparse_rows, fibers[rng][1], error)
+        for i, row in enumerate(blk):
+            m[offs[rng] + i][offs[src]:offs[src] + len(row)] = row
+        action[x] = m
+    return HAlgebra(h, star_sum([alg for alg, _ in fibers], label), action, unit_of_basis, label,
+                    embed=embed, parent=a)
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +836,9 @@ def balanced_tensor(a: GAlgebra, b: GAlgebra, label="") -> GAlgebra:
                     relations.append(v)
     lbl = label or f"{a.label}(x)X{b.label}"
     alg, q = quotient(big.alg, relations, lbl)
-    action = {g: transport_matrix(m, q.lifts, q.to_coords) for g, m in big.action.items()}
+    lifts = [{c: ONE} for c in q.free]
+    error = BrokenInvariant("a balanced tensor vector has no class")
+    action = {g: transport_matrix(m, lifts, q, error) for g, m in big.action.items()}
     return GAlgebra(s, alg, action, lbl)
 
 
@@ -815,9 +852,6 @@ class StarHomomorphism:
     target: object
     matrix: list  # target.dim x source.dim
     label: str = ""
-
-    def apply(self, v):
-        return mat_vec(self.matrix, v)
 
 
 def verify_star_hom(f: StarHomomorphism, equivariant_keys=None) -> dict:

@@ -28,24 +28,25 @@ from .galgebra import (
     HAlgebra,
     StarAlgebra,
     StarHomomorphism,
-    _first_failure,
+    _apply,
+    _coords,
     _fiber_rebase,
+    _first_failure,
     central_multiplier_failures,
+    corner,
     direct_sum,
     mat_eq,
     restrict,
-    span_coords,
     star_sum,
     subalgebra_on_projection,
     tensor_g,
-    transport,
     transport_matrix,
     trivial_algebra,
     validate_g_algebra,
     verify_star_hom,
     zero_matrix,
 )
-from .linalg import ONE, ZERO, Basis, Span, identity, mat_inv, mat_mul, mat_vec, zeros
+from .linalg import ONE, ZERO, Basis, Span, identity, mat_inv, mat_mul, mat_vec, nonzero_columns, nonzero_pairs
 from .semigroup import (
     FiniteInvSgp,
     check_subsemigroup,
@@ -321,34 +322,33 @@ def c0_orbits_algebra(s: FiniteInvSgp, gh: GHSpace, b: GAlgebra, label=""):
     """The span of (orbit class) x (range-cut coefficient): the translation
     ideal inside functions-on-orbits tensor the coefficient algebra.
 
-    It is the direct sum over orbits of the corner of b on the range of the
-    orbit's representative; g maps the block of r into the block of g.r."""
+    It is the direct sum over orbits of the ``corner`` of b on the range of
+    the orbit's representative; g maps the block of r into the block of g.r.
+    Returns (GAlgebra, blocks), one (rep, range mask, offset, corner Span)
+    per orbit."""
     sp = spectrum(s)
-    blocks = []
+    error = InvalidCoefficientAlgebra(f"range-cut corner of {b.label!r} is not closed")
+    blocks, algs = [], []
     offset = 0
     for r in gh.reps:
         rng = germ_range(s, r)
-        span = Span(map(list, zip(*b.mask_matrix(rng))))
-        basis = [list(row) for row in span.rows]
-        blocks.append((r, rng, basis, offset, span))
-        offset += len(basis)
-
-    def coords(span):
-        return span_coords(span, InvalidCoefficientAlgebra(
-            f"range-cut corner of {b.label!r} is not closed"))
+        alg, span = corner(b.alg, b.mask_matrix(rng), error)
+        blocks.append((r, rng, offset, span))
+        algs.append(alg)
+        offset += alg.dim
 
     lbl = label or f"C0(orbits,{b.label})"
-    alg = star_sum([transport(b.alg, basis, coords(span)) for (_, _, basis, _, span) in blocks], lbl)
+    alg = star_sum(algs, lbl)
     action = {}
     for g in s.elements():
         m = zero_matrix(alg.dim)
         src_mask = sp.proj(s.source(g))
         gext = extended(s, g)
-        for (r, rng, basis, off, span) in blocks:
+        for (r, rng, off, span) in blocks:
             if rng & ~src_mask:
                 continue
-            (_, _, basis2, off2, span2) = blocks[gh.orbit_of[tilde_mul(s, gext, r)]]
-            blk = transport_matrix(b.action[g], basis, coords(span2))
+            (_, _, off2, span2) = blocks[gh.orbit_of[tilde_mul(s, gext, r)]]
+            blk = transport_matrix(b.action[g], span.sparse_rows, span2, error)
             for k, row in enumerate(blk):
                 m[off2 + k][off:off + len(row)] = row
         action[g] = m
@@ -378,19 +378,16 @@ def theta_res_ind(s: FiniteInvSgp, h: FiniteGroupoid, b: GAlgebra, instance="") 
     ind = build_induced(s, h, d)
     target, tblocks = c0_orbits_algebra(s, ind.gh, b)
     m = zero_matrix(target.dim, ind.dim)
-    for bidx, (r, upos, fib, off) in enumerate(ind.blocks):
-        (rt, rng, tbasis, toff, tspan) = tblocks[bidx]
+    for (r, upos, fib, off), (_, _, toff, tspan) in zip(ind.blocks, tblocks):
         gm = b.germ_matrix(r)
-        for a, da in enumerate(fib):
-            vec = mat_vec(gm, d.embed[da])
-            coords = tspan.coords(vec)
-            if coords is None:
-                return make_report("theta-res-ind", instance,
-                                   [check("bijective", f"image escapes class fiber at rep {r}")],
-                                   {"ind": ind.dim, "target": target.dim})
-            for k, v in enumerate(coords):
-                if v:
-                    m[toff + k][off + a] = v
+        lifts = [dict(nonzero_pairs(d.embed[da])) for da in fib]
+        try:
+            blk = transport_matrix(gm, lifts, tspan, InvalidAction(f"image escapes class fiber at rep {r}"))
+        except InvalidAction as err:
+            return make_report("theta-res-ind", instance, [check("bijective", str(err))],
+                               {"ind": ind.dim, "target": target.dim})
+        for k, row in enumerate(blk):
+            m[toff + k][off:off + len(row)] = row
     report, _ = _verify_iso(
         m, ind.galg, target, list(s.elements()), "theta-res-ind", instance,
         {"ind": ind.dim, "target": target.dim, "orbits": ind.gh.orbit_count()},
@@ -495,39 +492,30 @@ def theta_res_ind_tensor(s: FiniteInvSgp, h: FiniteGroupoid, a: HAlgebra, b: GAl
     ab = h_balanced_tensor(a, resb)
     src = build_induced(s, h, ab)
     p, (cdim, _), prep, ind_a, big = central_decomp_tensor(s, h, a, b, instance)
-    corner, corner_basis = subalgebra_on_projection(big, p, "corner")
-    corner_span = Basis(corner_basis)
+    cut, cut_basis = subalgebra_on_projection(big, p, "corner")
+    cut_span = Basis(cut_basis)
     db = b.dim
 
     # source block (r, (i,j)) maps to e_{Ind(A)(r,i)} (x) r(embed_B(j))
-    m = zero_matrix(corner.dim, src.dim)
-    ok_witness = None
+    m = zero_matrix(cut.dim, src.dim)
+    embed_b = [dict(nonzero_pairs(v)) for v in resb.embed]
     for bidx, (r, upos, fib, off) in enumerate(src.blocks):
-        gm = b.germ_matrix(r)
+        gm = nonzero_columns(b.germ_matrix(r), db)
         aoff = ind_a.blocks[bidx][3]
         afib = ind_a.blocks[bidx][2]
-        for local, abj in enumerate(fib):
-            i, j = ab.pairs[abj]
-            bvec = mat_vec(gm, resb.embed[j])
-            full = zeros(big.dim)
-            u = aoff + afib.index(i)
-            for t, v in enumerate(bvec):
-                if v:
-                    full[u * db + t] = v
-            coords = corner_span.coords(full)
-            if coords is None:
-                ok_witness = f"image escapes corner at rep {r}"
-                break
-            for k, v in enumerate(coords):
-                if v:
+        error = InvalidAction(f"image escapes corner at rep {r}")
+        try:
+            for local, abj in enumerate(fib):
+                i, j = ab.pairs[abj]
+                u = aoff + afib.index(i)
+                full = {u * db + t: v for t, v in _apply(gm, embed_b[j]).items()}
+                for k, v in _coords(cut_span, full, error).items():
                     m[k][off + local] = v
-        if ok_witness:
-            break
-    if ok_witness:
-        return make_report("theta-res-ind-tensor", instance, [check("bijective", ok_witness)],
-                           {"src": src.dim, "corner": cdim})
+        except InvalidAction as err:
+            return make_report("theta-res-ind-tensor", instance, [check("bijective", str(err))],
+                               {"src": src.dim, "corner": cdim})
     report, _ = _verify_iso(
-        m, src.galg, corner, list(s.elements()), "theta-res-ind-tensor", instance,
+        m, src.galg, cut, list(s.elements()), "theta-res-ind-tensor", instance,
         {"src": src.dim, "corner": cdim, "tensor": big.dim,
          "complement": big.dim - cdim},
     )
@@ -627,8 +615,9 @@ def _split_class(s: FiniteInvSgp, lset: int, g_ext: ExtendedElement, d: GAlgebra
                           dims)
         return m_elems, lprime, None, rep
 
-    dg = d.germ_matrix(g_ext)
+    dg = nonzero_columns(d.germ_matrix(g_ext), d.dim)
     span_m = Basis(res_m.embed)
+    embed_cols = [nonzero_pairs(v) for v in resu.embed]  # resu's basis in d's coordinates
     theta_inv = zero_matrix(ind_m.dim, pos)
     for (rho, upos_m, fib_m, off_m) in ind_m.blocks:
         lrep = None
@@ -644,28 +633,21 @@ def _split_class(s: FiniteInvSgp, lset: int, g_ext: ExtendedElement, d: GAlgebra
         oidx = ind_u.gh.orbit_of[x_pt]
         (r2, upos2, fib2, off2) = ind_u.blocks[oidx]
         tinv = tilde_star(s, ind_u.gh.transfer[x_pt])
-        tm = resu.action[tinv]
+        tm = nonzero_columns(resu.action[tinv], resu.dim)
         col_off = carrier_offsets.get(oidx)
         if col_off is None:
             raise BrokenInvariant("class presentation left the carrier",
                                   witness={"point": rho, "orbit": oidx})
-        for bslot, db_idx in enumerate(fib2):
-            # value of the indicator function at x_pt, pushed into D and cut to rng
-            vec_resu = mat_vec(tm, resu.alg.basis_vec(db_idx))
-            vec_d = zeros(d.dim)
-            for kpos, v in enumerate(vec_resu):
-                if v:
-                    vec_d = [acc + v * c for acc, c in zip(vec_d, resu.embed[kpos])]
-            pushed = mat_vec(dg, vec_d)
-            coords = span_m.coords(pushed)
-            if coords is None:
-                rep = make_report("technical-split", instance,
-                                  [check("value_in_fiber", f"value escapes M-fiber at {rho}")],
-                                  dims)
-                return m_elems, lprime, None, rep
-            for k, v in enumerate(coords):
-                if v:
+        error = InvalidAction(f"value escapes M-fiber at {rho}")
+        try:
+            for bslot, db_idx in enumerate(fib2):
+                # value of the indicator function at x_pt, pushed into D and cut to rng
+                pushed = _apply(dg, _apply(embed_cols, dict(tm[db_idx])))
+                for k, v in _coords(span_m, pushed, error).items():
                     theta_inv[off_m + k][col_off + bslot] = v
+        except InvalidAction as err:
+            rep = make_report("technical-split", instance, [check("value_in_fiber", str(err))], dims)
+            return m_elems, lprime, None, rep
 
     theta_m = mat_inv(theta_inv)
     checks = [check("dimensions_match"),
@@ -924,22 +906,17 @@ def _rebase_hom(hom: StarHomomorphism, sum_h: HAlgebra, target_h: HAlgebra, part
     for dsz in src_dims:
         offsets.append(offsets[-1] + dsz)
     tspan = Basis(target_h.embed)
+    hom_cols = nonzero_columns(hom.matrix, offsets[-1])
     m = zero_matrix(target_h.dim, sum_h.dim)
     col = 0
     for pidx, bh in enumerate(part_h):
         for j in range(bh.dim):
-            vec = list(bh.embed[j])  # in the part's semigroup coordinates
-            big = zeros(offsets[-1])
-            for k, v in enumerate(vec):
-                big[offsets[pidx] + k] = v
-            out = mat_vec(hom.matrix, big)
-            coords = tspan.coords(out)
-            if coords is None:
-                raise BrokenInvariant("the assembled split leaves the rebased target's span",
-                                      witness={"part": pidx, "basis": j})
-            for i, v in enumerate(coords):
-                if v:
-                    m[i][col] = v
+            # bh's basis vector in the part's semigroup coordinates, shifted to the part's block
+            lift = {offsets[pidx] + k: v for k, v in nonzero_pairs(bh.embed[j])}
+            error = BrokenInvariant("the assembled split leaves the rebased target's span",
+                                    witness={"part": pidx, "basis": j})
+            for i, v in _coords(tspan, _apply(hom_cols, lift), error).items():
+                m[i][col] = v
             col += 1
     return StarHomomorphism(sum_h, target_h, m, label="rebased-split")
 
@@ -1021,12 +998,8 @@ def build_bprime(s: FiniteInvSgp, lset: int, pset: int, a: GAlgebra, b: GAlgebra
               check("reassembles_b",
                     None if defect_rank == 0 else f"defect corner of rank {defect_rank}")]
 
-    corners = {}
-    for cs in coarse_sigs:
-        span = Span(map(list, zip(*n_mats[cs])))
-        emb = [list(r) for r in span.rows]
-        coords = span_coords(span, InvalidAction(f"corner of {b.label!r} is not closed"))
-        corners[cs] = (transport(b.alg, emb, coords), emb, span)
+    error = InvalidAction(f"corner of {b.label!r} is not closed")
+    corners = {cs: corner(b.alg, n_mats[cs], error) for cs in coarse_sigs}
     checks.append(check("reassembly_dimension",
                         None if sum(c[0].dim for c in corners.values()) + defect_rank == b.dim
                         else [c[0].dim for c in corners.values()]))
@@ -1068,12 +1041,13 @@ def build_bprime(s: FiniteInvSgp, lset: int, pset: int, a: GAlgebra, b: GAlgebra
             # presenting elements: l in L with l*(source of lp) == lp
             presenters = [l for l in iter_mask(lset) if s.table[l][src_e] == lp]
             maps = []
-            alg_src, emb_src, _ = corners[cs]
-            alg_dst, _, span_dst = corners[cs2]
+            alg_src, span_src = corners[cs]
+            alg_dst, span_dst = corners[cs2]
             for l in presenters:
-                cols = [span_dst.coords(mat_vec(b.action[l], v)) for v in emb_src]
-                if None not in cols:
-                    maps.append([list(row) for row in zip(*cols)])
+                try:  # a presenter whose image leaves the target corner is not used
+                    maps.append(transport_matrix(b.action[l], span_src.sparse_rows, span_dst, error))
+                except InvalidAction:
+                    continue
             if not maps:
                 continue
             for other in maps[1:]:

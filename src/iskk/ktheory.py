@@ -11,7 +11,7 @@ the compressed form of the Green-Julg diagram.
 from dataclasses import dataclass
 
 from .crossed import crossed, numeric_block_oracle, semisimple_quotient
-from .errors import CenterDoesNotSplit, HypothesesNotMet, NonIntegralMultiplicity
+from .errors import BrokenInvariant, CenterDoesNotSplit, HypothesesNotMet, NonIntegralMultiplicity
 from .galgebra import (
     StarHomomorphism,
     c0_units,
@@ -70,7 +70,9 @@ def _split_block_data(x):
 
 def _quotient_map(f: StarHomomorphism, dsrc, ddst):
     """Descend a *-homomorphism to the semisimple quotients."""
-    return transport_matrix(f.matrix, dsrc.radical_space.lifts, ddst.radical_space.to_coords)
+    lifts = [{c: ONE} for c in dsrc.radical_space.free]
+    return transport_matrix(f.matrix, lifts, ddst.radical_space,
+                            BrokenInvariant("a quotient vector has no class"))
 
 
 def k0_map(f: StarHomomorphism) -> K0Map:

@@ -5,13 +5,19 @@ QQ), serves ``rref`` and its readers ``rank``, ``nullspace`` and ``mat_inv``,
 ``sparse_solve`` and ``QuotientSpace``. ``Span`` is the one incremental
 engine; it keeps its reduced rows as sparse ``{col: Fraction}`` dicts and
 touches only nonzeros. ``Basis`` is a ``Span`` plus one ``mat_inv``.
+
+The three coordinate spaces share one interface: ``sparse_coords`` maps a
+``{col: value}`` vector to its coordinates as a ``{position: value}`` dict
+without zeros, over a ``Span``'s reduced rows, a ``Basis``'s own vectors or
+a ``QuotientSpace``'s free columns; the first two return None for a vector
+outside them. ``galgebra.transport`` reads every change of basis through it.
+
 ``psd_certificate`` is a pivoted LDL^T check. ``mat_vec`` and ``mat_mul``
 keep the dense interface of lists of rows but multiply only nonzero entries.
 """
 
 import bisect
 from fractions import Fraction
-from functools import cached_property
 
 from sympy.polys.domains import QQ
 from sympy.polys.matrices.sdm import sdm_irref, sdm_nullspace_from_rref
@@ -163,9 +169,9 @@ class Span:
     zeros, in pivot order, each 1 at its own pivot and 0 at every other
     pivot. So a vector of the span is the combination of the rows with its
     own entries at the pivots as coefficients, and every method touches only
-    nonzeros. ``add`` takes dense vectors; ``contains``, ``coords`` and
-    ``sparse_coords`` also take ``{col: value}`` dicts. ``rows`` is the dense
-    view of the reduced rows, as long as the vectors added.
+    nonzeros. ``add`` takes dense vectors; ``contains`` and ``sparse_coords``
+    also take ``{col: value}`` dicts. ``rows`` is the dense view of the
+    reduced rows, as long as the vectors added.
     """
 
     def __init__(self, vectors=()):
@@ -218,11 +224,6 @@ class Span:
     def contains(self, v) -> bool:
         return not self._reduce(_sparse(v))
 
-    def coords(self, v):
-        """Coefficients of v over the reduced basis rows, or None."""
-        cs = self.sparse_coords(v)
-        return None if cs is None else [cs.get(k, ZERO) for k in range(self.dim)]
-
     @property
     def rows(self) -> list:
         return [[row.get(c, ZERO) for c in range(self._ncols)] for row in self.sparse_rows]
@@ -266,10 +267,17 @@ class Basis:
     def dim(self):
         return len(self.vectors)
 
-    def coords(self, v):
-        """Coefficients of v over the original vectors, or None."""
+    def sparse_coords(self, v) -> dict | None:
+        """Coefficients of v over the original vectors as an ``{index: value}``
+        dict in index order and without zeros, or None."""
         c = self._span.sparse_coords(v)
-        return None if c is None else rows_mul([list(c.items())], self._inv_rows, self.dim)[0]
+        if c is None:
+            return None
+        out = {}
+        for j, x in c.items():
+            for i, y in self._inv_rows[j]:
+                out[i] = out.get(i, ZERO) + x * y
+        return {i: out[i] for i in sorted(out) if out[i]}
 
 
 class QuotientSpace:
@@ -277,12 +285,12 @@ class QuotientSpace:
 
     The relations, ``{col: value}`` dicts or dense lists, are put in reduced
     row echelon form once with ``_irref``. That form is unique for the span,
-    so the free (non-pivot) columns, the coordinates and the lifts depend
-    only on the span, not on the relations that span it.
+    so the free (non-pivot) columns and the coordinates depend only on the
+    span, not on the relations that span it. The class of the unit vector at
+    free column ``free[i]`` is the quotient's basis vector i.
     """
 
     def __init__(self, ambient_dim: int, relations=()):
-        self.ambient_dim = ambient_dim
         red, pivots, _ = _irref(relations)
         pivset = set(pivots)
         self.free = [c for c in range(ambient_dim) if c not in pivset]
@@ -296,19 +304,10 @@ class QuotientSpace:
     def dim(self) -> int:
         return len(self.free)
 
-    def to_coords(self, v) -> list:
-        """Coordinates of a dense vector's class over the free columns."""
-        out = [frac(v[c]) for c in self.free]
-        for p, row in self._pivot_rows.items():
-            x = v[p]
-            if x:
-                for i, r in row.items():
-                    out[i] += x * r
-        return out
-
     def sparse_coords(self, vec: dict) -> dict:
-        """``to_coords`` of a ``{col: value}`` vector as a ``{position: value}``
-        dict, in position order and without zeros."""
+        """Coordinates of the class of a ``{col: value}`` vector over the free
+        columns, as a ``{position: value}`` dict in position order and without
+        zeros."""
         out = {}
         for c, x in vec.items():
             i = self.free_pos.get(c)
@@ -318,12 +317,6 @@ class QuotientSpace:
                 for i, r in self._pivot_rows[c].items():
                     out[i] = out.get(i, ZERO) + x * r
         return {i: out[i] for i in sorted(out) if out[i]}
-
-    @cached_property
-    def lifts(self) -> list:
-        """The reduced representatives of the quotient's basis vectors: the
-        unit vectors at the free columns."""
-        return [[ONE if i == c else ZERO for i in range(self.ambient_dim)] for c in self.free]
 
 
 def psd_certificate(m):

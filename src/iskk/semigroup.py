@@ -5,7 +5,6 @@ The involution, idempotents and the natural partial order are derived and
 cached. Element subsets are plain int bitmasks.
 """
 
-import json
 from itertools import permutations
 
 from .errors import (
@@ -487,8 +486,3 @@ def from_json_dict(data: dict) -> FiniteInvSgp:
     except (KeyError, ValueError, TypeError) as exc:
         raise MalformedInput(f"bad semigroup JSON: {exc}") from exc
     return validate(table, unit=unit, zero=zero, names=names)
-
-
-def load_semigroup(path: str) -> FiniteInvSgp:
-    with open(path) as fh:
-        return from_json_dict(json.load(fh))

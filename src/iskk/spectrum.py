@@ -219,15 +219,6 @@ def alg_star_to_json(s: FiniteInvSgp, func) -> dict:
     }
 
 
-def characters_to_json(s: FiniteInvSgp) -> list:
-    return [[s.names[e] for e in chars] for chars in characters(s)]
-
-
-def mask_to_json(s: FiniteInvSgp, mask: int) -> list:
-    sp = spectrum(s)
-    return sorted(s.names[sp.gens[i]] for i in iter_mask(mask))
-
-
 # ---------------------------------------------------------------------------
 # E-continuity
 

@@ -11,7 +11,7 @@ from iskk import semigroup as sg
 from iskk import spectrum as spc
 from iskk.errors import BrokenInvariant, InvalidAction, NonIntegralMultiplicity, NotIdempotent
 from iskk.linalg import ONE, ZERO, Span, identity, mat_vec, nonzero_pairs
-from test_kernels import dense_nullspace
+from test_kernels import dense_nullspace, dense_transport
 
 
 def test_group_algebra_z2():
@@ -610,7 +610,7 @@ def _dense_quotient(alg, relations):
     span = Span(relations)
     free = [c for c in range(alg.dim) if c not in span.pivots]
     lifts = [alg.basis_vec(c) for c in free]
-    return ga.transport(alg, lifts, lambda v: [span._reduce(dict(nonzero_pairs(v))).get(c, ZERO) for c in free])
+    return dense_transport(alg, lifts, lambda v: [span._reduce(dict(nonzero_pairs(v))).get(c, ZERO) for c in free])
 
 
 def _closure_sieben(a):
@@ -634,11 +634,9 @@ def _closure_sieben(a):
                         corner.add(a.alg.mul_vec(ex, a.alg.basis_vec(j)))
             for row in corner.rows:
                 v = [ZERO] * uni.dim
-                ce = spans[s.range_of(e)].coords(list(row))
-                cf = spans[s.range_of(f)].coords(list(row))
-                for k, c in enumerate(ce):
+                for k, c in spans[s.range_of(e)].sparse_coords(row).items():
                     v[offs[e] + k] += c
-                for k, c in enumerate(cf):
+                for k, c in spans[s.range_of(f)].sparse_coords(row).items():
                     v[offs[f] + k] -= c
                 if any(v):
                     relations.append(v)

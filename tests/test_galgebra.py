@@ -309,3 +309,103 @@ def test_operations_reject_algebras_over_different_semigroups():
     with pytest.raises(BaseMismatch) as err:
         ga.direct_sum(s, [a, b])
     assert err.value.witness == {"part": 1, "label": b.label}
+
+
+# ---------------------------------------------------------------------------
+# a product, star or action image leaving its corner is a typed error
+
+SWAP = [[ZERO, ONE], [ONE, ZERO]]
+
+
+def _chain_c0x(star=None, square=None):
+    """C0(X) over chain:2, its two points b_0, b_1 the fibers of the two
+    units of the germ groupoid of all of S. ``star`` replaces the star;
+    ``square`` replaces b_0 b_0 by that combination of b_0 and b_1."""
+    s = sg.parse_builder("chain:2")
+    a = ga.c0x_algebra(s)
+    if star is not None:
+        a.alg.star = star
+    if square is not None:
+        a.alg.mul[(0, 0)] = square
+    return s, a
+
+
+def _all_germs(s):
+    from iskk.induction import assoc_groupoid
+
+    return assoc_groupoid(s, sg.parse_subset(s, "all"))
+
+
+def test_corner_escape_of_a_product_or_star_is_a_typed_error():
+    s = sg.parse_builder("chain:1")
+    m2 = ga.GAlgebra(s, ga.matrix_algebra(2), {s.unit: identity(4)})
+    # span{e12}: e12 e12 = 0 stays, but e12* = e21 leaves; span{e12, e21}: e12 e21 = e11 leaves
+    for diagonal in ([0, 1, 0, 0], [0, 1, 1, 0]):
+        p = [[Fraction(x) if i == j else ZERO for j in range(4)] for i, x in enumerate(diagonal)]
+        with pytest.raises(InvalidAction, match="^corner of 'M2' is not closed$"):
+            ga.subalgebra_on_projection(m2, p)
+
+
+def test_cutdown_star_escape_is_a_typed_error():
+    # e1 acts as a central idempotent multiplier, but the swapped star moves its corner
+    s, a = _chain_c0x(star=SWAP)
+    with pytest.raises(InvalidAction, match=r"^corner of 'C0\(X\)' is not closed$"):
+        ga.cutdown(a, s.index("e1"))
+
+
+@pytest.mark.parametrize("broken", [{"square": {1: ONE}}, {"star": SWAP}], ids=["product", "star"])
+def test_restrict_escape_from_a_fiber_is_a_typed_error(broken):
+    s, a = _chain_c0x(**broken)
+    with pytest.raises(InvalidAction, match=r"^groupoid corner of 'C0\(X\)' is not closed$"):
+        ga.restrict(a, _all_germs(s))
+
+
+def test_restrict_germ_image_escape_is_a_typed_error():
+    # the elements of I2 that move a point, acting as the identity, keep each
+    # fiber in place, but their germs move the fiber of {1} to that of {2}
+    s = sg.parse_builder("symmetric_inverse:2")
+    a = ga.c0x_algebra(s)
+    for g in s.elements():
+        if not s.is_idempotent(g):
+            a.action[g] = identity(a.dim)
+    with pytest.raises(InvalidAction, match=r"^groupoid corner of 'C0\(X\)' is not closed$"):
+        ga.restrict(a, _all_germs(s))
+
+
+@pytest.mark.parametrize("broken", [{"square": {1: ONE}}, {"star": SWAP}], ids=["product", "star"])
+def test_rebasing_and_range_cut_escapes_are_typed_errors(broken):
+    from iskk.errors import InvalidCoefficientAlgebra
+    from iskk.induction import c0_orbits_algebra, compute_GH, sgp_to_h_algebra
+
+    s, a = _chain_c0x(**broken)
+    h = _all_germs(s)
+    with pytest.raises(InvalidCoefficientAlgebra, match="^rebasing is not closed$"):
+        sgp_to_h_algebra(a, h)
+    with pytest.raises(InvalidCoefficientAlgebra, match=r"^range-cut corner of 'C0\(X\)' is not closed$"):
+        c0_orbits_algebra(s, compute_GH(s, h), a)
+
+
+def test_restrict_and_range_cut_corners_make_no_dense_products(monkeypatch):
+    # fibers and corners come from the coefficient algebra's cells, not from mul_vec
+    from iskk.induction import c0_orbits_algebra, compute_GH, assoc_groupoid
+
+    s = sg.parse_builder("symmetric_inverse:2")
+    a = ga.c0x_algebra(s)
+    calls = []
+
+    def counted(name):
+        real = getattr(ga.StarAlgebra, name)
+
+        def wrapper(self, *args):
+            calls.append(name)
+            return real(self, *args)
+        return wrapper
+
+    for name in ("mul_vec", "mul_pairs"):
+        monkeypatch.setattr(ga.StarAlgebra, name, counted(name))
+    for sub in ("idempotents", "all"):
+        h = assoc_groupoid(s, sg.parse_subset(s, sub))
+        d = ga.restrict(a, h)
+        cut, _ = c0_orbits_algebra(s, compute_GH(s, h), a)
+        assert d.dim == a.dim and d.alg.mul and cut.dim > 0 and cut.alg.mul
+    assert calls == []

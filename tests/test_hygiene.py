@@ -4,9 +4,14 @@
   with the toolchain, so this scan stands in for their unused-import rule.
 - Batch elimination has one engine: ``sdm_irref`` is used, and Fractions are
   converted with ``QQ(...)``, only inside ``linalg._irref``.
-- The crossed-product builders stay sparse: ``_universal``, ``_groupoid``
-  and their shared ``_convolution`` call none of the dense vector helpers
-  ``mat_vec``, ``mul_vec`` and ``basis_vec``.
+- The sparse paths stay sparse: none of these functions calls the dense
+  vector helpers ``mat_vec``, ``mul_vec`` or ``basis_vec``:
+  - the crossed-product builders ``_universal``, ``_groupoid`` and their
+    shared ``_convolution``;
+  - the change of basis ``galgebra.transport``, ``transport_matrix``,
+    ``corner`` and ``_fiber_rebase``;
+  - the induction module's corners and coordinate reads,
+    ``c0_orbits_algebra``, ``theta_res_ind`` and ``_rebase_hom``.
 """
 
 import ast
@@ -74,7 +79,11 @@ def test_sparse_rref_is_called_from_one_function():
 
 
 DENSE_HELPERS = {"mat_vec", "mul_vec", "basis_vec"}
-CROSSED_BUILDERS = {"_universal", "_groupoid", "_convolution"}
+SPARSE_PATHS = {
+    "crossed.py": {"_universal", "_groupoid", "_convolution"},
+    "galgebra.py": {"transport", "transport_matrix", "corner", "_fiber_rebase"},
+    "induction.py": {"c0_orbits_algebra", "theta_res_ind", "_rebase_hom"},
+}
 
 
 def dense_calls(source: str, functions) -> dict:
@@ -104,6 +113,7 @@ def test_scan_finds_dense_calls():
         "_groupoid": [(3, "basis_vec"), (4, "mat_vec")], "_universal": [(8, "mul_vec")]}
 
 
-def test_crossed_product_builders_make_no_dense_calls():
-    found = dense_calls((SRC / "crossed.py").read_text(), CROSSED_BUILDERS)
-    assert found == {name: [] for name in CROSSED_BUILDERS}
+@pytest.mark.parametrize("module", sorted(SPARSE_PATHS))
+def test_sparse_paths_make_no_dense_calls(module):
+    found = dense_calls((SRC / module).read_text(), SPARSE_PATHS[module])
+    assert found == {name: [] for name in SPARSE_PATHS[module]}

@@ -4,7 +4,10 @@ Each ``dense_*`` function (and ``DenseBasis``) below is the earlier dense
 implementation, kept here as the reference: the action-matrix kernels and the
 eliminations (``rref``, ``nullspace``, ``rank``, ``mat_inv``, ``Basis``, ``Span``) must
 give equal values of the same type (``Fraction``) and, for the checks, the
-same witnesses in the same order.
+same witnesses in the same order. ``dense_transport`` and
+``dense_transport_matrix`` are the dense change of basis: the corners,
+restrictions, rebasings and balanced tensors rebuilt on them must equal the
+sparse ``galgebra.transport`` path's.
 """
 
 from fractions import Fraction
@@ -14,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iskk import galgebra as ga
+from iskk import induction as ind
 from iskk import semigroup as sg
 from iskk import spectrum as sp
+from iskk.errors import InvalidAction, InvalidCoefficientAlgebra
 from iskk.linalg import (
     ONE,
     ZERO,
@@ -247,6 +252,44 @@ class DenseBasis:
         return out if all(x == 0 for x in v) else None
 
 
+def dense_transport(alg, lifts, coords, label=""):
+    """The algebra on the dense vectors ``lifts`` of ``alg``: basis vector i
+    is lifts[i], products and stars are read back with ``coords``, which
+    maps a dense vector to its dense coordinates over the new basis."""
+    k = len(lifts)
+    mul = {}
+    for i in range(k):
+        for j in range(k):
+            cell = {t: v for t, v in enumerate(coords(dense_mul_vec(alg, lifts[i], lifts[j]))) if v}
+            if cell:
+                mul[(i, j)] = cell
+    return ga.StarAlgebra(k, mul, dense_transport_matrix(alg.star, lifts, coords), label)
+
+
+def dense_transport_matrix(m, lifts, coords):
+    """The linear map m on the vectors ``lifts``: column j is coords(m lifts[j])."""
+    cols = [coords(mat_vec(m, v)) for v in lifts]
+    return [list(row) for row in zip(*cols)]
+
+
+def dense_basis_coords(vectors, error):
+    """Coordinates over the vectors, raising ``error`` outside their span."""
+    basis = DenseBasis(vectors)
+
+    def coords(v):
+        c = basis.coords(v)
+        if c is None:
+            raise error
+        return c
+
+    return coords
+
+
+def dense_column_span(p):
+    """The reduced rows of the column span of the matrix p."""
+    return dense_rref([list(col) for col in zip(*p)])[0]
+
+
 def types(m):
     return [[type(x) for x in row] for row in m]
 
@@ -298,12 +341,29 @@ def eliminations(draw):
     return as_tuples(rows, draw(st.booleans())), as_tuples(square, draw(st.booleans())), probes + rows
 
 
-def basis_outcome(cls, vectors, probes):
+def sparse_typed(coords):
+    """Dense coordinates (or None) as the typed (index, value) pairs of their
+    nonzeros, in index order."""
+    return None if coords is None else [(k, typed(x)) for k, x in enumerate(coords) if x]
+
+
+def basis_outcome(vectors, probes):
+    """Basis over vectors with its coordinates of each probe, or the error."""
     try:
-        b = cls(vectors)
+        b = Basis(vectors)
     except ValueError as e:
         return str(e)
-    return b.dim, typed(b.vectors), [None if c is None else typed(c) for c in map(b.coords, probes)]
+    coords = [b.sparse_coords({c: x for c, x in enumerate(probe) if x}) for probe in probes]
+    return b.dim, typed(b.vectors), [None if c is None else [(k, typed(x)) for k, x in c.items()]
+                                     for c in coords]
+
+
+def dense_basis_outcome(vectors, probes):
+    try:
+        b = DenseBasis(vectors)
+    except ValueError as e:
+        return str(e)
+    return b.dim, typed(b.vectors), [sparse_typed(b.coords(probe)) for probe in probes]
 
 
 @st.composite
@@ -462,18 +522,16 @@ def test_eliminations_match_the_dense_loops(problem):
     assert (inv is None) == (dense_mat_inv(square) is None)
     if inv is not None:
         assert typed(inv) == typed(dense_mat_inv(square))
-    assert basis_outcome(Basis, rows, probes) == basis_outcome(DenseBasis, rows, probes)
+    assert basis_outcome(rows, probes) == dense_basis_outcome(rows, probes)
     # the incremental Span reaches the same reduced rows, and its coordinates
-    # over them are the dense reference basis's
+    # over them are the dense reference basis's, from dense or sparse probes
     span, ref_basis = Span(rows), DenseBasis(ref_red)
     assert typed(span.rows) == typed(ref_red) and span.pivots == ref_pivots
     for probe in probes:
-        ref = ref_basis.coords(probe)
-        got = span.coords(probe)
-        assert span.contains(probe) == (ref is not None) == (got is not None)
-        assert got is None or typed(got) == typed(ref)
-        sparse = span.sparse_coords({c: x for c, x in enumerate(probe) if x})
-        assert sparse == (None if ref is None else {k: x for k, x in enumerate(ref) if x})
+        ref = sparse_typed(ref_basis.coords(probe))
+        assert span.contains(probe) == (ref is not None)
+        for got in (span.sparse_coords(probe), span.sparse_coords({c: x for c, x in enumerate(probe) if x})):
+            assert (None if got is None else [(k, typed(x)) for k, x in got.items()]) == ref
 
 
 def test_elimination_edge_cases():
@@ -485,10 +543,148 @@ def test_elimination_edge_cases():
     assert mat_inv([]) == [] and mat_inv([[0]]) is None
     assert typed(mat_inv([(2, 0), (0, 1)])) == typed([[Fraction(1, 2), ZERO], [ZERO, ONE]])
     empty = Basis([])
-    assert empty.dim == 0 and empty.coords([]) == [] and empty.coords([1]) is None
+    assert empty.dim == 0 and empty.sparse_coords({}) == {} and empty.sparse_coords([1]) is None
     b = Basis([[1, 1, 0], [0, 1, 0]])
-    assert typed(b.coords([2, 3, 0])) == typed([Fraction(2), Fraction(1)])
-    assert b.coords([0, 0, 1]) is None
+    got = b.sparse_coords({1: 3, 0: 2})
+    assert list(got.items()) == [(0, 2), (1, 1)] and typed(list(got.values())) == typed([Fraction(2), ONE])
+    assert b.sparse_coords({0: 1, 1: 1}) == {0: 1} and b.sparse_coords({2: 1}) is None
     for vectors, idx in (([[0, 0]], 0), ([[1, 2], [2, 4]], 1), ([[1, 0], [0, 1], [1, 1]], 2), ([[]], 0)):
         with pytest.raises(ValueError, match=f"^vector {idx} is dependent on its predecessors$"):
             Basis(vectors)
+
+
+# -- the change of basis against the dense rebuild ---------------------------
+
+TRANSPORT_SPECS = ["chain:2", "chain:3", "chain:4", "diamond", "cyclic:2", "cyclic:3", "cyclic:4",
+                   "symmetric:3", "symmetric_inverse:2", "symmetric_inverse:3", "brandt_unital:2",
+                   "brandt_unital:3", "adjoin_zero:chain:2", "product:chain:2*cyclic:2",
+                   "product:symmetric_inverse:2*chain:2"]
+
+
+def outcome(build):
+    """build() as comparable data, or the type and message of its error."""
+    try:
+        return build()
+    except Exception as e:  # the error itself is compared
+        return type(e).__name__, str(e)
+
+
+def h_fields(d):
+    return list(d.alg.mul.items()), d.alg.star, d.action, list(d.unit_of_basis), d.embed
+
+
+def dense_fiber_rebase(a, h, projections, error, label):
+    """Restriction to a groupoid on the fibers spanned by the projections'
+    columns, read densely over all fibers at once."""
+    basis, unit_of_basis = [], []
+    for upos, p in enumerate(projections):
+        rows = dense_column_span(p)
+        basis += rows
+        unit_of_basis += [upos] * len(rows)
+    try:
+        coords = dense_basis_coords(basis, error)
+    except ValueError:
+        raise error from None
+    action = {}
+    for x in h.elements:
+        gm = dense_mat_mul(a.action[x.g], projections[h.unit_pos_of_mask(sp.germ_source(x))])
+        action[x] = dense_transport_matrix(gm, basis, coords)
+    alg = dense_transport(a.alg, basis, coords, label)
+    return list(alg.mul.items()), alg.star, action, unit_of_basis, basis
+
+
+def dense_signature_matrix(a, idems, chars, spectrum):
+    m = identity(a.dim)
+    for e in idems:
+        pe = a.action[e]
+        if chars & ~spectrum.proj(e):
+            pe = [[(ONE if i == j else ZERO) - x for j, x in enumerate(row)] for i, row in enumerate(pe)]
+        m = dense_mat_mul(m, pe)
+    return m
+
+
+def dense_sgp_to_h_algebra(a, h):
+    s = a.sgp
+    hidem = sorted(e for e in sg.iter_mask(h.from_subset) if s.is_idempotent(e))
+    projections = [dense_signature_matrix(a, hidem, u.chars, sp.spectrum(s)) for u in h.units]
+    out = dense_fiber_rebase(a, h, projections, InvalidCoefficientAlgebra("rebasing is not closed"),
+                             f"{a.label}|gpd")
+    if len(out[4]) != a.dim:
+        raise InvalidCoefficientAlgebra(f"groupoid rebasing changed dimension {a.dim} -> {len(out[4])}")
+    return out
+
+
+def corner_fields(sub, basis):
+    return list(sub.alg.mul.items()), sub.alg.star, sub.action, basis
+
+
+def dense_subalgebra(a, p):
+    basis = dense_column_span(p)
+    coords = dense_basis_coords(basis, InvalidAction(f"corner of {a.label!r} is not closed"))
+    action = {g: dense_transport_matrix(m, basis, coords) for g, m in a.action.items()}
+    alg = dense_transport(a.alg, basis, coords)
+    return list(alg.mul.items()), alg.star, action, basis
+
+
+def dense_balanced_tensor(a, b):
+    """The plain tensor modulo e(x) (x) y - x (x) e(y), read densely: the
+    lifts are the unit vectors at the free columns of the relations'
+    reduced form, and a class's coordinates are the reduced vector there."""
+    big = ga.tensor_g(a, b)
+    db = b.dim
+    relations = []
+    for e in sg.iter_mask(a.sgp._idem_mask):
+        for i in range(a.dim):
+            for j in range(db):
+                v = zeros(big.dim)
+                for r in range(a.dim):
+                    v[r * db + j] += a.action[e][r][i]
+                for r in range(db):
+                    v[i * db + r] -= b.action[e][r][j]
+                relations.append(v)
+    red, pivots = dense_rref(relations) if big.dim else ([], [])
+    free = [c for c in range(big.dim) if c not in pivots]
+
+    def coords(v):
+        v = list(map(frac, v))
+        for row, p in zip(red, pivots):
+            f = v[p]
+            if f:
+                v = [x - f * y for x, y in zip(v, row)]
+        return [v[c] for c in free]
+
+    lifts = [[ONE if i == c else ZERO for i in range(big.dim)] for c in free]
+    alg = dense_transport(big.alg, lifts, coords)
+    return list(alg.mul.items()), alg.star, {g: dense_transport_matrix(m, lifts, coords)
+                                             for g, m in big.action.items()}
+
+
+@pytest.mark.parametrize("coeff", ["trivial", "c0x"])
+@pytest.mark.parametrize("spec", TRANSPORT_SPECS)
+def test_change_of_basis_matches_the_dense_rebuild(spec, coeff):
+    s = sg.parse_builder(spec)
+    a = ga.trivial_algebra(s) if coeff == "trivial" else ga.c0x_algebra(s)
+    c0x = ga.c0x_algebra(s)
+
+    def tensor():
+        t = ga.balanced_tensor(a, c0x)
+        return list(t.alg.mul.items()), t.alg.star, t.action
+
+    assert outcome(tensor) == outcome(lambda: dense_balanced_tensor(a, c0x))
+    if not ga.validate_g_algebra(a)["pass"]:
+        return  # no action: the scalar line over a semigroup with zero divisors
+    for sub in ("unit", "idempotents", "all"):
+        h = ind.assoc_groupoid(s, sg.parse_subset(s, sub))
+        projections = [dense_mask_matrix(a, u.chars) for u in h.units]
+        assert h_fields(ga.restrict(a, h)) == dense_fiber_rebase(
+            a, h, projections, InvalidAction(f"groupoid corner of {a.label!r} is not closed"),
+            f"Res({a.label})")
+        assert outcome(lambda: h_fields(ind.sgp_to_h_algebra(a, h))) == \
+            outcome(lambda: dense_sgp_to_h_algebra(a, h))
+        # unit projections need not be invariant under the action, so some
+        # of these corners are not closed; the central idempotents' are
+        central = [a.action[e] for e in sg.iter_mask(s._idem_mask)
+                   if all(s.table[e][g] == s.table[g][e] for g in s.elements())]
+        for p in projections + central:
+            assert outcome(lambda: corner_fields(*ga.subalgebra_on_projection(a, p))) == \
+                outcome(lambda: dense_subalgebra(a, p))

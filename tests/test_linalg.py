@@ -47,9 +47,11 @@ def test_sparse_quotient_space_matches_dense_span(problem):
     relations = [{c: x for c, x in enumerate(r) if x} for r in rows] if as_dicts else rows
     q, ref = QuotientSpace(n, relations), DenseQuotient(n, rows)
     assert q.free == ref.free and q.dim == len(ref.free)
-    assert q.lifts == ref.lifts()
+    # the reduced representative of basis vector i is the unit vector at free[i]
+    for i, (c, lift) in enumerate(zip(q.free, ref.lifts())):
+        assert lift == [ONE if k == c else ZERO for k in range(n)]
+        assert q.sparse_coords({c: ONE}) == {i: ONE}
     for v in vectors:
-        assert q.to_coords(v) == ref.to_coords(v)
         sparse = q.sparse_coords({c: x for c, x in enumerate(v) if x})
         assert sparse == {i: x for i, x in enumerate(ref.to_coords(v)) if x}
         assert list(sparse) == sorted(sparse)
@@ -57,7 +59,7 @@ def test_sparse_quotient_space_matches_dense_span(problem):
 
 def test_quotient_space_edge_cases():
     empty = QuotientSpace(3)
-    assert empty.free == [0, 1, 2] and empty.to_coords([1, 2, 3]) == [1, 2, 3]
+    assert empty.free == [0, 1, 2] and empty.sparse_coords({0: 1, 1: 2, 2: 3}) == {0: 1, 1: 2, 2: 3}
     full = QuotientSpace(2, [{0: ONE, 1: ONE}, [ONE, -ONE]])
-    assert full.dim == 0 and full.lifts == [] and full.to_coords([5, 7]) == []
+    assert full.dim == 0 and full.free == [] and full.sparse_coords({0: 5, 1: 7}) == {}
     assert QuotientSpace(0).dim == 0
