@@ -21,12 +21,16 @@ eigenvalue clustering oracle can cross-check the block count. When the
 center does not split over the rationals, the reported witness is a
 non-linear irreducible factor found by a fixed search.
 
-The center and the unit each come from one sparse exact system
+When the radical is 0 the quotient is the algebra itself, relabelled; no
+quotient is formed. The center comes from one sparse exact system
 (``linalg.sparse_solve``) built straight from the structure constants: the
-center is the kernel of the commutators with every basis vector, the unit
-solves x b_j = b_j = b_j x. Each primitive central idempotent is lifted from
-its center coordinates and checked to be idempotent, and its block size
-comes from tr L_e, which is the rank of L_e because e is idempotent.
+kernel of the commutators with every basis vector. Every product of two
+center basis vectors is checked exactly to be the lift of its center
+coordinates, so the lift from the c-dim center algebra is an injective
+algebra map, and the unit and the idempotency of each primitive central
+idempotent are read in c dims. The lifted unit is checked to be a two-sided
+unit by one sparse product with each basis vector. Each block size comes
+from tr L_e, which is the rank of L_e because e is idempotent.
 """
 
 import math
@@ -39,8 +43,8 @@ import sympy
 
 from .errors import BrokenInvariant, InvalidAction, NonIntegralMultiplicity, NotIdempotent
 from .galgebra import GAlgebra, HAlgebra, StarAlgebra, _apply, _coords, _product, quotient, zero_matrix
-from .linalg import (ONE, ZERO, QuotientSpace, Span, identity, mat_vec, nonzero_columns, nonzero_pairs,
-                     nullspace, sparse_solve, zeros)
+from .linalg import (ONE, ZERO, QuotientSpace, Span, identity, nonzero_columns, nonzero_pairs, nullspace,
+                     sparse_solve, zeros)
 from .semigroup import leq
 from .spectrum import germ_range, tilde_mul, tilde_star
 
@@ -238,7 +242,9 @@ class SemisimpleDecomposition:
     ``radical_space`` is the algebra's space modulo its radical: its
     ``sparse_coords`` give a vector's class over the quotient's basis, and
     quotient basis vector i is the class of the unit vector at
-    ``radical_space.free[i]``.
+    ``radical_space.free[i]``. When the radical is 0 it is the identity
+    space, with every column free, and ``quotient`` has the algebra's own
+    structure constants and star.
     ``center_basis`` is the basis of the quotient's center that is split.
     Both are kept for reuse and left out of ``to_json``.
     """
@@ -313,15 +319,35 @@ def _center_algebra(alg: StarAlgebra, pairs, free) -> StarAlgebra:
     """The center of ``alg`` as its own commutative algebra, on the center
     basis z_k given by its ``nonzero_pairs``. A central v is sum_k v[f_k] z_k
     for the ``free`` columns f_k, so cell (i, j) is z_i z_j read there; the
-    c(c+1)/2 products with i <= j fill it. It has no star: none is read."""
+    c(c+1)/2 products with i <= j fill it. It has no star: none is read.
+
+    Each product is checked exactly to equal the lift sum_k cell_k z_k of its
+    cell (``BrokenInvariant`` with the pair otherwise). The z_k are
+    independent, so the lift e -> sum_k e_k z_k is injective; with the check
+    it sends z_i z_j to the product in ``alg`` for every pair, so by
+    bilinearity it is an algebra map. An equation in this algebra, such as
+    e e = e, then holds exactly when it holds for the lifts in ``alg``."""
     mul = {}
     for i, zi in enumerate(pairs):
         for j in range(i, len(pairs)):
             prod = alg.mul_pairs(zi, pairs[j])
             cell = {k: prod[f] for k, f in enumerate(free) if prod[f]}
+            if _lift(pairs, cell.items()) != dict(nonzero_pairs(prod)):
+                raise BrokenInvariant("a product of central vectors is not central",
+                                      witness={"pair": (i, j)})
             if cell:
                 mul[(i, j)] = mul[(j, i)] = cell
     return StarAlgebra(len(pairs), mul, None, f"Z({alg.label})")
+
+
+def _lift(pairs, coords) -> dict:
+    """sum_k x z_k over the (k, x) in ``coords``, for the center basis z_k
+    given by its ``nonzero_pairs``, as a ``{col: value}`` dict without zeros."""
+    out = {}
+    for k, x in coords:
+        for col, v in pairs[k]:
+            out[col] = out.get(col, ZERO) + x * v
+    return {col: v for col, v in out.items() if v}
 
 
 def _minimal_polynomial(alg: StarAlgebra, start, zeta):
@@ -417,15 +443,15 @@ def semisimple_quotient(x) -> SemisimpleDecomposition:
                                        QuotientSpace(0), [])
     t = _trace_form(alg)
     radical = nullspace(t)
-    qalg, space = quotient(alg, radical, f"{alg.label}/rad")
+    if radical:
+        qalg, space = quotient(alg, radical, f"{alg.label}/rad")
+    else:
+        qalg, space = StarAlgebra(alg.dim, alg.mul, alg.star, f"{alg.label}/rad"), QuotientSpace(alg.dim)
     if qalg.dim == 0:
         return SemisimpleDecomposition(len(radical), qalg, 0, 0, 0, [], True, None, [], "exact",
                                        space, [])
     center = _center_basis(qalg)
     cdim = len(center)
-    unit = qalg.unit_vector()
-    if unit is None:
-        raise InvalidAction("semisimple quotient has no unit; structure data unreliable")
 
     # sparse_solve's kernel vector k is 1 at its free column f_k, 0 at the
     # other free columns and nonzero elsewhere only at pivot columns before
@@ -433,21 +459,28 @@ def semisimple_quotient(x) -> SemisimpleDecomposition:
     pairs = [nonzero_pairs(z) for z in center]
     free = [p[-1][0] for p in pairs]
     z = _center_algebra(qalg, pairs, free)
-    unit = [unit[f] for f in free]
+    # the lift is an injective algebra map, so it sends z's unit to the
+    # quotient's unit whenever the quotient has one
+    unit = z.unit_vector()
+    one = {} if unit is None else _lift(pairs, nonzero_pairs(unit))
+    for j in range(qalg.dim):
+        b = {j: ONE}
+        if _product(qalg, one, b) != b or _product(qalg, b, one) != b:
+            raise InvalidAction("semisimple quotient has no unit; structure data unreliable")
     pieces = _split_center(z, unit)
 
-    lift = list(zip(*center))  # center coordinates to quotient vectors
     traces = qalg.left_traces()
     idems = []
     block_dims = []
     for e, n in pieces:
-        vec = mat_vec(lift, e)
-        if qalg.mul_vec(vec, vec) != vec:
+        # exact in c dims: the lift is an injective algebra map
+        if z.mul_vec(e, e) != e:
             raise NotIdempotent("primitive central idempotent is not idempotent",
                                 witness={"piece": len(idems)})
-        idems.append(vec)
-        # L_vec is idempotent, so its rank is its trace
-        d_i = sum((v * traces[l] for l, v in nonzero_pairs(vec)), ZERO)
+        lifted = _lift(pairs, nonzero_pairs(e))
+        idems.append([lifted.get(c, ZERO) for c in range(qalg.dim)])
+        # L of the lift is idempotent, so its rank is its trace
+        d_i = sum((v * traces[l] for l, v in lifted.items()), ZERO)
         m2, rem = divmod(d_i, n)
         if rem != 0:
             raise NonIntegralMultiplicity(f"primary component dim {d_i} not divisible by {n}")
@@ -502,21 +535,6 @@ def _isqrt_exact(n):
         return None
     r = math.isqrt(n)
     return r if r * r == n else None
-
-
-def center_info(x) -> dict:
-    d = semisimple_quotient(x)
-    return {
-        "center_dim": d.center_dim,
-        "splits": d.splits,
-        "witness_poly": d.witness_poly,
-        "blocks": d.blocks,
-        "method": d.method,
-    }
-
-
-def center_dim(x) -> int:
-    return semisimple_quotient(x).center_dim
 
 
 def numeric_block_oracle(x, seed: int = 0, tol: float = 1e-9) -> dict:

@@ -2,7 +2,9 @@
 
 One batch engine, ``_irref`` (sympy's sparse reduced row echelon form over
 QQ), serves ``rref`` and its readers ``rank``, ``nullspace`` and ``mat_inv``,
-``sparse_solve`` and ``QuotientSpace``. ``Span`` is the one incremental
+``sparse_solve`` and ``QuotientSpace``. It is the only code that converts
+to ``QQ``, and it takes each entry's numerator and denominator as they are,
+since a Fraction is already reduced. ``Span`` is the one incremental
 engine; it keeps its reduced rows as sparse ``{col: Fraction}`` dicts and
 touches only nonzeros. ``Basis`` is a ``Span`` plus one ``mat_inv``.
 
@@ -82,11 +84,17 @@ def _irref(rows):
     """The batch elimination: the reduced row echelon form, over QQ, of rows
     given as ``{col: value}`` dicts that omit zeros or as dense lists.
     Returns sympy's ``(reduced rows, pivots, nonzero columns)``; the reduced
-    rows are ``{col: QQ}`` dicts keyed by position, in pivot order."""
+    rows are ``{col: QQ}`` dicts keyed by position, in pivot order.
+
+    Fractions and ints are already in lowest terms with a positive
+    denominator, so each entry is built from its numerator and denominator
+    without a second gcd, by ``QQ.dtype._new`` where the dtype has one
+    (sympy's pure-Python ``PythonMPQ``) and by the dtype itself otherwise."""
+    mpq = getattr(QQ.dtype, "_new", QQ.dtype)
     qrows = {}
     for i, row in enumerate(rows):
         items = row.items() if isinstance(row, dict) else enumerate(row)
-        qrow = {c: QQ(v.numerator, v.denominator) for c, v in items if v}
+        qrow = {c: mpq(v.numerator, v.denominator) for c, v in items if v}
         if qrow:
             qrows[i] = qrow
     return sdm_irref(qrows)

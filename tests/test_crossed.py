@@ -293,9 +293,8 @@ def test_numeric_oracle_agreement():
 
 def test_center_info():
     s = sg.parse_builder("chain:4")
-    info = cr.center_info(cr.crossed(ga.trivial_algebra(s), kind="universal"))
-    assert info["center_dim"] == 4 and info["splits"]
-    assert cr.center_dim(cr.crossed(ga.trivial_algebra(s), kind="universal")) == 4
+    d = cr.semisimple_quotient(cr.crossed(ga.trivial_algebra(s), kind="universal"))
+    assert d.center_dim == 4 and d.splits
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +439,23 @@ def test_non_idempotent_lifted_idempotent_is_a_typed_error(monkeypatch):
     assert err.value.witness == {"piece": 0}
 
 
+def test_non_central_center_product_is_a_typed_error(monkeypatch):
+    # e00 is not central in M2, so the identity times itself, read at the
+    # free columns 3 and 0, lifts to the identity plus e00
+    real = cr._center_basis
+    monkeypatch.setattr(cr, "_center_basis", lambda alg: real(alg) + [[ONE, ZERO, ZERO, ZERO]])
+    with pytest.raises(BrokenInvariant, match="^a product of central vectors is not central$") as err:
+        cr.semisimple_quotient(ga.matrix_algebra(2))
+    assert err.value.witness == {"pair": (0, 0)}
+
+
+def test_lifted_center_unit_that_is_no_unit_is_a_typed_error(monkeypatch):
+    real = ga.StarAlgebra.unit_vector
+    monkeypatch.setattr(ga.StarAlgebra, "unit_vector", lambda self: [2 * v for v in real(self)])
+    with pytest.raises(InvalidAction, match="^semisimple quotient has no unit; structure data unreliable$"):
+        cr.semisimple_quotient(ga.matrix_algebra(2))
+
+
 def test_minimal_polynomial_beyond_the_dimension_is_a_typed_error(monkeypatch):
     class NeverDependent(Span):
         def add(self, v):
@@ -544,8 +560,8 @@ def test_permuting_the_quotient_basis_permutes_the_central_idempotents(spec, coe
 
 def test_center_split_makes_no_quotient_dim_krylov(monkeypatch):
     # on kI2xI2 (dim 49, center dim 16) the only products of quotient vectors
-    # are the c(c+1)/2 products of center basis vectors and one e e = e check
-    # per piece; powers of central elements are taken in the center
+    # are the c(c+1)/2 products of center basis vectors; powers of central
+    # elements and the e e = e checks are taken in the center
     s = sg.parse_builder("product:symmetric_inverse:2*symmetric_inverse:2")
     alg = cr.crossed(ga.trivial_algebra(s), kind="universal").alg
     calls = []
@@ -560,9 +576,34 @@ def test_center_split_makes_no_quotient_dim_krylov(monkeypatch):
     d = cr.semisimple_quotient(alg)
     c = d.center_dim
     assert (d.quotient_dim, c, d.blocks) == (49, 16, 16)
-    assert len(calls) <= c * (c + 1) // 2 + d.blocks
+    assert len(calls) <= c * (c + 1) // 2
     basis = [nonzero_pairs(z) for z in d.center_basis]
-    assert all(u == v or (u in basis and v in basis) for u, v in calls)
+    assert all(u in basis and v in basis for u, v in calls)
+
+
+def test_zero_radical_makes_no_quotient_and_no_quotient_dim_unit_solve(monkeypatch):
+    # kI2xI2 is semisimple: the quotient is the algebra itself, and the unit
+    # is solved for in the 16-dim center only
+    s = sg.parse_builder("product:symmetric_inverse:2*symmetric_inverse:2")
+    alg = cr.crossed(ga.trivial_algebra(s), kind="universal").alg
+    quotients, unit_dims = [], []
+    real_quotient, real_unit = cr.quotient, ga.StarAlgebra.unit_vector
+
+    def counted_quotient(*args):
+        quotients.append(args)
+        return real_quotient(*args)
+
+    def counted_unit(self):
+        unit_dims.append(self.dim)
+        return real_unit(self)
+
+    monkeypatch.setattr(cr, "quotient", counted_quotient)
+    monkeypatch.setattr(ga.StarAlgebra, "unit_vector", counted_unit)
+    d = cr.semisimple_quotient(alg)
+    assert quotients == [] and alg.dim not in unit_dims
+    assert (d.radical_dim, d.quotient_dim, d.center_dim) == (0, 49, 16)
+    assert d.radical_space.free == list(range(49))
+    assert (d.quotient.mul, d.quotient.star) == (alg.mul, alg.star)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 - No module imports a name it never uses. Neither pyflakes nor ruff ships
   with the toolchain, so this scan stands in for their unused-import rule.
 - Batch elimination has one engine: ``sdm_irref`` is used, and Fractions are
-  converted with ``QQ(...)``, only inside ``linalg._irref``.
+  converted with ``QQ(...)`` or through ``QQ.dtype``, only inside
+  ``linalg._irref``.
 - The sparse paths stay sparse: none of these functions calls the dense
   vector helpers ``mat_vec``, ``mul_vec`` or ``basis_vec``:
   - the crossed-product builders ``_universal``, ``_groupoid`` and their
@@ -48,8 +49,9 @@ def test_module_imports_only_what_it_uses(path):
 
 
 def elimination_sites(source: str) -> list:
-    """(top-level function or class, line, name) for each use of ``sdm_irref``
-    and each ``QQ(...)`` call; "" stands for module level."""
+    """(top-level function or class, line, name) for each use of ``sdm_irref``,
+    each ``QQ(...)`` call and each read of ``QQ.dtype``; "" stands for module
+    level."""
     out = []
     for top in ast.parse(source).body:
         owner = getattr(top, "name", "")
@@ -61,13 +63,19 @@ def elimination_sites(source: str) -> list:
                     out.append((owner, node.lineno, "QQ("))
             elif getattr(node, "id", None) == "sdm_irref" or getattr(node, "attr", None) == "sdm_irref":
                 out.append((owner, node.lineno, "sdm_irref"))
+            elif (isinstance(node, ast.Attribute) and node.attr == "dtype"
+                  and ast.unparse(node.value).split(".")[-1] == "QQ"):
+                out.append((owner, node.lineno, "QQ.dtype"))
     return sorted(out, key=lambda site: site[1])
 
 
 def test_scan_finds_elimination_sites():
     src = ("from sympy.polys.matrices import sdm\nx = QQ(1, 2)\n"
-           "def f(rows):\n    return sdm.sdm_irref({0: {0: domains.QQ(3)}}), QQ.one\n")
-    assert elimination_sites(src) == [("", 2, "QQ("), ("f", 4, "sdm_irref"), ("f", 4, "QQ(")]
+           "def f(rows):\n    return sdm.sdm_irref({0: {0: domains.QQ(3)}}), QQ.one\n"
+           "class C:\n    new = getattr(QQ.dtype, '_new', domains.QQ.dtype)\n"
+           "y = QQ.dtype._new(1, 2), ZZ.dtype(3)\n")
+    assert elimination_sites(src) == [("", 2, "QQ("), ("f", 4, "sdm_irref"), ("f", 4, "QQ("),
+                                      ("C", 6, "QQ.dtype"), ("C", 6, "QQ.dtype"), ("", 7, "QQ.dtype")]
 
 
 def test_sparse_rref_is_called_from_one_function():
@@ -75,7 +83,7 @@ def test_sparse_rref_is_called_from_one_function():
     stray = [(name, *site) for name, found in sites.items() for site in found
              if (name, site[0]) != ("linalg.py", "_irref")]
     assert stray == []
-    assert {site[2] for site in sites["linalg.py"]} == {"QQ(", "sdm_irref"}
+    assert {site[2] for site in sites["linalg.py"]} == {"QQ.dtype", "sdm_irref"}
 
 
 DENSE_HELPERS = {"mat_vec", "mul_vec", "basis_vec"}

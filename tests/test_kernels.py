@@ -318,8 +318,8 @@ def typed(x):
 @st.composite
 def eliminations(draw):
     """Rows to eliminate (empty, all-zero, rectangular, with dependent rows,
-    tuple rows, int entries), a square matrix, and vectors to take
-    coordinates of, some inside the span of the rows."""
+    tuple rows, int entries, entries beyond 2**64), a square matrix, and
+    vectors to take coordinates of, some inside the span of the rows."""
     n, m = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     rows = draw(matrices(n, m))
     kind = draw(st.sampled_from(["drawn", "zero", "dependent"]))
@@ -329,12 +329,26 @@ def eliminations(draw):
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         c = draw(entries)
         rows.insert(draw(st.integers(0, n)), [a + c * b for a, b in zip(rows[i], rows[j])])
-    if draw(st.booleans()):
-        rows = [[int(x) if x.denominator == 1 else x for x in row] for row in rows]
     k = draw(st.integers(0, 5))
     square = draw(matrices(k, k))
     if k > 1 and draw(st.booleans()):
         square[-1] = [a - b for a, b in zip(square[0], square[1])]  # singular
+    if draw(st.booleans()):
+        # scale each row by a Fraction given a negative denominator, with
+        # terms beyond 2**64 (denominator -1 gives integers beyond 2**64);
+        # scaling keeps the spans, the dependencies and singularity
+        terms = st.integers(2 ** 64, 2 ** 96)
+
+        def scaled(mat):
+            out = []
+            for row in mat:
+                c = Fraction(draw(terms), -draw(st.just(1) | terms))
+                out.append([c * x for x in row])
+            return out
+
+        rows, square = scaled(rows), scaled(square)
+    if draw(st.booleans()):
+        rows = [[int(x) if x.denominator == 1 else x for x in row] for row in rows]
     probes = draw(st.lists(st.lists(entries, min_size=m, max_size=m), max_size=3))
     coeffs = draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
     probes.append([sum((c * frac(r[col]) for c, r in zip(coeffs, rows)), ZERO) for col in range(m)])
