@@ -6,9 +6,10 @@ of the ``Span`` at the range of g, and (a d_g)(b d_h) = a alpha_g(b) d_gh.
 The universal product takes S and its range ideals; the groupoid product
 takes the germs and their range fibers, with no product for a zero germ. It
 reads nonzero coordinates only, one product a alpha_g(b) per a and distinct
-(range of h, index of b). Its images, products and coordinates come from
-the sparse kernels ``_apply``, ``_product`` and ``_coords`` of ``galgebra``,
-the ones every change of basis (``galgebra.transport``) uses. The tight
+(range of h, index of b), and writes the star as the sparse columns
+(a d_g)*, as every ``StarAlgebra`` keeps it. Images, products and
+coordinates come from the sparse kernels ``_apply``, ``_product`` and
+``_coords`` of ``galgebra``, which every change of basis uses. The tight
 (Sieben) product identifies a d_r with a d_t for r <= t; those two-term
 relations already span a *-ideal (proof in ``_sieben``), so it is the
 universal product modulo their span.
@@ -22,15 +23,16 @@ center does not split over the rationals, the reported witness is a
 non-linear irreducible factor found by a fixed search.
 
 When the radical is 0 the quotient is the algebra itself, relabelled; no
-quotient is formed. The center comes from one sparse exact system
-(``linalg.sparse_solve``) built straight from the structure constants: the
-kernel of the commutators with every basis vector. Every product of two
-center basis vectors is checked exactly to be the lift of its center
-coordinates, so the lift from the c-dim center algebra is an injective
-algebra map, and the unit and the idempotency of each primitive central
-idempotent are read in c dims. The lifted unit is checked to be a two-sided
-unit by one sparse product with each basis vector. Each block size comes
-from tr L_e, which is the rank of L_e because e is idempotent.
+quotient is formed, and the trace form's ``left_traces`` serve it too. The
+center comes from one sparse exact system (``linalg.sparse_solve``) built
+straight from the structure constants: the kernel of the commutators with
+every basis vector. Every product of two center basis vectors is checked
+exactly to be the lift of its center coordinates, so the lift from the
+c-dim center algebra is an injective algebra map, and the unit and the
+idempotency of each primitive central idempotent are read in c dims. The
+lifted unit is checked to be a two-sided unit by one sparse product with
+each basis vector. Each block size comes from tr L_e, which is the rank of
+L_e because e is idempotent.
 """
 
 import math
@@ -129,15 +131,13 @@ def _convolution(kind, coeff, elements, range_of, spans, mul, star, label, name)
             i = offs[g] + ki
             for j in sorted(cells):
                 cells_at[(i, j)] = cells[j]
-    adjoint = zero_matrix(dim)
-    star_cols = nonzero_columns(coeff.alg.star, coeff.dim)
+    adjoint = []  # its columns, in basis order
     escape = InvalidAction("crossed product star escapes its range ideal")
     for g in elements:
         gs = star(g)
-        for ki, a in enumerate(spans[rng[g]].sparse_rows):
-            coords = _coords(spans[rng[gs]], _apply(cols[gs], _apply(star_cols, a)), escape)
-            for k, v in coords.items():
-                adjoint[offs[gs] + k][offs[g] + ki] = v
+        for a in spans[rng[g]].sparse_rows:
+            coords = _coords(spans[rng[gs]], _apply(cols[gs], _apply(coeff.alg.star, a)), escape)
+            adjoint.append([(offs[gs] + k, v) for k, v in coords.items()])
     return CrossedProductAlgebra(kind, StarAlgebra(dim, cells_at, adjoint, name), labels, dim,
                                  layout, offs, spans, coeff)
 
@@ -287,8 +287,7 @@ def _as_star_algebra(x) -> StarAlgebra:
     raise TypeError(f"not an algebra: {x!r}")
 
 
-def _trace_form(alg: StarAlgebra):
-    t_vec = alg.left_traces()
+def _trace_form(alg: StarAlgebra, t_vec):
     t = zero_matrix(alg.dim)
     for (i, j), cell in alg.mul.items():
         t[i][j] = sum((v * t_vec[l] for l, v in cell.items()), ZERO)
@@ -383,8 +382,9 @@ def _split_center(z: StarAlgebra, unit) -> list:
 
     One pass: from the unit, each basis vector z_i in order cuts every piece
     e by the CRT idempotents of the factors of the minimal polynomial of z_i
-    on e z. A piece where that is one irreducible factor of degree dim e z
-    is the field Q[z_i e], finalized at once; the rest are finalized last.
+    on e z; with a single factor that piece is e itself, kept as it is. A
+    piece where that is one irreducible factor of degree dim e z is the
+    field Q[z_i e], finalized at once; the rest are finalized last.
 
     They are fields too. On K_1 + K_2, fields of degrees n_1 and n_2, an
     element (u, v) with an irreducible minimal polynomial p has u and v both
@@ -397,13 +397,16 @@ def _split_center(z: StarAlgebra, unit) -> list:
     traces = z.left_traces()
     for i in range(z.dim):
         cut = []
-        for e, _ in pieces:
+        for e, n in pieces:
             poly, powers = _minimal_polynomial(z, e, z.basis_vec(i))
             factors = poly.factor_list()[1]
             for f, mult in factors:
                 if mult != 1:
                     raise BrokenInvariant("minimal polynomial of a semisimple center is not squarefree",
                                           witness={"factor": str(f.as_expr()), "multiplicity": mult})
+            if len(factors) == 1:  # z_i does not cut e: its one CRT piece is e
+                (done if factors[0][0].degree() == n else cut).append((e, n))
+                continue
             for f, _ in factors:
                 rest = poly.exquo(f)  # q = 1 mod f and 0 mod the other factors
                 piece = _eval_poly(powers, (rest * sympy.invert(rest, f)) % poly)
@@ -441,10 +444,11 @@ def semisimple_quotient(x) -> SemisimpleDecomposition:
     if alg.dim == 0:
         return SemisimpleDecomposition(0, alg, 0, 0, 0, [], True, None, [], "exact",
                                        QuotientSpace(0), [])
-    t = _trace_form(alg)
-    radical = nullspace(t)
+    traces = alg.left_traces()
+    radical = nullspace(_trace_form(alg, traces))
     if radical:
         qalg, space = quotient(alg, radical, f"{alg.label}/rad")
+        traces = qalg.left_traces()
     else:
         qalg, space = StarAlgebra(alg.dim, alg.mul, alg.star, f"{alg.label}/rad"), QuotientSpace(alg.dim)
     if qalg.dim == 0:
@@ -469,7 +473,6 @@ def semisimple_quotient(x) -> SemisimpleDecomposition:
             raise InvalidAction("semisimple quotient has no unit; structure data unreliable")
     pieces = _split_center(z, unit)
 
-    traces = qalg.left_traces()
     idems = []
     block_dims = []
     for e, n in pieces:

@@ -1,7 +1,9 @@
 """Finite-dimensional *-algebras over the rationals with semigroup actions.
 
-A GAlgebra holds structure constants, a star matrix and one action matrix per
-semigroup element (possibly only for a sub-semigroup's elements). Groupoid
+A StarAlgebra holds sparse structure constants and its star as columns,
+``star[j]`` the nonzero (row, value) pairs of b_j* in row order, as
+``_apply`` reads them. A GAlgebra adds one action matrix per semigroup
+element (possibly only for a sub-semigroup's elements). Groupoid
 coefficient algebras (HAlgebra) keep a fiber-adapted basis: every basis vector
 belongs to the fiber of one groupoid unit, so unit actions are coordinate
 projections.
@@ -29,7 +31,6 @@ from .linalg import (
     QuotientSpace,
     identity,
     mat_mul,
-    mat_vec,
     nonzero_columns,
     nonzero_pairs,
     nonzero_rows,
@@ -82,7 +83,8 @@ def mat_kron(a, b):
 
 
 class StarAlgebra:
-    """Structure constants (sparse), star matrix, no action."""
+    """Structure constants ``mul[(i, j)] = {k: value}`` for b_i b_j and the
+    star's columns ``star[j]`` (see above); no action."""
 
     def __init__(self, dim, mul, star, label=""):
         self.dim = dim
@@ -106,9 +108,6 @@ class StarAlgebra:
                     for k, c in cell.items():
                         out[k] += xy * c
         return out
-
-    def star_vec(self, v):
-        return mat_vec(self.star, v)
 
     def basis_vec(self, i):
         v = zeros(self.dim)
@@ -154,7 +153,7 @@ class StarAlgebra:
 
 def diagonal_star_algebra(n, label=""):
     mul = {(i, i): {i: ONE} for i in range(n)}
-    return StarAlgebra(n, mul, identity(n), label)
+    return StarAlgebra(n, mul, [[(i, ONE)] for i in range(n)], label)
 
 
 def matrix_algebra(n, label=None):
@@ -166,10 +165,7 @@ def matrix_algebra(n, label=None):
                 for l in range(n):
                     if j == k:
                         mul[(i * n + j, k * n + l)] = {i * n + l: ONE}
-    star = zero_matrix(n * n)
-    for i in range(n):
-        for j in range(n):
-            star[j * n + i][i * n + j] = ONE
+    star = [[(j * n + i, ONE)] for i in range(n) for j in range(n)]  # e_ij* = e_ji
     return StarAlgebra(n * n, mul, star, label or f"M{n}")
 
 
@@ -186,13 +182,13 @@ def block_diag(mats):
 
 def star_sum(algs, label=""):
     """Direct sum of *-algebras, the basis of each following its predecessors."""
-    mul = {}
+    mul, star = {}, []
     off = 0
     for a in algs:
         for (i, j), cell in a.mul.items():
             mul[(off + i, off + j)] = {off + k: v for k, v in cell.items()}
+        star.extend([(off + r, x) for r, x in col] for col in a.star)
         off += a.dim
-    star = block_diag([a.star for a in algs])
     return StarAlgebra(off, mul, star, label or "+".join(a.label for a in algs) or "0")
 
 
@@ -246,7 +242,8 @@ def transport(alg: StarAlgebra, lifts, space, error, label="") -> StarAlgebra:
             cell = _coords(space, _product(alg, u, v), error)
             if cell:
                 mul[(i, j)] = cell
-    return StarAlgebra(len(lifts), mul, transport_matrix(alg.star, lifts, space, error), label)
+    star = [list(_coords(space, _apply(alg.star, v), error).items()) for v in lifts]
+    return StarAlgebra(len(lifts), mul, star, label)
 
 
 def transport_matrix(m, lifts, space, error):
@@ -285,13 +282,7 @@ def quotient(alg: StarAlgebra, relations, label="") -> tuple:
             red = space.sparse_coords(cell)
             if red:
                 cells.append(((pos[a], pos[b]), red))
-    star = zero_matrix(space.dim)
-    for j, c in enumerate(space.free):
-        # most entries are the shared ZERO of a zero_matrix: an identity test
-        # passes over them without the cost of a Fraction truth test
-        col = {r: x for r, row in enumerate(alg.star) if (x := row[c]) is not ZERO and x}
-        for i, v in space.sparse_coords(col).items():
-            star[i][j] = v
+    star = [list(space.sparse_coords(dict(alg.star[c])).items()) for c in space.free]
     return StarAlgebra(space.dim, dict(sorted(cells)), star, label), space
 
 
@@ -449,11 +440,11 @@ def associativity_failures(alg: StarAlgebra):
 
 def star_failures(alg: StarAlgebra):
     """"star not involutive", then (i, j) for each basis pair with
-    (b_i b_j)* != b_j* b_i*."""
-    d = alg.dim
-    if not mat_eq(mat_mul(alg.star, alg.star), identity(d)):
+    (b_i b_j)* != b_j* b_i*; the star is involutive when it maps each of its
+    columns back to the basis vector."""
+    d, stars = alg.dim, alg.star
+    if any(_apply(stars, dict(col)) != {j: ONE} for j, col in enumerate(stars)):
         yield "star not involutive"
-    stars = nonzero_columns(alg.star, d)
     for i in range(d):
         for j in range(d):
             ij = alg.mul.get((i, j), {}).items()
@@ -501,8 +492,9 @@ def _combine(cols, coeffs, n):
 
 def star_preserving_failures(m, sa: StarAlgebra, sb: StarAlgebra):
     """i for each basis vector of sa with m(b_i*) != (m b_i)*."""
+    images = nonzero_columns(m, sa.dim)
     for i in range(sa.dim):
-        if mat_vec(m, sa.star_vec(sa.basis_vec(i))) != sb.star_vec([row[i] for row in m]):
+        if _apply(images, dict(sa.star[i])) != _apply(sb.star, dict(images[i])):
             yield i
 
 
@@ -514,11 +506,20 @@ def _endomorphism_failures(alg: StarAlgebra, m):
 
 
 def _check_shapes(alg: StarAlgebra, action: dict, name):
-    """Raise InvalidAction, with witness {element, shape}, when the star or an
-    action matrix (its key labelled by ``name``) is not dim x dim; a ragged
-    matrix reports its first row of the wrong length."""
+    """Raise InvalidAction when the star has not dim columns (witness
+    {element, columns}) or a row outside range(dim) ({element, column, row}),
+    or an action matrix (its key labelled by ``name``) is not dim x dim
+    ({element, shape}; a ragged one reports its first short or long row)."""
     d = alg.dim
-    for key, m in [("star", alg.star), *((name(x), m) for x, m in action.items())]:
+    if len(alg.star) != d:
+        raise InvalidAction(f"star has {len(alg.star)} columns, not {d}",
+                            witness={"element": "star", "columns": len(alg.star)})
+    for j, col in enumerate(alg.star):
+        for r, _ in col:
+            if r not in range(d):
+                raise InvalidAction(f"star column {j} has row {r}, outside range({d})",
+                                    witness={"element": "star", "column": j, "row": r})
+    for key, m in ((name(x), m) for x, m in action.items()):
         bad = [len(row) for row in m if len(row) != d]
         if len(m) != d or bad:
             shape = (len(m), bad[0] if bad else d)
@@ -618,7 +619,6 @@ def validate_h_algebra(d: HAlgebra) -> dict:
     def key(x):  # a germ as JSON-safe data
         return (s.names[x.g], x.chars)
     _check_shapes(alg, d.action, key)
-    basis = [alg.basis_vec(i) for i in range(n)]
 
     def unit_structure():
         for upos, u in enumerate(d.gpd.units):
@@ -627,16 +627,17 @@ def validate_h_algebra(d: HAlgebra) -> dict:
                 continue
             if not mat_eq(d.action[u], d.unit_projection(upos)):
                 yield f"unit {key(u)} is not its coordinate projection"
-        # fibers multiply within themselves and orthogonally across units
+        # fibers multiply within themselves and orthogonally across units;
+        # b_i b_j is read at the nonzero values of the mul cell (i, j)
         for i in range(n):
             for j in range(n):
-                prod = alg.mul_vec(basis[i], basis[j])
+                prod = [k for k, v in alg.mul.get((i, j), {}).items() if v]
                 if d.unit_of_basis[i] != d.unit_of_basis[j]:
-                    if any(prod):
+                    if prod:
                         yield (i, j, "cross-fiber product nonzero")
                 else:
-                    for k, v in enumerate(prod):
-                        if v and d.unit_of_basis[k] != d.unit_of_basis[i]:
+                    for k in prod:
+                        if d.unit_of_basis[k] != d.unit_of_basis[i]:
                             yield (i, j, "product leaves fiber")
 
     def arrows():
@@ -806,7 +807,8 @@ def tensor_g(a: GAlgebra, b: GAlgebra, label="") -> GAlgebra:
                 for k2, v2 in cell2.items():
                     out[k1 * db + k2] = v1 * v2
             mul[(i1 * db + i2, j1 * db + j2)] = out
-    star = mat_kron(a.alg.star, b.alg.star)
+    star = [[(k1 * db + k2, v1 * v2) for k1, v1 in c1 for k2, v2 in c2]
+            for c1 in a.alg.star for c2 in b.alg.star]
     action = {}
     for g in set(a.action) & set(b.action):
         action[g] = mat_kron(a.action[g], b.action[g])

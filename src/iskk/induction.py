@@ -29,6 +29,7 @@ from .galgebra import (
     StarAlgebra,
     StarHomomorphism,
     _apply,
+    _combine,
     _coords,
     _fiber_rebase,
     _first_failure,
@@ -245,8 +246,7 @@ def build_induced(s: FiniteInvSgp, h: FiniteGroupoid, d: HAlgebra,
         offset += len(fib)
     dim = offset
 
-    mul = {}
-    star = zero_matrix(dim)
+    mul, star = {}, []
     for (r, upos, fib, off) in blocks:
         for a, da in enumerate(fib):
             for b, db in enumerate(fib):
@@ -262,11 +262,9 @@ def build_induced(s: FiniteInvSgp, h: FiniteGroupoid, d: HAlgebra,
                             )
                     if out:
                         mul[(off + a, off + b)] = out
-            for k, v in enumerate(d.alg.star_vec(d.alg.basis_vec(da))):
-                if v:
-                    if k not in fib:
-                        raise InvalidCoefficientAlgebra("star escapes fiber", witness=da)
-                    star[off + fib.index(k)][off + a] = v
+            if any(k not in fib for k, _ in d.alg.star[da]):
+                raise InvalidCoefficientAlgebra("star escapes fiber", witness=da)
+            star.append([(off + fib.index(k), v) for k, v in d.alg.star[da]])
 
     sp = spectrum(s)
     action = {}
@@ -428,12 +426,8 @@ def h_balanced_tensor(a: HAlgebra, b: HAlgebra, label="") -> HAlgebra:
                     place(out, ka, kb, va * vb)
             if out:
                 mul[(x, y)] = out
-    star = zero_matrix(k)
-    for x, (i, j) in enumerate(pairs):
-        for ka, va in enumerate(a.alg.star_vec(a.alg.basis_vec(i))):
-            for kb, vb in enumerate(b.alg.star_vec(b.alg.basis_vec(j))):
-                if va * vb:
-                    star[pos[(ka, kb)]][x] = va * vb
+    star = [[(pos[(ka, kb)], va * vb) for ka, va in a.alg.star[i] for kb, vb in b.alg.star[j]]
+            for i, j in pairs]
     action = {}
     for germ in gpd.elements:
         ma, mb = a.action[germ], b.action[germ]
@@ -793,7 +787,7 @@ def minimal_invariant_ideal_dims(a: GAlgebra) -> list:
             changed = False
             rows = [list(r) for r in span.rows]
             for v in rows:
-                candidates = [a.alg.star_vec(v)]
+                candidates = [_combine(a.alg.star, nonzero_pairs(v), a.dim)]
                 for i in range(a.dim):
                     candidates.append(a.alg.mul_vec(a.alg.basis_vec(i), v))
                     candidates.append(a.alg.mul_vec(v, a.alg.basis_vec(i)))

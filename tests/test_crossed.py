@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from iskk import crossed as cr
 from iskk import galgebra as ga
@@ -10,8 +11,8 @@ from iskk import ktheory as kt
 from iskk import semigroup as sg
 from iskk import spectrum as spc
 from iskk.errors import BrokenInvariant, InvalidAction, NonIntegralMultiplicity, NotIdempotent
-from iskk.linalg import ONE, ZERO, Span, identity, mat_vec, nonzero_pairs
-from test_kernels import dense_nullspace, dense_transport
+from iskk.linalg import ONE, ZERO, Span, identity, mat_vec, nonzero_columns, nonzero_pairs
+from test_kernels import dense_nullspace, dense_star, dense_transport
 
 
 def test_group_algebra_z2():
@@ -135,8 +136,7 @@ def test_radical_of_triangular_algebra():
         (0, 0): {0: ONE}, (1, 1): {1: ONE},
         (0, 2): {2: ONE}, (2, 1): {2: ONE},
     }
-    star = identity(3)
-    alg = ga.StarAlgebra(3, mul, star, "upper")
+    alg = ga.StarAlgebra(3, mul, nonzero_columns(identity(3), 3), "upper")
     d = cr.semisimple_quotient(alg)
     assert d.radical_dim == 1
     assert d.quotient_dim == 2 and d.blocks == 2
@@ -202,10 +202,10 @@ def _dense_groupoid(d):
             cell = {offs[hg] + fibs[hg].index(t): v for t, v in enumerate(prod) if v}
             if cell:
                 mul[(i, j)] = cell
-    star = [[ZERO] * dim for _ in range(dim)]
+    star, coeff_star = [[ZERO] * dim for _ in range(dim)], dense_star(d.alg)
     for i, (h, ki) in enumerate(layout):
         hs = spc.tilde_star(s, h)
-        w = mat_vec(d.action[hs], d.alg.star_vec(d.alg.basis_vec(ki)))
+        w = mat_vec(d.action[hs], mat_vec(coeff_star, d.alg.basis_vec(ki)))
         for t, v in enumerate(w):
             if v:
                 star[offs[hs] + fibs[hs].index(t)][i] = v
@@ -234,7 +234,7 @@ def test_groupoid_product_equals_the_dense_convolution(spec, coeff):
         dim, mul, star, labels = _dense_groupoid(d)
         assert (x.kind, x.dim, x.basis_labels) == ("groupoid", dim, labels)
         assert list(x.alg.mul.items()) == list(mul.items())
-        assert x.alg.star == star
+        assert dense_star(x.alg) == star
 
 
 def _two_unit_coefficients():
@@ -352,10 +352,10 @@ def test_unit_vector_of_matrix_algebra_is_identity():
 def test_unit_vector_none_without_two_sided_unit():
     # span{e11, e12} in M2: e11 is a left unit, but e12 x = 0 for every x
     mul = {(0, 0): {0: ONE}, (0, 1): {1: ONE}}
-    alg = ga.StarAlgebra(2, mul, identity(2), "row")
+    alg = ga.StarAlgebra(2, mul, nonzero_columns(identity(2), 2), "row")
     assert alg.unit_vector() is None
     # nilpotent: no unit at all
-    assert ga.StarAlgebra(1, {}, identity(1), "nil").unit_vector() is None
+    assert ga.StarAlgebra(1, {}, [[(0, ONE)]], "nil").unit_vector() is None
 
 
 @pytest.mark.parametrize("spec, coeff, kind", SMALL_ALGEBRAS)
@@ -423,10 +423,11 @@ def test_non_squarefree_minimal_polynomial_is_a_typed_error(monkeypatch):
 
 
 def test_non_idempotent_primary_component_is_a_typed_error(monkeypatch):
+    # the center of M2 + M2 is cut in two; that of M2 alone is never cut
     real = cr._eval_poly
     monkeypatch.setattr(cr, "_eval_poly", lambda powers, poly: [2 * v for v in real(powers, poly)])
     with pytest.raises(NotIdempotent) as err:
-        cr.semisimple_quotient(ga.matrix_algebra(2))
+        cr.semisimple_quotient(ga.star_sum([ga.matrix_algebra(2)] * 2))
     assert err.value.witness == {"factor": "x - 1"}
 
 
@@ -490,7 +491,7 @@ def _number_field_algebra(squares):
                 if i & j & (1 << k):
                     c *= a
             mul[(i, j)] = {i ^ j: Fraction(c)}
-    return ga.StarAlgebra(n, mul, identity(n), "field")
+    return ga.StarAlgebra(n, mul, nonzero_columns(identity(n), n), "field")
 
 
 def test_biquadratic_field_is_one_piece_of_four_blocks():
@@ -515,7 +516,8 @@ def _tensor(a, b):
     n = b.dim
     mul = {(i * n + k, j * n + m): {p * n + q: u * v for p, u in ca.items() for q, v in cb.items()}
            for (i, j), ca in a.mul.items() for (k, m), cb in b.mul.items()}
-    return ga.StarAlgebra(a.dim * n, mul, ga.mat_kron(a.star, b.star), f"{a.label}x{b.label}")
+    star = ga.mat_kron(dense_star(a), dense_star(b))
+    return ga.StarAlgebra(a.dim * n, mul, nonzero_columns(star, a.dim * n), f"{a.label}x{b.label}")
 
 
 def test_split_witness_tries_the_own_central_basis_vectors_first():
@@ -535,10 +537,10 @@ def _permuted(alg, perm):
     mul = {(perm[i], perm[j]): {perm[k]: v for k, v in cell.items()}
            for (i, j), cell in alg.mul.items()}
     star = [[ZERO] * alg.dim for _ in range(alg.dim)]
-    for i, row in enumerate(alg.star):
+    for i, row in enumerate(dense_star(alg)):
         for j, v in enumerate(row):
             star[perm[i]][perm[j]] = v
-    return ga.StarAlgebra(alg.dim, mul, star, alg.label)
+    return ga.StarAlgebra(alg.dim, mul, nonzero_columns(star, alg.dim), alg.label)
 
 
 @pytest.mark.parametrize("spec, coeff, kind", SMALL_ALGEBRAS)
@@ -604,6 +606,74 @@ def test_zero_radical_makes_no_quotient_and_no_quotient_dim_unit_solve(monkeypat
     assert (d.radical_dim, d.quotient_dim, d.center_dim) == (0, 49, 16)
     assert d.radical_space.free == list(range(49))
     assert (d.quotient.mul, d.quotient.star) == (alg.mul, alg.star)
+
+
+def _kI2xI2():
+    s = sg.parse_builder("product:symmetric_inverse:2*symmetric_inverse:2")
+    return cr.crossed(ga.trivial_algebra(s), kind="universal").alg
+
+
+def test_semisimple_quotient_takes_the_left_traces_once(monkeypatch):
+    # the trace form and, with a zero radical, the block sizes read one
+    # left_traces of the 49-dim algebra
+    alg = _kI2xI2()
+    dims = []
+    real = ga.StarAlgebra.left_traces
+
+    def counted(self):
+        dims.append(self.dim)
+        return real(self)
+
+    monkeypatch.setattr(ga.StarAlgebra, "left_traces", counted)
+    d = cr.semisimple_quotient(alg)
+    assert (d.radical_dim, d.blocks) == (0, 16)
+    assert dims.count(alg.dim) == 1
+
+
+def _split_rebuilding_every_piece(z, unit):
+    """The center split that rebuilds each factor's CRT piece, also the one
+    piece of a single factor, which is e itself."""
+    done, pieces = [], [(unit, z.dim)]
+    traces = z.left_traces()
+    for i in range(z.dim):
+        cut = []
+        for e, _ in pieces:
+            poly, powers = cr._minimal_polynomial(z, e, z.basis_vec(i))
+            for f, _ in poly.factor_list()[1]:
+                rest = poly.exquo(f)
+                piece = cr._eval_poly(powers, (rest * sympy.invert(rest, f)) % poly)
+                dim = sum((v * traces[l] for l, v in nonzero_pairs(piece)), ZERO)
+                (done if f.degree() == dim else cut).append((piece, dim))
+        pieces = cut
+    return done + pieces
+
+
+def test_split_center_inverts_only_for_the_pieces_it_cuts(monkeypatch):
+    splits, factor_counts, inverts = [], [], []
+    real_split, real_poly, real_invert = cr._split_center, cr._minimal_polynomial, sympy.invert
+
+    def split(z, unit):
+        splits.append((z, unit, real_split(z, unit)))
+        return splits[-1][2]
+
+    def poly(*args):
+        out = real_poly(*args)
+        factor_counts.append(len(out[0].factor_list()[1]))
+        return out
+
+    def invert(*args):
+        inverts.append(args)
+        return real_invert(*args)
+
+    monkeypatch.setattr(cr, "_split_center", split)
+    monkeypatch.setattr(cr, "_minimal_polynomial", poly)
+    monkeypatch.setattr(sympy, "invert", invert)
+    cr.semisimple_quotient(_kI2xI2())
+    monkeypatch.undo()
+    assert 1 in factor_counts and max(factor_counts) > 1
+    assert len(inverts) == sum(n for n in factor_counts if n > 1)
+    [(z, unit, pieces)] = splits
+    assert pieces == _split_rebuilding_every_piece(z, unit)
 
 
 # ---------------------------------------------------------------------------
@@ -683,10 +753,11 @@ def _closure_sieben(a):
                     relations.append(v)
     ideal = Span()
     frontier = [v for v in relations if ideal.add(v)]
+    star = dense_star(uni.alg)
     while frontier:
         nxt = []
         for v in frontier:
-            candidates = [uni.alg.star_vec(v)]
+            candidates = [mat_vec(star, v)]
             for i in range(uni.dim):
                 b = uni.alg.basis_vec(i)
                 candidates += [uni.alg.mul_vec(b, v), uni.alg.mul_vec(v, b)]
@@ -700,7 +771,7 @@ def test_tight_product_equals_the_closed_ideal_quotient(spec, coeff):
     a = _tight_coeff(spec, coeff)
     tight = cr.crossed(a, kind="sieben").alg
     oracle = _closure_sieben(a)
-    assert (tight.dim, tight.mul, tight.star) == (oracle.dim, oracle.mul, oracle.star)
+    assert (tight.dim, tight.mul, dense_star(tight)) == (oracle.dim, oracle.mul, oracle.star)
 
 
 @pytest.mark.parametrize("spec, coeff", TIGHT_CORPUS)
@@ -708,9 +779,9 @@ def test_two_term_relations_span_a_star_ideal(spec, coeff):
     uni = cr._universal(_tight_coeff(spec, coeff))
     alg = uni.alg
     relations = [[r.get(c, ZERO) for c in range(alg.dim)] for r in cr._tight_relations(uni)]
-    span = Span(relations)
+    span, star = Span(relations), dense_star(alg)
     for v in span.rows:
-        assert span.contains(alg.star_vec(v))
+        assert span.contains(mat_vec(star, v))
         for i in range(alg.dim):
             b = alg.basis_vec(i)
             assert span.contains(alg.mul_vec(b, v)) and span.contains(alg.mul_vec(v, b))
@@ -734,7 +805,7 @@ def _scalar_action(spec, scalars):
     """Q with element g acting as the scalar scalars[name of g]: the range
     ideal of g is Q or 0, so a hand-picked scalar breaks one containment."""
     s = sg.parse_builder(spec)
-    q = ga.StarAlgebra(1, {(0, 0): {0: ONE}}, [[ONE]], "Q")
+    q = ga.StarAlgebra(1, {(0, 0): {0: ONE}}, [[(0, ONE)]], "Q")
     return ga.GAlgebra(s, q, {g: [[Fraction(scalars[s.names[g]])]] for g in s.elements()})
 
 

@@ -172,10 +172,10 @@ def test_malformed_star_and_germ_action_shapes_raise_invalid_action():
 
     s = sg.parse_builder("chain:2")
     a = ga.c0x_algebra(s)
-    a.alg.star = [row + [ZERO] for row in a.alg.star]
+    a.alg.star = a.alg.star + [[(0, ONE)]]  # a third column
     with pytest.raises(InvalidAction) as err:
         ga.validate_g_algebra(a)
-    assert err.value.witness == {"element": "star", "shape": (2, 3)}
+    assert err.value.witness == {"element": "star", "columns": 3}
     d = ga.restrict(ga.c0x_algebra(s), assoc_groupoid(s, 0b11))
     assert ga.validate_h_algebra(d)["pass"]
     x = next(iter(d.action))
@@ -184,10 +184,35 @@ def test_malformed_star_and_germ_action_shapes_raise_invalid_action():
         ga.validate_h_algebra(d)
     assert err.value.witness == {"element": (s.names[x.g], x.chars), "shape": (2, 1)}
     d.action[x] = [[ONE, ZERO], [ZERO, ONE]]
+    d.alg.star = [d.alg.star[0], [(0, ONE), (2, ONE)]]  # row 2 of a 2-dim algebra
+    with pytest.raises(InvalidAction) as err:
+        ga.validate_h_algebra(d)
+    assert err.value.witness == {"element": "star", "column": 1, "row": 2}
     d.alg.star = d.alg.star[:1]
     with pytest.raises(InvalidAction) as err:
         ga.validate_h_algebra(d)
-    assert err.value.witness == {"element": "star", "shape": (1, 2)}
+    assert err.value.witness == {"element": "star", "columns": 1}
+    a = ga.c0x_algebra(s)
+    a.alg.star = [[(-1, ONE)], a.alg.star[1]]
+    with pytest.raises(InvalidAction) as err:
+        ga.validate_g_algebra(a)
+    assert err.value.witness == {"element": "star", "column": 0, "row": -1}
+
+
+def test_star_failures_read_the_star_columns():
+    from test_kernels import dense_star_failures
+
+    m2 = ga.matrix_algebra(2)
+    assert list(ga.star_failures(m2)) == []
+    # e00* = 2 e00 is sent back to 4 e00
+    doubled = ga.StarAlgebra(4, m2.mul, [[(0, Fraction(2))]] + m2.star[1:])
+    assert next(ga.star_failures(doubled)) == "star not involutive"
+    # the identity is involutive but not antimultiplicative: (e00 e01)* = e01,
+    # while e01* e00* = e01 e00 = 0
+    plain = ga.StarAlgebra(4, m2.mul, [[(i, ONE)] for i in range(4)])
+    assert next(ga.star_failures(plain)) == (0, 1)
+    for alg in (doubled, plain):
+        assert list(ga.star_failures(alg)) == list(dense_star_failures(alg))
 
 
 def test_restrict_with_overlapping_fibers_raises_invalid_action():
@@ -314,7 +339,7 @@ def test_operations_reject_algebras_over_different_semigroups():
 # ---------------------------------------------------------------------------
 # a product, star or action image leaving its corner is a typed error
 
-SWAP = [[ZERO, ONE], [ONE, ZERO]]
+SWAP = [[(1, ONE)], [(0, ONE)]]  # star columns: b_0* = b_1, b_1* = b_0
 
 
 def _chain_c0x(star=None, square=None):

@@ -13,6 +13,9 @@
     ``corner`` and ``_fiber_rebase``;
   - the induction module's corners and coordinate reads,
     ``c0_orbits_algebra``, ``theta_res_ind`` and ``_rebase_hom``.
+- Every star is kept as its sparse columns: no module indexes a star as a
+  dense matrix, ``star[r][c]``, or assigns a ``zero_matrix`` to a name
+  ``star`` or ``adjoint``.
 """
 
 import ast
@@ -125,3 +128,35 @@ def test_scan_finds_dense_calls():
 def test_sparse_paths_make_no_dense_calls(module):
     found = dense_calls((SRC / module).read_text(), SPARSE_PATHS[module])
     assert found == {name: [] for name in SPARSE_PATHS[module]}
+
+
+def dense_star_sites(source: str) -> list:
+    """(line, code) for each double index ``star[r][c]`` of a name or an
+    attribute called ``star``, and for each ``zero_matrix(...)`` assigned to
+    a name ``star`` or ``adjoint``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Subscript):
+            base = node.value.value
+            if getattr(base, "id", None) == "star" or getattr(base, "attr", None) == "star":
+                out.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            func = node.value.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "zero_matrix" and any(getattr(t, "id", None) in {"star", "adjoint"}
+                                             for t in node.targets):
+                out.append((node.lineno, ast.unparse(node)))
+    return sorted(out)
+
+
+def test_scan_finds_dense_stars():
+    src = ("def f(alg, s, n):\n    star = zero_matrix(n)\n    star[0][1] = alg.star[1][0]\n"
+           "    adjoint = ga.zero_matrix(n, n)\n    cols = [alg.star[j] for j in range(n)]\n"
+           "    other = zero_matrix(n)\n    return s.star[s.star[0]], star[0], other[0][0]\n")
+    assert dense_star_sites(src) == [(2, "star = zero_matrix(n)"), (3, "alg.star[1][0]"),
+                                     (3, "star[0][1]"), (4, "adjoint = ga.zero_matrix(n, n)")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_stars_are_kept_as_sparse_columns(path):
+    assert dense_star_sites(path.read_text()) == []
