@@ -45,8 +45,7 @@ import sympy
 
 from .errors import BrokenInvariant, InvalidAction, NonIntegralMultiplicity, NotIdempotent
 from .galgebra import GAlgebra, HAlgebra, StarAlgebra, _apply, _coords, _product, quotient, zero_matrix
-from .linalg import (ONE, ZERO, QuotientSpace, Span, identity, nonzero_columns, nonzero_pairs, nullspace,
-                     sparse_solve, zeros)
+from .linalg import ONE, ZERO, QuotientSpace, Span, nonzero_pairs, nullspace, sparse_solve, zeros
 from .semigroup import leq
 from .spectrum import germ_range, tilde_mul, tilde_star
 
@@ -73,7 +72,7 @@ def _range_spans(a: GAlgebra):
     for g in a.sgp.elements():
         e = a.sgp.range_of(g)
         if e not in spans:
-            spans[e] = Span(map(list, zip(*a.action[e])))
+            spans[e] = Span(map(dict, a.action[e]), a.dim)
     return spans
 
 
@@ -108,7 +107,6 @@ def _convolution(kind, coeff, elements, range_of, spans, mul, star, label, name)
     groups = {}  # (range of h, index of b) -> [(j, h)]
     for j, (h, k) in enumerate(layout):
         groups.setdefault((rng[h], k), []).append((j, h))
-    cols = {g: nonzero_columns(coeff.action[g], coeff.dim) for g in elements}
     escape = InvalidAction("crossed product coefficient escapes its range ideal")
     cells_at = {}
     for g in elements:
@@ -116,7 +114,7 @@ def _convolution(kind, coeff, elements, range_of, spans, mul, star, label, name)
         if not coeffs:
             continue
         # whether h has a product with g depends only on the range of h
-        keyed = [(members, _apply(cols[g], spans[e].sparse_rows[k]))
+        keyed = [(members, _apply(coeff.action[g], spans[e].sparse_rows[k]))
                  for (e, k), members in groups.items() if mul(g, members[0][1]) is not None]
         for ki, a in enumerate(coeffs):
             cells = {}
@@ -136,7 +134,7 @@ def _convolution(kind, coeff, elements, range_of, spans, mul, star, label, name)
     for g in elements:
         gs = star(g)
         for a in spans[rng[g]].sparse_rows:
-            coords = _coords(spans[rng[gs]], _apply(cols[gs], _apply(coeff.alg.star, a)), escape)
+            coords = _coords(spans[rng[gs]], _apply(coeff.action[gs], _apply(coeff.alg.star, a)), escape)
             adjoint.append([(offs[gs] + k, v) for k, v in coords.items()])
     return CrossedProductAlgebra(kind, StarAlgebra(dim, cells_at, adjoint, name), labels, dim,
                                  layout, offs, spans, coeff)
@@ -192,9 +190,8 @@ def _groupoid(d: HAlgebra) -> CrossedProductAlgebra:
     its basis vectors; a zero germ product means no product."""
     gpd = d.gpd
     s = gpd.sgp
-    eye = identity(d.dim)
     fibers = [d.fiber_indices(u) for u in range(len(gpd.units))]
-    spans = {u: Span(eye[i] for i in fib) for u, fib in enumerate(fibers)}
+    spans = {u: Span(({i: ONE} for i in fib), d.dim) for u, fib in enumerate(fibers)}
     rng = {h: gpd.unit_pos_of_mask(germ_range(s, h)) for h in gpd.elements}
 
     def mul(g, h):

@@ -2,11 +2,15 @@
 
 A StarAlgebra holds sparse structure constants and its star as columns,
 ``star[j]`` the nonzero (row, value) pairs of b_j* in row order, as
-``_apply`` reads them. A GAlgebra adds one action matrix per semigroup
-element (possibly only for a sub-semigroup's elements). Groupoid
-coefficient algebras (HAlgebra) keep a fiber-adapted basis: every basis vector
-belongs to the fiber of one groupoid unit, so unit actions are coordinate
-projections.
+``_apply`` reads them. A GAlgebra adds one action map per semigroup element
+(possibly only for a sub-semigroup's elements) in the same format:
+``action[g][j]`` holds the nonzero (row, value) pairs of alpha_g(b_j) in row
+order. Every linear map on an algebra is kept so, the character, mask and
+germ maps and the projections included; ``_compose`` gives the columns of a
+composite, and two maps in this format are equal exactly when their lists
+of columns are. Groupoid coefficient algebras (HAlgebra) keep a
+fiber-adapted basis: every basis vector belongs to the fiber of one
+groupoid unit, so unit actions are coordinate projections.
 
 Every change of basis goes through one path. ``transport`` expresses an
 algebra on new vectors, given as sparse ``{col: value}`` lifts, and
@@ -15,10 +19,11 @@ coordinates over a ``Span``, ``Basis`` or ``QuotientSpace`` through its
 ``sparse_coords`` and raise the caller's typed error for a vector outside
 it. Products and images come from the sparse kernels ``_product`` and
 ``_apply``, which the crossed products share. ``corner`` is the algebra on
-the range of a projection: the corners of ``subalgebra_on_projection``, the
-fibers of ``restrict`` and the induction module's corners. Quotients go
-through ``quotient``, which reads the products of its lifts straight from
-the structure constants; direct sums go through ``direct_sum``.
+the range of a projection given by its columns: the corners of
+``subalgebra_on_projection``, the fibers of ``restrict`` and the induction
+module's corners. Quotients go through ``quotient``, which reads the
+products of its lifts straight from the structure constants; direct sums go
+through ``direct_sum``.
 """
 
 from dataclasses import dataclass
@@ -29,12 +34,8 @@ from .linalg import (
     ZERO,
     Span,
     QuotientSpace,
-    identity,
-    mat_mul,
     nonzero_columns,
     nonzero_pairs,
-    nonzero_rows,
-    rows_mul,
     sparse_solve,
     zeros,
 )
@@ -42,40 +43,9 @@ from .semigroup import FiniteInvSgp, iter_mask
 from .spectrum import ExtendedElement, germ_range, germ_source, spectrum, tilde_mul
 
 
-def mat_eq(a, b) -> bool:
-    """Entrywise equality over the rows and columns a and b have in common."""
-    return all(_rows_eq(ra, rb) for ra, rb in zip(a, b))
-
-
-def _rows_eq(ra, rb) -> bool:
-    # rows of one type and length compare as whole lists; others entry by
-    # entry over their common prefix, as zip does
-    if ra == rb:
-        return True
-    if type(ra) is type(rb) and len(ra) == len(rb):
-        return False
-    return all(x == y for x, y in zip(ra, rb))
-
-
 def zero_matrix(n, m=None):
     m = n if m is None else m
     return [[ZERO] * m for _ in range(n)]
-
-
-def mat_kron(a, b):
-    na, nb = len(a), len(b)
-    ma = len(a[0]) if a else 0
-    mb = len(b[0]) if b else 0
-    out = zero_matrix(na * nb, ma * mb)
-    for i in range(na):
-        for j in range(ma):
-            x = a[i][j]
-            if x:
-                for k in range(nb):
-                    for l in range(mb):
-                        if b[k][l]:
-                            out[i * nb + k][j * mb + l] = x * b[k][l]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -169,27 +139,77 @@ def matrix_algebra(n, label=None):
     return StarAlgebra(n * n, mul, star, label or f"M{n}")
 
 
-def block_diag(mats):
-    """Block-diagonal matrix of the square matrices mats, in order."""
-    out = zero_matrix(sum(len(m) for m in mats))
-    off = 0
-    for m in mats:
-        for i, row in enumerate(m):
-            out[off + i][off:off + len(row)] = row
-        off += len(m)
-    return out
-
-
 def star_sum(algs, label=""):
     """Direct sum of *-algebras, the basis of each following its predecessors."""
-    mul, star = {}, []
+    mul = {}
     off = 0
     for a in algs:
         for (i, j), cell in a.mul.items():
             mul[(off + i, off + j)] = {off + k: v for k, v in cell.items()}
-        star.extend([(off + r, x) for r, x in col] for col in a.star)
         off += a.dim
-    return StarAlgebra(off, mul, star, label or "+".join(a.label for a in algs) or "0")
+    return StarAlgebra(off, mul, _diagonal_sum([a.star for a in algs]),
+                       label or "+".join(a.label for a in algs) or "0")
+
+
+# ---------------------------------------------------------------------------
+# linear maps as columns: m[j] is the nonzero (row, value) pairs of m b_j, in
+# row order
+
+
+def _identity(n) -> list:
+    return [[(j, ONE)] for j in range(n)]
+
+
+def _diagonal_sum(maps) -> list:
+    """The block-diagonal sum of square maps, in order."""
+    out, off = [], 0
+    for m in maps:
+        out.extend([(off + r, x) for r, x in col] for col in m)
+        off += len(m)
+    return out
+
+
+def _kron(a, b) -> list:
+    """The Kronecker product a (x) b of square maps: column j1 n + j2, for b
+    of size n, is a[j1] (x) b[j2], in row order."""
+    n = len(b)
+    return [[(r1 * n + r2, x1 * x2) for r1, x1 in c1 for r2, x2 in c2] for c1 in a for c2 in b]
+
+
+def _column(v: dict) -> list:
+    """A ``{row: value}`` dict as a column: its nonzero pairs in row order."""
+    return sorted((r, x) for r, x in v.items() if x)
+
+
+def _compose(a, b) -> list:
+    """The columns of a b. A column of b with one entry (r, y) gives y times
+    column r of a, which is already in row order."""
+    out = []
+    for col in b:
+        if len(col) == 1:
+            r, y = col[0]
+            out.append(a[r] if y == 1 else [(k, x * y) for k, x in a[r]])
+        else:
+            out.append(_column(_apply(a, dict(col))) if col else [])
+    return out
+
+
+def _sum(maps, n) -> list:
+    """The columns of the sum of ``maps``, each given by its n columns."""
+    out = []
+    for j in range(n):
+        acc = {}
+        for m in maps:
+            for r, x in m[j]:
+                acc[r] = acc.get(r, ZERO) + x
+        out.append(_column(acc))
+    return out
+
+
+def _complement(m) -> list:
+    """The columns of 1 - m for a square m."""
+    return [_column({**{r: -x for r, x in col}, j: ONE - dict(col).get(j, ZERO)})
+            for j, col in enumerate(m)]
 
 
 # ---------------------------------------------------------------------------
@@ -235,34 +255,42 @@ def transport(alg: StarAlgebra, lifts, space, error, label="") -> StarAlgebra:
     """The algebra on the vectors ``lifts`` of ``alg``, each a ``{col: value}``
     dict without zeros: basis vector i is lifts[i], and products and stars
     are read back as coordinates over ``space``. ``error`` is raised when one
-    has none (never for a QuotientSpace, where every vector has a class)."""
+    has none (never for a QuotientSpace, where every vector has a class).
+
+    The product of lifts i and j is formed only when a ``mul`` cell pairs a
+    column of lift i with one of lift j; every other product is 0."""
+    right = {}  # column a -> the columns b with a cell (a, b)
+    for a, b in alg.mul:
+        right.setdefault(a, set()).add(b)
+    holders = {}  # column -> the lifts that have it
+    for j, v in enumerate(lifts):
+        for c in v:
+            holders.setdefault(c, []).append(j)
     mul = {}
     for i, u in enumerate(lifts):
-        for j, v in enumerate(lifts):
-            cell = _coords(space, _product(alg, u, v), error)
+        partners = set()
+        for a in u:
+            for b in right.get(a, ()):
+                partners.update(holders.get(b, ()))
+        for j in sorted(partners):
+            cell = _coords(space, _product(alg, u, lifts[j]), error)
             if cell:
                 mul[(i, j)] = cell
-    star = [list(_coords(space, _apply(alg.star, v), error).items()) for v in lifts]
-    return StarAlgebra(len(lifts), mul, star, label)
+    return StarAlgebra(len(lifts), mul, transport_matrix(alg.star, lifts, space, error), label)
 
 
-def transport_matrix(m, lifts, space, error):
-    """The linear map m on the ``{col: value}`` vectors ``lifts``: column j is
-    the coordinates of m lifts[j] over ``space``, and ``error`` is raised
-    when it has none. Only the columns of m that the lifts touch are read."""
-    cols = {c: nonzero_pairs([row[c] for row in m]) for c in set().union(*lifts)}
-    out = zero_matrix(space.dim, len(lifts))
-    for j, v in enumerate(lifts):
-        for i, x in _coords(space, _apply(cols, v), error).items():
-            out[i][j] = x
-    return out
+def transport_matrix(m, lifts, space, error) -> list:
+    """The linear map m, given by its columns, on the ``{col: value}``
+    vectors ``lifts``, as columns: column j is the coordinates of m lifts[j]
+    over ``space``, and ``error`` is raised when it has none."""
+    return [list(_coords(space, _apply(m, v), error).items()) for v in lifts]
 
 
 def corner(alg: StarAlgebra, p, error, label="") -> tuple:
-    """The corner of ``alg`` on the column span of the projection matrix p:
+    """The corner of ``alg`` on the span of the columns of the projection p:
     (StarAlgebra on the span's reduced rows, that Span). ``error`` is raised
     when a product or a star leaves the span."""
-    span = Span(map(list, zip(*p)))
+    span = Span(map(dict, p), alg.dim)
     return transport(alg, span.sparse_rows, span, error, label), span
 
 
@@ -290,19 +318,10 @@ def quotient(alg: StarAlgebra, relations, label="") -> tuple:
 # algebras with inverse-semigroup actions
 
 
-class _SplitActions:
-    """Keeps each action matrix split into ``nonzero_rows`` after its first
-    use; action matrices are not changed once an algebra is built."""
-
-    def action_rows(self, g):
-        cache = self.__dict__.setdefault("_action_rows", {})
-        if g not in cache:
-            cache[g] = nonzero_rows(self.action[g])
-        return cache[g]
-
-
-class GAlgebra(_SplitActions):
-    """A *-algebra with an action matrix per semigroup element.
+class GAlgebra:
+    """A *-algebra with an action map per semigroup element, each kept as
+    its columns: ``action[g][j]`` is alpha_g(b_j) as its nonzero (row, value)
+    pairs, in row order.
 
     The action dict may cover only a sub-semigroup (always including the
     unit); such algebras arise as modules over generated sub-semigroups.
@@ -320,25 +339,20 @@ class GAlgebra(_SplitActions):
         return self.alg.dim
 
     def char_matrices(self):
-        """Minimal character projections acting on the algebra."""
+        """Minimal character projections acting on the algebra, as columns."""
         if self._char_mats is not None:
             return self._char_mats
         s = self.sgp
         sp = spectrum(s)
+        comp = {e: _complement(self.action[e]) for e in sp.gens}
         mats = []
         for f in sp.gens:
-            m = [row[:] for row in self.action[f]]
+            m = self.action[f]
             for e in sp.gens:
                 if s.table[f][e] != f:  # f <= e fails: multiply by (1 - e)
-                    em = rows_mul(self.action_rows(e), nonzero_rows(m), self.dim)
-                    for rm, re in zip(m, em):
-                        for c, y in nonzero_pairs(re):
-                            rm[c] -= y
+                    m = _compose(comp[e], m)
             mats.append(m)
-        total = zero_matrix(self.dim)
-        for m in mats:
-            _add_nonzeros(total, m)
-        if not mat_eq(total, identity(self.dim)):
+        if _sum(mats, self.dim) != _identity(self.dim):
             raise InvalidAction(
                 f"character projections of {self.label!r} do not sum to the identity"
             )
@@ -346,24 +360,14 @@ class GAlgebra(_SplitActions):
         return mats
 
     def mask_matrix(self, mask: int):
-        """Action of the indicator function of a character set."""
+        """Action of the indicator function of a character set, as columns."""
         mats = self.char_matrices()
-        out = zero_matrix(self.dim)
-        for i in iter_mask(mask):
-            _add_nonzeros(out, mats[i])
-        return out
+        return _sum([mats[i] for i in iter_mask(mask)], self.dim)
 
     def germ_matrix(self, x: ExtendedElement):
-        """Extended action of a germ: alpha_g composed with its domain projection."""
-        return mat_mul(self.action[x.g], self.mask_matrix(x.chars))
-
-
-def _add_nonzeros(out, m):
-    """out += m in place, adding only the nonzero entries of m."""
-    for orow, row in zip(out, m):
-        for c, x in enumerate(row):
-            if x:
-                orow[c] += x
+        """Extended action of a germ, as columns: alpha_g composed with its
+        domain projection."""
+        return _compose(self.action[x.g], self.mask_matrix(x.chars))
 
 
 def trivial_algebra(s: FiniteInvSgp) -> GAlgebra:
@@ -376,9 +380,9 @@ def trivial_algebra(s: FiniteInvSgp) -> GAlgebra:
     action = {}
     for g in s.elements():
         if s.zero is not None and g == s.zero:
-            action[g] = [[ZERO]]
+            action[g] = [[]]
         else:
-            action[g] = [[ONE]]
+            action[g] = [[(0, ONE)]]
     return GAlgebra(s, diagonal_star_algebra(1, "C"), action, "C")
 
 
@@ -388,9 +392,9 @@ def c0x_algebra(s: FiniteInvSgp) -> GAlgebra:
     n = sp.size
     action = {}
     for g in s.elements():
-        m = zero_matrix(n)
+        m = [[] for _ in range(n)]
         for i, j in sp.char_map(g).items():
-            m[j][i] = ONE
+            m[i] = [(j, ONE)]
         action[g] = m
     return GAlgebra(s, diagonal_star_algebra(n, "C0(X)"), action, "C0(X)")
 
@@ -402,9 +406,9 @@ def from_points(s: FiniteInvSgp, npoints: int, maps: dict, label="points") -> GA
     """
     action = {}
     for g in s.elements():
-        m = zero_matrix(npoints)
+        m = [[] for _ in range(npoints)]
         for p, q in maps.get(g, {}).items():
-            m[q][p] = ONE
+            m[p] = [(q, ONE)]
         action[g] = m
     return GAlgebra(s, diagonal_star_algebra(npoints, label), action, label)
 
@@ -453,30 +457,29 @@ def star_failures(alg: StarAlgebra):
 
 
 def central_multiplier_failures(alg: StarAlgebra, m):
-    """Witnesses that the linear map m is not a central multiplier of alg:
-    (i, j) where (m b_i) b_j != b_i (m b_j), and (i, j, "not a multiplier")
-    where m(b_i b_j) != (m b_i) b_j."""
+    """Witnesses that the linear map m, given by its columns, is not a
+    central multiplier of alg: (i, j) where (m b_i) b_j != b_i (m b_j), and
+    (i, j, "not a multiplier") where m(b_i b_j) != (m b_i) b_j."""
     d = alg.dim
-    images = nonzero_columns(m, d)
     for i in range(d):
         for j in range(d):
-            left = alg.mul_pairs(images[i], [(j, ONE)])
-            if left != alg.mul_pairs([(i, ONE)], images[j]):
+            left = alg.mul_pairs(m[i], [(j, ONE)])
+            if left != alg.mul_pairs([(i, ONE)], m[j]):
                 yield (i, j)
-            if _combine(images, alg.mul.get((i, j), {}).items(), len(m)) != left:
+            if _combine(m, alg.mul.get((i, j), {}).items(), d) != left:
                 yield (i, j, "not a multiplier")
 
 
 def multiplicative_failures(m, sa: StarAlgebra, sb: StarAlgebra):
-    """(i, j) for each basis pair of sa with m(b_i b_j) != (m b_i)(m b_j).
+    """(i, j) for each basis pair of sa with m(b_i b_j) != (m b_i)(m b_j), for
+    m from sa to sb given by its columns.
 
     m(b_i b_j) is read from the ``sa.mul`` cell (i, j) as a combination of
-    the nonzero entries of m's columns."""
-    images = nonzero_columns(m, sa.dim)
+    m's columns."""
     for i in range(sa.dim):
         for j in range(sa.dim):
             ij = sa.mul.get((i, j), {}).items()
-            if _combine(images, ij, len(m)) != sb.mul_pairs(images[i], images[j]):
+            if _combine(m, ij, sb.dim) != sb.mul_pairs(m[i], m[j]):
                 yield (i, j)
 
 
@@ -491,63 +494,70 @@ def _combine(cols, coeffs, n):
 
 
 def star_preserving_failures(m, sa: StarAlgebra, sb: StarAlgebra):
-    """i for each basis vector of sa with m(b_i*) != (m b_i)*."""
-    images = nonzero_columns(m, sa.dim)
+    """i for each basis vector of sa with m(b_i*) != (m b_i)*, for m from sa
+    to sb given by its columns."""
     for i in range(sa.dim):
-        if _apply(images, dict(sa.star[i])) != _apply(sb.star, dict(images[i])):
+        if _apply(m, dict(sa.star[i])) != _apply(sb.star, dict(m[i])):
             yield i
 
 
 def _endomorphism_failures(alg: StarAlgebra, m):
-    """(i, "star") and (i, j) where m fails to be a *-endomorphism of alg."""
+    """(i, "star") and (i, j) where m, given by its columns, fails to be a
+    *-endomorphism of alg."""
     for i in star_preserving_failures(m, alg, alg):
         yield (i, "star")
     yield from multiplicative_failures(m, alg, alg)
 
 
 def _check_shapes(alg: StarAlgebra, action: dict, name):
-    """Raise InvalidAction when the star has not dim columns (witness
-    {element, columns}) or a row outside range(dim) ({element, column, row}),
-    or an action matrix (its key labelled by ``name``) is not dim x dim
-    ({element, shape}; a ragged one reports its first short or long row)."""
+    """Raise InvalidAction unless the star and every action map (its key
+    labelled by ``name``) are dim canonical columns: a map without dim
+    columns has witness {element, columns}, and a row outside range(dim), a
+    row not above the row before it or a zero value has witness {element,
+    column, row}. The star's element is "star"."""
     d = alg.dim
-    if len(alg.star) != d:
-        raise InvalidAction(f"star has {len(alg.star)} columns, not {d}",
-                            witness={"element": "star", "columns": len(alg.star)})
-    for j, col in enumerate(alg.star):
-        for r, _ in col:
-            if r not in range(d):
-                raise InvalidAction(f"star column {j} has row {r}, outside range({d})",
-                                    witness={"element": "star", "column": j, "row": r})
-    for key, m in ((name(x), m) for x, m in action.items()):
-        bad = [len(row) for row in m if len(row) != d]
-        if len(m) != d or bad:
-            shape = (len(m), bad[0] if bad else d)
-            raise InvalidAction(f"matrix of {key!r} is {shape[0]}x{shape[1]}, not {d}x{d}",
-                                witness={"element": key, "shape": shape})
+    maps = [("star", "star", alg.star)]
+    maps += [(f"action of {name(x)!r}", name(x), m) for x, m in action.items()]
+    for what, key, cols in maps:
+        if len(cols) != d:
+            raise InvalidAction(f"{what} has {len(cols)} columns, not {d}",
+                                witness={"element": key, "columns": len(cols)})
+        for j, col in enumerate(cols):
+            last = -1
+            for r, x in col:
+                if r not in range(d):
+                    fault = f"outside range({d})"
+                elif r <= last:
+                    fault = f"after row {last}"
+                elif not x:
+                    fault = "with value 0"
+                else:
+                    last = r
+                    continue
+                raise InvalidAction(f"{what} column {j} has row {r}, {fault}",
+                                    witness={"element": key, "column": j, "row": r})
 
 
 def validate_g_algebra(a: GAlgebra) -> dict:
     """Exhaustive check of the *-algebra and action axioms; reports witnesses.
-    Raises InvalidAction first if a matrix has the wrong shape."""
+    Raises InvalidAction first if a map is not in the column format."""
     s, alg = a.sgp, a.alg
     d = alg.dim
     keys = set(a.action)
     _check_shapes(alg, a.action, s.names.__getitem__)
 
     def hom():
-        if s.unit not in keys or not mat_eq(a.action[s.unit], identity(d)):
+        if s.unit not in keys or a.action[s.unit] != _identity(d):
             yield "unit does not act as identity"
             return
         if s.zero is not None and s.zero in keys:
-            if not mat_eq(a.action[s.zero], zero_matrix(d)):
+            if any(a.action[s.zero]):
                 yield "declared zero does not act as zero"
                 return
         for g in keys:
             for h in keys:
                 gh = s.table[g][h]
-                if gh in keys and not mat_eq(rows_mul(a.action_rows(g), a.action_rows(h), d),
-                                             a.action[gh]):
+                if gh in keys and _compose(a.action[g], a.action[h]) != a.action[gh]:
                     yield (s.names[g], s.names[h])
 
     def endo():
@@ -578,17 +588,19 @@ def validate_g_algebra(a: GAlgebra) -> dict:
 # groupoid coefficient algebras (fiber-adapted basis)
 
 
-class HAlgebra(_SplitActions):
+class HAlgebra:
     """Coefficient algebra over a finite groupoid; also a C0(units)-algebra.
 
-    unit_of_basis[i] is the index (into gpd.units) of the fiber holding basis
-    vector i. embed, when present, maps basis vectors into a parent algebra.
+    ``action[x][j]`` is the action of the germ x on b_j as its nonzero (row,
+    value) pairs, in row order, as for a GAlgebra. unit_of_basis[i] is the
+    index (into gpd.units) of the fiber holding basis vector i. embed, when
+    present, maps basis vectors into a parent algebra.
     """
 
     def __init__(self, gpd, alg: StarAlgebra, action: dict, unit_of_basis, label="", embed=None, parent=None):
         self.gpd = gpd
         self.alg = alg
-        self.action = action  # dict ExtendedElement -> matrix
+        self.action = action  # dict ExtendedElement -> columns
         self.unit_of_basis = tuple(unit_of_basis)
         self.label = label or alg.label
         self.embed = embed  # list of vectors in parent coordinates
@@ -602,16 +614,14 @@ class HAlgebra(_SplitActions):
         return [i for i, u in enumerate(self.unit_of_basis) if u == unit_pos]
 
     def unit_projection(self, unit_pos: int):
-        m = zero_matrix(self.dim)
-        for i in self.fiber_indices(unit_pos):
-            m[i][i] = ONE
-        return m
+        """The coordinate projection on a unit's fiber, as columns."""
+        return [[(i, ONE)] if u == unit_pos else [] for i, u in enumerate(self.unit_of_basis)]
 
 
 def validate_h_algebra(d: HAlgebra) -> dict:
     """Groupoid-sense validation: units act as orthogonal central coordinate
     projections spanning the algebra; arrows act as fiber *-isomorphisms.
-    Raises InvalidAction first if a matrix has the wrong shape."""
+    Raises InvalidAction first if a map is not in the column format."""
     s = d.gpd.sgp
     alg = d.alg
     n = alg.dim
@@ -625,7 +635,7 @@ def validate_h_algebra(d: HAlgebra) -> dict:
             if u not in d.action:
                 yield f"missing unit action {key(u)}"
                 continue
-            if not mat_eq(d.action[u], d.unit_projection(upos)):
+            if d.action[u] != d.unit_projection(upos):
                 yield f"unit {key(u)} is not its coordinate projection"
         # fibers multiply within themselves and orthogonally across units;
         # b_i b_j is read at the nonzero values of the mul cell (i, j)
@@ -644,23 +654,22 @@ def validate_h_algebra(d: HAlgebra) -> dict:
         for x, m in d.action.items():
             src = d.gpd.unit_pos_of_mask(germ_source(x))
             rng = d.gpd.unit_pos_of_mask(germ_range(s, x))
-            for i in range(n):
-                col = [m[r][i] for r in range(n)]
+            for i, col in enumerate(m):
                 if d.unit_of_basis[i] != src:
-                    if any(col):
+                    if col:
                         yield (key(x), i, "acts outside source fiber")
                     continue
-                for r, v in enumerate(col):
-                    if v and d.unit_of_basis[r] != rng:
+                for r, _ in col:
+                    if d.unit_of_basis[r] != rng:
                         yield (key(x), i, "image outside range fiber")
             for y, my in d.action.items():
                 prod = tilde_mul(s, x, y)
                 expected = d.action.get(prod)
-                got = mat_mul(m, my)
+                got = _compose(m, my)
                 if prod.is_zero():
-                    if not mat_eq(got, zero_matrix(n)):
+                    if any(got):
                         yield (key(x), key(y), "non-composable product acts nonzero")
-                elif expected is not None and not mat_eq(got, expected):
+                elif expected is not None and got != expected:
                     yield (key(x), key(y), "composition mismatch")
             for w in _endomorphism_failures(alg, m):
                 yield (key(x), *w)
@@ -681,7 +690,7 @@ def trivial_line(gpd, unit_pos: int, label="C") -> HAlgebra:
     for x in gpd.elements:
         src = gpd.unit_pos_of_mask(germ_source(x))
         rng = gpd.unit_pos_of_mask(germ_range(s, x))
-        action[x] = [[ONE]] if src == unit_pos and rng == unit_pos else [[ZERO]]
+        action[x] = [[(0, ONE)]] if src == unit_pos and rng == unit_pos else [[]]
     return HAlgebra(gpd, alg, action, [unit_pos], label)
 
 
@@ -692,10 +701,10 @@ def c0_units(gpd, label="C0(units)") -> HAlgebra:
     alg = diagonal_star_algebra(n, label)
     action = {}
     for x in gpd.elements:
-        m = zero_matrix(n)
+        m = [[] for _ in range(n)]
         src = gpd.unit_pos_of_mask(germ_source(x))
         rng = gpd.unit_pos_of_mask(germ_range(s, x))
-        m[rng][src] = ONE
+        m[src] = [(rng, ONE)]
         action[x] = m
     return HAlgebra(gpd, alg, action, list(range(n)), label)
 
@@ -704,7 +713,7 @@ def direct_sum(base, parts, label=""):
     """Direct sum of GAlgebras over the semigroup ``base``, or of HAlgebras
     over the groupoid ``base``; the empty sum is the zero algebra.
 
-    Each part's basis follows its predecessors' and every action matrix is
+    Each part's basis follows its predecessors' and every action map is
     block-diagonal. A sum of GAlgebras keeps the elements that act on every
     part.
     """
@@ -716,8 +725,8 @@ def direct_sum(base, parts, label=""):
     alg = star_sum([p.alg for p in parts], lbl)
     if isinstance(base, FiniteInvSgp):
         keys = [g for g in base.elements() if all(g in p.action for p in parts)]
-        return GAlgebra(base, alg, {g: block_diag([p.action[g] for p in parts]) for g in keys}, lbl)
-    action = {x: block_diag([p.action[x] for p in parts]) for x in base.elements}
+        return GAlgebra(base, alg, {g: _diagonal_sum([p.action[g] for p in parts]) for g in keys}, lbl)
+    action = {x: _diagonal_sum([p.action[x] for p in parts]) for x in base.elements}
     return HAlgebra(base, alg, action, [u for p in parts for u in p.unit_of_basis], lbl)
 
 
@@ -726,7 +735,8 @@ def direct_sum(base, parts, label=""):
 
 
 def subalgebra_on_projection(a: GAlgebra, p, label="") -> tuple:
-    """Corner of a central projection matrix: (GAlgebra, embedding vectors)."""
+    """Corner of a central projection, given by its columns: (GAlgebra,
+    embedding vectors)."""
     error = InvalidAction(f"corner of {a.label!r} is not closed")
     alg, span = corner(a.alg, p, error, label)
     action = {g: transport_matrix(m, span.sparse_rows, span, error) for g, m in a.action.items()}
@@ -742,14 +752,13 @@ def cutdown(a: GAlgebra, p: int) -> tuple:
         if s.table[p][g] != s.table[g][p]:
             raise NotCentral(f"{s.names[p]} does not commute with {s.names[g]}", witness=(p, g))
     m = a.action[p]
-    if not mat_eq(mat_mul(m, m), m):
+    if _compose(m, m) != m:
         raise NotCentral(f"action of {s.names[p]} is not idempotent", witness=p)
     witness = _first_failure(central_multiplier_failures(a.alg, m))
     if witness is not None:
         raise NotCentral(f"action of {s.names[p]} is not a central multiplier", witness=witness)
-    comp = [[(ONE if i == j else ZERO) - m[i][j] for j in range(a.dim)] for i in range(a.dim)]
     part, _ = subalgebra_on_projection(a, m, f"{s.names[p]}({a.label})")
-    rest, _ = subalgebra_on_projection(a, comp, f"(1-{s.names[p]})({a.label})")
+    rest, _ = subalgebra_on_projection(a, _complement(m), f"(1-{s.names[p]})({a.label})")
     return part, rest
 
 
@@ -763,14 +772,14 @@ def restrict(a: GAlgebra, h) -> HAlgebra:
 
 def _fiber_rebase(a: GAlgebra, h, projections, error, label) -> HAlgebra:
     """a on a fiber-adapted basis over the groupoid h: the fiber of unit u is
-    the ``corner`` of a on the column span of projections[u], and a germ x
-    maps the fiber of its source unit into the fiber of its range unit by
-    x.g. ``error`` is raised when the fibers overlap, or when a product, a
+    the ``corner`` of a on the span of the columns of projections[u], and a
+    germ x maps the fiber of its source unit into the fiber of its range unit
+    by x.g. ``error`` is raised when the fibers overlap, or when a product, a
     star or a germ image leaves its fiber."""
     s = a.sgp
     fibers = [corner(a.alg, p, error) for p in projections]
-    embed = [row for _, span in fibers for row in span.rows]
-    if Span(embed).dim < len(embed):  # overlapping fibers
+    lifts = [v for _, span in fibers for v in span.sparse_rows]
+    if Span(lifts, a.dim).dim < len(lifts):  # overlapping fibers
         raise error
     offs, unit_of_basis = [], []
     for upos, (alg, _) in enumerate(fibers):
@@ -780,13 +789,13 @@ def _fiber_rebase(a: GAlgebra, h, projections, error, label) -> HAlgebra:
     for x in h.elements:
         src = h.unit_pos_of_mask(germ_source(x))
         rng = h.unit_pos_of_mask(germ_range(s, x))
-        m = zero_matrix(len(embed))
+        m = [[] for _ in lifts]
         blk = transport_matrix(a.action[x.g], fibers[src][1].sparse_rows, fibers[rng][1], error)
-        for i, row in enumerate(blk):
-            m[offs[rng] + i][offs[src]:offs[src] + len(row)] = row
+        for i, col in enumerate(blk):
+            m[offs[src] + i] = [(offs[rng] + r, v) for r, v in col]
         action[x] = m
     return HAlgebra(h, star_sum([alg for alg, _ in fibers], label), action, unit_of_basis, label,
-                    embed=embed, parent=a)
+                    embed=[row for _, span in fibers for row in span.rows], parent=a)
 
 
 # ---------------------------------------------------------------------------
@@ -807,12 +816,8 @@ def tensor_g(a: GAlgebra, b: GAlgebra, label="") -> GAlgebra:
                 for k2, v2 in cell2.items():
                     out[k1 * db + k2] = v1 * v2
             mul[(i1 * db + i2, j1 * db + j2)] = out
-    star = [[(k1 * db + k2, v1 * v2) for k1, v1 in c1 for k2, v2 in c2]
-            for c1 in a.alg.star for c2 in b.alg.star]
-    action = {}
-    for g in set(a.action) & set(b.action):
-        action[g] = mat_kron(a.action[g], b.action[g])
-    return GAlgebra(a.sgp, StarAlgebra(da * db, mul, star, label), action,
+    action = {g: _kron(a.action[g], b.action[g]) for g in set(a.action) & set(b.action)}
+    return GAlgebra(a.sgp, StarAlgebra(da * db, mul, _kron(a.alg.star, b.alg.star), label), action,
                     label or f"{a.label}(x){b.label}")
 
 
@@ -826,15 +831,12 @@ def balanced_tensor(a: GAlgebra, b: GAlgebra, label="") -> GAlgebra:
     for e in iter_mask(s._idem_mask):
         ea, eb = a.action[e], b.action[e]
         for i in range(a.dim):
-            for j in range(b.dim):
-                v = zeros(big.dim)
-                for r in range(a.dim):
-                    if ea[r][i]:
-                        v[r * db + j] += ea[r][i]
-                for r in range(b.dim):
-                    if eb[r][j]:
-                        v[i * db + r] -= eb[r][j]
-                if any(v):
+            for j in range(db):
+                v = {r * db + j: x for r, x in ea[i]}
+                for r, x in eb[j]:
+                    v[i * db + r] = v.get(i * db + r, ZERO) - x
+                v = {c: x for c, x in v.items() if x}
+                if v:
                     relations.append(v)
     lbl = label or f"{a.label}(x)X{b.label}"
     alg, q = quotient(big.alg, relations, lbl)
@@ -860,20 +862,20 @@ def verify_star_hom(f: StarHomomorphism, equivariant_keys=None) -> dict:
     """Multiplicativity, star preservation and optional equivariance."""
     sa = f.source.alg if hasattr(f.source, "alg") else f.source
     sb = f.target.alg if hasattr(f.target, "alg") else f.target
+    cols = nonzero_columns(f.matrix, sa.dim)
     checks = [
-        {"name": "multiplicative", "witness": _first_failure(multiplicative_failures(f.matrix, sa, sb))},
-        {"name": "star_preserving", "witness": _first_failure(star_preserving_failures(f.matrix, sa, sb))},
+        {"name": "multiplicative", "witness": _first_failure(multiplicative_failures(cols, sa, sb))},
+        {"name": "star_preserving", "witness": _first_failure(star_preserving_failures(cols, sa, sb))},
     ]
     if equivariant_keys is not None:
         checks.append({"name": "equivariant",
-                       "witness": _first_failure(_equivariance_failures(f, equivariant_keys))})
+                       "witness": _first_failure(_equivariance_failures(f, cols, equivariant_keys))})
     return _report("star_homomorphism", f.label, checks)
 
 
-def _equivariance_failures(f: StarHomomorphism, keys):
-    """g for each key with f alpha_g != alpha_g f."""
-    f_rows = nonzero_rows(f.matrix)
+def _equivariance_failures(f: StarHomomorphism, cols, keys):
+    """g for each key with f alpha_g != alpha_g f, for f's matrix given by
+    its columns ``cols``."""
     for g in keys:
-        left = rows_mul(f_rows, f.source.action_rows(g), f.source.dim)
-        if not mat_eq(left, rows_mul(f.target.action_rows(g), f_rows, f.source.dim)):
+        if _compose(cols, f.source.action[g]) != _compose(f.target.action[g], cols):
             yield g

@@ -29,14 +29,17 @@ from .galgebra import (
     StarAlgebra,
     StarHomomorphism,
     _apply,
-    _combine,
+    _complement,
+    _compose,
     _coords,
     _fiber_rebase,
     _first_failure,
+    _identity,
+    _product,
+    _sum,
     central_multiplier_failures,
     corner,
     direct_sum,
-    mat_eq,
     restrict,
     star_sum,
     subalgebra_on_projection,
@@ -47,7 +50,7 @@ from .galgebra import (
     verify_star_hom,
     zero_matrix,
 )
-from .linalg import ONE, ZERO, Basis, Span, identity, mat_inv, mat_mul, mat_vec, nonzero_columns, nonzero_pairs
+from .linalg import ONE, Basis, Span, mat_inv, mat_mul, nonzero_columns, nonzero_pairs
 from .semigroup import (
     FiniteInvSgp,
     check_subsemigroup,
@@ -270,7 +273,7 @@ def build_induced(s: FiniteInvSgp, h: FiniteGroupoid, d: HAlgebra,
     action = {}
     pool = iter_mask(within) if within is not None else s.elements()
     for g in pool:
-        m = zero_matrix(dim)
+        m = [[] for _ in range(dim)]
         gstar_ext = extended(s, s.star[g])
         rng_mask = sp.proj(s.range_of(g))
         for (r1, upos1, fib1, off1) in blocks:
@@ -279,13 +282,9 @@ def build_induced(s: FiniteInvSgp, h: FiniteGroupoid, d: HAlgebra,
             y = tilde_mul(s, gstar_ext, r1)
             idx2 = gh.orbit_of[y]
             (r2, upos2, fib2, off2) = blocks[idx2]
-            tinv = tilde_star(s, gh.transfer[y])
-            tm = d.action[tinv]
+            tm = d.action[tilde_star(s, gh.transfer[y])]
             for b, db in enumerate(fib2):
-                col = [tm[row][db] for row in range(d.dim)]
-                for k, v in enumerate(col):
-                    if v:
-                        m[off1 + fib1.index(k)][off2 + b] = v
+                m[off2 + b] = [(off1 + fib1.index(k), v) for k, v in tm[db]]
         action[g] = m
 
     lbl = label or f"Ind({d.label})"
@@ -339,7 +338,7 @@ def c0_orbits_algebra(s: FiniteInvSgp, gh: GHSpace, b: GAlgebra, label=""):
     alg = star_sum(algs, lbl)
     action = {}
     for g in s.elements():
-        m = zero_matrix(alg.dim)
+        m = [[] for _ in range(alg.dim)]
         src_mask = sp.proj(s.source(g))
         gext = extended(s, g)
         for (r, rng, off, span) in blocks:
@@ -347,8 +346,8 @@ def c0_orbits_algebra(s: FiniteInvSgp, gh: GHSpace, b: GAlgebra, label=""):
                 continue
             (_, _, off2, span2) = blocks[gh.orbit_of[tilde_mul(s, gext, r)]]
             blk = transport_matrix(b.action[g], span.sparse_rows, span2, error)
-            for k, row in enumerate(blk):
-                m[off2 + k][off:off + len(row)] = row
+            for k, col in enumerate(blk):
+                m[off + k] = [(off2 + r, v) for r, v in col]
         action[g] = m
     return GAlgebra(s, alg, action, lbl), blocks
 
@@ -384,8 +383,9 @@ def theta_res_ind(s: FiniteInvSgp, h: FiniteGroupoid, b: GAlgebra, instance="") 
         except InvalidAction as err:
             return make_report("theta-res-ind", instance, [check("bijective", str(err))],
                                {"ind": ind.dim, "target": target.dim})
-        for k, row in enumerate(blk):
-            m[toff + k][off:off + len(row)] = row
+        for k, col in enumerate(blk):
+            for r, v in col:
+                m[toff + r][off + k] = v
     report, _ = _verify_iso(
         m, ind.galg, target, list(s.elements()), "theta-res-ind", instance,
         {"ind": ind.dim, "target": target.dim, "orbits": ind.gh.orbit_count()},
@@ -431,15 +431,7 @@ def h_balanced_tensor(a: HAlgebra, b: HAlgebra, label="") -> HAlgebra:
     action = {}
     for germ in gpd.elements:
         ma, mb = a.action[germ], b.action[germ]
-        m = zero_matrix(k)
-        for x, (i, j) in enumerate(pairs):
-            for r in range(a.dim):
-                if not ma[r][i]:
-                    continue
-                for t in range(b.dim):
-                    if mb[t][j]:
-                        m[pos[(r, t)]][x] = ma[r][i] * mb[t][j]
-        action[germ] = m
+        action[germ] = [[(pos[(r, t)], va * vb) for r, va in ma[i] for t, vb in mb[j]] for i, j in pairs]
     lbl = label or f"{a.label}(x)U{b.label}"
     out = HAlgebra(gpd, StarAlgebra(k, mul, star, lbl), action, [a.unit_of_basis[i] for i, _ in pairs], lbl)
     out.pairs = pairs
@@ -449,30 +441,28 @@ def h_balanced_tensor(a: HAlgebra, b: HAlgebra, label="") -> HAlgebra:
 def central_decomp_tensor(s: FiniteInvSgp, h: FiniteGroupoid, a: HAlgebra, b: GAlgebra,
                           instance="") -> tuple:
     """The range-cut projection on Ind(A) (x) B: idempotent, central multiplier,
-    commuting with the action; returns (p, (corner dim, complement dim), report)."""
+    commuting with the action; returns (p as columns, (corner dim, complement
+    dim), report, Ind(A), Ind(A) (x) B)."""
     ind = build_induced(s, h, a)
     big = tensor_g(ind.galg, b)
     db = b.dim
-    p = zero_matrix(big.dim)
+    p = [[] for _ in range(big.dim)]
     for (r, upos, fib, off) in ind.blocks:
         mr = b.mask_matrix(germ_range(s, r))
-        for a_i in range(len(fib)):
-            u = off + a_i
-            for i in range(db):
-                for j in range(db):
-                    if mr[i][j]:
-                        p[u * db + i][u * db + j] = mr[i][j]
-    checks = [check("idempotent", None if mat_eq(mat_mul(p, p), p) else "p^2 != p"),
+        for u in range(off, off + len(fib)):
+            for j, col in enumerate(mr):
+                p[u * db + j] = [(u * db + i, x) for i, x in col]
+    checks = [check("idempotent", None if _compose(p, p) == p else "p^2 != p"),
               check("central_multiplier", _first_failure(central_multiplier_failures(big.alg, p)))]
 
     def action_commutes():
         for g in s.elements():
-            if not mat_eq(mat_mul(big.action[g], p), mat_mul(p, big.action[g])):
+            if _compose(big.action[g], p) != _compose(p, big.action[g]):
                 yield s.names[g]
 
     checks.append(check("action_commutes", _first_failure(action_commutes())))
 
-    corner_rank = sum(1 for i in range(big.dim) if p[i][i] == 1)
+    corner_rank = sum(1 for j, col in enumerate(p) if (j, 1) in col)
     dims = {"tensor": big.dim, "corner": corner_rank, "complement": big.dim - corner_rank}
     report = make_report("central-decomp-tensor", instance, checks, dims)
     return p, (dims["corner"], dims["complement"]), report, ind, big
@@ -494,7 +484,7 @@ def theta_res_ind_tensor(s: FiniteInvSgp, h: FiniteGroupoid, a: HAlgebra, b: GAl
     m = zero_matrix(cut.dim, src.dim)
     embed_b = [dict(nonzero_pairs(v)) for v in resb.embed]
     for bidx, (r, upos, fib, off) in enumerate(src.blocks):
-        gm = nonzero_columns(b.germ_matrix(r), db)
+        gm = b.germ_matrix(r)
         aoff = ind_a.blocks[bidx][3]
         afib = ind_a.blocks[bidx][2]
         error = InvalidAction(f"image escapes corner at rep {r}")
@@ -609,7 +599,7 @@ def _split_class(s: FiniteInvSgp, lset: int, g_ext: ExtendedElement, d: GAlgebra
                           dims)
         return m_elems, lprime, None, rep
 
-    dg = nonzero_columns(d.germ_matrix(g_ext), d.dim)
+    dg = d.germ_matrix(g_ext)
     span_m = Basis(res_m.embed)
     embed_cols = [nonzero_pairs(v) for v in resu.embed]  # resu's basis in d's coordinates
     theta_inv = zero_matrix(ind_m.dim, pos)
@@ -626,8 +616,7 @@ def _split_class(s: FiniteInvSgp, lset: int, g_ext: ExtendedElement, d: GAlgebra
         x_pt = tilde_mul(s, extended(s, lrep), g_ext)
         oidx = ind_u.gh.orbit_of[x_pt]
         (r2, upos2, fib2, off2) = ind_u.blocks[oidx]
-        tinv = tilde_star(s, ind_u.gh.transfer[x_pt])
-        tm = nonzero_columns(resu.action[tinv], resu.dim)
+        tm = resu.action[tilde_star(s, ind_u.gh.transfer[x_pt])]
         col_off = carrier_offsets.get(oidx)
         if col_off is None:
             raise BrokenInvariant("class presentation left the carrier",
@@ -778,23 +767,22 @@ def minimal_invariant_ideal_dims(a: GAlgebra) -> list:
     vectors under products, star and the action, deduplicated by containment."""
     ideals = []
     for seed in range(a.dim):
-        v0 = a.alg.basis_vec(seed)
+        v0 = {seed: ONE}
         if any(sp_.contains(v0) for sp_ in ideals):
             continue
-        span = Span([v0])
+        span = Span([v0], a.dim)
         changed = True
         while changed:
             changed = False
-            rows = [list(r) for r in span.rows]
-            for v in rows:
-                candidates = [_combine(a.alg.star, nonzero_pairs(v), a.dim)]
+            for v in list(span.sparse_rows):
+                candidates = [_apply(a.alg.star, v)]
                 for i in range(a.dim):
-                    candidates.append(a.alg.mul_vec(a.alg.basis_vec(i), v))
-                    candidates.append(a.alg.mul_vec(v, a.alg.basis_vec(i)))
+                    candidates.append(_product(a.alg, {i: ONE}, v))
+                    candidates.append(_product(a.alg, v, {i: ONE}))
                 for g, m in a.action.items():
-                    candidates.append(mat_vec(m, v))
+                    candidates.append(_apply(m, v))
                 for c in candidates:
-                    if any(c) and span.add(c):
+                    if c and span.add(c):
                         changed = True
         ideals.append(span)
     return sorted(sp_.dim for sp_ in ideals)
@@ -945,7 +933,7 @@ def build_bprime(s: FiniteInvSgp, lset: int, pset: int, a: GAlgebra, b: GAlgebra
     npoints = a.dim
 
     def point_sig(point, idems):
-        return tuple(1 if a.action[e][point][point] == 1 else 0 for e in idems)
+        return tuple(1 if (point, 1) in a.action[e][point] else 0 for e in idems)
 
     fine = {}
     for q in range(npoints):
@@ -970,25 +958,17 @@ def build_bprime(s: FiniteInvSgp, lset: int, pset: int, a: GAlgebra, b: GAlgebra
         sig = tuple(sp.char_value(pos, e) for e in l_idem)
         char_sig.setdefault(sig, 0)
         char_sig[sig] |= 1 << pos
-    n_mats = {}
-    for cs in coarse_sigs:
-        n_mats[cs] = zero_matrix(b.dim)
-    defect = zero_matrix(b.dim)
+    terms = {cs: [] for cs in coarse_sigs}
+    defect_terms = []
     for sig in char_sig:
-        m = _signature_matrix(b, l_idem, sig)
-        target = n_mats.get(sig, defect)
-        for i in range(b.dim):
-            for j in range(b.dim):
-                target[i][j] += m[i][j]
-    defect_rank = sum(1 for i in range(b.dim) if any(defect[i]))
+        terms.get(sig, defect_terms).append(_signature_matrix(b, l_idem, sig))
+    n_mats = {cs: _sum(terms[cs], b.dim) for cs in coarse_sigs}
+    defect = _sum(defect_terms, b.dim)
+    defect_rank = len({r for col in defect for r, _ in col})  # its nonzero rows
 
-    total = [row[:] for row in defect]
-    for cs in coarse_sigs:
-        for i in range(b.dim):
-            for j in range(b.dim):
-                total[i][j] += n_mats[cs][i][j]
+    total = _sum([defect, *n_mats.values()], b.dim)
     checks = [check("corners_resolve_identity",
-                    None if mat_eq(total, identity(b.dim)) else "sum of corners != 1"),
+                    None if total == _identity(b.dim) else "sum of corners != 1"),
               check("reassembles_b",
                     None if defect_rank == 0 else f"defect corner of rank {defect_rank}")]
 
@@ -1013,16 +993,15 @@ def build_bprime(s: FiniteInvSgp, lset: int, pset: int, a: GAlgebra, b: GAlgebra
     action = {}
     ambiguity = None
     for lp in iter_mask(lprime):
-        m = zero_matrix(dim_bp)
+        m = [[] for _ in range(dim_bp)]
         src_e = s.source(lp)
         for (cs, fs, off) in blocks:
             pts = fine[fs]
-            if any(a.action[src_e][q][q] != 1 for q in pts):
+            if any((q, 1) not in a.action[src_e][q] for q in pts):
                 continue
             img = []
             for q in pts:
-                col = [a.action[lp][r][q] for r in range(npoints)]
-                hits = [r for r, v in enumerate(col) if v]
+                hits = [r for r, _ in a.action[lp][q]]
                 if len(hits) != 1:
                     raise InvalidCoefficientAlgebra(
                         "coefficient action is not a partial point bijection"
@@ -1035,8 +1014,7 @@ def build_bprime(s: FiniteInvSgp, lset: int, pset: int, a: GAlgebra, b: GAlgebra
             # presenting elements: l in L with l*(source of lp) == lp
             presenters = [l for l in iter_mask(lset) if s.table[l][src_e] == lp]
             maps = []
-            alg_src, span_src = corners[cs]
-            alg_dst, span_dst = corners[cs2]
+            span_src, span_dst = corners[cs][1], corners[cs2][1]
             for l in presenters:
                 try:  # a presenter whose image leaves the target corner is not used
                     maps.append(transport_matrix(b.action[l], span_src.sparse_rows, span_dst, error))
@@ -1045,14 +1023,11 @@ def build_bprime(s: FiniteInvSgp, lset: int, pset: int, a: GAlgebra, b: GAlgebra
             if not maps:
                 continue
             for other in maps[1:]:
-                if not mat_eq(other, maps[0]):
+                if other != maps[0]:
                     ambiguity = (s.names[lp], cs, fs)
-            blk = maps[0]
             off2 = blocks[block_index[(cs2, fs2)]][2]
-            for ii in range(alg_dst.dim):
-                for jj in range(alg_src.dim):
-                    if blk[ii][jj]:
-                        m[off2 + ii][off + jj] = blk[ii][jj]
+            for jj, col in enumerate(maps[0]):
+                m[off + jj] = [(off2 + ii, v) for ii, v in col]
         action[lp] = m
     checks.append(check("well_defined_presentations", ambiguity))
 
@@ -1072,12 +1047,9 @@ def build_bprime(s: FiniteInvSgp, lset: int, pset: int, a: GAlgebra, b: GAlgebra
 
 
 def _signature_matrix(b: GAlgebra, idems, sig):
+    """The product over idems of e or 1 - e, as sig says, as columns."""
     m = None
     for e, inside in zip(idems, sig):
-        pe = b.action[e]
-        term = pe if inside else [
-            [(ONE if i == j else ZERO) - pe[i][j] for j in range(b.dim)]
-            for i in range(b.dim)
-        ]
-        m = term if m is None else mat_mul(m, term)
-    return m if m is not None else identity(b.dim)
+        term = b.action[e] if inside else _complement(b.action[e])
+        m = term if m is None else _compose(m, term)
+    return m if m is not None else _identity(b.dim)

@@ -14,6 +14,7 @@ from .crossed import crossed, numeric_block_oracle, semisimple_quotient
 from .errors import BrokenInvariant, CenterDoesNotSplit, HypothesesNotMet, NonIntegralMultiplicity
 from .galgebra import (
     StarHomomorphism,
+    _apply,
     c0_units,
     direct_sum,
     restrict,
@@ -23,7 +24,7 @@ from .galgebra import (
     verify_star_hom,
 )
 from .induction import assoc_groupoid, build_induced, check, make_report
-from .linalg import ONE, ZERO, mat_mul, mat_vec, nonzero_pairs
+from .linalg import ONE, ZERO, mat_mul, nonzero_pairs
 from .semigroup import FiniteInvSgp, bit, build, iter_mask, mask_of
 from .spectrum import spectrum
 
@@ -69,9 +70,10 @@ def _split_block_data(x):
 
 
 def _quotient_map(f: StarHomomorphism, dsrc, ddst):
-    """Descend a *-homomorphism to the semisimple quotients."""
-    lifts = [{c: ONE} for c in dsrc.radical_space.free]
-    return transport_matrix(f.matrix, lifts, ddst.radical_space,
+    """Descend a *-homomorphism to the semisimple quotients, as columns."""
+    free = dsrc.radical_space.free
+    cols = {c: nonzero_pairs([row[c] for row in f.matrix]) for c in free}
+    return transport_matrix(cols, [{c: ONE} for c in free], ddst.radical_space,
                             BrokenInvariant("a quotient vector has no class"))
 
 
@@ -94,8 +96,8 @@ def k0_map(f: StarHomomorphism) -> K0Map:
         ti = trace(zi)
         row = []
         for j, zj in enumerate(dsrc.central_idempotents):
-            img = mat_vec(fq, zj)
-            val = trace(ddst.quotient.mul_vec(zi, img))
+            img = _apply(fq, dict(nonzero_pairs(zj)))
+            val = trace(ddst.quotient.mul_pairs(nonzero_pairs(zi), img.items()))
             m = val / ti
             if m.denominator != 1:
                 raise NonIntegralMultiplicity(f"entry ({i},{j}) = {m}")
@@ -222,8 +224,7 @@ def verify_remark_counterexamples(s: FiniteInvSgp, instance="") -> dict:
         ind = build_induced(s, h, line)
         witness = None
         for p in proper:
-            m = ind.galg.action[p]
-            if any(v for row in m for v in row):
+            if any(ind.galg.action[p]):
                 witness = s.names[p]
                 break
         checks.append(check("proper_projections_annihilate", witness))

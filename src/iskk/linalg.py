@@ -14,8 +14,8 @@ without zeros, over a ``Span``'s reduced rows, a ``Basis``'s own vectors or
 a ``QuotientSpace``'s free columns; the first two return None for a vector
 outside them. ``galgebra.transport`` reads every change of basis through it.
 
-``psd_certificate`` is a pivoted LDL^T check. ``mat_vec`` and ``mat_mul``
-keep the dense interface of lists of rows but multiply only nonzero entries.
+``psd_certificate`` is a pivoted LDL^T check. ``mat_mul`` keeps the dense
+interface of lists of rows but multiplies only nonzero entries.
 """
 
 import bisect
@@ -45,37 +45,23 @@ def nonzero_pairs(v) -> list:
     return [(j, x) for j, x in enumerate(v) if x]
 
 
-def nonzero_rows(m) -> list:
-    """Each row of m as its ``nonzero_pairs``."""
-    return [nonzero_pairs(row) for row in m]
-
-
 def nonzero_columns(m, ncols) -> list:
     """The first ncols columns of m, each as its ``nonzero_pairs``."""
     return [nonzero_pairs([row[j] for row in m]) for j in range(ncols)]
 
 
-def mat_vec(m, v) -> list:
-    nonzero = nonzero_pairs(v)
-    return [sum((row[j] * x for j, x in nonzero if row[j]), ZERO) for row in m]
-
-
 def mat_mul(a, b) -> list:
-    """a b, touching only nonzero entries: each row of a and of b is read
-    once as its (column, value) pairs."""
-    return rows_mul(nonzero_rows(a), nonzero_rows(b), len(b[0]) if b else 0)
-
-
-def rows_mul(a_rows, b_rows, cols) -> list:
-    """The dense product of two matrices given by their ``nonzero_rows``;
-    ``cols`` is the column count of the right factor. Callers that multiply
-    one matrix many times split it into rows once."""
+    """a b, touching only nonzero entries: each row of b is read once as
+    its (column, value) pairs."""
+    cols = len(b[0]) if b else 0
+    b_rows = [nonzero_pairs(row) for row in b]
     out = []
-    for ai in a_rows:
+    for row in a:
         oi = [ZERO] * cols
-        for j, x in ai:
-            for c, y in b_rows[j]:
-                oi[c] += x * y
+        for j, x in enumerate(row):
+            if x:
+                for c, y in b_rows[j]:
+                    oi[c] += x * y
         out.append(oi)
     return out
 
@@ -177,22 +163,24 @@ class Span:
     zeros, in pivot order, each 1 at its own pivot and 0 at every other
     pivot. So a vector of the span is the combination of the rows with its
     own entries at the pivots as coefficients, and every method touches only
-    nonzeros. ``add`` takes dense vectors; ``contains`` and ``sparse_coords``
-    also take ``{col: value}`` dicts. ``rows`` is the dense view of the
-    reduced rows, as long as the vectors added.
+    nonzeros. ``add``, ``contains`` and ``sparse_coords`` take dense vectors
+    or ``{col: value}`` dicts. ``rows`` is the dense view of the reduced
+    rows, as long as the dense vectors added, or ``width`` long for a span
+    fed dicts.
     """
 
-    def __init__(self, vectors=()):
+    def __init__(self, vectors=(), width=0):
         self.sparse_rows = []
         self.pivots = []
         self._row_at = {}  # pivot -> its reduced row
-        self._ncols = 0
+        self._ncols = width
         for v in vectors:
             self.add(v)
 
     def add(self, v) -> bool:
         """Reduce v against the span; add if independent. Returns True if added."""
-        self._ncols = len(v)
+        if not isinstance(v, dict):
+            self._ncols = len(v)
         v = self._reduce(_sparse(v))
         if not v:
             return False
@@ -269,7 +257,8 @@ class Basis:
         for idx, v in enumerate(self.vectors):
             if not self._span.add(v):
                 raise ValueError(f"vector {idx} is dependent on its predecessors")
-        self._inv_rows = nonzero_rows(mat_inv([[v[p] for p in self._span.pivots] for v in self.vectors]))
+        self._inv_rows = [nonzero_pairs(row) for row in
+                          mat_inv([[v[p] for p in self._span.pivots] for v in self.vectors])]
 
     @property
     def dim(self):

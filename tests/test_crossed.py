@@ -11,8 +11,8 @@ from iskk import ktheory as kt
 from iskk import semigroup as sg
 from iskk import spectrum as spc
 from iskk.errors import BrokenInvariant, InvalidAction, NonIntegralMultiplicity, NotIdempotent
-from iskk.linalg import ONE, ZERO, Span, identity, mat_vec, nonzero_columns, nonzero_pairs
-from test_kernels import dense_nullspace, dense_star, dense_transport
+from iskk.linalg import ONE, ZERO, Span, identity, nonzero_columns, nonzero_pairs
+from test_kernels import dense_action, dense_mat_vec, dense_nullspace, dense_star, dense_transport
 
 
 def test_group_algebra_z2():
@@ -52,7 +52,7 @@ def test_universal_dim_formula():
         x = cr.crossed(c, kind="universal")
         expected = 0
         for g in s.elements():
-            m = c.action[s.range_of(g)]
+            m = dense_action(c.action[s.range_of(g)])
             expected += sum(1 for i in range(c.dim) if m[i][i] == 1)
         assert x.dim == expected
 
@@ -198,14 +198,14 @@ def _dense_groupoid(d):
             hg = spc.tilde_mul(s, h, g)
             if hg.is_zero():
                 continue
-            prod = d.alg.mul_vec(d.alg.basis_vec(ki), mat_vec(d.action[h], d.alg.basis_vec(kj)))
+            prod = d.alg.mul_vec(d.alg.basis_vec(ki), dense_mat_vec(dense_action(d.action[h]), d.alg.basis_vec(kj)))
             cell = {offs[hg] + fibs[hg].index(t): v for t, v in enumerate(prod) if v}
             if cell:
                 mul[(i, j)] = cell
     star, coeff_star = [[ZERO] * dim for _ in range(dim)], dense_star(d.alg)
     for i, (h, ki) in enumerate(layout):
         hs = spc.tilde_star(s, h)
-        w = mat_vec(d.action[hs], mat_vec(coeff_star, d.alg.basis_vec(ki)))
+        w = dense_mat_vec(dense_action(d.action[hs]), dense_mat_vec(coeff_star, d.alg.basis_vec(ki)))
         for t, v in enumerate(w):
             if v:
                 star[offs[hs] + fibs[hs].index(t)][i] = v
@@ -258,7 +258,7 @@ def test_groupoid_star_escape_is_a_typed_error():
     # unit 0's fiber; every product b alpha_u0(b_0) = b b_1 with b in that fiber is 0
     d = _two_unit_coefficients()
     u0 = d.gpd.units[0]
-    d.action[u0] = [[ZERO, ZERO], [ONE, ZERO]]
+    d.action[u0] = [[(1, ONE)], []]
     with pytest.raises(InvalidAction, match="^crossed product star escapes its range ideal$"):
         cr.crossed(d, "groupoid")
 
@@ -516,7 +516,7 @@ def _tensor(a, b):
     n = b.dim
     mul = {(i * n + k, j * n + m): {p * n + q: u * v for p, u in ca.items() for q, v in cb.items()}
            for (i, j), ca in a.mul.items() for (k, m), cb in b.mul.items()}
-    star = ga.mat_kron(dense_star(a), dense_star(b))
+    star = [[x * y for x in ra for y in rb] for ra in dense_star(a) for rb in dense_star(b)]  # Kronecker
     return ga.StarAlgebra(a.dim * n, mul, nonzero_columns(star, a.dim * n), f"{a.label}x{b.label}")
 
 
@@ -739,7 +739,7 @@ def _closure_sieben(a):
                 continue
             corner = Span()
             for i in range(a.dim):
-                ex = mat_vec(a.action[e], a.alg.basis_vec(i))
+                ex = dense_mat_vec(dense_action(a.action[e]), a.alg.basis_vec(i))
                 if any(ex):
                     for j in range(a.dim):
                         corner.add(a.alg.mul_vec(ex, a.alg.basis_vec(j)))
@@ -757,7 +757,7 @@ def _closure_sieben(a):
     while frontier:
         nxt = []
         for v in frontier:
-            candidates = [mat_vec(star, v)]
+            candidates = [dense_mat_vec(star, v)]
             for i in range(uni.dim):
                 b = uni.alg.basis_vec(i)
                 candidates += [uni.alg.mul_vec(b, v), uni.alg.mul_vec(v, b)]
@@ -781,7 +781,7 @@ def test_two_term_relations_span_a_star_ideal(spec, coeff):
     relations = [[r.get(c, ZERO) for c in range(alg.dim)] for r in cr._tight_relations(uni)]
     span, star = Span(relations), dense_star(alg)
     for v in span.rows:
-        assert span.contains(mat_vec(star, v))
+        assert span.contains(dense_mat_vec(star, v))
         for i in range(alg.dim):
             b = alg.basis_vec(i)
             assert span.contains(alg.mul_vec(b, v)) and span.contains(alg.mul_vec(v, b))
@@ -806,7 +806,8 @@ def _scalar_action(spec, scalars):
     ideal of g is Q or 0, so a hand-picked scalar breaks one containment."""
     s = sg.parse_builder(spec)
     q = ga.StarAlgebra(1, {(0, 0): {0: ONE}}, [[(0, ONE)]], "Q")
-    return ga.GAlgebra(s, q, {g: [[Fraction(scalars[s.names[g]])]] for g in s.elements()})
+    return ga.GAlgebra(s, q, {g: [[(0, Fraction(scalars[s.names[g]]))] if scalars[s.names[g]] else []]
+                              for g in s.elements()})
 
 
 def test_universal_coefficient_escape_is_a_typed_error():

@@ -6,7 +6,7 @@ from iskk import galgebra as ga
 from iskk import semigroup as sg
 from iskk import spectrum as sp
 from iskk.errors import InvalidAction, NotCentral
-from iskk.linalg import ONE, ZERO, identity
+from iskk.linalg import ONE, ZERO, identity, nonzero_columns
 
 
 def test_trivial_algebra_valid_on_chain_and_groups():
@@ -42,7 +42,7 @@ def test_noncentral_range_projection_detected():
            [ZERO, ONE, ZERO, ZERO],
            [ZERO, ZERO, ZERO, ZERO],
            [ZERO, ZERO, ZERO, ZERO]]  # cut to upper row-block: not central
-    a = ga.GAlgebra(s, alg, {0: identity(4), e: bad}, "bad")
+    a = ga.GAlgebra(s, alg, {0: nonzero_columns(identity(4), 4), e: nonzero_columns(bad, 4)}, "bad")
     rep = ga.validate_g_algebra(a)
     assert not rep["pass"]
     failing = {c["name"] for c in rep["checks"] if not c["pass"]}
@@ -56,7 +56,7 @@ def test_char_matrices_partition_identity():
         mats = a.char_matrices()
         assert len(mats) == sp.spectrum(s).size
         for m in mats:
-            assert ga.mat_eq(ga.mat_mul(m, m), m)
+            assert ga._compose(m, m) == m
 
 
 def test_balanced_tensor_trivial_unit():
@@ -80,8 +80,8 @@ def test_balanced_tensor_complementary_corners_collapse():
     # corner lines with complementary idempotent supports tensor to zero
     s = sg.parse_builder("chain:2")
     e = s.index("e1")
-    line_e = ga.GAlgebra(s, ga.diagonal_star_algebra(1), {0: [[ONE]], e: [[ONE]]}, "C_e")
-    line_c = ga.GAlgebra(s, ga.diagonal_star_algebra(1), {0: [[ONE]], e: [[ZERO]]}, "C_1-e")
+    line_e = ga.GAlgebra(s, ga.diagonal_star_algebra(1), {0: [[(0, ONE)]], e: [[(0, ONE)]]}, "C_e")
+    line_c = ga.GAlgebra(s, ga.diagonal_star_algebra(1), {0: [[(0, ONE)]], e: [[]]}, "C_1-e")
     assert ga.validate_g_algebra(line_e)["pass"]
     assert ga.validate_g_algebra(line_c)["pass"]
     t = ga.balanced_tensor(line_e, line_c)
@@ -155,16 +155,37 @@ def test_restrict_composes():
 
 
 @pytest.mark.parametrize("element", ["1", "e1"])
-@pytest.mark.parametrize("cut", ["row", "column"])
+@pytest.mark.parametrize("cut", ["short", "long"])
 def test_malformed_action_shape_raises_invalid_action(element, cut):
+    # an action map is kept as exactly dim columns
     s = sg.parse_builder("chain:2")
     a = ga.c0x_algebra(s)
     g = s.index(element)
     m = a.action[g]
-    a.action[g] = m[:-1] if cut == "row" else [row[:-1] for row in m]
+    a.action[g] = m[:-1] if cut == "short" else m + [[]]
     with pytest.raises(InvalidAction) as err:
         ga.validate_g_algebra(a)
-    assert err.value.witness == {"element": element, "shape": (1, 2) if cut == "row" else (2, 1)}
+    assert err.value.witness == {"element": element, "columns": 1 if cut == "short" else 3}
+
+
+@pytest.mark.parametrize("column, row", [
+    ([(2, ONE)], 2),                  # below the last row
+    ([(-1, ONE)], -1),                # above the first row
+    ([(1, ONE), (0, ONE)], 0),        # rows out of order
+    ([(0, ONE), (0, ONE)], 0),        # a row twice
+    ([(0, ZERO)], 0),                 # a zero value
+    ([(0, ONE), (1, ZERO)], 1),       # a zero value after a good entry
+])
+def test_noncanonical_action_column_raises_invalid_action(column, row):
+    # column equality stands for map equality only on canonical columns:
+    # rows strictly increasing inside range(dim), values nonzero
+    s = sg.parse_builder("chain:2")
+    a = ga.c0x_algebra(s)
+    e = s.index("e1")
+    a.action[e] = [a.action[e][0], column]
+    with pytest.raises(InvalidAction) as err:
+        ga.validate_g_algebra(a)
+    assert err.value.witness == {"element": "e1", "column": 1, "row": row}
 
 
 def test_malformed_star_and_germ_action_shapes_raise_invalid_action():
@@ -179,11 +200,21 @@ def test_malformed_star_and_germ_action_shapes_raise_invalid_action():
     d = ga.restrict(ga.c0x_algebra(s), assoc_groupoid(s, 0b11))
     assert ga.validate_h_algebra(d)["pass"]
     x = next(iter(d.action))
-    d.action[x] = [[ONE, ZERO], [ONE]]  # ragged: the second row is short
+    key = (s.names[x.g], x.chars)
+    good = d.action[x]
+    d.action[x] = good[:1]  # one column of a 2-dim algebra
     with pytest.raises(InvalidAction) as err:
         ga.validate_h_algebra(d)
-    assert err.value.witness == {"element": (s.names[x.g], x.chars), "shape": (2, 1)}
-    d.action[x] = [[ONE, ZERO], [ZERO, ONE]]
+    assert err.value.witness == {"element": key, "columns": 1}
+    d.action[x] = [[(1, ONE), (0, ONE)], []]  # unsorted rows
+    with pytest.raises(InvalidAction) as err:
+        ga.validate_h_algebra(d)
+    assert err.value.witness == {"element": key, "column": 0, "row": 0}
+    d.action[x] = [[], [(0, ZERO)]]  # a zero value
+    with pytest.raises(InvalidAction) as err:
+        ga.validate_h_algebra(d)
+    assert err.value.witness == {"element": key, "column": 1, "row": 0}
+    d.action[x] = good
     d.alg.star = [d.alg.star[0], [(0, ONE), (2, ONE)]]  # row 2 of a 2-dim algebra
     with pytest.raises(InvalidAction) as err:
         ga.validate_h_algebra(d)
@@ -220,7 +251,7 @@ def test_restrict_with_overlapping_fibers_raises_invalid_action():
 
     s = sg.parse_builder("chain:2")
     a = ga.c0x_algebra(s)
-    a.action[s.index("e1")] = [[ONE, ONE], [ZERO, ONE]]  # its unit fiber overlaps the other
+    a.action[s.index("e1")] = [[(0, ONE)], [(0, ONE), (1, ONE)]]  # its unit fiber overlaps the other
     with pytest.raises(InvalidAction, match="groupoid corner of 'C0\\(X\\)' is not closed"):
         ga.restrict(a, assoc_groupoid(s, 0b11))
 
@@ -308,11 +339,11 @@ def test_corner_of_a_sum_is_the_summand():
     a, b = ga.c0x_algebra(s), ga.trivial_algebra(s)
     total = ga.direct_sum(s, [a, b])
     assert ga.validate_g_algebra(total)["pass"]
-    for part, p in ((a, ga.block_diag([identity(a.dim), ga.zero_matrix(b.dim)])),
-                    (b, ga.block_diag([ga.zero_matrix(a.dim), identity(b.dim)]))):
+    for part, kept in ((a, range(a.dim)), (b, range(a.dim, total.dim))):
+        p = [[(i, ONE)] if i in kept else [] for i in range(total.dim)]
         sub, basis = ga.subalgebra_on_projection(total, p)
         assert (sub.alg.mul, sub.alg.star, sub.action) == (part.alg.mul, part.alg.star, part.action)
-        assert basis == [total.alg.basis_vec(i) for i in range(total.dim) if p[i][i]]
+        assert basis == [total.alg.basis_vec(i) for i in kept]
 
 
 def test_empty_direct_sum_is_zero():
@@ -363,10 +394,10 @@ def _all_germs(s):
 
 def test_corner_escape_of_a_product_or_star_is_a_typed_error():
     s = sg.parse_builder("chain:1")
-    m2 = ga.GAlgebra(s, ga.matrix_algebra(2), {s.unit: identity(4)})
+    m2 = ga.GAlgebra(s, ga.matrix_algebra(2), {s.unit: ga._identity(4)})
     # span{e12}: e12 e12 = 0 stays, but e12* = e21 leaves; span{e12, e21}: e12 e21 = e11 leaves
     for diagonal in ([0, 1, 0, 0], [0, 1, 1, 0]):
-        p = [[Fraction(x) if i == j else ZERO for j in range(4)] for i, x in enumerate(diagonal)]
+        p = [[(i, Fraction(x))] if x else [] for i, x in enumerate(diagonal)]
         with pytest.raises(InvalidAction, match="^corner of 'M2' is not closed$"):
             ga.subalgebra_on_projection(m2, p)
 
@@ -392,7 +423,7 @@ def test_restrict_germ_image_escape_is_a_typed_error():
     a = ga.c0x_algebra(s)
     for g in s.elements():
         if not s.is_idempotent(g):
-            a.action[g] = identity(a.dim)
+            a.action[g] = ga._identity(a.dim)
     with pytest.raises(InvalidAction, match=r"^groupoid corner of 'C0\(X\)' is not closed$"):
         ga.restrict(a, _all_germs(s))
 

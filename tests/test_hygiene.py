@@ -16,6 +16,12 @@
 - Every star is kept as its sparse columns: no module indexes a star as a
   dense matrix, ``star[r][c]``, or assigns a ``zero_matrix`` to a name
   ``star`` or ``adjoint``.
+- Every action map is kept as its sparse columns too: no module indexes an
+  action as a dense matrix, ``action[g][r][c]``; none hands an
+  ``action[...]`` or a ``mask_matrix``, ``germ_matrix`` or
+  ``char_matrices`` result to a dense reader (``nonzero_rows``,
+  ``nonzero_columns``, ``mat_mul``, ``mat_vec``); and the dense-action
+  cache ``_SplitActions``/``action_rows`` is gone.
 """
 
 import ast
@@ -160,3 +166,54 @@ def test_scan_finds_dense_stars():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_stars_are_kept_as_sparse_columns(path):
     assert dense_star_sites(path.read_text()) == []
+
+
+DENSE_READERS = {"nonzero_rows", "nonzero_columns", "mat_mul", "mat_vec"}
+DERIVED_MAPS = {"mask_matrix", "germ_matrix", "char_matrices"}
+DROPPED = {"_SplitActions", "action_rows"}
+
+
+def _name(node):
+    """The name a Name or an Attribute ends in, else None."""
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def dense_action_sites(source: str) -> list:
+    """(line, code) for each triple index ``action[g][r][c]`` of a name or an
+    attribute called ``action``, each ``DENSE_READERS`` call with an
+    ``action[...]`` argument or a ``DERIVED_MAPS`` call as an argument, and
+    each use or definition of a ``DROPPED`` name."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Subscript)
+                and isinstance(node.value.value, ast.Subscript)
+                and _name(node.value.value.value) == "action"):
+            out.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.Call) and _name(node.func) in DENSE_READERS:
+            for arg in node.args:
+                if ((isinstance(arg, ast.Subscript) and _name(arg.value) == "action")
+                        or (isinstance(arg, ast.Call) and _name(arg.func) in DERIVED_MAPS)):
+                    out.append((node.lineno, ast.unparse(node)))
+                    break
+        elif isinstance(node, (ast.Name, ast.Attribute)) and _name(node) in DROPPED:
+            out.append((node.lineno, _name(node)))
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in DROPPED:
+            out.append((node.lineno, node.name))
+    return sorted(out)
+
+
+def test_scan_finds_dense_actions():
+    src = ("class G(_SplitActions):\n    def action_rows(self, g):\n        return self._rows\n"
+           "def f(a, e, q, m):\n    x = a.action[e][q][q] + action[e][0][1]\n"
+           "    y = nonzero_columns(a.action[e], 2), linalg.mat_mul(m, a.germ_matrix(q))\n"
+           "    z = mat_vec(a.mask_matrix(q), m), nonzero_rows(a.char_matrices()), a.action_rows(e)\n"
+           "    return a.action[e][q], mat_mul(m, m), _apply(a.action[e], {}), nonzero_pairs(a.action[e][0])\n")
+    assert dense_action_sites(src) == [
+        (1, "_SplitActions"), (2, "action_rows"), (5, "a.action[e][q][q]"), (5, "action[e][0][1]"),
+        (6, "linalg.mat_mul(m, a.germ_matrix(q))"), (6, "nonzero_columns(a.action[e], 2)"),
+        (7, "action_rows"), (7, "mat_vec(a.mask_matrix(q), m)"), (7, "nonzero_rows(a.char_matrices())")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_actions_are_kept_as_sparse_columns(path):
+    assert dense_action_sites(path.read_text()) == []

@@ -1,15 +1,15 @@
 """The sparse kernels against the dense loops they replaced.
 
 Each ``dense_*`` function (and ``DenseBasis``) below is the earlier dense
-implementation, kept here as the reference: the action-matrix kernels and the
+implementation, kept here as the reference: the action-map kernels and the
 eliminations (``rref``, ``nullspace``, ``rank``, ``mat_inv``, ``Basis``, ``Span``) must
 give equal values of the same type (``Fraction``) and, for the checks, the
 same witnesses in the same order. ``dense_transport`` and
 ``dense_transport_matrix`` are the dense change of basis: the corners,
 restrictions, rebasings and balanced tensors rebuilt on them must equal the
-sparse ``galgebra.transport`` path's. The references keep their stars as
-dense matrices; ``dense_star`` reads an algebra's star columns as one, to
-compare them.
+sparse ``galgebra.transport`` path's. The references keep their stars and
+action maps as dense matrices; ``dense_action`` reads a map's columns as
+one, to compare them, and ``dense_star`` an algebra's star.
 """
 
 from fractions import Fraction
@@ -33,28 +33,41 @@ from iskk.linalg import (
     identity,
     mat_inv,
     mat_mul,
-    mat_vec,
     nonzero_columns,
-    nonzero_rows,
+    nonzero_pairs,
     nullspace,
     rank,
-    rows_mul,
     rref,
     zeros,
 )
 
 
-def dense_star(alg):
-    """The star columns of ``alg`` as a dense matrix: entry (r, j) is the
-    coefficient of b_r in b_j*. Each column must list nonzero values at
-    increasing rows."""
-    out = [[ZERO] * alg.dim for _ in range(alg.dim)]
-    for j, col in enumerate(alg.star):
+def dense_action(cols):
+    """A square map given by its columns, as an action map or a star is kept,
+    as a dense matrix: entry (r, j) is the value at row r of column j. Each
+    column must list nonzero values at increasing rows."""
+    out = [[ZERO] * len(cols) for _ in cols]
+    for j, col in enumerate(cols):
         rows = [r for r, _ in col]
         assert rows == sorted(set(rows)) and all(x for _, x in col), (j, col)
         for r, x in col:
             out[r][j] = x
     return out
+
+
+def dense_star(alg):
+    """The star of ``alg`` as a dense matrix: entry (r, j) is the
+    coefficient of b_r in b_j*."""
+    return dense_action(alg.star)
+
+
+def dense_actions(a):
+    return {g: dense_action(m) for g, m in a.action.items()}
+
+
+def dense_mat_vec(m, v):
+    nonzero = nonzero_pairs(v)
+    return [sum((row[j] * x for j, x in nonzero if row[j]), ZERO) for row in m]
 
 
 def dense_mat_mul(a, b):
@@ -99,10 +112,10 @@ def dense_char_matrices(a):
     d = a.dim
     mats = []
     for f in sp.spectrum(s).gens:
-        m = [row[:] for row in a.action[f]]
+        m = dense_action(a.action[f])
         for e in sp.spectrum(s).gens:
             if s.table[f][e] != f:
-                em = a.action[e]
+                em = dense_action(a.action[e])
                 m = [[m[r][c] - sum(em[r][k] * m[k][c] for k in range(d) if m[k][c])
                       for c in range(d)] for r in range(d)]
         mats.append(m)
@@ -123,7 +136,7 @@ def dense_multiplicative_failures(m, sa, sb):
     images = [[row[j] for row in m] for j in range(sa.dim)]
     for i in range(sa.dim):
         for j in range(sa.dim):
-            if mat_vec(m, dense_mul_vec(sa, sa.basis_vec(i), sa.basis_vec(j))) != dense_mul_vec(
+            if dense_mat_vec(m, dense_mul_vec(sa, sa.basis_vec(i), sa.basis_vec(j))) != dense_mul_vec(
                     sb, images[i], images[j]):
                 yield (i, j)
 
@@ -148,8 +161,8 @@ def dense_star_failures(alg):
     basis = [alg.basis_vec(i) for i in range(d)]
     for i in range(d):
         for j in range(d):
-            if mat_vec(star, dense_mul_vec(alg, basis[i], basis[j])) != dense_mul_vec(
-                    alg, mat_vec(star, basis[j]), mat_vec(star, basis[i])):
+            if dense_mat_vec(star, dense_mul_vec(alg, basis[i], basis[j])) != dense_mul_vec(
+                    alg, dense_mat_vec(star, basis[j]), dense_mat_vec(star, basis[i])):
                 yield (i, j)
 
 
@@ -165,7 +178,7 @@ def dense_central_multiplier_failures(alg, m):
             product = zeros(d)
             for k, v in alg.mul.get((i, j), {}).items():
                 product[k] = v
-            if mat_vec(m, product) != left:
+            if dense_mat_vec(m, product) != left:
                 yield (i, j, "not a multiplier")
 
 
@@ -288,7 +301,7 @@ def dense_transport(alg, lifts, coords, label=""):
 
 def dense_transport_matrix(m, lifts, coords):
     """The linear map m on the vectors ``lifts``: column j is coords(m lifts[j])."""
-    cols = [coords(mat_vec(m, v)) for v in lifts]
+    cols = [coords(dense_mat_vec(m, v)) for v in lifts]
     return [list(row) for row in zip(*cols)]
 
 
@@ -432,8 +445,6 @@ def test_mat_mul_matches_the_dense_loop(ab):
     a, b = ab
     got, ref = mat_mul(a, b), dense_mat_mul(a, b)
     assert got == ref and types(got) == types(ref)
-    cols = len(b[0]) if b else 0
-    assert rows_mul(nonzero_rows(a), nonzero_rows(b), cols) == ref
 
 
 def test_mat_mul_edge_cases():
@@ -442,27 +453,56 @@ def test_mat_mul_edge_cases():
     a = [(ONE, 2), (0, 0)]  # tuple rows with int entries
     assert mat_mul(a, a) == dense_mat_mul(a, a) == [[1, 2], [0, 0]]
     assert types(mat_mul(a, a)) == types(dense_mat_mul(a, a))
-    assert nonzero_rows([(0, Fraction(3), ZERO)]) == [[(1, Fraction(3))]]
+    assert nonzero_pairs((0, Fraction(3), ZERO)) == [(1, Fraction(3))]
+
+
+@st.composite
+def square_pairs(draw):
+    """Two square matrices of one size; the second is sometimes the first,
+    or the first with one entry changed, so equal and nearly equal pairs
+    come up."""
+    n = draw(st.integers(0, 5))
+    a = draw(matrices(n, n))
+    kind = draw(st.sampled_from(["drawn", "same", "one entry"]))
+    b = draw(matrices(n, n)) if kind == "drawn" or not n else [list(row) for row in a]
+    if kind == "one entry" and n:
+        b[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(entries)
+    return a, b
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
-def test_mat_eq_matches_zip_semantics(n1, m1, n2, m2, data):
-    a = data.draw(matrices(n1, m1))
-    b = data.draw(st.one_of(matrices(n2, m2), st.just([list(row) for row in a])))
-    if b and data.draw(st.booleans()):  # perturb or truncate one row
-        r = data.draw(st.integers(0, len(b) - 1))
-        b[r] = data.draw(st.lists(entries, max_size=5))
-    a, b = as_tuples(a, data.draw(st.booleans())), as_tuples(b, data.draw(st.booleans()))
-    assert ga.mat_eq(a, b) == dense_mat_eq(a, b)
+@given(square_pairs())
+def test_compose_matches_the_dense_product(ab):
+    a, b = ab
+    ca, cb = nonzero_columns(a, len(a)), nonzero_columns(b, len(b))
+    got = ga._compose(ca, cb)
+    ref = dense_mat_mul(a, b)
+    assert dense_action(got) == ref and types(dense_action(got)) == types(ref)
+    assert got == nonzero_columns(ref, len(ref))  # columns in row order, without zeros
 
 
-def test_mat_eq_edge_cases():
-    assert ga.mat_eq([], [[ONE]]) and dense_mat_eq([], [[ONE]])
-    assert ga.mat_eq([(ONE, ZERO)], [[1, 0]])          # tuple row against list row
-    assert ga.mat_eq([[ONE, ZERO]], [[ONE]])           # rows of different lengths
-    assert not ga.mat_eq([[ONE, ZERO]], [[ZERO]])
-    assert not ga.mat_eq([(ONE, ZERO)], [(ONE, ONE)])
+@settings(max_examples=300, deadline=None)
+@given(square_pairs())
+def test_column_equality_matches_dense_equality(ab):
+    a, b = ab
+    assert (nonzero_columns(a, len(a)) == nonzero_columns(b, len(b))) == dense_mat_eq(a, b)
+    ca, cb = nonzero_columns(a, len(a)), nonzero_columns(b, len(b))
+    assert (ga._compose(ca, cb) == ga._compose(cb, ca)) == dense_mat_eq(dense_mat_mul(a, b),
+                                                                           dense_mat_mul(b, a))
+
+
+def test_compose_edge_cases():
+    one, two, half = [(0, ONE)], [(0, Fraction(2))], [(0, Fraction(1, 2))]
+    assert ga._compose([], []) == []
+    assert ga._compose([[]], [one]) == [[]]                     # through a zero column
+    assert ga._compose([two], [half]) == [[(0, ONE)]]           # one entry, scaled
+    assert ga._compose([two], [one]) == [two]
+    # two entries meeting in one row cancel, and that row is dropped
+    a = [[(0, ONE)], [(0, -ONE)]]
+    assert ga._compose(a, [[(0, ONE), (1, ONE)], [(1, ONE)]]) == [[], [(0, -ONE)]]
+    # rows come out in order whatever order the summed columns list them in
+    a = [[(1, ONE)], [(0, ONE)]]
+    assert ga._compose(a, [[(0, ONE), (1, Fraction(3))], []]) == [[(0, Fraction(3)), (1, ONE)], []]
 
 
 @settings(max_examples=300, deadline=None)
@@ -480,13 +520,14 @@ def test_algebra_checks_match_the_dense_loops(problem, data):
     # witness lists are long and their order is compared too
     alg = problem[0]
     m = data.draw(matrices(alg.dim, alg.dim))
+    cols = nonzero_columns(m, alg.dim)
     assert list(ga.associativity_failures(alg)) == list(dense_associativity_failures(alg))
     assert list(ga.star_failures(alg)) == list(dense_star_failures(alg))
-    assert list(ga.central_multiplier_failures(alg, m)) == list(dense_central_multiplier_failures(alg, m))
-    assert list(ga.multiplicative_failures(m, alg, alg)) == list(dense_multiplicative_failures(m, alg, alg))
+    assert list(ga.central_multiplier_failures(alg, cols)) == list(dense_central_multiplier_failures(alg, m))
+    assert list(ga.multiplicative_failures(cols, alg, alg)) == list(dense_multiplicative_failures(m, alg, alg))
 
 
-# -- the action-matrix kernels on real coefficient algebras ------------------
+# -- the action-map kernels on real coefficient algebras ---------------------
 
 BUILDERS = ["chain:3", "diamond", "cyclic:3", "symmetric:3", "symmetric_inverse:2",
             "symmetric_inverse:3", "brandt_unital:2", "product:symmetric_inverse:2*chain:2"]
@@ -497,34 +538,36 @@ def test_char_and_mask_matrices_match_the_dense_loops(spec):
     s = sg.parse_builder(spec)
     a = ga.c0x_algebra(s)
     ref = dense_char_matrices(a)
-    got = a.char_matrices()
+    got = [dense_action(m) for m in a.char_matrices()]
     assert got == ref and [types(m) for m in got] == [types(m) for m in ref]
     size = sp.spectrum(s).size
     masks = [1 << i for i in range(size)] + [(1 << size) - 1, 0b0101010101 & ((1 << size) - 1), 0]
     for mask in masks:
-        got_m, ref_m = a.mask_matrix(mask), dense_mask_matrix(a, mask)
+        got_m, ref_m = dense_action(a.mask_matrix(mask)), dense_mask_matrix(a, mask)
         assert got_m == ref_m and types(got_m) == types(ref_m)
     for x in sp.spectrum(s).gens:
         germ = sp.extended(s, x)
-        assert a.germ_matrix(germ) == dense_mat_mul(a.action[x], dense_mask_matrix(a, germ.chars))
+        assert dense_action(a.germ_matrix(germ)) == dense_mat_mul(dense_action(a.action[x]),
+                                                                  dense_mask_matrix(a, germ.chars))
 
 
 @pytest.mark.parametrize("spec", BUILDERS)
 def test_multiplicative_and_equivariance_failures_match_the_dense_loops(spec):
     s = sg.parse_builder(spec)
     a = ga.c0x_algebra(s)
-    broken = [list(row) for row in a.action[s.unit]]
+    actions = dense_actions(a)
+    broken = [list(row) for row in actions[s.unit]]
     broken[0][0] = Fraction(2)  # 2 b_0 is not idempotent, so b_0 b_0 fails
-    for m in [a.action[g] for g in s.elements()] + [broken]:
-        got = list(ga.multiplicative_failures(m, a.alg, a.alg))
+    for m in [actions[g] for g in s.elements()] + [broken]:
+        got = list(ga.multiplicative_failures(nonzero_columns(m, a.dim), a.alg, a.alg))
         assert got == list(dense_multiplicative_failures(m, a.alg, a.alg))
     ident = ga.StarHomomorphism(a, a, identity(a.dim))
-    assert list(ga._equivariance_failures(ident, s.elements())) == []
+    assert list(ga._equivariance_failures(ident, ga._identity(a.dim), s.elements())) == []
     for g in s.elements():
-        f = ga.StarHomomorphism(a, a, a.action[g])
-        ref = [h for h in s.elements() if not dense_mat_eq(dense_mat_mul(f.matrix, a.action[h]),
-                                                           dense_mat_mul(a.action[h], f.matrix))]
-        assert list(ga._equivariance_failures(f, s.elements())) == ref
+        f = ga.StarHomomorphism(a, a, actions[g])
+        ref = [h for h in s.elements() if not dense_mat_eq(dense_mat_mul(f.matrix, actions[h]),
+                                                           dense_mat_mul(actions[h], f.matrix))]
+        assert list(ga._equivariance_failures(f, nonzero_columns(f.matrix, a.dim), s.elements())) == ref
 
 
 @pytest.mark.parametrize("spec", ["symmetric_inverse:2", "brandt_unital:2"])
@@ -538,7 +581,7 @@ def test_validation_checks_match_the_dense_loops_on_valid_algebras(spec):
         m = a.action[s.range_of(g)]
         assert list(ga.central_multiplier_failures(a.alg, m)) == []
         assert list(ga.central_multiplier_failures(a.alg, a.action[g])) == list(
-            dense_central_multiplier_failures(a.alg, a.action[g]))
+            dense_central_multiplier_failures(a.alg, dense_action(a.action[g])))
 
 
 # -- the eliminations -----------------------------------------------------------
@@ -604,7 +647,7 @@ def outcome(build):
 
 
 def h_fields(d):
-    return list(d.alg.mul.items()), dense_star(d.alg), d.action, list(d.unit_of_basis), d.embed
+    return list(d.alg.mul.items()), dense_star(d.alg), dense_actions(d), list(d.unit_of_basis), d.embed
 
 
 def dense_fiber_rebase(a, h, projections, error, label):
@@ -621,7 +664,7 @@ def dense_fiber_rebase(a, h, projections, error, label):
         raise error from None
     action = {}
     for x in h.elements:
-        gm = dense_mat_mul(a.action[x.g], projections[h.unit_pos_of_mask(sp.germ_source(x))])
+        gm = dense_mat_mul(dense_action(a.action[x.g]), projections[h.unit_pos_of_mask(sp.germ_source(x))])
         action[x] = dense_transport_matrix(gm, basis, coords)
     alg = dense_transport(a.alg, basis, coords, label)
     return list(alg.mul.items()), alg.star, action, unit_of_basis, basis
@@ -630,7 +673,7 @@ def dense_fiber_rebase(a, h, projections, error, label):
 def dense_signature_matrix(a, idems, chars, spectrum):
     m = identity(a.dim)
     for e in idems:
-        pe = a.action[e]
+        pe = dense_action(a.action[e])
         if chars & ~spectrum.proj(e):
             pe = [[(ONE if i == j else ZERO) - x for j, x in enumerate(row)] for i, row in enumerate(pe)]
         m = dense_mat_mul(m, pe)
@@ -649,13 +692,13 @@ def dense_sgp_to_h_algebra(a, h):
 
 
 def corner_fields(sub, basis):
-    return list(sub.alg.mul.items()), dense_star(sub.alg), sub.action, basis
+    return list(sub.alg.mul.items()), dense_star(sub.alg), dense_actions(sub), basis
 
 
 def dense_subalgebra(a, p):
     basis = dense_column_span(p)
     coords = dense_basis_coords(basis, InvalidAction(f"corner of {a.label!r} is not closed"))
-    action = {g: dense_transport_matrix(m, basis, coords) for g, m in a.action.items()}
+    action = {g: dense_transport_matrix(m, basis, coords) for g, m in dense_actions(a).items()}
     alg = dense_transport(a.alg, basis, coords)
     return list(alg.mul.items()), alg.star, action, basis
 
@@ -668,13 +711,14 @@ def dense_balanced_tensor(a, b):
     db = b.dim
     relations = []
     for e in sg.iter_mask(a.sgp._idem_mask):
+        ea, eb = dense_action(a.action[e]), dense_action(b.action[e])
         for i in range(a.dim):
             for j in range(db):
                 v = zeros(big.dim)
                 for r in range(a.dim):
-                    v[r * db + j] += a.action[e][r][i]
+                    v[r * db + j] += ea[r][i]
                 for r in range(db):
-                    v[i * db + r] -= b.action[e][r][j]
+                    v[i * db + r] -= eb[r][j]
                 relations.append(v)
     red, pivots = dense_rref(relations) if big.dim else ([], [])
     free = [c for c in range(big.dim) if c not in pivots]
@@ -690,7 +734,7 @@ def dense_balanced_tensor(a, b):
     lifts = [[ONE if i == c else ZERO for i in range(big.dim)] for c in free]
     alg = dense_transport(big.alg, lifts, coords)
     return list(alg.mul.items()), alg.star, {g: dense_transport_matrix(m, lifts, coords)
-                                             for g, m in big.action.items()}
+                                             for g, m in dense_actions(big).items()}
 
 
 @pytest.mark.parametrize("coeff", ["trivial", "c0x"])
@@ -702,7 +746,7 @@ def test_change_of_basis_matches_the_dense_rebuild(spec, coeff):
 
     def tensor():
         t = ga.balanced_tensor(a, c0x)
-        return list(t.alg.mul.items()), dense_star(t.alg), t.action
+        return list(t.alg.mul.items()), dense_star(t.alg), dense_actions(t)
 
     assert outcome(tensor) == outcome(lambda: dense_balanced_tensor(a, c0x))
     if not ga.validate_g_algebra(a)["pass"]:
@@ -717,8 +761,36 @@ def test_change_of_basis_matches_the_dense_rebuild(spec, coeff):
             outcome(lambda: dense_sgp_to_h_algebra(a, h))
         # unit projections need not be invariant under the action, so some
         # of these corners are not closed; the central idempotents' are
-        central = [a.action[e] for e in sg.iter_mask(s._idem_mask)
+        central = [dense_action(a.action[e]) for e in sg.iter_mask(s._idem_mask)
                    if all(s.table[e][g] == s.table[g][e] for g in s.elements())]
         for p in projections + central:
-            assert outcome(lambda: corner_fields(*ga.subalgebra_on_projection(a, p))) == \
+            assert outcome(lambda: corner_fields(*ga.subalgebra_on_projection(a, nonzero_columns(p, a.dim)))) == \
                 outcome(lambda: dense_subalgebra(a, p))
+
+
+@pytest.mark.parametrize("spec", ["chain:3", "symmetric_inverse:2", "product:symmetric_inverse:2*chain:2"])
+def test_transport_forms_products_only_across_mul_cells(spec, monkeypatch):
+    # restrict to all germs: a product of two fiber vectors is formed only
+    # when a mul cell pairs their supports, and the result (mul in its
+    # iteration order included) is the dense rebuild's
+    s = sg.parse_builder(spec)
+    h = ind.assoc_groupoid(s, sg.parse_subset(s, "all"))
+    c0x = ga.c0x_algebra(s)
+    e = ind.assoc_groupoid(s, sg.parse_subset(s, "idempotents"))
+    induced = ind.build_induced(s, e, ga.restrict(c0x, e)).galg
+    real, calls = ga._product, []
+
+    def counted(alg, u, v):
+        calls.append((alg, u, v))
+        return real(alg, u, v)
+
+    monkeypatch.setattr(ga, "_product", counted)
+    for a in (c0x, induced):
+        calls.clear()
+        d = ga.restrict(a, h)
+        assert calls and all(any((i, j) in alg.mul for i in u for j in v) for alg, u, v in calls)
+        assert len(calls) < d.dim ** 2
+        projections = [dense_mask_matrix(a, u.chars) for u in h.units]
+        assert h_fields(d) == dense_fiber_rebase(
+            a, h, projections, InvalidAction(f"groupoid corner of {a.label!r} is not closed"),
+            f"Res({a.label})")

@@ -63,7 +63,7 @@ def test_failing_h_algebra_report_is_json():
     s = sg.parse_builder("chain:2")
     d = ga.restrict(ga.c0x_algebra(s), ind.assoc_groupoid(s, sg.parse_subset(s, "all")))
     germ = next(iter(d.action))
-    d.action[germ] = [[1, 1], [1, 1]]
+    d.action[germ] = [[(0, 1), (1, 1)], [(0, 1), (1, 1)]]  # every entry 1
     rep = ga.validate_h_algebra(d)
     key = (s.names[germ.g], germ.chars)
     witnesses = {c["name"]: c["witness"] for c in rep["checks"]}
