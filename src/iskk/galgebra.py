@@ -512,7 +512,9 @@ def _endomorphism_failures(alg: StarAlgebra, m):
 def _check_shapes(alg: StarAlgebra, action: dict, name):
     """Raise InvalidAction unless the star and every action map (its key
     labelled by ``name``) are dim canonical columns: a map without dim
-    columns has witness {element, columns}, and a row outside range(dim), a
+    columns has witness {element, columns}, an entry at position k of a
+    column that is not a (row, value) pair, as in a dense row of values, has
+    witness {element, column, entry: k}, and a row outside range(dim), a
     row not above the row before it or a zero value has witness {element,
     column, row}. The star's element is "star"."""
     d = alg.dim
@@ -524,7 +526,12 @@ def _check_shapes(alg: StarAlgebra, action: dict, name):
                                 witness={"element": key, "columns": len(cols)})
         for j, col in enumerate(cols):
             last = -1
-            for r, x in col:
+            for k, entry in enumerate(col):
+                try:
+                    r, x = entry
+                except (TypeError, ValueError):
+                    raise InvalidAction(f"{what} column {j} entry {k} is not a (row, value) pair",
+                                        witness={"element": key, "column": j, "entry": k}) from None
                 if r not in range(d):
                     fault = f"outside range({d})"
                 elif r <= last:

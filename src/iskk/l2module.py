@@ -10,18 +10,19 @@ pivoted LDL^T, and the stacked system is checked for full column rank.
 from dataclasses import dataclass
 
 from .linalg import psd_certificate, rank
-from .semigroup import FiniteInvSgp, iter_mask, leq, nonzero_idempotents
+from .semigroup import FiniteInvSgp, iter_mask, nonzero_idempotents
 from .spectrum import alg_star_from_mask, alg_star_to_json, spectrum
 
 
 def phi_mask(s: FiniteInvSgp, g: int, h: int) -> int:
     """Support of <phi_g, phi_h> as a character mask: the join of
-    {1_e : eg = eh, e <= gg* hh*}."""
+    {1_e : eg = eh, e <= gg* hh*}, read over the nonzero idempotents below
+    gg* hh* (the elements below an idempotent are idempotents)."""
     sp = spectrum(s)
     bound = s.table[s.range_of(g)][s.range_of(h)]
     mask = 0
-    for e in iter_mask(nonzero_idempotents(s)):
-        if s.table[e][g] == s.table[e][h] and leq(s, e, bound):
+    for e in iter_mask(s.down_set(bound) & nonzero_idempotents(s)):
+        if s.table[e][g] == s.table[e][h]:
             mask |= sp.proj(e)
     return mask
 
@@ -117,30 +118,31 @@ def check_module_axioms(s: FiniteInvSgp) -> dict:
     """
     sp = spectrum(s)
     basis = l2_basis(s)
-    mask = {(g, h): phi_mask(s, g, h) for g in basis for h in basis}
+    names = s.names
+    # row[g].get(x, 0) is the mask of <phi_g, phi_x>, and 0 at the declared
+    # zero, whose vector is null; each inner loop reads one row
+    row = {g: {h: phi_mask(s, g, h) for h in basis} for g in basis}
     checks = []
 
     sym_witness = None
     for g in basis:
-        for h in basis:
-            if mask[g, h] != mask[h, g]:
-                sym_witness = (s.names[g], s.names[h])
-                break
-        if sym_witness:
+        rg = row[g]
+        bad = [h for h in basis if rg[h] != row[h][g]]
+        if bad:
+            sym_witness = (names[g], names[bad[0]])
             break
     checks.append({"name": "symmetry", "pass": sym_witness is None, "witness": sym_witness})
 
     # <phi_g, phi_h . f> = <phi_g, phi_h> . f  with phi . f := f(phi) = phi_{fh}
     semi_witness = None
+    idem = [(f, s.table[f], sp.proj(f)) for f in iter_mask(nonzero_idempotents(s))]
     for g in basis:
+        rg = row[g]
         for h in basis:
-            for f in iter_mask(nonzero_idempotents(s)):
-                fh = s.table[f][h]
-                lhs = mask[g, fh] if fh != s.zero else 0
-                if lhs != mask[g, h] & sp.proj(f):
-                    semi_witness = (s.names[g], s.names[h], s.names[f])
-                    break
-            if semi_witness:
+            m = rg[h]
+            bad = [f for f, tf, pf in idem if rg.get(tf[h], 0) != m & pf]
+            if bad:
+                semi_witness = (names[g], names[h], names[bad[0]])
                 break
         if semi_witness:
             break
@@ -149,18 +151,15 @@ def check_module_axioms(s: FiniteInvSgp) -> dict:
     )
 
     eq_witness = None
+    distinct = {m for rg in row.values() for m in rg.values()}
     for j in s.elements():
-        acted = {m: sp.act_mask(j, m) for m in set(mask.values())}
+        acted = {m: sp.act_mask(j, m) for m in distinct}
+        tj = s.table[j]
         for g in basis:
-            jg = s.table[j][g]
-            for h in basis:
-                jh = s.table[j][h]
-                lhs = acted[mask[g, h]]
-                rhs = 0 if jg == s.zero or jh == s.zero else mask[jg, jh]
-                if lhs != rhs:
-                    eq_witness = (s.names[j], s.names[g], s.names[h])
-                    break
-            if eq_witness:
+            rg, rjg = row[g], row.get(tj[g], {})
+            bad = [h for h in basis if acted[rg[h]] != rjg.get(tj[h], 0)]
+            if bad:
+                eq_witness = (names[j], names[g], names[bad[0]])
                 break
         if eq_witness:
             break

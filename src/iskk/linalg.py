@@ -14,7 +14,8 @@ without zeros, over a ``Span``'s reduced rows, a ``Basis``'s own vectors or
 a ``QuotientSpace``'s free columns; the first two return None for a vector
 outside them. ``galgebra.transport`` reads every change of basis through it.
 
-``psd_certificate`` is a pivoted LDL^T check. ``mat_mul`` keeps the dense
+``psd_certificate`` is a pivoted LDL^T check that updates only the nonzero
+columns of each pivot row. ``mat_mul`` keeps the dense
 interface of lists of rows but multiplies only nonzero entries.
 """
 
@@ -330,6 +331,8 @@ def psd_certificate(m):
         piv, best = None, ZERO
         for i in range(step, n):
             d = a[i][i]
+            if not d:
+                continue
             if d < 0:
                 return False, {"kind": "negative_diagonal", "index": idx[i], "value": str(d)}
             if d > best:
@@ -337,7 +340,7 @@ def psd_certificate(m):
         if piv is None:
             for i in range(step, n):
                 for j in range(step, n):
-                    if a[i][j] != 0:
+                    if a[i][j]:
                         return False, {
                             "kind": "zero_diagonal_nonzero_entry",
                             "index": (idx[i], idx[j]),
@@ -350,9 +353,11 @@ def psd_certificate(m):
                 row[step], row[piv] = row[piv], row[step]
             idx[step], idx[piv] = idx[piv], idx[step]
         d = a[step][step]
+        pivot_row = [(j, x) for j, x in enumerate(a[step][step:], step) if x]
         for i in range(step + 1, n):
-            f = a[i][step] / d
-            if f:
-                for j in range(step, n):
-                    a[i][j] -= f * a[step][j]
+            if a[i][step]:
+                f = a[i][step] / d
+                row = a[i]
+                for j, x in pivot_row:
+                    row[j] -= f * x
     return True, None

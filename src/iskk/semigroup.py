@@ -47,8 +47,9 @@ def popcount(mask: int) -> int:
 class FiniteInvSgp:
     """A validated finite inverse semigroup.
 
-    Treat instances as immutable; derived data (spectrum, germ tables) is
-    cached on the instance, so sharing across threads is read-only safe.
+    Treat instances as immutable; derived data (the spectrum, the order's
+    down-sets) is cached on the instance, so sharing across threads is
+    read-only safe.
     """
 
     def __init__(self, table, star, unit, zero, names):
@@ -62,8 +63,7 @@ class FiniteInvSgp:
             e for e in range(self.n) if self.table[e][e] == e
         )
         self._spectrum = None
-        self._germ_cache = {}
-        self._leq = None
+        self._down_sets = None
 
     # -- basic operations ---------------------------------------------------
 
@@ -102,6 +102,14 @@ class FiniteInvSgp:
     def range_of(self, g: int) -> int:
         """gg*, the range idempotent."""
         return self.table[g][self.star[g]]
+
+    def down_set(self, h: int) -> int:
+        """Bitmask of {g : g <= h} = {e*h : e idempotent} in the natural
+        partial order; every down-set is built on first use."""
+        if self._down_sets is None:
+            idem = list(iter_mask(self._idem_mask))
+            self._down_sets = [mask_of(self.table[e][a] for e in idem) for a in self.elements()]
+        return self._down_sets[h]
 
     def __repr__(self):
         z = "" if self.zero is None else f", zero={self.names[self.zero]}"
@@ -194,15 +202,7 @@ def idempotents(s: FiniteInvSgp) -> int:
 
 def leq(s: FiniteInvSgp, g: int, h: int) -> bool:
     """Natural partial order: g <= h iff g = e*h for some idempotent e."""
-    if s._leq is None:
-        table = {}
-        for a in s.elements():
-            below = 0
-            for e in iter_mask(s._idem_mask):
-                below |= bit(s.table[e][a])
-            table[a] = below
-        s._leq = table
-    return bool(s._leq[h] >> g & 1)
+    return bool(s.down_set(h) >> g & 1)
 
 
 def nonzero_idempotents(s: FiniteInvSgp) -> int:

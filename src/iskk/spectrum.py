@@ -10,6 +10,14 @@ bijection of the character space given by the action of g restricted to a set
 of characters below g*g. Two germs are equal iff they have the same domain
 and g, h agree on every generating idempotent in it; a canonical
 representative takes the least such g.
+
+The germ calculus is read from tables on the semigroup's own ``Spectrum``,
+each filled on first use: ``act_mask`` per (g, mask), ``extended`` per
+(g, chars) as given, ``tilde_mul`` per pair of germs and ``tilde_star`` per
+germ, the germ keys being their (g, chars) ints. ``germ_range`` is an
+``act_mask`` read. A semigroup builds its ``Spectrum`` on first use, so
+every semigroup, and every ``parse_builder`` result, starts with empty
+tables; nothing is cached at module level.
 """
 
 from dataclasses import dataclass
@@ -42,6 +50,10 @@ class Spectrum:
         self.full = (1 << self.size) - 1
         self._proj = {}
         self._char_map = {}
+        self._act = {}  # (g, mask) -> image mask
+        self._germ = {}  # (g, chars as given) -> canonical germ
+        self._mul = {}  # (a.g, a.chars, b.g, b.chars) -> canonical product
+        self._star = {}  # (a.g, a.chars) -> canonical inverse
 
     def char_value(self, char_pos: int, e: int) -> int:
         """chi(e) for the character generated by gens[char_pos]."""
@@ -77,12 +89,17 @@ class Spectrum:
         return out
 
     def act_mask(self, g: int, mask: int) -> int:
-        cm = self.char_map(g)
-        out = 0
-        for i in iter_mask(mask):
-            j = cm.get(i)
-            if j is not None:
-                out |= 1 << j
+        """Image of a character mask under the partial character map of g."""
+        key = (g, mask)
+        out = self._act.get(key)
+        if out is None:
+            cm = self.char_map(g)
+            out = 0
+            for i in iter_mask(mask):
+                j = cm.get(i)
+                if j is not None:
+                    out |= 1 << j
+            self._act[key] = out
         return out
 
 
@@ -116,29 +133,28 @@ def act_proj(s: FiniteInvSgp, g: int, mask: int) -> int:
 def extended(s: FiniteInvSgp, g: int, chars: int | None = None) -> ExtendedElement:
     """Canonical extended element g cut down to chars (default: all of proj(g*g))."""
     sp = spectrum(s)
-    dom = sp.proj(s.source(g))
-    if chars is None:
-        chars = dom
-    else:
-        chars &= dom
-    key = (g, chars)
-    cached = s._germ_cache.get(key)
-    if cached is not None:
-        return cached
-    if chars == 0:
-        canon = ExtendedElement(s.unit, 0)
-    else:
-        values = tuple(s.table[g][sp.gens[i]] for i in iter_mask(chars))
-        best = g
-        for h in range(g):
-            if chars & ~sp.proj(s.source(h)):
-                continue
-            if tuple(s.table[h][sp.gens[i]] for i in iter_mask(chars)) == values:
-                best = h
-                break
-        canon = ExtendedElement(best, chars)
-    s._germ_cache[key] = canon
+    canon = sp._germ.get((g, chars))
+    if canon is None:
+        dom = sp.proj(s.source(g))
+        canon = sp._germ[g, chars] = _canonical(sp, g, dom if chars is None else chars & dom)
     return canon
+
+
+def _canonical(sp: Spectrum, g: int, chars: int) -> ExtendedElement:
+    """The germ of g on chars, a mask inside proj(g*g), with the least
+    element that agrees with g on every generating idempotent in chars."""
+    s = sp.sgp
+    if chars == 0:
+        return ExtendedElement(s.unit, 0)
+    gens = [sp.gens[i] for i in iter_mask(chars)]
+    values = [s.table[g][f] for f in gens]
+    for h in range(g):
+        if chars & ~sp.proj(s.source(h)):
+            continue
+        row = s.table[h]
+        if [row[f] for f in gens] == values:
+            return ExtendedElement(h, chars)
+    return ExtendedElement(g, chars)
 
 
 def tilde_unit(s: FiniteInvSgp, chars: int) -> ExtendedElement:
@@ -148,14 +164,22 @@ def tilde_unit(s: FiniteInvSgp, chars: int) -> ExtendedElement:
 def tilde_mul(s: FiniteInvSgp, a: ExtendedElement, b: ExtendedElement) -> ExtendedElement:
     """(g,P)(h,Q) = (gh, h*-image of P intersected with Q, inside proj((gh)*(gh)))."""
     sp = spectrum(s)
-    g, h = a.g, b.g
-    gh = s.table[g][h]
-    chars = sp.act_mask(s.star[h], a.chars) & b.chars & sp.proj(s.source(gh))
-    return extended(s, gh, chars)
+    key = (a.g, a.chars, b.g, b.chars)
+    out = sp._mul.get(key)
+    if out is None:
+        gh = s.table[a.g][b.g]
+        chars = sp.act_mask(s.star[b.g], a.chars) & b.chars & sp.proj(s.source(gh))
+        out = sp._mul[key] = extended(s, gh, chars)
+    return out
 
 
 def tilde_star(s: FiniteInvSgp, a: ExtendedElement) -> ExtendedElement:
-    return extended(s, s.star[a.g], spectrum(s).act_mask(a.g, a.chars))
+    sp = spectrum(s)
+    key = (a.g, a.chars)
+    out = sp._star.get(key)
+    if out is None:
+        out = sp._star[key] = extended(s, s.star[a.g], sp.act_mask(a.g, a.chars))
+    return out
 
 
 def germ_source(a: ExtendedElement) -> int:
@@ -196,19 +220,6 @@ def alg_star_mask(func) -> int:
         elif v != 0:
             raise ValueError(f"function is not 0/1-valued at position {i}: {v}")
     return m
-
-
-def act_alg_star(s: FiniteInvSgp, j: int, func) -> tuple:
-    """Transport the coefficients of func along the partial character map of j."""
-    sp = spectrum(s)
-    cm = sp.char_map(j)
-    out = [ZERO] * sp.size
-    for i, v in enumerate(func):
-        if v:
-            target = cm.get(i)
-            if target is not None:
-                out[target] = out[target] + v
-    return tuple(out)
 
 
 def alg_star_to_json(s: FiniteInvSgp, func) -> dict:

@@ -188,6 +188,24 @@ def test_noncanonical_action_column_raises_invalid_action(column, row):
     assert err.value.witness == {"element": "e1", "column": 1, "row": row}
 
 
+@pytest.mark.parametrize("shape", ["dense", "triple"])
+def test_action_entry_that_is_not_a_pair_raises_invalid_action(shape):
+    # the old dense format hands over rows of values; a column entry must be
+    # a (row, value) pair
+    s = sg.parse_builder("chain:2")
+    a = ga.c0x_algebra(s)
+    if shape == "dense":
+        a.action[s.unit] = identity(2)
+        witness = {"element": "1", "column": 0, "entry": 0}
+    else:
+        e = s.index("e1")
+        a.action[e] = [a.action[e][0], [(0, ONE, 0)]]
+        witness = {"element": "e1", "column": 1, "entry": 0}
+    with pytest.raises(InvalidAction) as err:
+        ga.validate_g_algebra(a)
+    assert err.value.witness == witness
+
+
 def test_malformed_star_and_germ_action_shapes_raise_invalid_action():
     from iskk.induction import assoc_groupoid
 

@@ -22,6 +22,11 @@
   ``char_matrices`` result to a dense reader (``nonzero_rows``,
   ``nonzero_columns``, ``mat_mul``, ``mat_vec``); and the dense-action
   cache ``_SplitActions``/``action_rows`` is gone.
+- No cache outlives the object it belongs to: no module uses
+  ``functools.cache`` or ``functools.lru_cache``, and no module binds a dict
+  or set at module level that is empty or that the module fills. Derived
+  data lives on its semigroup or algebra, so every ``parse_builder`` result
+  starts cold, as each benchmark case does.
 """
 
 import ast
@@ -217,3 +222,83 @@ def test_scan_finds_dense_actions():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_actions_are_kept_as_sparse_columns(path):
     assert dense_action_sites(path.read_text()) == []
+
+
+CACHE_DECORATORS = {"cache", "lru_cache"}
+CONTAINERS = {"dict", "set", "defaultdict", "OrderedDict", "Counter",
+              "WeakKeyDictionary", "WeakValueDictionary"}
+MUTATORS = {"add", "update", "setdefault", "__setitem__", "discard", "pop", "popitem",
+            "clear", "remove"}
+
+
+def _container(node):
+    """"empty" or "filled" for a dict or set display, comprehension or
+    constructor call, else None."""
+    if isinstance(node, (ast.Dict, ast.Set)):
+        return "filled" if (node.keys if isinstance(node, ast.Dict) else node.elts) else "empty"
+    if isinstance(node, (ast.DictComp, ast.SetComp)):
+        return "filled"
+    if isinstance(node, ast.Call) and _name(node.func) in CONTAINERS:
+        return "filled" if node.args or node.keywords else "empty"
+    return None
+
+
+def cache_sites(source: str) -> list:
+    """(line, name) for each ``cache``/``lru_cache`` taken from functools (an
+    import of it, or an attribute of the functools module or an alias of
+    it), and for each module-level name bound to a dict or set that is empty
+    or that the module mutates (a subscript store or delete, or a mutating
+    method call)."""
+    tree = ast.parse(source)
+    functools_names = set()
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            functools_names |= {a.asname or a.name for a in node.names if a.name == "functools"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            out += [(node.lineno, a.name) for a in node.names if a.name in CACHE_DECORATORS]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in CACHE_DECORATORS
+                and getattr(node.value, "id", None) in functools_names):
+            out.append((node.lineno, node.attr))
+    module_containers = {}
+    for top in tree.body:
+        targets = top.targets if isinstance(top, ast.Assign) else (
+            [top.target] if isinstance(top, ast.AnnAssign) and top.value else [])
+        kind = _container(top.value) if targets else None
+        for target in targets:
+            if kind and isinstance(target, ast.Name):
+                module_containers[target.id] = (top.lineno, kind)
+    mutated = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            mutated.add(getattr(node.value, "id", None))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in MUTATORS):
+            mutated.add(getattr(node.func.value, "id", None))
+    out += [(line, name) for name, (line, kind) in module_containers.items()
+            if kind == "empty" or name in mutated]
+    return sorted(out)
+
+
+def test_scan_finds_module_caches():
+    src = ("import functools\nimport functools as ft\nfrom functools import lru_cache, reduce\n"
+           "_TABLE = {}\n_SEEN: set = set()\nKNOWN = {'a': 1}\nNAMES = {'a': 1}\n"
+           "ORDER = dict(a=1)\n"
+           "@functools.cache\ndef f(x):\n    cache = {}\n    cache[x] = x\n    return cache\n"
+           "@ft.lru_cache(maxsize=None)\ndef g(x):\n    KNOWN[x] = x\n    ORDER.update(b=2)\n"
+           "    return reduce(max, NAMES.values(), x), x.cache, lru_cache\n")
+    assert cache_sites(src) == [(3, "lru_cache"), (4, "_TABLE"), (5, "_SEEN"), (6, "KNOWN"),
+                                (8, "ORDER"), (9, "cache"), (14, "lru_cache")]
+
+
+def test_scan_finds_a_cache_planted_in_a_module():
+    source = (SRC / "spectrum.py").read_text()
+    planted = source + "\n_GERMS = {}\n\n@functools.lru_cache\ndef germ(g):\n    return g\n"
+    found = cache_sites("import functools\n" + planted)
+    assert [name for _, name in found] == ["_GERMS", "lru_cache"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_cache_outlives_its_object(path):
+    assert cache_sites(path.read_text()) == []

@@ -13,6 +13,17 @@ CORPUS = ["chain:2", "chain:3", "diamond", "cyclic:2", "cyclic:3", "symmetric:3"
           "brandt_unital:2", "symmetric_inverse:2"]
 
 
+def act_alg_star(s, j, func):
+    """Reference action on functions: transport the coefficients of func
+    along the partial character map of j."""
+    cm = sp.spectrum(s).char_map(j)
+    out = [Fraction(0)] * len(func)
+    for i, v in enumerate(func):
+        if v and i in cm:
+            out[cm[i]] += v
+    return tuple(out)
+
+
 def inner_oracle(s, g, h):
     """Independent form: gg* . join{1_e : e = e h g*}."""
     x = sp.spectrum(s)
@@ -116,6 +127,118 @@ def test_psd_certificate_rejects_indefinite():
     assert not ok and witness["kind"] == "negative_diagonal"
 
 
+def dense_psd_certificate(m):
+    """Reference pivoted LDL^T that updates whole rows: same pivots, same
+    arithmetic on the nonzeros, same witnesses."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    idx = list(range(n))
+    for step in range(n):
+        piv, best = None, Fraction(0)
+        for i in range(step, n):
+            d = a[i][i]
+            if d < 0:
+                return False, {"kind": "negative_diagonal", "index": idx[i], "value": str(d)}
+            if d > best:
+                piv, best = i, d
+        if piv is None:
+            for i in range(step, n):
+                for j in range(step, n):
+                    if a[i][j] != 0:
+                        return False, {"kind": "zero_diagonal_nonzero_entry",
+                                       "index": (idx[i], idx[j]), "value": str(a[i][j])}
+            return True, None
+        a[step], a[piv] = a[piv], a[step]
+        for row in a:
+            row[step], row[piv] = row[piv], row[step]
+        idx[step], idx[piv] = idx[piv], idx[step]
+        for i in range(step + 1, n):
+            f = a[i][step] / a[step][step]
+            for j in range(step, n):
+                a[i][j] -= f * a[step][j]
+    return True, None
+
+
+def _symmetric(n, entries):
+    m = [[Fraction(0)] * n for _ in range(n)]
+    k = 0
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = entries[k]
+            k += 1
+    return m
+
+
+small_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    # "gram": B B^T is PSD, with rank drops and zero rows when B has them;
+    # "any": every entry free, so some diagonal is negative or some row
+    # is nonzero off a zero diagonal; "zero_diagonal": a zero diagonal
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["gram", "any", "zero_diagonal"]))
+    if kind == "gram":
+        k = draw(st.integers(1, n))
+        b = [[draw(st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2)])) for _ in range(k)]
+             for _ in range(n)]
+        return [[sum((Fraction(x) * y for x, y in zip(bi, bj)), Fraction(0)) for bj in b]
+                for bi in b]
+    m = _symmetric(n, draw(st.lists(small_fractions, min_size=n * (n + 1) // 2,
+                                    max_size=n * (n + 1) // 2)))
+    if kind == "zero_diagonal":
+        for i in range(n):
+            m[i][i] = Fraction(0)
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices())
+def test_psd_certificate_matches_dense_reference(m):
+    from iskk.linalg import psd_certificate
+
+    assert psd_certificate(m) == dense_psd_certificate(m)
+
+
+@pytest.mark.parametrize("m, kind", [
+    ([[2, 1, 0], [1, 1, 0], [0, 0, 0]], None),
+    ([[1, 1, 1], [1, 1, 1], [1, 1, 1]], None),
+    ([[1, 2], [2, 1]], "negative_diagonal"),           # 1 - 4 < 0 after one step
+    ([[1, 0, 0], [0, -1, 0], [0, 0, 3]], "negative_diagonal"),
+    ([[0, 0, 1], [0, 0, 0], [1, 0, 0]], "zero_diagonal_nonzero_entry"),
+    ([[1, 1, 0], [1, 1, 1], [0, 1, 0]], "zero_diagonal_nonzero_entry"),
+])
+def test_psd_certificate_cases_match_dense_reference(m, kind):
+    from iskk.linalg import psd_certificate
+
+    m = [[Fraction(x) for x in row] for row in m]
+    ok, witness = psd_certificate(m)
+    assert (ok, witness) == dense_psd_certificate(m)
+    assert ok == (kind is None) and (witness or {}).get("kind") == kind
+
+
+def test_psd_certificate_witnesses_over_random_draws_cover_every_kind():
+    # seeded draws of free and zero-diagonal matrices reach all three outcomes
+    import random
+
+    from iskk.linalg import psd_certificate
+
+    rng = random.Random(0)
+    kinds = set()
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        m = _symmetric(n, [Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                           for _ in range(n * (n + 1) // 2)])
+        if rng.random() < 0.3:
+            for i in range(n):
+                m[i][i] = Fraction(0)
+        ok, witness = psd_certificate(m)
+        assert (ok, witness) == dense_psd_certificate(m)
+        kinds.add(witness["kind"] if witness else None)
+    assert kinds == {None, "negative_diagonal", "zero_diagonal_nonzero_entry"}
+
+
 def test_module_axioms():
     for spec in CORPUS + ["symmetric_inverse:2"]:
         s = sg.parse_builder(spec)
@@ -131,7 +254,7 @@ def test_equivariance_pointwise(spec, data):
     j = data.draw(st.integers(0, s.n - 1))
     g = data.draw(st.sampled_from(basis))
     h = data.draw(st.sampled_from(basis))
-    lhs = sp.act_alg_star(s, j, l2.phi_inner(s, g, h))
+    lhs = act_alg_star(s, j, l2.phi_inner(s, g, h))
     jg, jh = s.table[j][g], s.table[j][h]
     if jg == s.zero or jh == s.zero:
         rhs = sp.alg_star_from_mask(s, 0)
@@ -166,7 +289,7 @@ def module_axioms_oracle(s):
     def eq_bad(j, g, h):
         jg, jh = s.table[j][g], s.table[j][h]
         rhs = zero if s.zero in (jg, jh) else l2.phi_inner(s, jg, jh)
-        return sp.act_alg_star(s, j, l2.phi_inner(s, g, h)) != rhs
+        return act_alg_star(s, j, l2.phi_inner(s, g, h)) != rhs
 
     eq = first(((j, g, h) for j in s.elements() for g in basis for h in basis), eq_bad)
     checks = [{"name": name, "pass": w is None, "witness": w}

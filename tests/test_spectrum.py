@@ -174,3 +174,73 @@ def test_tilde_associative_involutive(spec, data):
     )
     # xx*x = x in the extended semigroup
     assert sp.tilde_mul(s, sp.tilde_mul(s, a, sp.tilde_star(s, a)), a) == a
+
+
+# -- the germ tables against the table-free formulas ---------------------------
+
+
+def ref_act_mask(s, g, mask):
+    """Image of a character mask under g, one generating idempotent at a time:
+    the character of f <= g*g goes to the character of g f g*."""
+    x = sp.spectrum(s)
+    out = 0
+    for i in sg.iter_mask(mask & x.proj(s.source(g))):
+        out |= 1 << x.pos[s.mul_many((g, x.gens[i], s.star[g]))]
+    return out
+
+
+def ref_extended(s, g, chars):
+    """The germ of g on chars inside proj(g*g), with the least element that
+    agrees with g on every generating idempotent there."""
+    x = sp.spectrum(s)
+    chars &= x.proj(s.source(g))
+    if not chars:
+        return sp.ExtendedElement(s.unit, 0)
+    gens = [x.gens[i] for i in sg.iter_mask(chars)]
+    h = next(h for h in s.elements()
+             if not chars & ~x.proj(s.source(h)) and all(s.table[h][f] == s.table[g][f] for f in gens))
+    return sp.ExtendedElement(h, chars)
+
+
+def ref_tilde_mul(s, a, b):
+    gh = s.table[a.g][b.g]
+    chars = ref_act_mask(s, s.star[b.g], a.chars) & b.chars & sp.spectrum(s).proj(s.source(gh))
+    return ref_extended(s, gh, chars)
+
+
+def ref_tilde_star(s, a):
+    return ref_extended(s, s.star[a.g], ref_act_mask(s, a.g, a.chars))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL), st.data())
+def test_germ_tables_equal_the_table_free_formulas(spec, data):
+    s = sg.parse_builder(spec)
+    x = sp.spectrum(s)
+    draws = [(data.draw(st.integers(0, s.n - 1)), data.draw(st.integers(0, x.full)))
+             for _ in range(4)]
+    germs = [sp.extended(s, g, mask) for g, mask in draws]
+    for _ in range(2):  # the second round reads every table
+        for (g, mask), a in zip(draws, germs):
+            assert x.act_mask(g, mask) == ref_act_mask(s, g, mask)
+            assert sp.extended(s, g, mask) == a == ref_extended(s, g, mask)
+            assert sp.extended(s, g) == ref_extended(s, g, x.full)
+            assert sp.germ_range(s, a) == ref_act_mask(s, a.g, a.chars)
+            assert sp.tilde_star(s, a) == ref_tilde_star(s, a)
+            for b in germs:
+                assert sp.tilde_mul(s, a, b) == ref_tilde_mul(s, a, b)
+
+
+GERM_TABLES = ("_act", "_germ", "_mul", "_star")
+
+
+@pytest.mark.parametrize("spec", SMALL)
+def test_each_parse_builder_result_starts_with_empty_tables(spec):
+    s = sg.parse_builder(spec)
+    a = sp.extended(s, s.n - 1)
+    sp.tilde_mul(s, a, sp.tilde_star(s, a))
+    assert all(getattr(sp.spectrum(s), t) for t in GERM_TABLES)
+    fresh = sg.parse_builder(spec)
+    assert fresh._spectrum is None
+    assert sp.spectrum(fresh) is not sp.spectrum(s)
+    assert all(getattr(sp.spectrum(fresh), t) == {} for t in GERM_TABLES)
