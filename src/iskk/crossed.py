@@ -6,21 +6,25 @@ of the ``Span`` at the range of g, and (a d_g)(b d_h) = a alpha_g(b) d_gh.
 The universal product takes S and its range ideals; the groupoid product
 takes the germs and their range fibers, with no product for a zero germ. It
 reads nonzero coordinates only, one product a alpha_g(b) per a and distinct
-(range of h, index of b), and writes the star as the sparse columns
-(a d_g)*, as every ``StarAlgebra`` keeps it. Images, products and
-coordinates come from the sparse kernels ``_apply``, ``_product`` and
-``_coords`` of ``galgebra``, which every change of basis uses. The tight
-(Sieben) product identifies a d_r with a d_t for r <= t; those two-term
-relations already span a *-ideal (proof in ``_sieben``), so it is the
-universal product modulo their span.
+(range of h, index of b), formed only when a ``mul`` cell of the
+coefficient algebra pairs a column of a with one of alpha_g(b), and writes
+the star as the sparse columns (a d_g)*, as every ``StarAlgebra`` keeps it.
+Images, products and coordinates come from the sparse kernels ``_apply``,
+``_product`` and ``_coords`` of ``galgebra``, which every change of basis
+uses. The tight (Sieben) product identifies a d_r with a d_t for r <= t;
+those two-term relations already span a *-ideal (proof in ``_sieben``), so
+it is the universal product modulo their span.
 
-Semisimple quotients are computed over the rationals: the radical is the
-null space of the regular trace form, and block data comes from splitting
-the quotient's center, as its own c-dim commutative algebra, one center
-basis vector at a time; there is no generic central element. A floating
-eigenvalue clustering oracle can cross-check the block count. When the
-center does not split over the rationals, the reported witness is a
-non-linear irreducible factor found by a fixed search.
+Every number is exact and in ``linalg``'s canonical form: an int where it
+is integral, so integral coefficients give integral structure constants,
+and a Fraction only where a reduction divides. Semisimple quotients are
+computed over the rationals: the radical is the null space of the regular
+trace form, and block data comes from splitting the quotient's center, as
+its own c-dim commutative algebra, one center basis vector at a time; there
+is no generic central element. A floating eigenvalue clustering oracle can
+cross-check the block count. When the center does not split over the
+rationals, the reported witness is a non-linear irreducible factor found by
+a fixed search.
 
 When the radical is 0 the quotient is the algebra itself, relabelled; no
 quotient is formed, and the trace form's ``left_traces`` serve it too. The
@@ -37,15 +41,25 @@ L_e because e is idempotent.
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain
 
 import numpy as np
 import sympy
 
 from .errors import BrokenInvariant, InvalidAction, NonIntegralMultiplicity, NotIdempotent
-from .galgebra import GAlgebra, HAlgebra, StarAlgebra, _apply, _coords, _product, quotient, zero_matrix
-from .linalg import ONE, ZERO, QuotientSpace, Span, nonzero_pairs, nullspace, sparse_solve, zeros
+from .galgebra import (
+    GAlgebra,
+    HAlgebra,
+    StarAlgebra,
+    _apply,
+    _cell_columns,
+    _coords,
+    _product,
+    _right_partners,
+    quotient,
+    zero_matrix,
+)
+from .linalg import QuotientSpace, Span, frac, nonzero_pairs, nullspace, sparse_solve, zeros
 from .semigroup import leq
 from .spectrum import germ_range, tilde_mul, tilde_star
 
@@ -108,6 +122,7 @@ def _convolution(kind, coeff, elements, range_of, spans, mul, star, label, name)
     for j, (h, k) in enumerate(layout):
         groups.setdefault((rng[h], k), []).append((j, h))
     escape = InvalidAction("crossed product coefficient escapes its range ideal")
+    right = _cell_columns(coeff.alg)
     cells_at = {}
     for g in elements:
         coeffs = spans[rng[g]].sparse_rows
@@ -116,9 +131,11 @@ def _convolution(kind, coeff, elements, range_of, spans, mul, star, label, name)
         # whether h has a product with g depends only on the range of h
         keyed = [(members, _apply(coeff.action[g], spans[e].sparse_rows[k]))
                  for (e, k), members in groups.items() if mul(g, members[0][1]) is not None]
+        partners = _right_partners(right, [acted for _, acted in keyed])
         for ki, a in enumerate(coeffs):
             cells = {}
-            for members, acted in keyed:
+            for n in partners(a):  # a alpha_g(b) is 0 for every other key
+                members, acted = keyed[n]
                 prod = _product(coeff.alg, a, acted)
                 if not prod:
                     continue
@@ -178,7 +195,7 @@ def _tight_relations(uni: CrossedProductAlgebra) -> list:
             target = spans[s.range_of(t)]
             for k, row in enumerate(rows):
                 coords = _coords(target, row, escape)
-                rel = {offs[r] + k: ONE}
+                rel = {offs[r] + k: 1}
                 for m, c in coords.items():
                     rel[offs[t] + m] = -c
                 relations.append(rel)
@@ -191,7 +208,7 @@ def _groupoid(d: HAlgebra) -> CrossedProductAlgebra:
     gpd = d.gpd
     s = gpd.sgp
     fibers = [d.fiber_indices(u) for u in range(len(gpd.units))]
-    spans = {u: Span(({i: ONE} for i in fib), d.dim) for u, fib in enumerate(fibers)}
+    spans = {u: Span(({i: 1} for i in fib), d.dim) for u, fib in enumerate(fibers)}
     rng = {h: gpd.unit_pos_of_mask(germ_range(s, h)) for h in gpd.elements}
 
     def mul(g, h):
@@ -287,7 +304,7 @@ def _as_star_algebra(x) -> StarAlgebra:
 def _trace_form(alg: StarAlgebra, t_vec):
     t = zero_matrix(alg.dim)
     for (i, j), cell in alg.mul.items():
-        t[i][j] = sum((v * t_vec[l] for l, v in cell.items()), ZERO)
+        t[i][j] = sum(v * t_vec[l] for l, v in cell.items())
     return t
 
 
@@ -304,7 +321,7 @@ def _center_basis(alg: StarAlgebra):
         if ij == ji:
             continue
         for k in ij.keys() | ji.keys():
-            v = ji.get(k, ZERO) - ij.get(k, ZERO)
+            v = ji.get(k, 0) - ij.get(k, 0)
             if v:
                 rows.setdefault((i, k), {})[j] = v
                 rows.setdefault((j, k), {})[i] = -v
@@ -327,7 +344,7 @@ def _center_algebra(alg: StarAlgebra, pairs, free) -> StarAlgebra:
     for i, zi in enumerate(pairs):
         for j in range(i, len(pairs)):
             prod = alg.mul_pairs(zi, pairs[j])
-            cell = {k: prod[f] for k, f in enumerate(free) if prod[f]}
+            cell = {k: frac(prod[f]) for k, f in enumerate(free) if prod[f]}
             if _lift(pairs, cell.items()) != dict(nonzero_pairs(prod)):
                 raise BrokenInvariant("a product of central vectors is not central",
                                       witness={"pair": (i, j)})
@@ -338,12 +355,13 @@ def _center_algebra(alg: StarAlgebra, pairs, free) -> StarAlgebra:
 
 def _lift(pairs, coords) -> dict:
     """sum_k x z_k over the (k, x) in ``coords``, for the center basis z_k
-    given by its ``nonzero_pairs``, as a ``{col: value}`` dict without zeros."""
+    given by its ``nonzero_pairs``, as a ``{col: value}`` dict without zeros
+    and with canonical values."""
     out = {}
     for k, x in coords:
         for col, v in pairs[k]:
-            out[col] = out.get(col, ZERO) + x * v
-    return {col: v for col, v in out.items() if v}
+            out[col] = out.get(col, 0) + x * v
+    return {col: v if type(v) is int else frac(v) for col, v in out.items() if v}
 
 
 def _minimal_polynomial(alg: StarAlgebra, start, zeta):
@@ -410,7 +428,7 @@ def _split_center(z: StarAlgebra, unit) -> list:
                 if z.mul_vec(piece, piece) != piece:
                     raise NotIdempotent("primary central idempotent is not idempotent",
                                         witness={"factor": str(f.as_expr())})
-                dim = sum((v * traces[l] for l, v in nonzero_pairs(piece)), ZERO)
+                dim = sum(v * traces[l] for l, v in nonzero_pairs(piece))
                 (done if f.degree() == dim else cut).append((piece, dim))
         pieces = cut
     return done + pieces
@@ -465,7 +483,7 @@ def semisimple_quotient(x) -> SemisimpleDecomposition:
     unit = z.unit_vector()
     one = {} if unit is None else _lift(pairs, nonzero_pairs(unit))
     for j in range(qalg.dim):
-        b = {j: ONE}
+        b = {j: 1}
         if _product(qalg, one, b) != b or _product(qalg, b, one) != b:
             raise InvalidAction("semisimple quotient has no unit; structure data unreliable")
     pieces = _split_center(z, unit)
@@ -478,9 +496,9 @@ def semisimple_quotient(x) -> SemisimpleDecomposition:
             raise NotIdempotent("primitive central idempotent is not idempotent",
                                 witness={"piece": len(idems)})
         lifted = _lift(pairs, nonzero_pairs(e))
-        idems.append([lifted.get(c, ZERO) for c in range(qalg.dim)])
+        idems.append([lifted.get(c, 0) for c in range(qalg.dim)])
         # L of the lift is idempotent, so its rank is its trace
-        d_i = sum((v * traces[l] for l, v in lifted.items()), ZERO)
+        d_i = sum(v * traces[l] for l, v in lifted.items())
         m2, rem = divmod(d_i, n)
         if rem != 0:
             raise NonIntegralMultiplicity(f"primary component dim {d_i} not divisible by {n}")
@@ -525,9 +543,9 @@ def _eval_poly(powers, poly):
     acc = zeros(len(powers[0]))
     for c, p in zip(reversed(poly.all_coeffs()), powers):
         if c != 0:
-            f = Fraction(int(c.p), int(c.q))
+            f = frac(int(c.p), int(c.q))
             acc = [a + f * u for a, u in zip(acc, p)]
-    return acc
+    return list(map(frac, acc))
 
 
 def _isqrt_exact(n):
@@ -551,7 +569,7 @@ def numeric_block_oracle(x, seed: int = 0, tol: float = 1e-9) -> dict:
     coeffs = rng.integers(1, 1000, size=len(d.center_basis))
     zeta = zeros(d.quotient.dim)
     for c, vec in zip(coeffs, d.center_basis):
-        zeta = [a + Fraction(int(c)) * b for a, b in zip(zeta, vec)]
+        zeta = [a + int(c) * b for a, b in zip(zeta, vec)]
     lz = np.array([[float(v) for v in row] for row in d.quotient.left_mult_matrix(zeta)])
     eig = np.linalg.eigvals(lz)
     clusters = []

@@ -1,5 +1,9 @@
 """Finite-dimensional *-algebras over the rationals with semigroup actions.
 
+Every value is kept in ``linalg``'s canonical form: an int when it is
+integral, a Fraction otherwise. The builders store ints, and the sparse
+kernels return canonical values.
+
 A StarAlgebra holds sparse structure constants and its star as columns,
 ``star[j]`` the nonzero (row, value) pairs of b_j* in row order, as
 ``_apply`` reads them. A GAlgebra adds one action map per semigroup element
@@ -30,10 +34,9 @@ from dataclasses import dataclass
 
 from .errors import BaseMismatch, BrokenInvariant, InvalidAction, NotCentral
 from .linalg import (
-    ONE,
-    ZERO,
     Span,
     QuotientSpace,
+    frac,
     nonzero_columns,
     nonzero_pairs,
     sparse_solve,
@@ -45,7 +48,7 @@ from .spectrum import ExtendedElement, germ_range, germ_source, spectrum, tilde_
 
 def zero_matrix(n, m=None):
     m = n if m is None else m
-    return [[ZERO] * m for _ in range(n)]
+    return [[0] * m for _ in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +61,7 @@ class StarAlgebra:
 
     def __init__(self, dim, mul, star, label=""):
         self.dim = dim
-        self.mul = mul  # dict[(i,j)] -> dict[k] -> Fraction
+        self.mul = mul  # dict[(i,j)] -> dict[k] -> int, or Fraction when not integral
         self.star = star
         self.label = label
 
@@ -68,7 +71,7 @@ class StarAlgebra:
     def mul_pairs(self, u, v):
         """u v as a dense vector, for u and v given by (index, value) pairs
         that cover their nonzero entries (``nonzero_pairs``, a mul cell's
-        items, or a single basis vector [(i, ONE)])."""
+        items, or a single basis vector [(i, 1)])."""
         out = zeros(self.dim)
         for i, x in u:
             for j, y in v:
@@ -81,7 +84,7 @@ class StarAlgebra:
 
     def basis_vec(self, i):
         v = zeros(self.dim)
-        v[i] = ONE
+        v[i] = 1
         return v
 
     def left_mult_matrix(self, x):
@@ -93,7 +96,7 @@ class StarAlgebra:
         over the cells; tr L_x is then sum_l x_l tr L_{b_l}."""
         t = zeros(self.dim)
         for (l, k), cell in self.mul.items():
-            t[l] += cell.get(k, ZERO)
+            t[l] += cell.get(k, 0)
         return t
 
     def unit_vector(self):
@@ -110,7 +113,7 @@ class StarAlgebra:
                 rows.setdefault(("right", a, k), {})[b] = c
         rhs = {}
         for j in range(self.dim):
-            rhs[("left", j, j)] = rhs[("right", j, j)] = ONE
+            rhs[("left", j, j)] = rhs[("right", j, j)] = 1
         return sparse_solve(rows, self.dim, rhs)[0]
 
     def is_commutative(self):
@@ -122,8 +125,8 @@ class StarAlgebra:
 
 
 def diagonal_star_algebra(n, label=""):
-    mul = {(i, i): {i: ONE} for i in range(n)}
-    return StarAlgebra(n, mul, [[(i, ONE)] for i in range(n)], label)
+    mul = {(i, i): {i: 1} for i in range(n)}
+    return StarAlgebra(n, mul, [[(i, 1)] for i in range(n)], label)
 
 
 def matrix_algebra(n, label=None):
@@ -134,8 +137,8 @@ def matrix_algebra(n, label=None):
             for k in range(n):
                 for l in range(n):
                     if j == k:
-                        mul[(i * n + j, k * n + l)] = {i * n + l: ONE}
-    star = [[(j * n + i, ONE)] for i in range(n) for j in range(n)]  # e_ij* = e_ji
+                        mul[(i * n + j, k * n + l)] = {i * n + l: 1}
+    star = [[(j * n + i, 1)] for i in range(n) for j in range(n)]  # e_ij* = e_ji
     return StarAlgebra(n * n, mul, star, label or f"M{n}")
 
 
@@ -157,7 +160,7 @@ def star_sum(algs, label=""):
 
 
 def _identity(n) -> list:
-    return [[(j, ONE)] for j in range(n)]
+    return [[(j, 1)] for j in range(n)]
 
 
 def _diagonal_sum(maps) -> list:
@@ -177,8 +180,9 @@ def _kron(a, b) -> list:
 
 
 def _column(v: dict) -> list:
-    """A ``{row: value}`` dict as a column: its nonzero pairs in row order."""
-    return sorted((r, x) for r, x in v.items() if x)
+    """A ``{row: value}`` dict as a column: its nonzero pairs in row order,
+    with canonical values."""
+    return sorted((r, frac(x)) for r, x in v.items() if x)
 
 
 def _compose(a, b) -> list:
@@ -188,7 +192,7 @@ def _compose(a, b) -> list:
     for col in b:
         if len(col) == 1:
             r, y = col[0]
-            out.append(a[r] if y == 1 else [(k, x * y) for k, x in a[r]])
+            out.append(a[r] if y == 1 else [(k, frac(x * y)) for k, x in a[r]])
         else:
             out.append(_column(_apply(a, dict(col))) if col else [])
     return out
@@ -201,14 +205,14 @@ def _sum(maps, n) -> list:
         acc = {}
         for m in maps:
             for r, x in m[j]:
-                acc[r] = acc.get(r, ZERO) + x
+                acc[r] = acc.get(r, 0) + x
         out.append(_column(acc))
     return out
 
 
 def _complement(m) -> list:
     """The columns of 1 - m for a square m."""
-    return [_column({**{r: -x for r, x in col}, j: ONE - dict(col).get(j, ZERO)})
+    return [_column({**{r: -x for r, x in col}, j: 1 - dict(col).get(j, 0)})
             for j, col in enumerate(m)]
 
 
@@ -219,17 +223,17 @@ def _complement(m) -> list:
 def _apply(cols, v: dict) -> dict:
     """m v for m given by its columns (a list or dict of ``nonzero_pairs``,
     indexed by column) and v a ``{col: value}`` dict without zeros, as such a
-    dict."""
+    dict with canonical values."""
     out = {}
     for c, x in v.items():
         for r, y in cols[c]:
-            out[r] = out.get(r, ZERO) + y * x
-    return {r: x for r, x in out.items() if x}
+            out[r] = out.get(r, 0) + y * x
+    return {r: x if type(x) is int else frac(x) for r, x in out.items() if x}
 
 
 def _product(alg: StarAlgebra, u: dict, v: dict) -> dict:
     """u v for ``{col: value}`` dicts without zeros, from the nonzero pairs
-    on the ``mul`` cells, as such a dict."""
+    on the ``mul`` cells, as such a dict with canonical values."""
     out = {}
     for i, x in u.items():
         for j, y in v.items():
@@ -237,8 +241,36 @@ def _product(alg: StarAlgebra, u: dict, v: dict) -> dict:
             if cell:
                 xy = x * y
                 for k, c in cell.items():
-                    out[k] = out.get(k, ZERO) + xy * c
-    return {k: x for k, x in out.items() if x}
+                    out[k] = out.get(k, 0) + xy * c
+    return {k: x if type(x) is int else frac(x) for k, x in out.items() if x}
+
+
+def _cell_columns(alg: StarAlgebra) -> dict:
+    """Column a -> the set of columns b with a ``mul`` cell (a, b)."""
+    right = {}
+    for a, b in alg.mul:
+        right.setdefault(a, set()).add(b)
+    return right
+
+
+def _right_partners(right: dict, vectors):
+    """The function that maps a ``{col: value}`` vector u to the positions j,
+    in order, at which a ``mul`` cell pairs a column of u with a column of
+    vectors[j], for ``right`` the ``_cell_columns`` of the algebra; the
+    product of u with any other vectors[j] is 0."""
+    holders = {}  # column -> the positions of the vectors that have it
+    for j, v in enumerate(vectors):
+        for c in v:
+            holders.setdefault(c, []).append(j)
+
+    def partners(u) -> list:
+        found = set()
+        for a in u:
+            for b in right.get(a, ()):
+                found.update(holders.get(b, ()))
+        return sorted(found)
+
+    return partners
 
 
 def _coords(space, v: dict, error) -> dict:
@@ -259,20 +291,10 @@ def transport(alg: StarAlgebra, lifts, space, error, label="") -> StarAlgebra:
 
     The product of lifts i and j is formed only when a ``mul`` cell pairs a
     column of lift i with one of lift j; every other product is 0."""
-    right = {}  # column a -> the columns b with a cell (a, b)
-    for a, b in alg.mul:
-        right.setdefault(a, set()).add(b)
-    holders = {}  # column -> the lifts that have it
-    for j, v in enumerate(lifts):
-        for c in v:
-            holders.setdefault(c, []).append(j)
+    partners = _right_partners(_cell_columns(alg), lifts)
     mul = {}
     for i, u in enumerate(lifts):
-        partners = set()
-        for a in u:
-            for b in right.get(a, ()):
-                partners.update(holders.get(b, ()))
-        for j in sorted(partners):
+        for j in partners(u):
             cell = _coords(space, _product(alg, u, lifts[j]), error)
             if cell:
                 mul[(i, j)] = cell
@@ -382,7 +404,7 @@ def trivial_algebra(s: FiniteInvSgp) -> GAlgebra:
         if s.zero is not None and g == s.zero:
             action[g] = [[]]
         else:
-            action[g] = [[(0, ONE)]]
+            action[g] = [[(0, 1)]]
     return GAlgebra(s, diagonal_star_algebra(1, "C"), action, "C")
 
 
@@ -394,7 +416,7 @@ def c0x_algebra(s: FiniteInvSgp) -> GAlgebra:
     for g in s.elements():
         m = [[] for _ in range(n)]
         for i, j in sp.char_map(g).items():
-            m[i] = [(j, ONE)]
+            m[i] = [(j, 1)]
         action[g] = m
     return GAlgebra(s, diagonal_star_algebra(n, "C0(X)"), action, "C0(X)")
 
@@ -408,7 +430,7 @@ def from_points(s: FiniteInvSgp, npoints: int, maps: dict, label="points") -> GA
     for g in s.elements():
         m = [[] for _ in range(npoints)]
         for p, q in maps.get(g, {}).items():
-            m[p] = [(q, ONE)]
+            m[p] = [(q, 1)]
         action[g] = m
     return GAlgebra(s, diagonal_star_algebra(npoints, label), action, label)
 
@@ -438,7 +460,7 @@ def associativity_failures(alg: StarAlgebra):
             ij = alg.mul.get((i, j), {}).items()
             for k in range(d):
                 jk = alg.mul.get((j, k), {}).items()
-                if alg.mul_pairs(ij, [(k, ONE)]) != alg.mul_pairs([(i, ONE)], jk):
+                if alg.mul_pairs(ij, [(k, 1)]) != alg.mul_pairs([(i, 1)], jk):
                     yield (i, j, k)
 
 
@@ -447,7 +469,7 @@ def star_failures(alg: StarAlgebra):
     (b_i b_j)* != b_j* b_i*; the star is involutive when it maps each of its
     columns back to the basis vector."""
     d, stars = alg.dim, alg.star
-    if any(_apply(stars, dict(col)) != {j: ONE} for j, col in enumerate(stars)):
+    if any(_apply(stars, dict(col)) != {j: 1} for j, col in enumerate(stars)):
         yield "star not involutive"
     for i in range(d):
         for j in range(d):
@@ -463,8 +485,8 @@ def central_multiplier_failures(alg: StarAlgebra, m):
     d = alg.dim
     for i in range(d):
         for j in range(d):
-            left = alg.mul_pairs(m[i], [(j, ONE)])
-            if left != alg.mul_pairs([(i, ONE)], m[j]):
+            left = alg.mul_pairs(m[i], [(j, 1)])
+            if left != alg.mul_pairs([(i, 1)], m[j]):
                 yield (i, j)
             if _combine(m, alg.mul.get((i, j), {}).items(), d) != left:
                 yield (i, j, "not a multiplier")
@@ -622,7 +644,7 @@ class HAlgebra:
 
     def unit_projection(self, unit_pos: int):
         """The coordinate projection on a unit's fiber, as columns."""
-        return [[(i, ONE)] if u == unit_pos else [] for i, u in enumerate(self.unit_of_basis)]
+        return [[(i, 1)] if u == unit_pos else [] for i, u in enumerate(self.unit_of_basis)]
 
 
 def validate_h_algebra(d: HAlgebra) -> dict:
@@ -697,7 +719,7 @@ def trivial_line(gpd, unit_pos: int, label="C") -> HAlgebra:
     for x in gpd.elements:
         src = gpd.unit_pos_of_mask(germ_source(x))
         rng = gpd.unit_pos_of_mask(germ_range(s, x))
-        action[x] = [[(0, ONE)]] if src == unit_pos and rng == unit_pos else [[]]
+        action[x] = [[(0, 1)]] if src == unit_pos and rng == unit_pos else [[]]
     return HAlgebra(gpd, alg, action, [unit_pos], label)
 
 
@@ -711,7 +733,7 @@ def c0_units(gpd, label="C0(units)") -> HAlgebra:
         m = [[] for _ in range(n)]
         src = gpd.unit_pos_of_mask(germ_source(x))
         rng = gpd.unit_pos_of_mask(germ_range(s, x))
-        m[src] = [(rng, ONE)]
+        m[src] = [(rng, 1)]
         action[x] = m
     return HAlgebra(gpd, alg, action, list(range(n)), label)
 
@@ -841,13 +863,13 @@ def balanced_tensor(a: GAlgebra, b: GAlgebra, label="") -> GAlgebra:
             for j in range(db):
                 v = {r * db + j: x for r, x in ea[i]}
                 for r, x in eb[j]:
-                    v[i * db + r] = v.get(i * db + r, ZERO) - x
+                    v[i * db + r] = v.get(i * db + r, 0) - x
                 v = {c: x for c, x in v.items() if x}
                 if v:
                     relations.append(v)
     lbl = label or f"{a.label}(x)X{b.label}"
     alg, q = quotient(big.alg, relations, lbl)
-    lifts = [{c: ONE} for c in q.free]
+    lifts = [{c: 1} for c in q.free]
     error = BrokenInvariant("a balanced tensor vector has no class")
     action = {g: transport_matrix(m, lifts, q, error) for g, m in big.action.items()}
     return GAlgebra(s, alg, action, lbl)

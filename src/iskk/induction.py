@@ -50,7 +50,7 @@ from .galgebra import (
     verify_star_hom,
     zero_matrix,
 )
-from .linalg import ONE, Basis, Span, mat_inv, mat_mul, nonzero_columns, nonzero_pairs
+from .linalg import Basis, Span, mat_inv, mat_mul, nonzero_columns, nonzero_pairs
 from .semigroup import (
     FiniteInvSgp,
     check_subsemigroup,
@@ -645,7 +645,7 @@ def _split_class(s: FiniteInvSgp, lset: int, g_ext: ExtendedElement, d: GAlgebra
         carrier_cols.extend(range(off, off + len(fib)))
     emb = zero_matrix(ind_u.dim, pos)
     for c, col in enumerate(carrier_cols):
-        emb[col][c] = ONE
+        emb[col][c] = 1
     theta_full = mat_mul(emb, theta_m)
 
     theta_hom = StarHomomorphism(ind_m.galg, ind_u.galg, theta_full, label="theta")
@@ -767,7 +767,7 @@ def minimal_invariant_ideal_dims(a: GAlgebra) -> list:
     vectors under products, star and the action, deduplicated by containment."""
     ideals = []
     for seed in range(a.dim):
-        v0 = {seed: ONE}
+        v0 = {seed: 1}
         if any(sp_.contains(v0) for sp_ in ideals):
             continue
         span = Span([v0], a.dim)
@@ -777,8 +777,8 @@ def minimal_invariant_ideal_dims(a: GAlgebra) -> list:
             for v in list(span.sparse_rows):
                 candidates = [_apply(a.alg.star, v)]
                 for i in range(a.dim):
-                    candidates.append(_product(a.alg, {i: ONE}, v))
-                    candidates.append(_product(a.alg, v, {i: ONE}))
+                    candidates.append(_product(a.alg, {i: 1}, v))
+                    candidates.append(_product(a.alg, v, {i: 1}))
                 for g, m in a.action.items():
                     candidates.append(_apply(m, v))
                 for c in candidates:

@@ -24,7 +24,7 @@ from .galgebra import (
     verify_star_hom,
 )
 from .induction import assoc_groupoid, build_induced, check, make_report
-from .linalg import ONE, ZERO, mat_mul, nonzero_pairs
+from .linalg import frac, mat_mul, nonzero_pairs
 from .semigroup import FiniteInvSgp, bit, build, iter_mask, mask_of
 from .spectrum import spectrum
 
@@ -73,7 +73,7 @@ def _quotient_map(f: StarHomomorphism, dsrc, ddst):
     """Descend a *-homomorphism to the semisimple quotients, as columns."""
     free = dsrc.radical_space.free
     cols = {c: nonzero_pairs([row[c] for row in f.matrix]) for c in free}
-    return transport_matrix(cols, [{c: ONE} for c in free], ddst.radical_space,
+    return transport_matrix(cols, [{c: 1} for c in free], ddst.radical_space,
                             BrokenInvariant("a quotient vector has no class"))
 
 
@@ -89,7 +89,7 @@ def k0_map(f: StarHomomorphism) -> K0Map:
     traces = ddst.quotient.left_traces()
 
     def trace(x):  # tr L_x
-        return sum((v * traces[l] for l, v in nonzero_pairs(x)), ZERO)
+        return sum(v * traces[l] for l, v in nonzero_pairs(x))
 
     out = []
     for i, zi in enumerate(ddst.central_idempotents):
@@ -98,12 +98,12 @@ def k0_map(f: StarHomomorphism) -> K0Map:
         for j, zj in enumerate(dsrc.central_idempotents):
             img = _apply(fq, dict(nonzero_pairs(zj)))
             val = trace(ddst.quotient.mul_pairs(nonzero_pairs(zi), img.items()))
-            m = val / ti
-            if m.denominator != 1:
+            m = frac(val, ti)
+            if type(m) is not int:
                 raise NonIntegralMultiplicity(f"entry ({i},{j}) = {m}")
             if m < 0:
                 raise NonIntegralMultiplicity(f"entry ({i},{j}) = {m} negative")
-            row.append(int(m))
+            row.append(m)
         out.append(row)
     return K0Map(out)
 
@@ -141,8 +141,8 @@ def verify_green_julg_diagram(s: FiniteInvSgp, hprime: int, parts, instance="") 
     cx = c0_units(h)  # functions on the unit space = characters of E(H')
     line = trivial_line(h, upos)
     n = len(h.units)
-    f_mat = [[ONE] if i == upos else [ZERO] for i in range(n)]
-    p_mat = [[ONE if j == upos else ZERO for j in range(n)]]
+    f_mat = [[1] if i == upos else [0] for i in range(n)]
+    p_mat = [[1 if j == upos else 0 for j in range(n)]]
     f_hom = StarHomomorphism(line, cx, f_mat, label="unit-atom inclusion")
     p_hom = StarHomomorphism(cx, line, p_mat, label="unit-atom evaluation")
     rep_f = verify_star_hom(f_hom, equivariant_keys=list(h.elements))

@@ -1,12 +1,21 @@
-"""Exact rational linear algebra over fractions.Fraction; nothing here is floating point.
+"""Exact rational linear algebra; nothing here is floating point.
+
+Every exact number is kept in one canonical form: a Python int when it is
+integral and a ``fractions.Fraction`` with denominator > 1 otherwise. The
+structure constants, stars and actions of the corpus are all integers, so
+they stay ints, whose arithmetic is far cheaper than a Fraction's. ``frac``
+is the one place that divides or builds a Fraction: every number a
+reduction produces (a pivot scaling, an elimination read back from ``QQ``,
+an LDL^T multiplier) goes through it, so ``int / int`` never makes a float.
 
 One batch engine, ``_irref`` (sympy's sparse reduced row echelon form over
 QQ), serves ``rref`` and its readers ``rank``, ``nullspace`` and ``mat_inv``,
 ``sparse_solve`` and ``QuotientSpace``. It is the only code that converts
 to ``QQ``, and it takes each entry's numerator and denominator as they are,
-since a Fraction is already reduced. ``Span`` is the one incremental
-engine; it keeps its reduced rows as sparse ``{col: Fraction}`` dicts and
-touches only nonzeros. ``Basis`` is a ``Span`` plus one ``mat_inv``.
+since ints and Fractions are already reduced. ``Span`` is the one
+incremental engine; it keeps its reduced rows as sparse ``{col: value}``
+dicts of canonical values and touches only nonzeros. ``Basis`` is a
+``Span`` plus one ``mat_inv``.
 
 The three coordinate spaces share one interface: ``sparse_coords`` maps a
 ``{col: value}`` vector to its coordinates as a ``{position: value}`` dict
@@ -25,20 +34,27 @@ from fractions import Fraction
 from sympy.polys.domains import QQ
 from sympy.polys.matrices.sdm import sdm_irref, sdm_nullspace_from_rref
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
-
-def frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def frac(p, q=1):
+    """p / q exactly, for rationals p and q != 0, in canonical form: an int
+    when it is integral, else a Fraction in lowest terms; ``frac(x)`` is x
+    in canonical form."""
+    if type(p) is int and type(q) is int:
+        if q == 1:
+            return p
+        n, r = divmod(p, q)
+        if not r:
+            return n
+    x = Fraction(p, q)
+    return x.numerator if x.denominator == 1 else x
 
 
 def zeros(n: int) -> list:
-    return [ZERO] * n
+    return [0] * n
 
 
 def identity(n: int) -> list:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def nonzero_pairs(v) -> list:
@@ -52,18 +68,18 @@ def nonzero_columns(m, ncols) -> list:
 
 
 def mat_mul(a, b) -> list:
-    """a b, touching only nonzero entries: each row of b is read once as
-    its (column, value) pairs."""
+    """a b with canonical entries, touching only nonzero entries: each row of
+    b is read once as its (column, value) pairs."""
     cols = len(b[0]) if b else 0
     b_rows = [nonzero_pairs(row) for row in b]
     out = []
     for row in a:
-        oi = [ZERO] * cols
+        oi = [0] * cols
         for j, x in enumerate(row):
             if x:
                 for c, y in b_rows[j]:
                     oi[c] += x * y
-        out.append(oi)
+        out.append([x if type(x) is int else frac(x) for x in oi])
     return out
 
 
@@ -73,10 +89,11 @@ def _irref(rows):
     Returns sympy's ``(reduced rows, pivots, nonzero columns)``; the reduced
     rows are ``{col: QQ}`` dicts keyed by position, in pivot order.
 
-    Fractions and ints are already in lowest terms with a positive
+    Ints and Fractions are already in lowest terms with a positive
     denominator, so each entry is built from its numerator and denominator
     without a second gcd, by ``QQ.dtype._new`` where the dtype has one
-    (sympy's pure-Python ``PythonMPQ``) and by the dtype itself otherwise."""
+    (sympy's pure-Python ``PythonMPQ``) and by the dtype itself otherwise.
+    The results come back as canonical values through ``_frac_qq``."""
     mpq = getattr(QQ.dtype, "_new", QQ.dtype)
     qrows = {}
     for i, row in enumerate(rows):
@@ -105,7 +122,7 @@ def nullspace(m) -> list:
     basis = []
     for free in sorted(set(range(ncols)) - set(pivots)):
         v = zeros(ncols)
-        v[free] = ONE
+        v[free] = 1
         for i, p in enumerate(pivots):
             v[p] = -red[i][free]
         basis.append(v)
@@ -115,7 +132,7 @@ def nullspace(m) -> list:
 def sparse_solve(rows: dict, ncols: int, rhs: dict | None = None):
     """Solve sum_c rows[r][c] x_c = rhs[r] exactly for every row key r.
 
-    ``rows`` maps any hashable row key to a ``{col: Fraction}`` dict that
+    ``rows`` maps any hashable row key to a ``{col: value}`` dict that
     omits zeros; ``rhs`` maps row keys to right-hand sides (missing keys and
     ``rhs=None`` mean 0, and a key absent from ``rows`` is a zero row).
     Returns ``(x, kernel)``: one solution as a dense list (None when the
@@ -135,12 +152,13 @@ def sparse_solve(rows: dict, ncols: int, rhs: dict | None = None):
     return x, [_dense(vec, ncols) for vec in kernel]
 
 
-def _frac_qq(q) -> Fraction:
-    return Fraction(int(q.numerator), int(q.denominator))
+def _frac_qq(q):
+    """A ``QQ`` value as a canonical int or Fraction."""
+    return frac(int(q.numerator), int(q.denominator))
 
 
 def _dense(row: dict, n: int) -> list:
-    """A ``{col: QQ}`` row as a dense list of Fractions of length n."""
+    """A ``{col: QQ}`` row as a dense list of canonical values of length n."""
     out = zeros(n)
     for c, v in row.items():
         out[c] = _frac_qq(v)
@@ -160,7 +178,7 @@ def mat_inv(m):
 class Span:
     """Row span with a reduced basis; supports membership and coordinates.
 
-    The reduced rows are ``sparse_rows``: ``{col: Fraction}`` dicts without
+    The reduced rows are ``sparse_rows``: ``{col: value}`` dicts without
     zeros, in pivot order, each 1 at its own pivot and 0 at every other
     pivot. So a vector of the span is the combination of the rows with its
     own entries at the pivots as coefficients, and every method touches only
@@ -187,7 +205,8 @@ class Span:
             return False
         c = min(v)
         x = v[c]
-        v = {k: y / x for k, y in v.items()}
+        if x != 1:
+            v = {k: frac(y, x) for k, y in v.items()}
         # keep every row fully reduced
         for row in self.sparse_rows:
             f = row.get(c)
@@ -201,7 +220,7 @@ class Span:
 
     def _reduce(self, v: dict) -> dict:
         """v minus the combination of the rows with v's pivot entries as
-        coefficients, for v a ``{col: Fraction}`` dict without zeros. The
+        coefficients, for v a ``{col: value}`` dict without zeros. The
         rows are 0 at each other's pivots, so the order does not matter."""
         out = dict(v)
         for p, f in v.items():
@@ -223,7 +242,7 @@ class Span:
 
     @property
     def rows(self) -> list:
-        return [[row.get(c, ZERO) for c in range(self._ncols)] for row in self.sparse_rows]
+        return [[row.get(c, 0) for c in range(self._ncols)] for row in self.sparse_rows]
 
     @property
     def dim(self) -> int:
@@ -231,20 +250,23 @@ class Span:
 
 
 def _sparse(v) -> dict:
-    """A dense vector, or a ``{col: value}`` dict, as a ``{col: Fraction}``
-    dict without zeros."""
+    """A dense vector, or a ``{col: value}`` dict, as a ``{col: value}`` dict
+    of canonical values without zeros."""
     items = v.items() if isinstance(v, dict) else enumerate(v)
-    return {c: frac(x) for c, x in items if x}
+    return {c: x if type(x) is int else frac(x) for c, x in items if x}
 
 
 def _subtract(out: dict, f, row: dict):
-    """out -= f row in place, for sparse dicts; zeros are dropped."""
+    """out -= f row in place, for sparse dicts of canonical values; zeros
+    are dropped and the values kept canonical."""
     for c, x in row.items():
-        y = out.get(c, ZERO) - f * x
-        if y:
+        y = out.get(c, 0) - f * x
+        if not y:
+            out.pop(c, None)
+        elif type(y) is int:
             out[c] = y
         else:
-            out.pop(c, None)
+            out[c] = frac(y)
 
 
 class Basis:
@@ -274,8 +296,8 @@ class Basis:
         out = {}
         for j, x in c.items():
             for i, y in self._inv_rows[j]:
-                out[i] = out.get(i, ZERO) + x * y
-        return {i: out[i] for i in sorted(out) if out[i]}
+                out[i] = out.get(i, 0) + x * y
+        return _canonical(out)
 
 
 class QuotientSpace:
@@ -310,11 +332,17 @@ class QuotientSpace:
         for c, x in vec.items():
             i = self.free_pos.get(c)
             if i is not None:
-                out[i] = out.get(i, ZERO) + x
+                out[i] = out.get(i, 0) + x
             else:
                 for i, r in self._pivot_rows[c].items():
-                    out[i] = out.get(i, ZERO) + x * r
-        return {i: out[i] for i in sorted(out) if out[i]}
+                    out[i] = out.get(i, 0) + x * r
+        return _canonical(out)
+
+
+def _canonical(out: dict) -> dict:
+    """A ``{position: value}`` dict in position order, without zeros and with
+    canonical values."""
+    return {i: x if type(x) is int else frac(x) for i in sorted(out) if (x := out[i])}
 
 
 def psd_certificate(m):
@@ -325,10 +353,10 @@ def psd_certificate(m):
     zero diagonal (which PSD forbids).
     """
     n = len(m)
-    a = [list(map(frac, row)) for row in m]
+    a = [list(row) for row in m]
     idx = list(range(n))
     for step in range(n):
-        piv, best = None, ZERO
+        piv, best = None, 0
         for i in range(step, n):
             d = a[i][i]
             if not d:
@@ -356,7 +384,7 @@ def psd_certificate(m):
         pivot_row = [(j, x) for j, x in enumerate(a[step][step:], step) if x]
         for i in range(step + 1, n):
             if a[i][step]:
-                f = a[i][step] / d
+                f = frac(a[i][step], d)
                 row = a[i]
                 for j, x in pivot_row:
                     row[j] -= f * x

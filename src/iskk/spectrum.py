@@ -21,10 +21,9 @@ tables; nothing is cached at module level.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NotIdempotent
-from .linalg import ZERO, ONE
+from .linalg import frac
 from .semigroup import FiniteInvSgp, iter_mask, leq, mask_of, nonzero_idempotents
 
 
@@ -208,7 +207,7 @@ def germ_key(a: ExtendedElement) -> tuple:
 
 def alg_star_from_mask(s: FiniteInvSgp, mask: int) -> tuple:
     sp = spectrum(s)
-    return tuple(ONE if mask >> i & 1 else ZERO for i in range(sp.size))
+    return tuple(1 if mask >> i & 1 else 0 for i in range(sp.size))
 
 
 def alg_star_mask(func) -> int:
@@ -224,10 +223,8 @@ def alg_star_mask(func) -> int:
 
 def alg_star_to_json(s: FiniteInvSgp, func) -> dict:
     sp = spectrum(s)
-    return {
-        s.names[sp.gens[i]]: f"{Fraction(v).numerator}/{Fraction(v).denominator}"
-        for i, v in enumerate(func)
-    }
+    return {s.names[sp.gens[i]]: f"{x.numerator}/{x.denominator}"
+            for i, x in enumerate(map(frac, func))}
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from iskk import induction as ind
 from iskk import ktheory as kt
 from iskk import semigroup as sg
 from iskk import spectrum as spc
-from iskk.errors import BrokenInvariant, InvalidAction, NonIntegralMultiplicity, NotIdempotent
-from iskk.linalg import ONE, ZERO, Span, identity, nonzero_columns, nonzero_pairs
+from iskk.errors import BrokenInvariant, InvalidAction, NotIdempotent
+from iskk.linalg import Span, identity, nonzero_columns, nonzero_pairs
 from test_kernels import dense_action, dense_mat_vec, dense_nullspace, dense_star, dense_transport
 
 
@@ -133,8 +133,8 @@ def test_known_irreducible_counts():
 def test_radical_of_triangular_algebra():
     # span{e11, e22, e12} upper triangular: one-dimensional radical
     mul = {
-        (0, 0): {0: ONE}, (1, 1): {1: ONE},
-        (0, 2): {2: ONE}, (2, 1): {2: ONE},
+        (0, 0): {0: 1}, (1, 1): {1: 1},
+        (0, 2): {2: 1}, (2, 1): {2: 1},
     }
     alg = ga.StarAlgebra(3, mul, nonzero_columns(identity(3), 3), "upper")
     d = cr.semisimple_quotient(alg)
@@ -202,7 +202,7 @@ def _dense_groupoid(d):
             cell = {offs[hg] + fibs[hg].index(t): v for t, v in enumerate(prod) if v}
             if cell:
                 mul[(i, j)] = cell
-    star, coeff_star = [[ZERO] * dim for _ in range(dim)], dense_star(d.alg)
+    star, coeff_star = [[0] * dim for _ in range(dim)], dense_star(d.alg)
     for i, (h, ki) in enumerate(layout):
         hs = spc.tilde_star(s, h)
         w = dense_mat_vec(dense_action(d.action[hs]), dense_mat_vec(coeff_star, d.alg.basis_vec(ki)))
@@ -248,7 +248,7 @@ def _two_unit_coefficients():
 def test_groupoid_product_escape_is_a_typed_error():
     # b_0 b_0 = b_1: the product of two vectors of unit 0's fiber leaves it
     d = _two_unit_coefficients()
-    d.alg.mul[(0, 0)] = {1: ONE}
+    d.alg.mul[(0, 0)] = {1: 1}
     with pytest.raises(InvalidAction, match="^crossed product coefficient escapes its range ideal$"):
         cr.crossed(d, "groupoid")
 
@@ -258,7 +258,7 @@ def test_groupoid_star_escape_is_a_typed_error():
     # unit 0's fiber; every product b alpha_u0(b_0) = b b_1 with b in that fiber is 0
     d = _two_unit_coefficients()
     u0 = d.gpd.units[0]
-    d.action[u0] = [[(1, ONE)], []]
+    d.action[u0] = [[(1, 1)], []]
     with pytest.raises(InvalidAction, match="^crossed product star escapes its range ideal$"):
         cr.crossed(d, "groupoid")
 
@@ -346,16 +346,16 @@ def test_sparse_center_matches_dense_commutator_nullspace(spec, coeff, kind):
 
 def test_unit_vector_of_matrix_algebra_is_identity():
     # basis e_ij at index 2i + j, so the identity is e_00 + e_11
-    assert ga.matrix_algebra(2).unit_vector() == [ONE, ZERO, ZERO, ONE]
+    assert ga.matrix_algebra(2).unit_vector() == [1, 0, 0, 1]
 
 
 def test_unit_vector_none_without_two_sided_unit():
     # span{e11, e12} in M2: e11 is a left unit, but e12 x = 0 for every x
-    mul = {(0, 0): {0: ONE}, (0, 1): {1: ONE}}
+    mul = {(0, 0): {0: 1}, (0, 1): {1: 1}}
     alg = ga.StarAlgebra(2, mul, nonzero_columns(identity(2), 2), "row")
     assert alg.unit_vector() is None
     # nilpotent: no unit at all
-    assert ga.StarAlgebra(1, {}, [[(0, ONE)]], "nil").unit_vector() is None
+    assert ga.StarAlgebra(1, {}, [[(0, 1)]], "nil").unit_vector() is None
 
 
 @pytest.mark.parametrize("spec, coeff, kind", SMALL_ALGEBRAS)
@@ -364,7 +364,7 @@ def test_central_idempotents_are_a_partition_of_unity(spec, coeff, kind):
     q = d.quotient
     idems = d.central_idempotents
     assert len(idems) == len({tuple(e) for e in idems})
-    total = [ZERO] * q.dim
+    total = [0] * q.dim
     for e in idems:
         assert q.mul_vec(e, e) == e
         for i in range(q.dim):
@@ -444,7 +444,7 @@ def test_non_central_center_product_is_a_typed_error(monkeypatch):
     # e00 is not central in M2, so the identity times itself, read at the
     # free columns 3 and 0, lifts to the identity plus e00
     real = cr._center_basis
-    monkeypatch.setattr(cr, "_center_basis", lambda alg: real(alg) + [[ONE, ZERO, ZERO, ZERO]])
+    monkeypatch.setattr(cr, "_center_basis", lambda alg: real(alg) + [[1, 0, 0, 0]])
     with pytest.raises(BrokenInvariant, match="^a product of central vectors is not central$") as err:
         cr.semisimple_quotient(ga.matrix_algebra(2))
     assert err.value.witness == {"pair": (0, 0)}
@@ -471,7 +471,7 @@ def test_minimal_polynomial_beyond_the_dimension_is_a_typed_error(monkeypatch):
 def test_split_witness_of_a_split_center_is_a_typed_error():
     # every basis vector of Q + Q has a split minimal polynomial
     with pytest.raises(BrokenInvariant):
-        cr._split_witness(ga.diagonal_star_algebra(2), [ONE, ONE], [])
+        cr._split_witness(ga.diagonal_star_algebra(2), [1, 1], [])
 
 
 # ---------------------------------------------------------------------------
@@ -501,14 +501,14 @@ def test_biquadratic_field_is_one_piece_of_four_blocks():
     assert d.to_json() == {"radical_dim": 0, "quotient_dim": 4, "center_dim": 4, "blocks": 4,
                            "block_dims": [1, 1, 1, 1], "splits": False, "witness_poly": "x**2 - 2",
                            "method": "numeric"}
-    assert d.central_idempotents == [[ONE, ZERO, ZERO, ZERO]]
+    assert d.central_idempotents == [[1, 0, 0, 0]]
 
 
 def test_two_copies_of_a_quadratic_field_are_two_pieces():
     alg = ga.star_sum([_number_field_algebra([2])] * 2)
     d = cr.semisimple_quotient(alg)
     assert (d.blocks, d.block_dims, d.splits, d.witness_poly) == (4, [1, 1, 1, 1], False, "x**2 - 2")
-    assert sorted(d.central_idempotents) == [[ZERO, ZERO, ONE, ZERO], [ONE, ZERO, ZERO, ZERO]]
+    assert sorted(d.central_idempotents) == [[0, 0, 1, 0], [1, 0, 0, 0]]
 
 
 def _tensor(a, b):
@@ -536,7 +536,7 @@ def _permuted(alg, perm):
     """alg with basis vector i renumbered perm[i]."""
     mul = {(perm[i], perm[j]): {perm[k]: v for k, v in cell.items()}
            for (i, j), cell in alg.mul.items()}
-    star = [[ZERO] * alg.dim for _ in range(alg.dim)]
+    star = [[0] * alg.dim for _ in range(alg.dim)]
     for i, row in enumerate(dense_star(alg)):
         for j, v in enumerate(row):
             star[perm[i]][perm[j]] = v
@@ -642,7 +642,7 @@ def _split_rebuilding_every_piece(z, unit):
             for f, _ in poly.factor_list()[1]:
                 rest = poly.exquo(f)
                 piece = cr._eval_poly(powers, (rest * sympy.invert(rest, f)) % poly)
-                dim = sum((v * traces[l] for l, v in nonzero_pairs(piece)), ZERO)
+                dim = sum(v * traces[l] for l, v in nonzero_pairs(piece))
                 (done if f.degree() == dim else cut).append((piece, dim))
         pieces = cut
     return done + pieces
@@ -721,7 +721,7 @@ def _dense_quotient(alg, relations):
     span = Span(relations)
     free = [c for c in range(alg.dim) if c not in span.pivots]
     lifts = [alg.basis_vec(c) for c in free]
-    return dense_transport(alg, lifts, lambda v: [span._reduce(dict(nonzero_pairs(v))).get(c, ZERO) for c in free])
+    return dense_transport(alg, lifts, lambda v: [span._reduce(dict(nonzero_pairs(v))).get(c, 0) for c in free])
 
 
 def _closure_sieben(a):
@@ -744,7 +744,7 @@ def _closure_sieben(a):
                     for j in range(a.dim):
                         corner.add(a.alg.mul_vec(ex, a.alg.basis_vec(j)))
             for row in corner.rows:
-                v = [ZERO] * uni.dim
+                v = [0] * uni.dim
                 for k, c in spans[s.range_of(e)].sparse_coords(row).items():
                     v[offs[e] + k] += c
                 for k, c in spans[s.range_of(f)].sparse_coords(row).items():
@@ -778,7 +778,7 @@ def test_tight_product_equals_the_closed_ideal_quotient(spec, coeff):
 def test_two_term_relations_span_a_star_ideal(spec, coeff):
     uni = cr._universal(_tight_coeff(spec, coeff))
     alg = uni.alg
-    relations = [[r.get(c, ZERO) for c in range(alg.dim)] for r in cr._tight_relations(uni)]
+    relations = [[r.get(c, 0) for c in range(alg.dim)] for r in cr._tight_relations(uni)]
     span, star = Span(relations), dense_star(alg)
     for v in span.rows:
         assert span.contains(dense_mat_vec(star, v))
@@ -805,7 +805,7 @@ def _scalar_action(spec, scalars):
     """Q with element g acting as the scalar scalars[name of g]: the range
     ideal of g is Q or 0, so a hand-picked scalar breaks one containment."""
     s = sg.parse_builder(spec)
-    q = ga.StarAlgebra(1, {(0, 0): {0: ONE}}, [[(0, ONE)]], "Q")
+    q = ga.StarAlgebra(1, {(0, 0): {0: 1}}, [[(0, 1)]], "Q")
     return ga.GAlgebra(s, q, {g: [[(0, Fraction(scalars[s.names[g]]))] if scalars[s.names[g]] else []]
                               for g in s.elements()})
 

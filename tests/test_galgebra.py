@@ -6,7 +6,7 @@ from iskk import galgebra as ga
 from iskk import semigroup as sg
 from iskk import spectrum as sp
 from iskk.errors import InvalidAction, NotCentral
-from iskk.linalg import ONE, ZERO, identity, nonzero_columns
+from iskk.linalg import identity, nonzero_columns
 
 
 def test_trivial_algebra_valid_on_chain_and_groups():
@@ -38,10 +38,10 @@ def test_noncentral_range_projection_detected():
     s = sg.parse_builder("chain:2")
     e = s.index("e1")
     alg = ga.matrix_algebra(2)  # M2: swap-preserving star
-    bad = [[ONE, ZERO, ZERO, ZERO],
-           [ZERO, ONE, ZERO, ZERO],
-           [ZERO, ZERO, ZERO, ZERO],
-           [ZERO, ZERO, ZERO, ZERO]]  # cut to upper row-block: not central
+    bad = [[1, 0, 0, 0],
+           [0, 1, 0, 0],
+           [0, 0, 0, 0],
+           [0, 0, 0, 0]]  # cut to upper row-block: not central
     a = ga.GAlgebra(s, alg, {0: nonzero_columns(identity(4), 4), e: nonzero_columns(bad, 4)}, "bad")
     rep = ga.validate_g_algebra(a)
     assert not rep["pass"]
@@ -80,8 +80,8 @@ def test_balanced_tensor_complementary_corners_collapse():
     # corner lines with complementary idempotent supports tensor to zero
     s = sg.parse_builder("chain:2")
     e = s.index("e1")
-    line_e = ga.GAlgebra(s, ga.diagonal_star_algebra(1), {0: [[(0, ONE)]], e: [[(0, ONE)]]}, "C_e")
-    line_c = ga.GAlgebra(s, ga.diagonal_star_algebra(1), {0: [[(0, ONE)]], e: [[]]}, "C_1-e")
+    line_e = ga.GAlgebra(s, ga.diagonal_star_algebra(1), {0: [[(0, 1)]], e: [[(0, 1)]]}, "C_e")
+    line_c = ga.GAlgebra(s, ga.diagonal_star_algebra(1), {0: [[(0, 1)]], e: [[]]}, "C_1-e")
     assert ga.validate_g_algebra(line_e)["pass"]
     assert ga.validate_g_algebra(line_c)["pass"]
     t = ga.balanced_tensor(line_e, line_c)
@@ -169,12 +169,12 @@ def test_malformed_action_shape_raises_invalid_action(element, cut):
 
 
 @pytest.mark.parametrize("column, row", [
-    ([(2, ONE)], 2),                  # below the last row
-    ([(-1, ONE)], -1),                # above the first row
-    ([(1, ONE), (0, ONE)], 0),        # rows out of order
-    ([(0, ONE), (0, ONE)], 0),        # a row twice
-    ([(0, ZERO)], 0),                 # a zero value
-    ([(0, ONE), (1, ZERO)], 1),       # a zero value after a good entry
+    ([(2, 1)], 2),                # below the last row
+    ([(-1, 1)], -1),              # above the first row
+    ([(1, 1), (0, 1)], 0),        # rows out of order
+    ([(0, 1), (0, 1)], 0),        # a row twice
+    ([(0, 0)], 0),                # a zero value
+    ([(0, 1), (1, 0)], 1),        # a zero value after a good entry
 ])
 def test_noncanonical_action_column_raises_invalid_action(column, row):
     # column equality stands for map equality only on canonical columns:
@@ -199,7 +199,7 @@ def test_action_entry_that_is_not_a_pair_raises_invalid_action(shape):
         witness = {"element": "1", "column": 0, "entry": 0}
     else:
         e = s.index("e1")
-        a.action[e] = [a.action[e][0], [(0, ONE, 0)]]
+        a.action[e] = [a.action[e][0], [(0, 1, 0)]]
         witness = {"element": "e1", "column": 1, "entry": 0}
     with pytest.raises(InvalidAction) as err:
         ga.validate_g_algebra(a)
@@ -211,7 +211,7 @@ def test_malformed_star_and_germ_action_shapes_raise_invalid_action():
 
     s = sg.parse_builder("chain:2")
     a = ga.c0x_algebra(s)
-    a.alg.star = a.alg.star + [[(0, ONE)]]  # a third column
+    a.alg.star = a.alg.star + [[(0, 1)]]  # a third column
     with pytest.raises(InvalidAction) as err:
         ga.validate_g_algebra(a)
     assert err.value.witness == {"element": "star", "columns": 3}
@@ -224,16 +224,16 @@ def test_malformed_star_and_germ_action_shapes_raise_invalid_action():
     with pytest.raises(InvalidAction) as err:
         ga.validate_h_algebra(d)
     assert err.value.witness == {"element": key, "columns": 1}
-    d.action[x] = [[(1, ONE), (0, ONE)], []]  # unsorted rows
+    d.action[x] = [[(1, 1), (0, 1)], []]  # unsorted rows
     with pytest.raises(InvalidAction) as err:
         ga.validate_h_algebra(d)
     assert err.value.witness == {"element": key, "column": 0, "row": 0}
-    d.action[x] = [[], [(0, ZERO)]]  # a zero value
+    d.action[x] = [[], [(0, 0)]]  # a zero value
     with pytest.raises(InvalidAction) as err:
         ga.validate_h_algebra(d)
     assert err.value.witness == {"element": key, "column": 1, "row": 0}
     d.action[x] = good
-    d.alg.star = [d.alg.star[0], [(0, ONE), (2, ONE)]]  # row 2 of a 2-dim algebra
+    d.alg.star = [d.alg.star[0], [(0, 1), (2, 1)]]  # row 2 of a 2-dim algebra
     with pytest.raises(InvalidAction) as err:
         ga.validate_h_algebra(d)
     assert err.value.witness == {"element": "star", "column": 1, "row": 2}
@@ -242,7 +242,7 @@ def test_malformed_star_and_germ_action_shapes_raise_invalid_action():
         ga.validate_h_algebra(d)
     assert err.value.witness == {"element": "star", "columns": 1}
     a = ga.c0x_algebra(s)
-    a.alg.star = [[(-1, ONE)], a.alg.star[1]]
+    a.alg.star = [[(-1, 1)], a.alg.star[1]]
     with pytest.raises(InvalidAction) as err:
         ga.validate_g_algebra(a)
     assert err.value.witness == {"element": "star", "column": 0, "row": -1}
@@ -258,7 +258,7 @@ def test_star_failures_read_the_star_columns():
     assert next(ga.star_failures(doubled)) == "star not involutive"
     # the identity is involutive but not antimultiplicative: (e00 e01)* = e01,
     # while e01* e00* = e01 e00 = 0
-    plain = ga.StarAlgebra(4, m2.mul, [[(i, ONE)] for i in range(4)])
+    plain = ga.StarAlgebra(4, m2.mul, [[(i, 1)] for i in range(4)])
     assert next(ga.star_failures(plain)) == (0, 1)
     for alg in (doubled, plain):
         assert list(ga.star_failures(alg)) == list(dense_star_failures(alg))
@@ -269,7 +269,7 @@ def test_restrict_with_overlapping_fibers_raises_invalid_action():
 
     s = sg.parse_builder("chain:2")
     a = ga.c0x_algebra(s)
-    a.action[s.index("e1")] = [[(0, ONE)], [(0, ONE), (1, ONE)]]  # its unit fiber overlaps the other
+    a.action[s.index("e1")] = [[(0, 1)], [(0, 1), (1, 1)]]  # its unit fiber overlaps the other
     with pytest.raises(InvalidAction, match="groupoid corner of 'C0\\(X\\)' is not closed"):
         ga.restrict(a, assoc_groupoid(s, 0b11))
 
@@ -280,7 +280,7 @@ def test_star_hom_verification():
     f = ga.StarHomomorphism(c, c, identity(c.dim), "id")
     rep = ga.verify_star_hom(f, equivariant_keys=list(s.elements()))
     assert rep["pass"]
-    bad = ga.StarHomomorphism(c, c, [[ONE, ONE], [ZERO, ONE]], "bad")
+    bad = ga.StarHomomorphism(c, c, [[1, 1], [0, 1]], "bad")
     assert not ga.verify_star_hom(bad)["pass"]
 
 
@@ -358,7 +358,7 @@ def test_corner_of_a_sum_is_the_summand():
     total = ga.direct_sum(s, [a, b])
     assert ga.validate_g_algebra(total)["pass"]
     for part, kept in ((a, range(a.dim)), (b, range(a.dim, total.dim))):
-        p = [[(i, ONE)] if i in kept else [] for i in range(total.dim)]
+        p = [[(i, 1)] if i in kept else [] for i in range(total.dim)]
         sub, basis = ga.subalgebra_on_projection(total, p)
         assert (sub.alg.mul, sub.alg.star, sub.action) == (part.alg.mul, part.alg.star, part.action)
         assert basis == [total.alg.basis_vec(i) for i in kept]
@@ -388,7 +388,7 @@ def test_operations_reject_algebras_over_different_semigroups():
 # ---------------------------------------------------------------------------
 # a product, star or action image leaving its corner is a typed error
 
-SWAP = [[(1, ONE)], [(0, ONE)]]  # star columns: b_0* = b_1, b_1* = b_0
+SWAP = [[(1, 1)], [(0, 1)]]  # star columns: b_0* = b_1, b_1* = b_0
 
 
 def _chain_c0x(star=None, square=None):
@@ -427,7 +427,7 @@ def test_cutdown_star_escape_is_a_typed_error():
         ga.cutdown(a, s.index("e1"))
 
 
-@pytest.mark.parametrize("broken", [{"square": {1: ONE}}, {"star": SWAP}], ids=["product", "star"])
+@pytest.mark.parametrize("broken", [{"square": {1: 1}}, {"star": SWAP}], ids=["product", "star"])
 def test_restrict_escape_from_a_fiber_is_a_typed_error(broken):
     s, a = _chain_c0x(**broken)
     with pytest.raises(InvalidAction, match=r"^groupoid corner of 'C0\(X\)' is not closed$"):
@@ -446,7 +446,7 @@ def test_restrict_germ_image_escape_is_a_typed_error():
         ga.restrict(a, _all_germs(s))
 
 
-@pytest.mark.parametrize("broken", [{"square": {1: ONE}}, {"star": SWAP}], ids=["product", "star"])
+@pytest.mark.parametrize("broken", [{"square": {1: 1}}, {"star": SWAP}], ids=["product", "star"])
 def test_rebasing_and_range_cut_escapes_are_typed_errors(broken):
     from iskk.errors import InvalidCoefficientAlgebra
     from iskk.induction import c0_orbits_algebra, compute_GH, sgp_to_h_algebra

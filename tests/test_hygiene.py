@@ -2,9 +2,14 @@
 
 - No module imports a name it never uses. Neither pyflakes nor ruff ships
   with the toolchain, so this scan stands in for their unused-import rule.
-- Batch elimination has one engine: ``sdm_irref`` is used, and Fractions are
+- Batch elimination has one engine: ``sdm_irref`` is used, and values are
   converted with ``QQ(...)`` or through ``QQ.dtype``, only inside
   ``linalg._irref``.
+- One number type: a value is an int where it is integral and a Fraction
+  only where a reduction divides. No module calls ``Fraction(...)`` or
+  divides with ``/`` or ``/=``, which makes a float of two ints, outside
+  ``linalg.frac``, the one canonical divider, and the labelled float oracle
+  ``crossed.numeric_block_oracle``.
 - The sparse paths stay sparse: none of these functions calls the dense
   vector helpers ``mat_vec``, ``mul_vec`` or ``basis_vec``:
   - the crossed-product builders ``_universal``, ``_groupoid`` and their
@@ -302,3 +307,48 @@ def test_scan_finds_a_cache_planted_in_a_module():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_cache_outlives_its_object(path):
     assert cache_sites(path.read_text()) == []
+
+
+DIVIDERS = {("linalg.py", "frac"), ("crossed.py", "numeric_block_oracle")}
+
+
+def division_sites(source: str) -> list:
+    """(top-level function or class, line, code) for each ``Fraction(...)``
+    call, under any module prefix, and each true division, ``a / b`` or
+    ``a /= b``; "" stands for module level."""
+    out = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "")
+        for node in ast.walk(top):
+            if ((isinstance(node, ast.Call) and _name(node.func) == "Fraction")
+                    or (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div))):
+                out.append((owner, node.lineno, ast.unparse(node)))
+    return sorted(out, key=lambda site: site[1])
+
+
+def test_scan_finds_fractions_and_true_divisions():
+    src = ("from fractions import Fraction\nimport fractions\nHALF = Fraction(1, 2)\n"
+           "def f(x, y):\n    z = x // y + x % y\n    return fractions.Fraction(x), x / y\n"
+           "class C:\n    def g(self, v):\n        v /= 2\n        v //= 2\n"
+           "        return [a / 2 for a in v]\n")
+    assert division_sites(src) == [("", 3, "Fraction(1, 2)"), ("f", 6, "fractions.Fraction(x)"),
+                                   ("f", 6, "x / y"), ("C", 9, "v /= 2"), ("C", 11, "a / 2")]
+
+
+def test_scan_finds_a_division_planted_in_a_module():
+    source = (SRC / "linalg.py").read_text()
+    planted = source + "\n\ndef _scale(v, x):\n    return {k: y / x for k, y in v.items()}\n"
+    found = [site for site in division_sites(planted) if ("linalg.py", site[0]) not in DIVIDERS]
+    assert [(owner, code) for owner, _, code in found] == [("_scale", "y / x")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_canonical_helper_divides(path):
+    found = [site for site in division_sites(path.read_text()) if (path.name, site[0]) not in DIVIDERS]
+    assert found == []
+
+
+def test_the_dividers_exist():
+    # each allowed owner is a real function that still divides or builds a Fraction
+    for module, owner in DIVIDERS:
+        assert owner in {site[0] for site in division_sites((SRC / module).read_text())}, owner

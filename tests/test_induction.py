@@ -5,7 +5,7 @@ from iskk import induction as ind
 from iskk import semigroup as sg
 from iskk import spectrum as sp
 from iskk.errors import ChainTooLong, NotEUnitary, NotSubsemigroup
-from iskk.linalg import ONE, ZERO, identity, mat_inv
+from iskk.linalg import identity, mat_inv
 from test_kernels import dense_action
 
 
@@ -133,7 +133,7 @@ def test_induced_direct_sum_intertwines():
             both_block = next(b for b in ind_both.blocks if b[0] == r)
             for slot, didx in enumerate(fib):
                 row = both_block[3] + both_block[2].index(didx + offset)
-                perm[row][col] = ONE
+                perm[row][col] = 1
                 col += 1
     hom = ga.StarHomomorphism(
         ga.direct_sum(s, [ind_cx.galg, ind_line.galg]),
@@ -149,9 +149,9 @@ def test_induced_split_exactness():
     a = ga.trivial_line(h, 0)
     b = ga.trivial_line(h, 1)
     d = ga.direct_sum(h, [a, b])
-    inc = ga.StarHomomorphism(a, d, [[ONE], [ZERO]])
-    quo = ga.StarHomomorphism(d, b, [[ZERO, ONE]])
-    sec = ga.StarHomomorphism(b, d, [[ZERO], [ONE]])
+    inc = ga.StarHomomorphism(a, d, [[1], [0]])
+    quo = ga.StarHomomorphism(d, b, [[0, 1]])
+    sec = ga.StarHomomorphism(b, d, [[0], [1]])
     ia, idd, ib = (ind.build_induced(s, h, x) for x in (a, d, b))
     inc_i = ind.induce_hom(inc, ia, idd)
     quo_i = ind.induce_hom(quo, idd, ib)
@@ -174,9 +174,9 @@ def test_induce_hom_functorial():
     ind2 = ind.build_induced(s, h, two)
     n = len(h.units)
     # fold: (x, y) -> x + y, and the first inclusion
-    fold = ga.StarHomomorphism(two, cx, [[ONE if j % n == i else ZERO for j in range(2 * n)]
+    fold = ga.StarHomomorphism(two, cx, [[1 if j % n == i else 0 for j in range(2 * n)]
                                          for i in range(n)])
-    inc = ga.StarHomomorphism(cx, two, [[ONE if i == j else ZERO for j in range(n)]
+    inc = ga.StarHomomorphism(cx, two, [[1 if i == j else 0 for j in range(n)]
                                         for i in range(2 * n)])
     f1 = ind.induce_hom(inc, indc, ind2)
     f2 = ind.induce_hom(fold, ind2, indc)

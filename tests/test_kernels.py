@@ -3,8 +3,11 @@
 Each ``dense_*`` function (and ``DenseBasis``) below is the earlier dense
 implementation, kept here as the reference: the action-map kernels and the
 eliminations (``rref``, ``nullspace``, ``rank``, ``mat_inv``, ``Basis``, ``Span``) must
-give equal values of the same type (``Fraction``) and, for the checks, the
-same witnesses in the same order. ``dense_transport`` and
+give equal values of the same type and, for the checks, the same witnesses
+in the same order. Both keep every value in ``linalg``'s canonical form, an
+int when it is integral and a Fraction otherwise, whether the inputs are
+canonical or Fractions with denominator 1; the references divide and
+canonicalize only through ``frac``, so ``int / int`` never makes a float. ``dense_transport`` and
 ``dense_transport_matrix`` are the dense change of basis: the corners,
 restrictions, rebasings and balanced tensors rebuilt on them must equal the
 sparse ``galgebra.transport`` path's. The references keep their stars and
@@ -25,8 +28,6 @@ from iskk import semigroup as sg
 from iskk import spectrum as sp
 from iskk.errors import InvalidAction, InvalidCoefficientAlgebra
 from iskk.linalg import (
-    ONE,
-    ZERO,
     Basis,
     Span,
     frac,
@@ -46,7 +47,7 @@ def dense_action(cols):
     """A square map given by its columns, as an action map or a star is kept,
     as a dense matrix: entry (r, j) is the value at row r of column j. Each
     column must list nonzero values at increasing rows."""
-    out = [[ZERO] * len(cols) for _ in cols]
+    out = [[0] * len(cols) for _ in cols]
     for j, col in enumerate(cols):
         rows = [r for r, _ in col]
         assert rows == sorted(set(rows)) and all(x for _, x in col), (j, col)
@@ -67,13 +68,13 @@ def dense_actions(a):
 
 def dense_mat_vec(m, v):
     nonzero = nonzero_pairs(v)
-    return [sum((row[j] * x for j, x in nonzero if row[j]), ZERO) for row in m]
+    return [sum(row[j] * x for j, x in nonzero if row[j]) for row in m]
 
 
 def dense_mat_mul(a, b):
     n, k = len(a), len(b)
     cols = len(b[0]) if b else 0
-    out = [[ZERO] * cols for _ in range(n)]
+    out = [[0] * cols for _ in range(n)]
     for i in range(n):
         ai = a[i]
         oi = out[i]
@@ -84,7 +85,7 @@ def dense_mat_mul(a, b):
                 for c in range(cols):
                     if bj[c]:
                         oi[c] += x * bj[c]
-    return out
+    return [[frac(x) for x in row] for row in out]
 
 
 def dense_mat_eq(a, b):
@@ -124,7 +125,7 @@ def dense_char_matrices(a):
 
 def dense_mask_matrix(a, mask):
     mats = dense_char_matrices(a)
-    out = [[ZERO] * a.dim for _ in range(a.dim)]
+    out = [[0] * a.dim for _ in range(a.dim)]
     for i in sg.iter_mask(mask):
         for r in range(a.dim):
             for c in range(a.dim):
@@ -199,11 +200,11 @@ def dense_rref(rows):
         work[r], work[piv] = work[piv], work[r]
         lead = work[r][c]
         if lead != 1:
-            work[r] = [x / lead for x in work[r]]
+            work[r] = [frac(x, lead) for x in work[r]]
         for i in range(len(work)):
             if i != r and work[i][c]:
                 f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+                work[i] = [frac(a - f * b) for a, b in zip(work[i], work[r])]
         pivots.append(c)
         r += 1
         if r == len(work):
@@ -221,7 +222,7 @@ def dense_nullspace(m):
         if free in pivots:
             continue
         v = zeros(ncols)
-        v[free] = ONE
+        v[free] = 1
         for i, p in enumerate(pivots):
             v[p] = -red[i][free]
         basis.append(v)
@@ -247,23 +248,23 @@ class DenseBasis:
         for idx, v in enumerate(self.vectors):
             row = list(v)
             t = zeros(n)
-            t[idx] = ONE
+            t[idx] = 1
             for r, p, tr in zip(self._rows, self._pivots, self._trans):
                 if row[p]:
                     f = row[p]
-                    row = [a - f * b for a, b in zip(row, r)]
-                    t = [a - f * b for a, b in zip(t, tr)]
+                    row = [frac(a - f * b) for a, b in zip(row, r)]
+                    t = [frac(a - f * b) for a, b in zip(t, tr)]
             piv = next((c for c, x in enumerate(row) if x), None)
             if piv is None:
                 raise ValueError(f"vector {idx} is dependent on its predecessors")
             lead = row[piv]
-            row = [a / lead for a in row]
-            t = [a / lead for a in t]
+            row = [frac(a, lead) for a in row]
+            t = [frac(a, lead) for a in t]
             for i in range(len(self._rows)):
                 if self._rows[i][piv]:
                     f = self._rows[i][piv]
-                    self._rows[i] = [a - f * b for a, b in zip(self._rows[i], row)]
-                    self._trans[i] = [a - f * b for a, b in zip(self._trans[i], t)]
+                    self._rows[i] = [frac(a - f * b) for a, b in zip(self._rows[i], row)]
+                    self._trans[i] = [frac(a - f * b) for a, b in zip(self._trans[i], t)]
             self._rows.append(row)
             self._pivots.append(piv)
             self._trans.append(t)
@@ -278,8 +279,8 @@ class DenseBasis:
         for r, p, tr in zip(self._rows, self._pivots, self._trans):
             if v[p]:
                 f = v[p]
-                v = [a - f * b for a, b in zip(v, r)]
-                out = [a + f * b for a, b in zip(out, tr)]
+                v = [frac(a - f * b) for a, b in zip(v, r)]
+                out = [frac(a + f * b) for a, b in zip(out, tr)]
         return out if all(x == 0 for x in v) else None
 
 
@@ -329,7 +330,7 @@ def types(m):
 
 # -- strategies ---------------------------------------------------------------
 
-entries = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)]).map(Fraction)
+entries = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)])
 
 
 def matrices(n, m):
@@ -342,7 +343,8 @@ def as_tuples(m, yes):
 
 
 def typed(x):
-    """x with every leaf paired with its type, so 1 and Fraction(1) differ."""
+    """x with every leaf paired with its type, so 1 and Fraction(1) differ,
+    and 1.0 differs from both."""
     if isinstance(x, (list, tuple)):
         return [typed(y) for y in x]
     return (type(x), x)
@@ -351,13 +353,15 @@ def typed(x):
 @st.composite
 def eliminations(draw):
     """Rows to eliminate (empty, all-zero, rectangular, with dependent rows,
-    tuple rows, int entries, entries beyond 2**64), a square matrix, and
-    vectors to take coordinates of, some inside the span of the rows."""
+    tuple rows, entries as drawn, canonical or all Fractions, so that
+    integers come as Fractions with denominator 1 too, entries beyond
+    2**64), a square matrix, and vectors to take coordinates of, some inside
+    the span of the rows."""
     n, m = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     rows = draw(matrices(n, m))
     kind = draw(st.sampled_from(["drawn", "zero", "dependent"]))
     if kind == "zero":
-        rows = [[ZERO] * m for _ in range(n)]
+        rows = [[0] * m for _ in range(n)]
     elif kind == "dependent" and rows:
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         c = draw(entries)
@@ -380,11 +384,13 @@ def eliminations(draw):
             return out
 
         rows, square = scaled(rows), scaled(square)
-    if draw(st.booleans()):
-        rows = [[int(x) if x.denominator == 1 else x for x in row] for row in rows]
+    form = draw(st.sampled_from([frac, Fraction, None]))
+    if form is not None:
+        rows = [[form(x) for x in row] for row in rows]
+        square = [[form(x) for x in row] for row in square]
     probes = draw(st.lists(st.lists(entries, min_size=m, max_size=m), max_size=3))
     coeffs = draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
-    probes.append([sum((c * frac(r[col]) for c, r in zip(coeffs, rows)), ZERO) for col in range(m)])
+    probes.append([sum(c * frac(r[col]) for c, r in zip(coeffs, rows)) for col in range(m)])
     return as_tuples(rows, draw(st.booleans())), as_tuples(square, draw(st.booleans())), probes + rows
 
 
@@ -418,7 +424,7 @@ def products(draw):
     n, k, m = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 5))
     a, b = draw(matrices(n, k)), draw(matrices(k, m))
     if draw(st.booleans()):
-        b = [[ZERO] * m for _ in range(k)]  # all-zero right factor
+        b = [[0] * m for _ in range(k)]  # all-zero right factor
     return as_tuples(a, draw(st.booleans())), as_tuples(b, draw(st.booleans()))
 
 
@@ -450,10 +456,10 @@ def test_mat_mul_matches_the_dense_loop(ab):
 def test_mat_mul_edge_cases():
     assert mat_mul([], []) == dense_mat_mul([], []) == []
     assert mat_mul([[], []], []) == dense_mat_mul([[], []], []) == [[], []]
-    a = [(ONE, 2), (0, 0)]  # tuple rows with int entries
+    a = [(1, 2), (0, 0)]  # tuple rows with int entries
     assert mat_mul(a, a) == dense_mat_mul(a, a) == [[1, 2], [0, 0]]
     assert types(mat_mul(a, a)) == types(dense_mat_mul(a, a))
-    assert nonzero_pairs((0, Fraction(3), ZERO)) == [(1, Fraction(3))]
+    assert nonzero_pairs((0, Fraction(3), 0)) == [(1, Fraction(3))]
 
 
 @st.composite
@@ -492,17 +498,17 @@ def test_column_equality_matches_dense_equality(ab):
 
 
 def test_compose_edge_cases():
-    one, two, half = [(0, ONE)], [(0, Fraction(2))], [(0, Fraction(1, 2))]
+    one, two, half = [(0, 1)], [(0, Fraction(2))], [(0, Fraction(1, 2))]
     assert ga._compose([], []) == []
     assert ga._compose([[]], [one]) == [[]]                     # through a zero column
-    assert ga._compose([two], [half]) == [[(0, ONE)]]           # one entry, scaled
+    assert ga._compose([two], [half]) == [[(0, 1)]]             # one entry, scaled
     assert ga._compose([two], [one]) == [two]
     # two entries meeting in one row cancel, and that row is dropped
-    a = [[(0, ONE)], [(0, -ONE)]]
-    assert ga._compose(a, [[(0, ONE), (1, ONE)], [(1, ONE)]]) == [[], [(0, -ONE)]]
+    a = [[(0, 1)], [(0, -1)]]
+    assert ga._compose(a, [[(0, 1), (1, 1)], [(1, 1)]]) == [[], [(0, -1)]]
     # rows come out in order whatever order the summed columns list them in
-    a = [[(1, ONE)], [(0, ONE)]]
-    assert ga._compose(a, [[(0, ONE), (1, Fraction(3))], []]) == [[(0, Fraction(3)), (1, ONE)], []]
+    a = [[(1, 1)], [(0, 1)]]
+    assert ga._compose(a, [[(0, 1), (1, Fraction(3))], []]) == [[(0, Fraction(3)), (1, 1)], []]
 
 
 @settings(max_examples=300, deadline=None)
@@ -618,12 +624,12 @@ def test_elimination_edge_cases():
     assert nullspace([]) == [] and nullspace([[0, 0]]) == identity(2)
     assert rank([(0, 2), (0, Fraction(1, 3))]) == 1
     assert mat_inv([]) == [] and mat_inv([[0]]) is None
-    assert typed(mat_inv([(2, 0), (0, 1)])) == typed([[Fraction(1, 2), ZERO], [ZERO, ONE]])
+    assert typed(mat_inv([(2, 0), (0, 1)])) == typed([[Fraction(1, 2), 0], [0, 1]])
     empty = Basis([])
     assert empty.dim == 0 and empty.sparse_coords({}) == {} and empty.sparse_coords([1]) is None
     b = Basis([[1, 1, 0], [0, 1, 0]])
     got = b.sparse_coords({1: 3, 0: 2})
-    assert list(got.items()) == [(0, 2), (1, 1)] and typed(list(got.values())) == typed([Fraction(2), ONE])
+    assert list(got.items()) == [(0, 2), (1, 1)] and typed(list(got.values())) == typed([2, 1])
     assert b.sparse_coords({0: 1, 1: 1}) == {0: 1} and b.sparse_coords({2: 1}) is None
     for vectors, idx in (([[0, 0]], 0), ([[1, 2], [2, 4]], 1), ([[1, 0], [0, 1], [1, 1]], 2), ([[]], 0)):
         with pytest.raises(ValueError, match=f"^vector {idx} is dependent on its predecessors$"):
@@ -675,7 +681,7 @@ def dense_signature_matrix(a, idems, chars, spectrum):
     for e in idems:
         pe = dense_action(a.action[e])
         if chars & ~spectrum.proj(e):
-            pe = [[(ONE if i == j else ZERO) - x for j, x in enumerate(row)] for i, row in enumerate(pe)]
+            pe = [[(1 if i == j else 0) - x for j, x in enumerate(row)] for i, row in enumerate(pe)]
         m = dense_mat_mul(m, pe)
     return m
 
@@ -731,7 +737,7 @@ def dense_balanced_tensor(a, b):
                 v = [x - f * y for x, y in zip(v, row)]
         return [v[c] for c in free]
 
-    lifts = [[ONE if i == c else ZERO for i in range(big.dim)] for c in free]
+    lifts = [[1 if i == c else 0 for i in range(big.dim)] for c in free]
     alg = dense_transport(big.alg, lifts, coords)
     return list(alg.mul.items()), alg.star, {g: dense_transport_matrix(m, lifts, coords)
                                              for g, m in dense_actions(big).items()}

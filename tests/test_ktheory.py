@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from iskk import galgebra as ga
@@ -5,8 +7,8 @@ from iskk import induction as ind
 from iskk import ktheory as kt
 from iskk import semigroup as sg
 from iskk import spectrum as sp
-from iskk.errors import HypothesesNotMet
-from iskk.linalg import ONE, ZERO, identity, mat_mul
+from iskk.errors import HypothesesNotMet, NonIntegralMultiplicity
+from iskk.linalg import identity, mat_mul
 
 CORPUS = ["chain:2", "chain:3", "diamond", "cyclic:2", "cyclic:3", "symmetric_inverse:2",
           "brandt_unital:2", "product:symmetric_inverse:2*chain:2"]
@@ -65,8 +67,8 @@ def test_k0_map_unit_atom_retract(spec):
     assert kt.k0_map(ga.StarHomomorphism(cx, cx, identity(n))).matrix == identity(n)
     for upos in range(n):
         line = ga.trivial_line(h, upos)
-        f = ga.StarHomomorphism(line, cx, [[ONE] if i == upos else [ZERO] for i in range(n)])
-        p = ga.StarHomomorphism(cx, line, [[ONE if j == upos else ZERO for j in range(n)]])
+        f = ga.StarHomomorphism(line, cx, [[1] if i == upos else [0] for i in range(n)])
+        p = ga.StarHomomorphism(cx, line, [[1 if j == upos else 0 for j in range(n)]])
         mf, mp = kt.k0_map(f).matrix, kt.k0_map(p).matrix
         assert mat_mul(mp, mf) == [[1]]
         assert sum(map(sum, mf)) == 1 and sum(map(sum, mp)) == 1
@@ -88,3 +90,28 @@ def test_green_julg_decomposes_each_algebra_once(monkeypatch):
     rep = kt.verify_green_julg_diagram(s, sg.idempotents(s), [ga.c0x_algebra(s)])
     assert rep["pass"], rep
     assert len(seen) == len({id(x) for x in seen}) == 4
+
+
+def _scaled_line(scale):
+    """The map of the scalar line of chain:2 to another copy of it that
+    multiplies by ``scale``; k0_map reads its matrix without checking that
+    it is a *-homomorphism."""
+    s = sg.parse_builder("chain:2")
+    return ga.StarHomomorphism(ga.trivial_algebra(s), ga.trivial_algebra(s), [[scale]], "scaled")
+
+
+@pytest.mark.parametrize("scale, message", [
+    (Fraction(1, 2), r"^entry \(0,0\) = 1/2$"),
+    (Fraction(-3, 2), r"^entry \(0,0\) = -3/2$"),
+    (-1, r"^entry \(0,0\) = -1 negative$"),
+    (Fraction(-2), r"^entry \(0,0\) = -2 negative$"),
+])
+def test_k0_map_rejects_non_integral_and_negative_multiplicities(scale, message):
+    with pytest.raises(NonIntegralMultiplicity, match=message):
+        kt.k0_map(_scaled_line(scale))
+
+
+@pytest.mark.parametrize("scale", [1, 2, Fraction(3), Fraction(4, 2)])
+def test_k0_map_entries_are_ints(scale):
+    got = kt.k0_map(_scaled_line(scale)).matrix
+    assert got == [[int(scale)]] and type(got[0][0]) is int

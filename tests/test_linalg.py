@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iskk.linalg import ONE, ZERO, QuotientSpace, Span
+from iskk.linalg import QuotientSpace, Span
 
 
 class DenseQuotient:
@@ -16,13 +16,13 @@ class DenseQuotient:
 
     def to_coords(self, v):
         red = self.span._reduce({c: Fraction(x) for c, x in enumerate(v) if x})
-        return [red.get(c, ZERO) for c in self.free]
+        return [red.get(c, 0) for c in self.free]
 
     def lifts(self):
         out = []
         for c in self.free:
-            red = self.span._reduce({c: ONE})
-            out.append([red.get(k, ZERO) for k in range(self.ambient_dim)])
+            red = self.span._reduce({c: 1})
+            out.append([red.get(k, 0) for k in range(self.ambient_dim)])
         return out
 
 
@@ -35,7 +35,7 @@ def quotient_problems(draw):
     rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=9))
     if n and draw(st.booleans()):
         # a full-rank set: every unit vector, mixed with the drawn rows
-        rows += [[ONE if c == r else ZERO for c in range(n)] for r in range(n)]
+        rows += [[1 if c == r else 0 for c in range(n)] for r in range(n)]
     vectors = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=4))
     return n, rows, vectors, draw(st.booleans())
 
@@ -49,8 +49,8 @@ def test_sparse_quotient_space_matches_dense_span(problem):
     assert q.free == ref.free and q.dim == len(ref.free)
     # the reduced representative of basis vector i is the unit vector at free[i]
     for i, (c, lift) in enumerate(zip(q.free, ref.lifts())):
-        assert lift == [ONE if k == c else ZERO for k in range(n)]
-        assert q.sparse_coords({c: ONE}) == {i: ONE}
+        assert lift == [1 if k == c else 0 for k in range(n)]
+        assert q.sparse_coords({c: 1}) == {i: 1}
     for v in vectors:
         sparse = q.sparse_coords({c: x for c, x in enumerate(v) if x})
         assert sparse == {i: x for i, x in enumerate(ref.to_coords(v)) if x}
@@ -60,6 +60,6 @@ def test_sparse_quotient_space_matches_dense_span(problem):
 def test_quotient_space_edge_cases():
     empty = QuotientSpace(3)
     assert empty.free == [0, 1, 2] and empty.sparse_coords({0: 1, 1: 2, 2: 3}) == {0: 1, 1: 2, 2: 3}
-    full = QuotientSpace(2, [{0: ONE, 1: ONE}, [ONE, -ONE]])
+    full = QuotientSpace(2, [{0: 1, 1: 1}, [1, -1]])
     assert full.dim == 0 and full.free == [] and full.sparse_coords({0: 5, 1: 7}) == {}
     assert QuotientSpace(0).dim == 0
