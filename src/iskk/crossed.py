@@ -19,10 +19,16 @@ Every number is exact and in ``linalg``'s canonical form: an int where it
 is integral, so integral coefficients give integral structure constants,
 and a Fraction only where a reduction divides. Semisimple quotients are
 computed over the rationals: the radical is the null space of the regular
-trace form, and block data comes from splitting the quotient's center, as
-its own c-dim commutative algebra, one center basis vector at a time; there
-is no generic central element. A floating eigenvalue clustering oracle can
-cross-check the block count. When the center does not split over the
+trace form, kept as sparse rows. Over Q, kS of a finite inverse semigroup is
+semisimple, so that form is nonsingular on the corpus, and ``linalg.rref``
+certifies it by its full rank modulo a prime, with no elimination; any other
+form goes to the exact elimination over QQ. Block data comes from splitting
+the quotient's center, as its own c-dim commutative algebra, one center
+basis vector at a time; there is no generic central element. The split runs
+on integral numerators: Krylov powers and idempotency checks multiply ints,
+and the minimal polynomials, their factors and the CRT polynomials are
+sympy's dense polynomials over QQ. A floating eigenvalue clustering oracle
+can cross-check the block count. When the center does not split over the
 rationals, the reported witness is a non-linear irreducible factor found by
 a fixed search.
 
@@ -57,9 +63,8 @@ from .galgebra import (
     _product,
     _right_partners,
     quotient,
-    zero_matrix,
 )
-from .linalg import QuotientSpace, Span, frac, nonzero_pairs, nullspace, sparse_solve, zeros
+from .linalg import QuotientSpace, Span, _qq, frac, nonzero_pairs, nullspace, sparse_solve, zeros
 from .semigroup import leq
 from .spectrum import germ_range, tilde_mul, tilde_star
 
@@ -301,11 +306,15 @@ def _as_star_algebra(x) -> StarAlgebra:
     raise TypeError(f"not an algebra: {x!r}")
 
 
-def _trace_form(alg: StarAlgebra, t_vec):
-    t = zero_matrix(alg.dim)
+def _trace_form(alg: StarAlgebra, t_vec) -> list:
+    """The regular trace form, tr L_{b_i b_j} at (i, j), as sparse
+    ``{col: value}`` rows with one entry per mul cell at most."""
+    rows = [{} for _ in range(alg.dim)]
     for (i, j), cell in alg.mul.items():
-        t[i][j] = sum(v * t_vec[l] for l, v in cell.items())
-    return t
+        v = sum(x * t_vec[l] for l, x in cell.items())
+        if v:
+            rows[i][j] = v
+    return rows
 
 
 def _center_basis(alg: StarAlgebra):
@@ -366,28 +375,71 @@ def _lift(pairs, coords) -> dict:
 
 def _minimal_polynomial(alg: StarAlgebra, start, zeta):
     """Monic minimal polynomial of multiplication by zeta on the vectors
-    start zeta**k, as exact rational coefficients, and the vectors
-    start zeta**k (k < deg) it was read from; from the unit, it is zeta's."""
-    span = Span([start])
-    powers = [list(start)]
-    x = sympy.symbols("x")
-    for deg in range(1, alg.dim + 2):
-        current = alg.mul_vec(powers[-1], zeta)
-        if not span.add(current):
-            # dependency: solve for coefficients over previous powers
-            rows = {t: {d: p[t] for d, p in enumerate(powers) if p[t]} for t in range(alg.dim)}
-            coeffs = sparse_solve(rows, deg, dict(enumerate(current)))[0]
-            if coeffs is None:
-                raise BrokenInvariant("a dependent power of a central element solves to nothing",
-                                      witness={"degree": deg})
-            poly = sympy.Poly(
-                x ** deg - sum(sympy.Rational(c) * x ** d for d, c in enumerate(coeffs)),
-                x,
-            )
-            return poly, powers
+    start zeta**k, as a dense list of ``QQ`` coefficients from the leading
+    one down, and the vectors start zeta**k (k < deg) it was read from; from
+    the unit, it is zeta's. With int cells, an integral start and a basis
+    vector zeta, every power is integral.
+
+    Power k enters one ``Span`` tagged with a 1 at its own column n + k past
+    the algebra's n columns, so every reduced row is a combination of tagged
+    powers. The first power whose reduced row has no column below n is
+    dependent on the earlier ones: that row is sum_k a_k (power k + tag k)
+    with sum_k a_k power k = 0 and a_deg != 0, and its tag columns carry the
+    a_k. No second elimination solves for them."""
+    n = alg.dim
+    span = Span()
+    powers = []
+    current = start
+    for deg in range(n + 2):
+        span.add({**dict(nonzero_pairs(current)), n + deg: 1})
+        if span.pivots[-1] >= n:
+            row = span.sparse_rows[-1]
+            lead = row[n + deg]
+            coeffs = _qq({c - n: frac(x, lead) for c, x in row.items()})
+            return sympy.polys.densebasic.dup_from_raw_dict(coeffs, sympy.QQ), powers
         powers.append(current)
+        current = alg.mul_vec(current, zeta)
     raise BrokenInvariant("minimal polynomial search exceeded the dimension bound",
-                          witness={"degree": deg, "dim": alg.dim})
+                          witness={"degree": deg, "dim": n})
+
+
+def _factors(poly) -> list:
+    """The irreducible factors over QQ of a dense ``QQ`` polynomial, with
+    their multiplicities, as sympy's ``dup_factor_list`` lists them."""
+    return sympy.polys.factortools.dup_factor_list(poly, sympy.QQ)[1]
+
+
+def _crt(poly, f) -> list:
+    """The q of degree < deg poly with q = 1 mod f and q = 0 mod poly / f,
+    for a factor f of a squarefree poly, dense ``QQ`` polynomials. For a
+    linear f = a x + b that is rest / rest(-b / a), with rest = poly / f, and
+    otherwise rest times its inverse mod f, reduced mod poly."""
+    polys, qq = sympy.polys, sympy.QQ
+    rest = polys.densearith.dup_exquo(poly, f, qq)
+    if len(f) == 2:
+        at_root = polys.densetools.dup_eval(rest, qq.quo(-f[1], f[0]), qq)
+        return polys.densearith.dup_quo_ground(rest, at_root, qq)
+    inverse = polys.euclidtools.dup_invert(rest, f, qq)
+    return polys.densearith.dup_rem(polys.densearith.dup_mul(rest, inverse, qq), poly, qq)
+
+
+def _poly_str(f) -> str:
+    """A dense ``QQ`` polynomial printed as sympy prints it in x, such as
+    ``x**2 - 2``; every witness polynomial is printed here."""
+    return str(sympy.Poly(f, sympy.Symbol("x"), domain=sympy.QQ).as_expr())
+
+
+def _integral(values):
+    """(numerators, d) for d the lcm of the denominators of ``values`` (ints,
+    Fractions or ``QQ`` values): the integers d v, and d."""
+    d = math.lcm(*[int(v.denominator) for v in values])
+    return [int(v.numerator) * (d // int(v.denominator)) for v in values], d
+
+
+def _is_idempotent(z: StarAlgebra, num, d) -> bool:
+    """Whether num / d is idempotent in z, for integral num: (num/d)(num/d)
+    = num/d exactly when num num = d num, which multiplies only ints."""
+    return z.mul_vec(num, num) == [d * v for v in num]
 
 
 def _split_center(z: StarAlgebra, unit) -> list:
@@ -407,29 +459,35 @@ def _split_center(z: StarAlgebra, unit) -> list:
     elements lie in a proper hyperplane, which cannot hold all the e z_i, as
     they span e z; one of them cuts e. So a piece has dim e z blocks, not
     the degree of a factor: no basis vector generates Q(sqrt 2, sqrt 3).
+
+    The arithmetic is integral: the Krylov powers start from e scaled by the
+    lcm d of its denominators, and a CRT piece q(z_i) e is built and checked
+    as its integral numerator over a denominator. A piece becomes canonical
+    values only when it is kept.
     """
     done, pieces = [], [(unit, z.dim)]
     traces = z.left_traces()
     for i in range(z.dim):
         cut = []
         for e, n in pieces:
-            poly, powers = _minimal_polynomial(z, e, z.basis_vec(i))
-            factors = poly.factor_list()[1]
+            start, d = _integral(e)
+            poly, powers = _minimal_polynomial(z, start, z.basis_vec(i))
+            factors = _factors(poly)
             for f, mult in factors:
                 if mult != 1:
                     raise BrokenInvariant("minimal polynomial of a semisimple center is not squarefree",
-                                          witness={"factor": str(f.as_expr()), "multiplicity": mult})
+                                          witness={"factor": _poly_str(f), "multiplicity": mult})
             if len(factors) == 1:  # z_i does not cut e: its one CRT piece is e
-                (done if factors[0][0].degree() == n else cut).append((e, n))
+                (done if len(factors[0][0]) - 1 == n else cut).append((e, n))
                 continue
             for f, _ in factors:
-                rest = poly.exquo(f)  # q = 1 mod f and 0 mod the other factors
-                piece = _eval_poly(powers, (rest * sympy.invert(rest, f)) % poly)
-                if z.mul_vec(piece, piece) != piece:
+                q, qd = _integral(_crt(poly, f))
+                num, den = _eval_poly(powers, q), qd * d
+                if not _is_idempotent(z, num, den):
                     raise NotIdempotent("primary central idempotent is not idempotent",
-                                        witness={"factor": str(f.as_expr())})
-                dim = sum(v * traces[l] for l, v in nonzero_pairs(piece))
-                (done if f.degree() == dim else cut).append((piece, dim))
+                                        witness={"factor": _poly_str(f)})
+                dim = frac(sum(v * traces[l] for l, v in nonzero_pairs(num)), den)
+                (done if len(f) - 1 == dim else cut).append(([frac(v, den) for v in num], dim))
         pieces = cut
     return done + pieces
 
@@ -460,7 +518,7 @@ def semisimple_quotient(x) -> SemisimpleDecomposition:
         return SemisimpleDecomposition(0, alg, 0, 0, 0, [], True, None, [], "exact",
                                        QuotientSpace(0), [])
     traces = alg.left_traces()
-    radical = nullspace(_trace_form(alg, traces))
+    radical = nullspace(_trace_form(alg, traces), alg.dim)
     if radical:
         qalg, space = quotient(alg, radical, f"{alg.label}/rad")
         traces = qalg.left_traces()
@@ -492,7 +550,7 @@ def semisimple_quotient(x) -> SemisimpleDecomposition:
     block_dims = []
     for e, n in pieces:
         # exact in c dims: the lift is an injective algebra map
-        if z.mul_vec(e, e) != e:
+        if not _is_idempotent(z, *_integral(e)):
             raise NotIdempotent("primitive central idempotent is not idempotent",
                                 witness={"piece": len(idems)})
         lifted = _lift(pairs, nonzero_pairs(e))
@@ -528,24 +586,25 @@ def _split_witness(z: StarAlgebra, unit, own) -> str:
     ``unit``, does not split; ``own`` lists the basis vectors of z that are
     basis vectors of the quotient, and the candidate order is given in
     ``semisimple_quotient``."""
+    start = _integral(unit)[0]
     for k in chain(own, range(z.dim)):
-        poly = _minimal_polynomial(z, unit, z.basis_vec(k))[0]
-        nonlinear = [f for f, _ in poly.factor_list()[1] if f.degree() > 1]
+        poly = _minimal_polynomial(z, start, z.basis_vec(k))[0]
+        nonlinear = [f for f, _ in _factors(poly) if len(f) > 2]
         if nonlinear:
-            return min((f.degree(), str(f.as_expr())) for f in nonlinear)[1]
+            return min((len(f) - 1, _poly_str(f)) for f in nonlinear)[1]
     # commuting z_k that all split would diagonalize together over Q
     raise BrokenInvariant("the center does not split, yet every center basis vector splits",
                           witness={"center_dim": z.dim})
 
 
 def _eval_poly(powers, poly):
-    """poly(zeta) from the powers of zeta, for deg poly < len(powers)."""
+    """poly(zeta) start from the powers start zeta**k, for a dense polynomial
+    with int coefficients and deg poly < len(powers)."""
     acc = zeros(len(powers[0]))
-    for c, p in zip(reversed(poly.all_coeffs()), powers):
-        if c != 0:
-            f = frac(int(c.p), int(c.q))
-            acc = [a + f * u for a, u in zip(acc, p)]
-    return list(map(frac, acc))
+    for c, p in zip(reversed(poly), powers):
+        if c:
+            acc = [a + c * u for a, u in zip(acc, p)]
+    return acc
 
 
 def _isqrt_exact(n):

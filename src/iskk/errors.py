@@ -37,6 +37,16 @@ class NotIdempotent(ValidationError):
     pass
 
 
+class DependentVector(ValidationError, ValueError):
+    """A vector given as independent lies in the span of its predecessors;
+    the witness is its index."""
+
+
+class NotZeroOneValued(ValidationError, ValueError):
+    """A function read as a support mask takes a value other than 0 or 1;
+    the witness is the position and the value."""
+
+
 class UnsupportedSize(IskkError):
     pass
 

@@ -10,9 +10,16 @@ an LDL^T multiplier) goes through it, so ``int / int`` never makes a float.
 
 One batch engine, ``_irref`` (sympy's sparse reduced row echelon form over
 QQ), serves ``rref`` and its readers ``rank``, ``nullspace`` and ``mat_inv``,
-``sparse_solve`` and ``QuotientSpace``. It is the only code that converts
-to ``QQ``, and it takes each entry's numerator and denominator as they are,
-since ints and Fractions are already reduced. ``Span`` is the one
+``sparse_solve`` and ``QuotientSpace``. ``_qq`` is the only code that
+converts to ``QQ``, for ``_irref`` and for the center's polynomials in
+``crossed``, and it takes each entry's numerator and denominator as they
+are, since ints and Fractions are already reduced. ``rref`` and ``nullspace``
+take dense lists, or ``{col: value}`` dicts with the width ``ncols``, and
+answer in the format they were given. Before ``_irref``, ``rref`` tries a
+certificate: rows scaled to integers that have full column rank modulo the
+fixed prime ``PRIME`` have full column rank over Q, so their form is the
+identity. A lower rank modulo ``PRIME`` proves nothing, and those rows go to
+``_irref`` as they are. ``Span`` is the one
 incremental engine; it keeps its reduced rows as sparse ``{col: value}``
 dicts of canonical values and touches only nonzeros. ``Basis`` is a
 ``Span`` plus one ``mat_inv``.
@@ -29,10 +36,17 @@ interface of lists of rows but multiplies only nonzero entries.
 """
 
 import bisect
+import math
 from fractions import Fraction
 
 from sympy.polys.domains import QQ
 from sympy.polys.matrices.sdm import sdm_irref, sdm_nullspace_from_rref
+
+from .errors import DependentVector
+
+# The prime of the full-rank certificate in ``rref``: the largest below 2**30,
+# so every residue fits in one 30-bit digit of a CPython int.
+PRIME = 1_073_741_789
 
 
 def frac(p, q=1):
@@ -83,49 +97,121 @@ def mat_mul(a, b) -> list:
     return out
 
 
+def _qq(row) -> dict:
+    """A dense list or a ``{key: value}`` dict of canonical values as a
+    ``{key: QQ}`` dict without zeros: the one conversion to ``QQ``, read by
+    the batch elimination and the center's polynomials.
+
+    Ints and Fractions are already in lowest terms with a positive
+    denominator, so each value is built from its numerator and denominator
+    without a second gcd, by ``QQ.dtype._new`` where the dtype has one
+    (sympy's pure-Python ``PythonMPQ``) and by the dtype itself otherwise.
+    ``_frac_qq`` converts back."""
+    mpq = getattr(QQ.dtype, "_new", QQ.dtype)
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return {c: mpq(v.numerator, v.denominator) for c, v in items if v}
+
+
 def _irref(rows):
     """The batch elimination: the reduced row echelon form, over QQ, of rows
     given as ``{col: value}`` dicts that omit zeros or as dense lists.
     Returns sympy's ``(reduced rows, pivots, nonzero columns)``; the reduced
-    rows are ``{col: QQ}`` dicts keyed by position, in pivot order.
-
-    Ints and Fractions are already in lowest terms with a positive
-    denominator, so each entry is built from its numerator and denominator
-    without a second gcd, by ``QQ.dtype._new`` where the dtype has one
-    (sympy's pure-Python ``PythonMPQ``) and by the dtype itself otherwise.
-    The results come back as canonical values through ``_frac_qq``."""
-    mpq = getattr(QQ.dtype, "_new", QQ.dtype)
+    rows are ``{col: QQ}`` dicts keyed by position, in pivot order."""
     qrows = {}
     for i, row in enumerate(rows):
-        items = row.items() if isinstance(row, dict) else enumerate(row)
-        qrow = {c: mpq(v.numerator, v.denominator) for c, v in items if v}
+        qrow = _qq(row)
         if qrow:
             qrows[i] = qrow
     return sdm_irref(qrows)
 
 
-def rref(rows):
-    """Reduced row echelon form. Returns (reduced nonzero rows, pivot columns)."""
-    ncols = len(rows[0]) if rows else 0
+def _full_rank_mod_p(rows, ncols) -> bool:
+    """Whether the rows, dense lists or ``{col: value}`` dicts over ``ncols``
+    columns, are certified to have full column rank: each row is scaled by
+    the lcm of its denominators to an integer row, and those have full
+    column rank modulo ``PRIME``. Then some ncols x ncols minor is nonzero
+    modulo ``PRIME``, so it is a nonzero integer, and the rank over Q is
+    ncols too. False says nothing.
+
+    The rows are reduced one at a time against echelon rows keyed by their
+    leading column, as ``Span`` does, and the pass stops once every column
+    leads a row; with fewer rows than columns it does not start."""
+    if len(rows) < ncols:
+        return False
+    echelon = {}  # leading column -> row modulo PRIME, 1 there
+    for row in rows:
+        items = [(c, x) for c, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x]
+        scale = math.lcm(*[x.denominator for _, x in items])
+        v = {}
+        for c, x in items:
+            y = x.numerator * (scale // x.denominator) % PRIME
+            if y:
+                v[c] = y
+        while v:
+            c = min(v)
+            lead = echelon.get(c)
+            if lead is None:
+                inv = pow(v[c], -1, PRIME)
+                echelon[c] = {k: y * inv % PRIME for k, y in v.items()}
+                break
+            f = v[c]
+            for k, y in lead.items():
+                y = (v.get(k, 0) - f * y) % PRIME
+                if y:
+                    v[k] = y
+                else:
+                    v.pop(k, None)
+        if len(echelon) == ncols:
+            return True
+    return False
+
+
+def rref(rows, ncols=None):
+    """Reduced row echelon form. Returns (reduced nonzero rows, pivot
+    columns). The rows are dense lists, or ``{col: value}`` dicts with
+    ``ncols`` given, and the reduced rows come back in the same format.
+
+    Rows certified to have full column rank (``_full_rank_mod_p``) reduce to
+    the identity, returned without an elimination; every other input goes
+    to ``_irref``."""
+    sparse, ncols = _shape(rows, ncols)
+    if _full_rank_mod_p(rows, ncols):
+        pivots = list(range(ncols))
+        return ([{c: 1} for c in pivots] if sparse else identity(ncols)), pivots
     red, pivots, _ = _irref(rows)
+    if sparse:
+        return [{c: _frac_qq(red[i][c]) for c in sorted(red[i])} for i in range(len(pivots))], pivots
     return [_dense(red[i], ncols) for i in range(len(pivots))], pivots
 
 
-def rank(rows) -> int:
-    return len(rref(rows)[0])
+def _shape(rows, ncols):
+    """(whether the rows are ``{col: value}`` dicts, their width): ``ncols``,
+    which dict rows need, or else the length of a dense row."""
+    sparse = bool(rows) and isinstance(rows[0], dict)
+    if ncols is None:
+        if sparse:
+            raise TypeError("{col: value} rows need their width ncols")
+        ncols = len(rows[0]) if rows else 0
+    return sparse, ncols
 
 
-def nullspace(m) -> list:
-    """Basis of {v : m v = 0} for a matrix given as rows."""
-    ncols = len(m[0]) if m else 0
-    red, pivots = rref(m)
+def rank(rows, ncols=None) -> int:
+    return len(rref(rows, ncols)[1])
+
+
+def nullspace(m, ncols=None) -> list:
+    """Basis of {v : m v = 0} for a matrix given as rows, in ``rref``'s
+    format: dense lists, or ``{col: value}`` dicts over ``ncols`` columns."""
+    sparse, ncols = _shape(m, ncols)
+    red, pivots = rref(m, ncols)
     basis = []
     for free in sorted(set(range(ncols)) - set(pivots)):
-        v = zeros(ncols)
-        v[free] = 1
+        v = {free: 1}
         for i, p in enumerate(pivots):
-            v[p] = -red[i][free]
-        basis.append(v)
+            x = red[i].get(free) if sparse else red[i][free]
+            if x:
+                v[p] = -x
+        basis.append(dict(sorted(v.items())) if sparse else [v.get(c, 0) for c in range(ncols)])
     return basis
 
 
@@ -279,7 +365,8 @@ class Basis:
         self._span = Span()
         for idx, v in enumerate(self.vectors):
             if not self._span.add(v):
-                raise ValueError(f"vector {idx} is dependent on its predecessors")
+                raise DependentVector(f"vector {idx} is dependent on its predecessors",
+                                      witness={"index": idx})
         self._inv_rows = [nonzero_pairs(row) for row in
                           mat_inv([[v[p] for p in self._span.pivots] for v in self.vectors])]
 

@@ -385,17 +385,21 @@ def _build_brandt_unital(m: int) -> FiniteInvSgp:
 
 
 def _build_product(sa: FiniteInvSgp, sb: FiniteInvSgp) -> FiniteInvSgp:
-    pairs = [(a, b) for a in sa.elements() for b in sb.elements()]
-    idx = {p: i for i, p in enumerate(pairs)}
-    table = [
-        [idx[(sa.table[a][c], sb.table[b][d])] for (c, d) in pairs] for (a, b) in pairs
-    ]
-    names = [f"{sa.names[a]}|{sb.names[b]}" for (a, b) in pairs]
-    unit = idx[(sa.unit, sb.unit)]
+    """The direct product of two validated semigroups, built without
+    ``validate``: associativity, unique inverses, the unit, the zero and
+    commuting idempotents all hold pairwise, so the star, unit and zero are
+    the pairs of the factors'. Pair (a, b) has index a * |sb| + b."""
+    m = sb.n
+    table = [[sa.table[a][c] * m + sb.table[b][d] for c in sa.elements() for d in sb.elements()]
+             for a in sa.elements() for b in sb.elements()]
+    star = [sa.star[a] * m + sb.star[b] for a in sa.elements() for b in sb.elements()]
+    names = [f"{sa.names[a]}|{sb.names[b]}" for a in sa.elements() for b in sb.elements()]
+    if len(set(names)) != len(names):
+        raise MalformedInput("element names are not distinct")
     zero = None
     if sa.zero is not None and sb.zero is not None:
-        zero = idx[(sa.zero, sb.zero)]
-    return validate(table, unit=unit, zero=zero, names=names)
+        zero = sa.zero * m + sb.zero
+    return FiniteInvSgp(table, star, sa.unit * m + sb.unit, zero, names)
 
 
 def _build_adjoin_zero(s: FiniteInvSgp) -> FiniteInvSgp:

@@ -22,7 +22,7 @@ tables; nothing is cached at module level.
 
 from dataclasses import dataclass
 
-from .errors import NotIdempotent
+from .errors import NotIdempotent, NotZeroOneValued
 from .linalg import frac
 from .semigroup import FiniteInvSgp, iter_mask, leq, mask_of, nonzero_idempotents
 
@@ -217,7 +217,8 @@ def alg_star_mask(func) -> int:
         if v == 1:
             m |= 1 << i
         elif v != 0:
-            raise ValueError(f"function is not 0/1-valued at position {i}: {v}")
+            raise NotZeroOneValued(f"function is not 0/1-valued at position {i}: {v}",
+                                   witness={"position": i, "value": str(v)})
     return m
 
 

@@ -11,7 +11,7 @@ from iskk import ktheory as kt
 from iskk import semigroup as sg
 from iskk import spectrum as spc
 from iskk.errors import BrokenInvariant, InvalidAction, NotIdempotent
-from iskk.linalg import Span, identity, nonzero_columns, nonzero_pairs
+from iskk.linalg import Span, frac, identity, nonzero_columns, nonzero_pairs
 from test_kernels import dense_action, dense_mat_vec, dense_nullspace, dense_star, dense_transport
 
 
@@ -410,13 +410,8 @@ def test_isqrt_exact_beyond_float_precision():
 
 
 def test_non_squarefree_minimal_polynomial_is_a_typed_error(monkeypatch):
-    real = cr.sympy.Poly.factor_list
-
-    def squared(poly):
-        content, factors = real(poly)
-        return content, [(f, 2 * m) for f, m in factors]
-
-    monkeypatch.setattr(cr.sympy.Poly, "factor_list", squared)
+    real = cr._factors
+    monkeypatch.setattr(cr, "_factors", lambda poly: [(f, 2 * m) for f, m in real(poly)])
     with pytest.raises(BrokenInvariant) as err:
         cr.semisimple_quotient(ga.matrix_algebra(2))
     assert err.value.witness == {"factor": "x - 1", "multiplicity": 2}
@@ -458,9 +453,11 @@ def test_lifted_center_unit_that_is_no_unit_is_a_typed_error(monkeypatch):
 
 
 def test_minimal_polynomial_beyond_the_dimension_is_a_typed_error(monkeypatch):
+    # a fresh column below all others keeps every tagged power independent
+    # of the earlier ones below the algebra's columns
     class NeverDependent(Span):
         def add(self, v):
-            return True
+            return super().add({**v, -1 - self.dim: 1})
 
     monkeypatch.setattr(cr, "Span", NeverDependent)
     with pytest.raises(BrokenInvariant) as err:
@@ -630,50 +627,85 @@ def test_semisimple_quotient_takes_the_left_traces_once(monkeypatch):
     assert dims.count(alg.dim) == 1
 
 
+def _crt_by_inverse(poly, f):
+    """The CRT polynomial of ``cr._crt`` through sympy's ``Poly``: rest
+    times its inverse mod f, reduced mod poly, for every factor."""
+    x = sympy.Symbol("x")
+    p, g = sympy.Poly(poly, x, domain=sympy.QQ), sympy.Poly(f, x, domain=sympy.QQ)
+    rest = p.exquo(g)
+    return ((rest * sympy.invert(rest, g)) % p).rep.to_list()
+
+
 def _split_rebuilding_every_piece(z, unit):
-    """The center split that rebuilds each factor's CRT piece, also the one
-    piece of a single factor, which is e itself."""
+    """The center split that rebuilds each factor's CRT piece by an inverse,
+    also the one piece of a single factor, which is e itself."""
     done, pieces = [], [(unit, z.dim)]
     traces = z.left_traces()
     for i in range(z.dim):
         cut = []
         for e, _ in pieces:
-            poly, powers = cr._minimal_polynomial(z, e, z.basis_vec(i))
-            for f, _ in poly.factor_list()[1]:
-                rest = poly.exquo(f)
-                piece = cr._eval_poly(powers, (rest * sympy.invert(rest, f)) % poly)
+            start, d = cr._integral(e)
+            poly, powers = cr._minimal_polynomial(z, start, z.basis_vec(i))
+            for f, _ in cr._factors(poly):
+                q, qd = cr._integral(_crt_by_inverse(poly, f))
+                piece = [frac(v, qd * d) for v in cr._eval_poly(powers, q)]
                 dim = sum(v * traces[l] for l, v in nonzero_pairs(piece))
-                (done if f.degree() == dim else cut).append((piece, dim))
+                (done if len(f) - 1 == dim else cut).append((piece, dim))
         pieces = cut
     return done + pieces
 
 
-def test_split_center_inverts_only_for_the_pieces_it_cuts(monkeypatch):
-    splits, factor_counts, inverts = [], [], []
-    real_split, real_poly, real_invert = cr._split_center, cr._minimal_polynomial, sympy.invert
+def _split_work(monkeypatch, spec):
+    """The center split of kS for the builder ``spec``, with its own factor
+    counts (not those of a witness search after it), the factors it built a
+    CRT polynomial for and the inverses taken mod a factor."""
+    splits, factor_counts, crts, inverts = [], [], [], []
+    real_split, real_factors, real_crt = cr._split_center, cr._factors, cr._crt
+    real_invert = sympy.polys.euclidtools.dup_invert
 
     def split(z, unit):
-        splits.append((z, unit, real_split(z, unit)))
+        factor_counts.clear()
+        splits.append((z, unit, real_split(z, unit), list(factor_counts)))
         return splits[-1][2]
 
-    def poly(*args):
-        out = real_poly(*args)
-        factor_counts.append(len(out[0].factor_list()[1]))
+    def factors(poly):
+        out = real_factors(poly)
+        factor_counts.append(len(out))
         return out
+
+    def crt(poly, f):
+        crts.append(f)
+        return real_crt(poly, f)
 
     def invert(*args):
         inverts.append(args)
         return real_invert(*args)
 
     monkeypatch.setattr(cr, "_split_center", split)
-    monkeypatch.setattr(cr, "_minimal_polynomial", poly)
-    monkeypatch.setattr(sympy, "invert", invert)
-    cr.semisimple_quotient(_kI2xI2())
+    monkeypatch.setattr(cr, "_factors", factors)
+    monkeypatch.setattr(cr, "_crt", crt)
+    monkeypatch.setattr(sympy.polys.euclidtools, "dup_invert", invert)
+    cr.semisimple_quotient(cr.crossed(ga.trivial_algebra(sg.parse_builder(spec)), kind="universal"))
     monkeypatch.undo()
-    assert 1 in factor_counts and max(factor_counts) > 1
-    assert len(inverts) == sum(n for n in factor_counts if n > 1)
-    [(z, unit, pieces)] = splits
+    [(z, unit, pieces, counts)] = splits
     assert pieces == _split_rebuilding_every_piece(z, unit)
+    return counts, crts, inverts
+
+
+def test_split_center_inverts_only_for_the_pieces_it_cuts(monkeypatch):
+    # one CRT polynomial per factor of a cut piece and none for a piece that
+    # is not cut; every factor over kI2xI2 is linear, so none inverts
+    counts, crts, inverts = _split_work(monkeypatch, "product:symmetric_inverse:2*symmetric_inverse:2")
+    assert 1 in counts and max(counts) > 1
+    assert len(crts) == sum(n for n in counts if n > 1)
+    assert all(len(f) == 2 for f in crts) and inverts == []
+
+
+def test_split_center_inverts_only_for_non_linear_factors(monkeypatch):
+    # Q[Z/3] = Q + Q(w): x**2 + x + 1 takes the one inverse
+    counts, crts, inverts = _split_work(monkeypatch, "cyclic:3")
+    assert len(crts) == sum(n for n in counts if n > 1) == 2
+    assert [len(f) for f in crts] == [2, 3] and len(inverts) == 1
 
 
 # ---------------------------------------------------------------------------

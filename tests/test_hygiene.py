@@ -2,9 +2,11 @@
 
 - No module imports a name it never uses. Neither pyflakes nor ruff ships
   with the toolchain, so this scan stands in for their unused-import rule.
-- Batch elimination has one engine: ``sdm_irref`` is used, and values are
-  converted with ``QQ(...)`` or through ``QQ.dtype``, only inside
-  ``linalg._irref``.
+- Batch elimination has one engine: ``sdm_irref`` is used only inside
+  ``linalg._irref``. Values are converted to ``QQ``, with ``QQ(...)`` or
+  through ``QQ.dtype``, only inside ``linalg._qq``, which both the
+  elimination and the center's polynomials (``crossed._minimal_polynomial``)
+  read.
 - One number type: a value is an int where it is integral and a Fraction
   only where a reduction divides. No module calls ``Fraction(...)`` or
   divides with ``/`` or ``/=``, which makes a float of two ints, outside
@@ -97,12 +99,24 @@ def test_scan_finds_elimination_sites():
                                       ("C", 6, "QQ.dtype"), ("C", 6, "QQ.dtype"), ("", 7, "QQ.dtype")]
 
 
+HOMES = {("linalg.py", "_irref", "sdm_irref"), ("linalg.py", "_qq", "QQ.dtype")}
+
+
+def readers(source: str, name: str) -> set:
+    """The top-level functions of a module that read ``name``."""
+    return {top.name for top in ast.parse(source).body if isinstance(top, ast.FunctionDef)
+            and any(_name(node) == name for node in ast.walk(top))}
+
+
 def test_sparse_rref_is_called_from_one_function():
     sites = {path.name: elimination_sites(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     stray = [(name, *site) for name, found in sites.items() for site in found
-             if (name, site[0]) != ("linalg.py", "_irref")]
+             if (name, site[0], site[2]) not in HOMES]
     assert stray == []
-    assert {site[2] for site in sites["linalg.py"]} == {"QQ.dtype", "sdm_irref"}
+    assert {("linalg.py", site[0], site[2]) for site in sites["linalg.py"]} == HOMES
+    # the one QQ conversion serves the elimination and the polynomial path
+    assert "_irref" in readers((SRC / "linalg.py").read_text(), "_qq")
+    assert readers((SRC / "crossed.py").read_text(), "_qq") == {"_minimal_polynomial"}
 
 
 DENSE_HELPERS = {"mat_vec", "mul_vec", "basis_vec"}

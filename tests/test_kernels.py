@@ -22,12 +22,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iskk import crossed as cr
 from iskk import galgebra as ga
 from iskk import induction as ind
+from iskk import l2module as l2
 from iskk import semigroup as sg
+from iskk import linalg
 from iskk import spectrum as sp
-from iskk.errors import InvalidAction, InvalidCoefficientAlgebra
+from iskk.errors import DependentVector, InvalidAction, InvalidCoefficientAlgebra
 from iskk.linalg import (
+    PRIME,
     Basis,
     Span,
     frac,
@@ -632,8 +636,120 @@ def test_elimination_edge_cases():
     assert list(got.items()) == [(0, 2), (1, 1)] and typed(list(got.values())) == typed([2, 1])
     assert b.sparse_coords({0: 1, 1: 1}) == {0: 1} and b.sparse_coords({2: 1}) is None
     for vectors, idx in (([[0, 0]], 0), ([[1, 2], [2, 4]], 1), ([[1, 0], [0, 1], [1, 1]], 2), ([[]], 0)):
-        with pytest.raises(ValueError, match=f"^vector {idx} is dependent on its predecessors$"):
+        with pytest.raises(ValueError, match=f"^vector {idx} is dependent on its predecessors$") as err:
             Basis(vectors)
+        assert isinstance(err.value, DependentVector) and err.value.witness == {"index": idx}
+
+
+# -- the full-rank certificate modulo a prime -----------------------------------
+
+
+def sparse_rows(m):
+    """Dense rows as ``{col: value}`` dicts without zeros."""
+    return [{c: x for c, x in enumerate(row) if x} for row in m]
+
+
+def typed_rows(rows):
+    """Dense or dict rows as the typed (column, value) pairs of their nonzeros."""
+    return [[(c, typed(x)) for c, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x]
+            for row in rows]
+
+
+class CountedIrref:
+    """Counts the batch eliminations run while it is entered."""
+
+    def __enter__(self):
+        self.calls, self.real = 0, linalg._irref
+
+        def counted(rows):
+            self.calls += 1
+            return self.real(rows)
+
+        linalg._irref = counted
+        return self
+
+    def __exit__(self, *exc):
+        linalg._irref = self.real
+
+
+@st.composite
+def tall_matrices(draw):
+    """Square and tall matrices with small entries, all ints or some
+    Fractions, nonsingular or singular (a column made a combination of the
+    others), given as dense or dict rows. Their minors are far below
+    ``PRIME``, so their rank modulo it is their rank over Q."""
+    m = draw(st.integers(1, 6))
+    n = m + draw(st.integers(0, 3))
+    values = [-2, -1, 0, 0, 1, 1, 2, 3] + ([Fraction(1, 2), Fraction(-3, 4)] if draw(st.booleans()) else [])
+    rows = draw(st.lists(st.lists(st.sampled_from(values), min_size=m, max_size=m), min_size=n, max_size=n))
+    if m > 1 and draw(st.booleans()):
+        j, k, c = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1)), draw(st.sampled_from(values))
+        if j != k:
+            for row in rows:
+                row[j] = frac(c * row[k])
+    return rows, m, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(tall_matrices())
+def test_certified_eliminations_match_the_dense_loops(problem):
+    rows, ncols, sparse = problem
+    given_rows = sparse_rows(rows) if sparse else rows
+    ref_red, ref_pivots = dense_rref(rows)
+    with CountedIrref() as irref:
+        red, pivots = rref(given_rows, ncols)
+    # certified exactly when the rank is full, and then without an elimination
+    assert irref.calls == (len(ref_pivots) < ncols)
+    assert pivots == ref_pivots and typed_rows(red) == typed_rows(ref_red)
+    assert all(isinstance(row, dict) == sparse for row in red)
+    null = nullspace(given_rows, ncols)
+    assert all(isinstance(v, dict) == sparse for v in null)
+    assert typed_rows(null) == typed_rows(dense_nullspace(rows))
+    assert rank(given_rows, ncols) == len(ref_pivots)
+
+
+def test_rows_singular_mod_p_take_the_exact_fallback():
+    # nonsingular over Q, singular modulo PRIME: det = PRIME, an entry PRIME,
+    # or a Fraction whose scaled row is PRIME
+    for m in ([[PRIME, 0], [0, 1]], [[1, 2], [3, 6 + PRIME]], [[0, 1], [PRIME, 0], [2 * PRIME, 0]],
+              [[Fraction(PRIME, 2), 0], [0, Fraction(1, 3)]]):
+        for given_rows in (m, sparse_rows(m)):
+            with CountedIrref() as irref:
+                red, pivots = rref(given_rows, 2)
+            assert irref.calls == 1 and pivots == [0, 1]
+            assert typed_rows(red) == typed_rows(identity(2))
+            assert nullspace(given_rows, 2) == [] and rank(given_rows, 2) == 2
+    # singular over Q too: the fallback finds the kernel
+    assert nullspace([[1, PRIME], [2, 2 * PRIME]]) == [[-PRIME, 1]]
+    assert nullspace([{0: 1, 1: PRIME}, {0: 2, 1: 2 * PRIME}], 2) == [{0: -PRIME, 1: 1}]
+
+
+def test_stacked_gram_matrices_are_certified_without_elimination():
+    # check_independence's rank of the Gram matrices over all characters is
+    # tall and full
+    for spec in ("chain:3", "diamond", "brandt_unital:2", "symmetric_inverse:2"):
+        with CountedIrref() as irref:
+            report = l2.check_independence(sg.parse_builder(spec))
+        assert report["pass"] and irref.calls == 0, spec
+
+
+def test_rows_of_dicts_need_their_width():
+    with pytest.raises(TypeError):
+        rref([{0: 1}])
+
+
+def test_trace_form_is_certified_without_elimination_only_when_semisimple():
+    s = sg.parse_builder("symmetric_inverse:3")
+    alg = cr.crossed(ga.trivial_algebra(s), kind="universal").alg
+    with CountedIrref() as irref:
+        assert nullspace(cr._trace_form(alg, alg.left_traces()), alg.dim) == []
+    assert irref.calls == 0
+    # span{e11, e22, e12} upper triangular: the radical is spanned by e12
+    mul = {(0, 0): {0: 1}, (1, 1): {1: 1}, (0, 2): {2: 1}, (2, 1): {2: 1}}
+    upper = ga.StarAlgebra(3, mul, nonzero_columns(identity(3), 3), "upper")
+    with CountedIrref() as irref:
+        assert nullspace(cr._trace_form(upper, upper.left_traces()), 3) == [{2: 1}]
+    assert irref.calls == 1
 
 
 # -- the change of basis against the dense rebuild ---------------------------

@@ -12,6 +12,7 @@ from iskk.errors import (
     NotSubsemigroup,
     UnsupportedSize,
 )
+from test_spectrum import SMALL
 
 BUILDERS = [
     "chain:2",
@@ -187,6 +188,27 @@ def test_product_and_adjoin_zero():
     assert q.n == 3 and q.zero == 2
     with pytest.raises(MalformedInput):
         sg.parse_builder("adjoin_zero:brandt_unital:2")
+
+
+@pytest.mark.parametrize("left", SMALL)
+@pytest.mark.parametrize("right", SMALL)
+def test_product_equals_its_validated_table(left, right):
+    # the product is built from its factors without validate; validating its
+    # table gives the same semigroup, zero included
+    p = sg.parse_builder(f"product:{left}*{right}")
+    v = sg.validate(p.table, unit=p.unit, zero=p.zero, names=p.names)
+    assert (p.n, p.table, p.star, p.unit, p.names) == (v.n, v.table, v.star, v.unit, v.names)
+    sa, sb = sg.parse_builder(left), sg.parse_builder(right)
+    has_zero = sa.zero is not None and sb.zero is not None
+    assert p.zero == (sa.zero * sb.n + sb.zero if has_zero else None)
+    assert p.table[p.unit][p.unit] == p.unit and sg.idempotents(p) == sg.idempotents(v)
+
+
+def test_product_with_clashing_names_is_malformed():
+    a = sg.validate([[0, 1], [1, 1]], unit=0, names=["x", "x|y"])
+    b = sg.validate([[0, 1], [1, 1]], unit=0, names=["y|z", "z"])
+    with pytest.raises(MalformedInput, match="^element names are not distinct$"):
+        sg.build("product", a, b)
 
 
 # -- property suites ---------------------------------------------------------

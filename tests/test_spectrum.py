@@ -1,10 +1,12 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iskk import semigroup as sg
 from iskk import spectrum as sp
-from iskk.errors import NotIdempotent
+from iskk.errors import NotIdempotent, NotZeroOneValued
 
 SMALL = ["chain:2", "chain:3", "diamond", "cyclic:2", "cyclic:3", "brandt_unital:2",
          "symmetric_inverse:2"]
@@ -124,6 +126,15 @@ def test_e_cont_sup_cases():
     # only the declared zero sits below a nonunit arrow, and it is null
     assert sp.alg_star_mask(func) == 0
     assert witness == 0
+
+
+def test_alg_star_mask_names_the_first_value_outside_zero_one():
+    assert sp.alg_star_mask([1, 0, 1]) == 0b101
+    for func, position, value in (([1, 0, 2], 2, "2"), ([0, Fraction(1, 2), -1], 1, "1/2")):
+        with pytest.raises(ValueError, match=f"^function is not 0/1-valued at position {position}: ") as err:
+            sp.alg_star_mask(func)
+        assert isinstance(err.value, NotZeroOneValued)
+        assert err.value.witness == {"position": position, "value": value}
 
 
 def test_e_cont_witness_minimal_and_sup_full_set():
