@@ -91,7 +91,7 @@ def _range_spans(a: GAlgebra):
     for g in a.sgp.elements():
         e = a.sgp.range_of(g)
         if e not in spans:
-            spans[e] = Span(map(dict, a.action[e]), a.dim)
+            spans[e] = Span(map(dict, a.action[e]))
     return spans
 
 
@@ -213,7 +213,7 @@ def _groupoid(d: HAlgebra) -> CrossedProductAlgebra:
     gpd = d.gpd
     s = gpd.sgp
     fibers = [d.fiber_indices(u) for u in range(len(gpd.units))]
-    spans = {u: Span(({i: 1} for i in fib), d.dim) for u, fib in enumerate(fibers)}
+    spans = {u: Span({i: 1} for i in fib) for u, fib in enumerate(fibers)}
     rng = {h: gpd.unit_pos_of_mask(germ_range(s, h)) for h in gpd.elements}
 
     def mul(g, h):

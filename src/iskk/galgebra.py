@@ -9,10 +9,14 @@ A StarAlgebra holds sparse structure constants and its star as columns,
 ``_apply`` reads them. A GAlgebra adds one action map per semigroup element
 (possibly only for a sub-semigroup's elements) in the same format:
 ``action[g][j]`` holds the nonzero (row, value) pairs of alpha_g(b_j) in row
-order. Every linear map on an algebra is kept so, the character, mask and
-germ maps and the projections included; ``_compose`` gives the columns of a
-composite, and two maps in this format are equal exactly when their lists
-of columns are. Groupoid coefficient algebras (HAlgebra) keep a
+order. Every linear map is kept so, the character, mask and germ maps, the
+projections and the *-homomorphisms between two algebras included:
+``StarHomomorphism.cols[j]`` holds the nonzero (row, value) pairs of f(b_j).
+``_compose`` gives the columns of a composite, two maps in this format are
+equal exactly when their lists of columns are, and ``_bijective`` reads a
+map's bijectivity off its rank. Every embedding vector, such as a basis
+vector of a corner or a fiber in its parent's coordinates, is a ``{col:
+value}`` dict without zeros. Groupoid coefficient algebras (HAlgebra) keep a
 fiber-adapted basis: every basis vector belongs to the fiber of one
 groupoid unit, so unit actions are coordinate projections.
 
@@ -37,18 +41,13 @@ from .linalg import (
     Span,
     QuotientSpace,
     frac,
-    nonzero_columns,
     nonzero_pairs,
+    rank,
     sparse_solve,
     zeros,
 )
 from .semigroup import FiniteInvSgp, iter_mask
 from .spectrum import ExtendedElement, germ_range, germ_source, spectrum, tilde_mul
-
-
-def zero_matrix(n, m=None):
-    m = n if m is None else m
-    return [[0] * m for _ in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +215,13 @@ def _complement(m) -> list:
             for j, col in enumerate(m)]
 
 
+def _bijective(cols, n) -> bool:
+    """Whether the map given by its columns ``cols`` onto an n-dimensional
+    space is bijective: n columns of rank n, which ``rank`` certifies
+    modulo ``PRIME`` without an elimination when it can."""
+    return len(cols) == n and rank([dict(c) for c in cols], n) == n
+
+
 # ---------------------------------------------------------------------------
 # expressing an algebra on new vectors
 
@@ -312,7 +318,7 @@ def corner(alg: StarAlgebra, p, error, label="") -> tuple:
     """The corner of ``alg`` on the span of the columns of the projection p:
     (StarAlgebra on the span's reduced rows, that Span). ``error`` is raised
     when a product or a star leaves the span."""
-    span = Span(map(dict, p), alg.dim)
+    span = Span(map(dict, p))
     return transport(alg, span.sparse_rows, span, error, label), span
 
 
@@ -533,38 +539,43 @@ def _endomorphism_failures(alg: StarAlgebra, m):
 
 def _check_shapes(alg: StarAlgebra, action: dict, name):
     """Raise InvalidAction unless the star and every action map (its key
-    labelled by ``name``) are dim canonical columns: a map without dim
-    columns has witness {element, columns}, an entry at position k of a
-    column that is not a (row, value) pair, as in a dense row of values, has
-    witness {element, column, entry: k}, and a row outside range(dim), a
-    row not above the row before it or a zero value has witness {element,
-    column, row}. The star's element is "star"."""
+    labelled by ``name``) are dim canonical columns over range(dim), as
+    ``_check_columns`` says. The star's element is "star"."""
     d = alg.dim
-    maps = [("star", "star", alg.star)]
-    maps += [(f"action of {name(x)!r}", name(x), m) for x, m in action.items()]
-    for what, key, cols in maps:
-        if len(cols) != d:
-            raise InvalidAction(f"{what} has {len(cols)} columns, not {d}",
-                                witness={"element": key, "columns": len(cols)})
-        for j, col in enumerate(cols):
-            last = -1
-            for k, entry in enumerate(col):
-                try:
-                    r, x = entry
-                except (TypeError, ValueError):
-                    raise InvalidAction(f"{what} column {j} entry {k} is not a (row, value) pair",
-                                        witness={"element": key, "column": j, "entry": k}) from None
-                if r not in range(d):
-                    fault = f"outside range({d})"
-                elif r <= last:
-                    fault = f"after row {last}"
-                elif not x:
-                    fault = "with value 0"
-                else:
-                    last = r
-                    continue
-                raise InvalidAction(f"{what} column {j} has row {r}, {fault}",
-                                    witness={"element": key, "column": j, "row": r})
+    _check_columns("star", "star", alg.star, d, d)
+    for x, m in action.items():
+        _check_columns(f"action of {name(x)!r}", name(x), m, d, d)
+
+
+def _check_columns(what, key, cols, ncols, nrows):
+    """Raise InvalidAction unless the map ``what`` is ncols canonical columns
+    over range(nrows): a map without ncols columns has witness {element:
+    key, columns}, an entry at position k of a column that is not a (row,
+    value) pair, as in a dense row of values, has witness {element, column,
+    entry: k}, and a row outside range(nrows), a row not above the row
+    before it or a zero value has witness {element, column, row}."""
+    if len(cols) != ncols:
+        raise InvalidAction(f"{what} has {len(cols)} columns, not {ncols}",
+                            witness={"element": key, "columns": len(cols)})
+    for j, col in enumerate(cols):
+        last = -1
+        for k, entry in enumerate(col):
+            try:
+                r, x = entry
+            except (TypeError, ValueError):
+                raise InvalidAction(f"{what} column {j} entry {k} is not a (row, value) pair",
+                                    witness={"element": key, "column": j, "entry": k}) from None
+            if r not in range(nrows):
+                fault = f"outside range({nrows})"
+            elif r <= last:
+                fault = f"after row {last}"
+            elif not x:
+                fault = "with value 0"
+            else:
+                last = r
+                continue
+            raise InvalidAction(f"{what} column {j} has row {r}, {fault}",
+                                witness={"element": key, "column": j, "row": r})
 
 
 def validate_g_algebra(a: GAlgebra) -> dict:
@@ -632,7 +643,7 @@ class HAlgebra:
         self.action = action  # dict ExtendedElement -> columns
         self.unit_of_basis = tuple(unit_of_basis)
         self.label = label or alg.label
-        self.embed = embed  # list of vectors in parent coordinates
+        self.embed = embed  # embed[i]: b_i as a {col: value} dict without zeros, in parent coordinates
         self.parent = parent
 
     @property
@@ -764,12 +775,12 @@ def direct_sum(base, parts, label=""):
 
 
 def subalgebra_on_projection(a: GAlgebra, p, label="") -> tuple:
-    """Corner of a central projection, given by its columns: (GAlgebra,
-    embedding vectors)."""
+    """Corner of a central projection, given by its columns: (GAlgebra, its
+    basis vectors as ``{col: value}`` dicts in a's coordinates)."""
     error = InvalidAction(f"corner of {a.label!r} is not closed")
     alg, span = corner(a.alg, p, error, label)
     action = {g: transport_matrix(m, span.sparse_rows, span, error) for g, m in a.action.items()}
-    return GAlgebra(a.sgp, alg, action, label), span.rows
+    return GAlgebra(a.sgp, alg, action, label), span.sparse_rows
 
 
 def cutdown(a: GAlgebra, p: int) -> tuple:
@@ -808,7 +819,7 @@ def _fiber_rebase(a: GAlgebra, h, projections, error, label) -> HAlgebra:
     s = a.sgp
     fibers = [corner(a.alg, p, error) for p in projections]
     lifts = [v for _, span in fibers for v in span.sparse_rows]
-    if Span(lifts, a.dim).dim < len(lifts):  # overlapping fibers
+    if Span(lifts).dim < len(lifts):  # overlapping fibers
         raise error
     offs, unit_of_basis = [], []
     for upos, (alg, _) in enumerate(fibers):
@@ -824,7 +835,7 @@ def _fiber_rebase(a: GAlgebra, h, projections, error, label) -> HAlgebra:
             m[offs[src] + i] = [(offs[rng] + r, v) for r, v in col]
         action[x] = m
     return HAlgebra(h, star_sum([alg for alg, _ in fibers], label), action, unit_of_basis, label,
-                    embed=[row for _, span in fibers for row in span.rows], parent=a)
+                    embed=lifts, parent=a)
 
 
 # ---------------------------------------------------------------------------
@@ -883,28 +894,29 @@ def balanced_tensor(a: GAlgebra, b: GAlgebra, label="") -> GAlgebra:
 class StarHomomorphism:
     source: object
     target: object
-    matrix: list  # target.dim x source.dim
+    cols: list  # cols[j]: the nonzero (row, value) pairs of f(b_j), in row order
     label: str = ""
 
 
 def verify_star_hom(f: StarHomomorphism, equivariant_keys=None) -> dict:
-    """Multiplicativity, star preservation and optional equivariance."""
+    """Multiplicativity, star preservation and optional equivariance.
+    Raises InvalidAction first unless ``f.cols`` is source.dim canonical
+    columns over range(target.dim); the witness's element is f's label."""
     sa = f.source.alg if hasattr(f.source, "alg") else f.source
     sb = f.target.alg if hasattr(f.target, "alg") else f.target
-    cols = nonzero_columns(f.matrix, sa.dim)
+    _check_columns(f"homomorphism {f.label!r}", f.label, f.cols, sa.dim, sb.dim)
     checks = [
-        {"name": "multiplicative", "witness": _first_failure(multiplicative_failures(cols, sa, sb))},
-        {"name": "star_preserving", "witness": _first_failure(star_preserving_failures(cols, sa, sb))},
+        {"name": "multiplicative", "witness": _first_failure(multiplicative_failures(f.cols, sa, sb))},
+        {"name": "star_preserving", "witness": _first_failure(star_preserving_failures(f.cols, sa, sb))},
     ]
     if equivariant_keys is not None:
         checks.append({"name": "equivariant",
-                       "witness": _first_failure(_equivariance_failures(f, cols, equivariant_keys))})
+                       "witness": _first_failure(_equivariance_failures(f, equivariant_keys))})
     return _report("star_homomorphism", f.label, checks)
 
 
-def _equivariance_failures(f: StarHomomorphism, cols, keys):
-    """g for each key with f alpha_g != alpha_g f, for f's matrix given by
-    its columns ``cols``."""
+def _equivariance_failures(f: StarHomomorphism, keys):
+    """g for each key with f alpha_g != alpha_g f."""
     for g in keys:
-        if _compose(cols, f.source.action[g]) != _compose(f.target.action[g], cols):
+        if _compose(f.cols, f.source.action[g]) != _compose(f.target.action[g], f.cols):
             yield g

@@ -17,6 +17,7 @@ from .errors import (
     BaseMismatch,
     BrokenInvariant,
     ChainTooLong,
+    DependentVector,
     InvalidAction,
     InvalidCoefficientAlgebra,
     NotEquivariant,
@@ -29,6 +30,7 @@ from .galgebra import (
     StarAlgebra,
     StarHomomorphism,
     _apply,
+    _bijective,
     _complement,
     _compose,
     _coords,
@@ -48,9 +50,8 @@ from .galgebra import (
     trivial_algebra,
     validate_g_algebra,
     verify_star_hom,
-    zero_matrix,
 )
-from .linalg import Basis, Span, mat_inv, mat_mul, nonzero_columns, nonzero_pairs
+from .linalg import Basis, Span
 from .semigroup import (
     FiniteInvSgp,
     check_subsemigroup,
@@ -293,22 +294,19 @@ def build_induced(s: FiniteInvSgp, h: FiniteGroupoid, d: HAlgebra,
 
 
 def induce_hom(f: StarHomomorphism, ind_a: InducedAlgebra, ind_b: InducedAlgebra) -> StarHomomorphism:
-    """Apply an equivariant coefficient homomorphism pointwise on germ values."""
+    """Apply an equivariant coefficient homomorphism pointwise on germ values:
+    each block's basis vector of Ind(A) goes to the image of its coefficient,
+    read in the same block of Ind(B)."""
     da, db = ind_a.coeff, ind_b.coeff
-    for j in range(da.dim):
-        for i in range(db.dim):
-            if f.matrix[i][j] and da.unit_of_basis[j] != db.unit_of_basis[i]:
+    for j, col in enumerate(f.cols):
+        for i, _ in col:
+            if da.unit_of_basis[j] != db.unit_of_basis[i]:
                 raise NotEquivariant("homomorphism does not preserve unit fibers", witness=(i, j))
     if [germ_key(r) for r in ind_a.gh.reps] != [germ_key(r) for r in ind_b.gh.reps]:
         raise NotEquivariant("induced algebras live over different germ spaces")
-    m = zero_matrix(ind_b.dim, ind_a.dim)
-    for (ra, _, fib_a, off_a), (rb, _, fib_b, off_b) in zip(ind_a.blocks, ind_b.blocks):
-        for a, dja in enumerate(fib_a):
-            for bpos, djb in enumerate(fib_b):
-                v = f.matrix[djb][dja]
-                if v:
-                    m[off_b + bpos][off_a + a] = v
-    return StarHomomorphism(ind_a.galg, ind_b.galg, m, label=f"Ind({f.label})")
+    cols = [[(off_b + fib_b.index(i), v) for i, v in f.cols[dja]]
+            for (_, _, fib_a, _), (_, _, fib_b, off_b) in zip(ind_a.blocks, ind_b.blocks) for dja in fib_a]
+    return StarHomomorphism(ind_a.galg, ind_b.galg, cols, label=f"Ind({f.label})")
 
 
 # ---------------------------------------------------------------------------
@@ -352,20 +350,14 @@ def c0_orbits_algebra(s: FiniteInvSgp, gh: GHSpace, b: GAlgebra, label=""):
     return GAlgebra(s, alg, action, lbl), blocks
 
 
-def _verify_iso(theta_matrix, src_alg: GAlgebra, dst_alg: GAlgebra, keys, lemma, instance, dims):
-    """Simultaneous bijectivity, multiplicativity, star and equivariance checks."""
-    checks = []
-    square = len(theta_matrix) == dst_alg.dim and (
-        not theta_matrix or len(theta_matrix[0]) == src_alg.dim
-    ) and src_alg.dim == dst_alg.dim
-    inv = mat_inv(theta_matrix) if square and src_alg.dim else ([] if square else None)
-    checks.append(check("bijective", None if (square and inv is not None) else
-                        f"dims {src_alg.dim} -> {dst_alg.dim}, invertible={inv is not None}"))
-    hom = StarHomomorphism(src_alg, dst_alg, theta_matrix)
-    rep = verify_star_hom(hom, equivariant_keys=keys)
-    for c in rep["checks"]:
-        checks.append(c)
-    return make_report(lemma, instance, checks, dims), hom
+def _verify_iso(cols, src_alg: GAlgebra, dst_alg: GAlgebra, keys, lemma, instance, dims):
+    """Simultaneous bijectivity, multiplicativity, star and equivariance checks
+    of the map from src_alg to dst_alg given by its columns."""
+    bijective = _bijective(cols, dst_alg.dim)
+    checks = [check("bijective", None if bijective else
+                    f"dims {src_alg.dim} -> {dst_alg.dim}, invertible={bijective}")]
+    checks += verify_star_hom(StarHomomorphism(src_alg, dst_alg, cols), equivariant_keys=keys)["checks"]
+    return make_report(lemma, instance, checks, dims)
 
 
 def theta_res_ind(s: FiniteInvSgp, h: FiniteGroupoid, b: GAlgebra, instance="") -> dict:
@@ -374,23 +366,20 @@ def theta_res_ind(s: FiniteInvSgp, h: FiniteGroupoid, b: GAlgebra, instance="") 
     d = restrict(b, h)
     ind = build_induced(s, h, d)
     target, tblocks = c0_orbits_algebra(s, ind.gh, b)
-    m = zero_matrix(target.dim, ind.dim)
-    for (r, upos, fib, off), (_, _, toff, tspan) in zip(ind.blocks, tblocks):
-        gm = b.germ_matrix(r)
-        lifts = [dict(nonzero_pairs(d.embed[da])) for da in fib]
+    cols = []
+    for (r, _, fib, _), (_, _, toff, tspan) in zip(ind.blocks, tblocks):
+        lifts = [d.embed[da] for da in fib]
         try:
-            blk = transport_matrix(gm, lifts, tspan, InvalidAction(f"image escapes class fiber at rep {r}"))
+            blk = transport_matrix(b.germ_matrix(r), lifts, tspan,
+                                   InvalidAction(f"image escapes class fiber at rep {r}"))
         except InvalidAction as err:
             return make_report("theta-res-ind", instance, [check("bijective", str(err))],
                                {"ind": ind.dim, "target": target.dim})
-        for k, col in enumerate(blk):
-            for r, v in col:
-                m[toff + r][off + k] = v
-    report, _ = _verify_iso(
-        m, ind.galg, target, list(s.elements()), "theta-res-ind", instance,
+        cols += [[(toff + t, v) for t, v in col] for col in blk]
+    return _verify_iso(
+        cols, ind.galg, target, list(s.elements()), "theta-res-ind", instance,
         {"ind": ind.dim, "target": target.dim, "orbits": ind.gh.orbit_count()},
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -481,25 +470,23 @@ def theta_res_ind_tensor(s: FiniteInvSgp, h: FiniteGroupoid, a: HAlgebra, b: GAl
     db = b.dim
 
     # source block (r, (i,j)) maps to e_{Ind(A)(r,i)} (x) r(embed_B(j))
-    m = zero_matrix(cut.dim, src.dim)
-    embed_b = [dict(nonzero_pairs(v)) for v in resb.embed]
-    for bidx, (r, upos, fib, off) in enumerate(src.blocks):
+    cols = []
+    for bidx, (r, _, fib, _) in enumerate(src.blocks):
         gm = b.germ_matrix(r)
         aoff = ind_a.blocks[bidx][3]
         afib = ind_a.blocks[bidx][2]
         error = InvalidAction(f"image escapes corner at rep {r}")
         try:
-            for local, abj in enumerate(fib):
+            for abj in fib:
                 i, j = ab.pairs[abj]
                 u = aoff + afib.index(i)
-                full = {u * db + t: v for t, v in _apply(gm, embed_b[j]).items()}
-                for k, v in _coords(cut_span, full, error).items():
-                    m[k][off + local] = v
+                full = {u * db + t: v for t, v in _apply(gm, resb.embed[j]).items()}
+                cols.append(list(_coords(cut_span, full, error).items()))
         except InvalidAction as err:
             return make_report("theta-res-ind-tensor", instance, [check("bijective", str(err))],
                                {"src": src.dim, "corner": cdim})
-    report, _ = _verify_iso(
-        m, src.galg, cut, list(s.elements()), "theta-res-ind-tensor", instance,
+    report = _verify_iso(
+        cols, src.galg, cut, list(s.elements()), "theta-res-ind-tensor", instance,
         {"src": src.dim, "corner": cdim, "tensor": big.dim,
          "complement": big.dim - cdim},
     )
@@ -601,9 +588,9 @@ def _split_class(s: FiniteInvSgp, lset: int, g_ext: ExtendedElement, d: GAlgebra
 
     dg = d.germ_matrix(g_ext)
     span_m = Basis(res_m.embed)
-    embed_cols = [nonzero_pairs(v) for v in resu.embed]  # resu's basis in d's coordinates
-    theta_inv = zero_matrix(ind_m.dim, pos)
-    for (rho, upos_m, fib_m, off_m) in ind_m.blocks:
+    embed_cols = [v.items() for v in resu.embed]  # resu's basis in d's coordinates
+    theta_inv = [{} for _ in range(pos)]  # column per carrier position, over ind_m's basis
+    for (rho, _, _, off_m) in ind_m.blocks:
         lrep = None
         for l in iter_mask(lset):
             if tilde_mul(s, extended(s, l), u_r) == rho:
@@ -615,7 +602,7 @@ def _split_class(s: FiniteInvSgp, lset: int, g_ext: ExtendedElement, d: GAlgebra
             return m_elems, lprime, None, rep
         x_pt = tilde_mul(s, extended(s, lrep), g_ext)
         oidx = ind_u.gh.orbit_of[x_pt]
-        (r2, upos2, fib2, off2) = ind_u.blocks[oidx]
+        fib2 = ind_u.blocks[oidx][2]
         tm = resu.action[tilde_star(s, ind_u.gh.transfer[x_pt])]
         col_off = carrier_offsets.get(oidx)
         if col_off is None:
@@ -626,16 +613,21 @@ def _split_class(s: FiniteInvSgp, lset: int, g_ext: ExtendedElement, d: GAlgebra
             for bslot, db_idx in enumerate(fib2):
                 # value of the indicator function at x_pt, pushed into D and cut to rng
                 pushed = _apply(dg, _apply(embed_cols, dict(tm[db_idx])))
-                for k, v in _coords(span_m, pushed, error).items():
-                    theta_inv[off_m + k][col_off + bslot] = v
+                theta_inv[col_off + bslot].update(
+                    (off_m + k, v) for k, v in _coords(span_m, pushed, error).items())
         except InvalidAction as err:
             rep = make_report("technical-split", instance, [check("value_in_fiber", str(err))], dims)
             return m_elems, lprime, None, rep
 
-    theta_m = mat_inv(theta_inv)
+    # theta: column j is the coordinates of ind_m's basis vector j over the
+    # columns of theta^{-1}, a carrier vector
+    try:
+        theta_basis = Basis(theta_inv)
+    except DependentVector:
+        theta_basis = None
     checks = [check("dimensions_match"),
-              check("bijective", None if theta_m is not None else "theta not invertible")]
-    if theta_m is None:
+              check("bijective", None if theta_basis is not None else "theta not invertible")]
+    if theta_basis is None:
         return m_elems, lprime, None, make_report("technical-split", instance, checks, dims)
 
     # embed the carrier block back into the full induced algebra and verify
@@ -643,12 +635,10 @@ def _split_class(s: FiniteInvSgp, lset: int, g_ext: ExtendedElement, d: GAlgebra
     for o in carrier_list:
         (_, _, fib, off) = ind_u.blocks[o]
         carrier_cols.extend(range(off, off + len(fib)))
-    emb = zero_matrix(ind_u.dim, pos)
-    for c, col in enumerate(carrier_cols):
-        emb[col][c] = 1
-    theta_full = mat_mul(emb, theta_m)
+    theta = [[(carrier_cols[c], v) for c, v in theta_basis.sparse_coords({j: 1}).items()]
+             for j in range(pos)]
 
-    theta_hom = StarHomomorphism(ind_m.galg, ind_u.galg, theta_full, label="theta")
+    theta_hom = StarHomomorphism(ind_m.galg, ind_u.galg, theta, label="theta")
     checks.extend(verify_star_hom(theta_hom, equivariant_keys=list(iter_mask(lset)))["checks"])
     report = make_report("technical-split", instance, checks, dims)
     report["carrier_cols"] = carrier_cols
@@ -716,20 +706,9 @@ def res_ind_split(s: FiniteInvSgp, hprime: int, lset: int, d: GAlgebra, instance
                         None if dim_sum == ind.dim else f"{dim_sum} != {ind.dim}"))
 
     # assemble the block isomorphism and verify it globally
-    phi = zero_matrix(ind.dim, dim_sum)
-    col = 0
-    for s_, part in zip(summands, parts):
-        th = s_["theta"].matrix
-        for j in range(part.dim):
-            for r in range(ind.dim):
-                if th[r][j]:
-                    phi[r][col + j] = th[r][j]
-        col += part.dim
-
-    source = direct_sum(s, parts)
-    inv = mat_inv(phi) if dim_sum == ind.dim else None
-    checks.append(check("bijective", None if inv is not None else "assembled map not invertible"))
-    hom = StarHomomorphism(source, ind.galg, phi, label="res-ind-split")
+    phi = [col for s_ in summands for col in s_["theta"].cols]
+    checks.append(check("bijective", None if _bijective(phi, ind.dim) else "assembled map not invertible"))
+    hom = StarHomomorphism(direct_sum(s, parts), ind.galg, phi, label="res-ind-split")
     rep2 = verify_star_hom(hom, equivariant_keys=list(iter_mask(lset)))
     checks.extend(rep2["checks"])
     return j_reps, summands, hom, make_report("res-ind-split", instance, checks, dims)
@@ -770,7 +749,7 @@ def minimal_invariant_ideal_dims(a: GAlgebra) -> list:
         v0 = {seed: 1}
         if any(sp_.contains(v0) for sp_ in ideals):
             continue
-        span = Span([v0], a.dim)
+        span = Span([v0])
         changed = True
         while changed:
             changed = False
@@ -842,14 +821,13 @@ def _ci0_tower(s: FiniteInvSgp, chain: list, instance="") -> tuple:
     # transported assembled iso in the rebased coordinates, then induced
     sum_h = direct_sum(h2, part_h)
     target_h = sgp_to_h_algebra(ind_tower, h2)
-    phi_h = _rebase_hom(hom, sum_h, target_h, part_h, summands)
+    phi_h = _rebase_hom(hom, sum_h, target_h, part_h)
     ind_sum = build_induced(s, h2, sum_h)
     ind_phi = induce_hom(phi_h, ind_sum, tower2)
     iso_rep = verify_star_hom(ind_phi, equivariant_keys=list(s.elements()))
     checks.extend(iso_rep["checks"])
     checks.append(check("induced_iso_bijective",
-                        None if ind_sum.dim == tower2.dim and mat_inv(ind_phi.matrix) is not None
-                        else f"{ind_sum.dim} vs {tower2.dim}"))
+                        None if _bijective(ind_phi.cols, tower2.dim) else f"{ind_sum.dim} vs {tower2.dim}"))
 
     # direct sum of inductions agrees with induction of the direct sum
     per_part = [build_induced(s, h2, bh) for bh in part_h]
@@ -879,28 +857,23 @@ def _ci0_tower(s: FiniteInvSgp, chain: list, instance="") -> tuple:
     return pairs, report, {"tower": tower2, "per_part": per_part}
 
 
-def _rebase_hom(hom: StarHomomorphism, sum_h: HAlgebra, target_h: HAlgebra, part_h, summands):
-    """Express an assembled semigroup-level iso in rebased fiber coordinates."""
-    # columns: embed sum_h basis into the concatenated semigroup coordinates,
-    # apply hom, express in target_h basis
-    src_dims = [s_["theta"].source.dim for s_ in summands]
-    offsets = [0]
-    for dsz in src_dims:
-        offsets.append(offsets[-1] + dsz)
+def _rebase_hom(hom: StarHomomorphism, sum_h: HAlgebra, target_h: HAlgebra, part_h):
+    """Express an assembled semigroup-level iso in rebased fiber coordinates:
+    column j embeds sum_h's basis vector j into the concatenated semigroup
+    coordinates of the parts, applies hom and reads the image over target_h's
+    basis. Each part is rebased on its own semigroup algebra, whose dimension
+    it keeps."""
     tspan = Basis(target_h.embed)
-    hom_cols = nonzero_columns(hom.matrix, offsets[-1])
-    m = zero_matrix(target_h.dim, sum_h.dim)
-    col = 0
+    cols = []
+    off = 0
     for pidx, bh in enumerate(part_h):
-        for j in range(bh.dim):
-            # bh's basis vector in the part's semigroup coordinates, shifted to the part's block
-            lift = {offsets[pidx] + k: v for k, v in nonzero_pairs(bh.embed[j])}
+        for j, v in enumerate(bh.embed):
+            lift = {off + k: x for k, x in v.items()}  # shifted to the part's block
             error = BrokenInvariant("the assembled split leaves the rebased target's span",
                                     witness={"part": pidx, "basis": j})
-            for i, v in _coords(tspan, _apply(hom_cols, lift), error).items():
-                m[i][col] = v
-            col += 1
-    return StarHomomorphism(sum_h, target_h, m, label="rebased-split")
+            cols.append(list(_coords(tspan, _apply(hom.cols, lift), error).items()))
+        off += bh.dim
+    return StarHomomorphism(sum_h, target_h, cols, label="rebased-split")
 
 
 # ---------------------------------------------------------------------------

@@ -71,9 +71,7 @@ def _split_block_data(x):
 
 def _quotient_map(f: StarHomomorphism, dsrc, ddst):
     """Descend a *-homomorphism to the semisimple quotients, as columns."""
-    free = dsrc.radical_space.free
-    cols = {c: nonzero_pairs([row[c] for row in f.matrix]) for c in free}
-    return transport_matrix(cols, [{c: 1} for c in free], ddst.radical_space,
+    return transport_matrix(f.cols, [{c: 1} for c in dsrc.radical_space.free], ddst.radical_space,
                             BrokenInvariant("a quotient vector has no class"))
 
 
@@ -141,10 +139,9 @@ def verify_green_julg_diagram(s: FiniteInvSgp, hprime: int, parts, instance="") 
     cx = c0_units(h)  # functions on the unit space = characters of E(H')
     line = trivial_line(h, upos)
     n = len(h.units)
-    f_mat = [[1] if i == upos else [0] for i in range(n)]
-    p_mat = [[1 if j == upos else 0 for j in range(n)]]
-    f_hom = StarHomomorphism(line, cx, f_mat, label="unit-atom inclusion")
-    p_hom = StarHomomorphism(cx, line, p_mat, label="unit-atom evaluation")
+    f_hom = StarHomomorphism(line, cx, [[(upos, 1)]], label="unit-atom inclusion")
+    p_hom = StarHomomorphism(cx, line, [[(0, 1)] if j == upos else [] for j in range(n)],
+                             label="unit-atom evaluation")
     rep_f = verify_star_hom(f_hom, equivariant_keys=list(h.elements))
     rep_p = verify_star_hom(p_hom, equivariant_keys=list(h.elements))
     checks.append(check("inclusion_hom", None if rep_f["pass"] else rep_f))

@@ -21,8 +21,11 @@ fixed prime ``PRIME`` have full column rank over Q, so their form is the
 identity. A lower rank modulo ``PRIME`` proves nothing, and those rows go to
 ``_irref`` as they are. ``Span`` is the one
 incremental engine; it keeps its reduced rows as sparse ``{col: value}``
-dicts of canonical values and touches only nonzeros. ``Basis`` is a
-``Span`` plus one ``mat_inv``.
+dicts of canonical values and touches only nonzeros. ``Basis`` is sparse
+vectors plus one ``mat_inv``: it keeps its vectors as ``{col: value}``
+dicts, reduces them in a ``Span`` and inverts the small matrix of their
+entries at the span's pivots, which turns coordinates over the reduced rows
+into coordinates over the vectors.
 
 The three coordinate spaces share one interface: ``sparse_coords`` maps a
 ``{col: value}`` vector to its coordinates as a ``{position: value}`` dict
@@ -31,8 +34,8 @@ a ``QuotientSpace``'s free columns; the first two return None for a vector
 outside them. ``galgebra.transport`` reads every change of basis through it.
 
 ``psd_certificate`` is a pivoted LDL^T check that updates only the nonzero
-columns of each pivot row. ``mat_mul`` keeps the dense
-interface of lists of rows but multiplies only nonzero entries.
+columns of each pivot row. ``mat_mul`` multiplies the small dense int
+matrices of K0 maps, touching only nonzero entries.
 """
 
 import bisect
@@ -74,11 +77,6 @@ def identity(n: int) -> list:
 def nonzero_pairs(v) -> list:
     """The (index, value) pairs of v with value != 0, in index order."""
     return [(j, x) for j, x in enumerate(v) if x]
-
-
-def nonzero_columns(m, ncols) -> list:
-    """The first ncols columns of m, each as its ``nonzero_pairs``."""
-    return [nonzero_pairs([row[j] for row in m]) for j in range(ncols)]
 
 
 def mat_mul(a, b) -> list:
@@ -269,23 +267,18 @@ class Span:
     pivot. So a vector of the span is the combination of the rows with its
     own entries at the pivots as coefficients, and every method touches only
     nonzeros. ``add``, ``contains`` and ``sparse_coords`` take dense vectors
-    or ``{col: value}`` dicts. ``rows`` is the dense view of the reduced
-    rows, as long as the dense vectors added, or ``width`` long for a span
-    fed dicts.
+    or ``{col: value}`` dicts.
     """
 
-    def __init__(self, vectors=(), width=0):
+    def __init__(self, vectors=()):
         self.sparse_rows = []
         self.pivots = []
         self._row_at = {}  # pivot -> its reduced row
-        self._ncols = width
         for v in vectors:
             self.add(v)
 
     def add(self, v) -> bool:
         """Reduce v against the span; add if independent. Returns True if added."""
-        if not isinstance(v, dict):
-            self._ncols = len(v)
         v = self._reduce(_sparse(v))
         if not v:
             return False
@@ -327,10 +320,6 @@ class Span:
         return not self._reduce(_sparse(v))
 
     @property
-    def rows(self) -> list:
-        return [[row.get(c, 0) for c in range(self._ncols)] for row in self.sparse_rows]
-
-    @property
     def dim(self) -> int:
         return len(self.sparse_rows)
 
@@ -356,19 +345,20 @@ def _subtract(out: dict, f, row: dict):
 
 
 class Basis:
-    """Independent vectors B_i, with coordinates over them in the given order.
-    With R_j, p_j the span's reduced rows and pivots, B_i = sum_j C[i][j] R_j for
+    """Independent vectors B_i, dense or ``{col: value}`` dicts and kept as
+    such dicts, with coordinates over them in the given order. With R_j, p_j
+    the span's reduced rows and pivots, B_i = sum_j C[i][j] R_j for
     C[i][j] = B_i[p_j], so coordinates over B are (coordinates over R) inv(C)."""
 
     def __init__(self, vectors):
-        self.vectors = [list(map(frac, v)) for v in vectors]
+        self.vectors = [_sparse(v) for v in vectors]
         self._span = Span()
         for idx, v in enumerate(self.vectors):
             if not self._span.add(v):
                 raise DependentVector(f"vector {idx} is dependent on its predecessors",
                                       witness={"index": idx})
         self._inv_rows = [nonzero_pairs(row) for row in
-                          mat_inv([[v[p] for p in self._span.pivots] for v in self.vectors])]
+                          mat_inv([[v.get(p, 0) for p in self._span.pivots] for v in self.vectors])]
 
     @property
     def dim(self):

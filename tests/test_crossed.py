@@ -11,8 +11,9 @@ from iskk import ktheory as kt
 from iskk import semigroup as sg
 from iskk import spectrum as spc
 from iskk.errors import BrokenInvariant, InvalidAction, NotIdempotent
-from iskk.linalg import Span, frac, identity, nonzero_columns, nonzero_pairs
-from test_kernels import dense_action, dense_mat_vec, dense_nullspace, dense_star, dense_transport
+from iskk.linalg import Span, frac, identity, nonzero_pairs
+from test_kernels import (dense_action, dense_columns, dense_mat_vec, dense_nullspace, dense_star,
+                          dense_transport)
 
 
 def test_group_algebra_z2():
@@ -136,7 +137,7 @@ def test_radical_of_triangular_algebra():
         (0, 0): {0: 1}, (1, 1): {1: 1},
         (0, 2): {2: 1}, (2, 1): {2: 1},
     }
-    alg = ga.StarAlgebra(3, mul, nonzero_columns(identity(3), 3), "upper")
+    alg = ga.StarAlgebra(3, mul, dense_columns(identity(3), 3), "upper")
     d = cr.semisimple_quotient(alg)
     assert d.radical_dim == 1
     assert d.quotient_dim == 2 and d.blocks == 2
@@ -352,7 +353,7 @@ def test_unit_vector_of_matrix_algebra_is_identity():
 def test_unit_vector_none_without_two_sided_unit():
     # span{e11, e12} in M2: e11 is a left unit, but e12 x = 0 for every x
     mul = {(0, 0): {0: 1}, (0, 1): {1: 1}}
-    alg = ga.StarAlgebra(2, mul, nonzero_columns(identity(2), 2), "row")
+    alg = ga.StarAlgebra(2, mul, dense_columns(identity(2), 2), "row")
     assert alg.unit_vector() is None
     # nilpotent: no unit at all
     assert ga.StarAlgebra(1, {}, [[(0, 1)]], "nil").unit_vector() is None
@@ -488,7 +489,7 @@ def _number_field_algebra(squares):
                 if i & j & (1 << k):
                     c *= a
             mul[(i, j)] = {i ^ j: Fraction(c)}
-    return ga.StarAlgebra(n, mul, nonzero_columns(identity(n), n), "field")
+    return ga.StarAlgebra(n, mul, dense_columns(identity(n), n), "field")
 
 
 def test_biquadratic_field_is_one_piece_of_four_blocks():
@@ -514,7 +515,7 @@ def _tensor(a, b):
     mul = {(i * n + k, j * n + m): {p * n + q: u * v for p, u in ca.items() for q, v in cb.items()}
            for (i, j), ca in a.mul.items() for (k, m), cb in b.mul.items()}
     star = [[x * y for x in ra for y in rb] for ra in dense_star(a) for rb in dense_star(b)]  # Kronecker
-    return ga.StarAlgebra(a.dim * n, mul, nonzero_columns(star, a.dim * n), f"{a.label}x{b.label}")
+    return ga.StarAlgebra(a.dim * n, mul, dense_columns(star, a.dim * n), f"{a.label}x{b.label}")
 
 
 def test_split_witness_tries_the_own_central_basis_vectors_first():
@@ -537,7 +538,7 @@ def _permuted(alg, perm):
     for i, row in enumerate(dense_star(alg)):
         for j, v in enumerate(row):
             star[perm[i]][perm[j]] = v
-    return ga.StarAlgebra(alg.dim, mul, nonzero_columns(star, alg.dim), alg.label)
+    return ga.StarAlgebra(alg.dim, mul, dense_columns(star, alg.dim), alg.label)
 
 
 @pytest.mark.parametrize("spec, coeff, kind", SMALL_ALGEBRAS)
@@ -775,7 +776,7 @@ def _closure_sieben(a):
                 if any(ex):
                     for j in range(a.dim):
                         corner.add(a.alg.mul_vec(ex, a.alg.basis_vec(j)))
-            for row in corner.rows:
+            for row in corner.sparse_rows:
                 v = [0] * uni.dim
                 for k, c in spans[s.range_of(e)].sparse_coords(row).items():
                     v[offs[e] + k] += c
@@ -795,7 +796,7 @@ def _closure_sieben(a):
                 candidates += [uni.alg.mul_vec(b, v), uni.alg.mul_vec(v, b)]
             nxt += [c for c in candidates if any(c) and ideal.add(c)]
         frontier = nxt
-    return _dense_quotient(uni.alg, ideal.rows)
+    return _dense_quotient(uni.alg, ideal.sparse_rows)
 
 
 @pytest.mark.parametrize("spec, coeff", TIGHT_CORPUS)
@@ -812,7 +813,7 @@ def test_two_term_relations_span_a_star_ideal(spec, coeff):
     alg = uni.alg
     relations = [[r.get(c, 0) for c in range(alg.dim)] for r in cr._tight_relations(uni)]
     span, star = Span(relations), dense_star(alg)
-    for v in span.rows:
+    for v in ([row.get(c, 0) for c in range(alg.dim)] for row in span.sparse_rows):
         assert span.contains(dense_mat_vec(star, v))
         for i in range(alg.dim):
             b = alg.basis_vec(i)

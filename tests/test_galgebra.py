@@ -6,7 +6,8 @@ from iskk import galgebra as ga
 from iskk import semigroup as sg
 from iskk import spectrum as sp
 from iskk.errors import InvalidAction, NotCentral
-from iskk.linalg import identity, nonzero_columns
+from iskk.linalg import identity
+from test_kernels import dense_columns, dense_vectors
 
 
 def test_trivial_algebra_valid_on_chain_and_groups():
@@ -42,7 +43,7 @@ def test_noncentral_range_projection_detected():
            [0, 1, 0, 0],
            [0, 0, 0, 0],
            [0, 0, 0, 0]]  # cut to upper row-block: not central
-    a = ga.GAlgebra(s, alg, {0: nonzero_columns(identity(4), 4), e: nonzero_columns(bad, 4)}, "bad")
+    a = ga.GAlgebra(s, alg, {0: ga._identity(4), e: dense_columns(bad, 4)}, "bad")
     rep = ga.validate_g_algebra(a)
     assert not rep["pass"]
     failing = {c["name"] for c in rep["checks"] if not c["pass"]}
@@ -277,11 +278,34 @@ def test_restrict_with_overlapping_fibers_raises_invalid_action():
 def test_star_hom_verification():
     s = sg.parse_builder("chain:2")
     c = ga.c0x_algebra(s)
-    f = ga.StarHomomorphism(c, c, identity(c.dim), "id")
+    f = ga.StarHomomorphism(c, c, ga._identity(c.dim), "id")
     rep = ga.verify_star_hom(f, equivariant_keys=list(s.elements()))
     assert rep["pass"]
-    bad = ga.StarHomomorphism(c, c, [[1, 1], [0, 1]], "bad")
+    bad = ga.StarHomomorphism(c, c, dense_columns([[1, 1], [0, 1]], 2), "bad")
     assert not ga.verify_star_hom(bad)["pass"]
+
+
+@pytest.mark.parametrize("cols, witness", [
+    (identity(2), {"element": "f", "column": 0, "entry": 0}),          # an old dense matrix
+    ([[(0, 1)]], {"element": "f", "columns": 1}),                      # one column for dim 2
+    ([[(0, 1)], [(2, 1)]], {"element": "f", "column": 1, "row": 2}),   # row outside range(2)
+    ([[(1, 1), (0, 1)], []], {"element": "f", "column": 0, "row": 0}),  # rows out of order
+    ([[(0, 0)], []], {"element": "f", "column": 0, "row": 0}),          # a zero value
+])
+def test_star_hom_columns_are_checked_before_the_axioms(cols, witness):
+    c = ga.c0x_algebra(sg.parse_builder("chain:2"))
+    with pytest.raises(InvalidAction) as err:
+        ga.verify_star_hom(ga.StarHomomorphism(c, c, cols, "f"))
+    assert err.value.witness == witness
+
+
+def test_star_hom_columns_range_over_the_target():
+    # a map into a larger algebra has source.dim columns over range(target.dim)
+    s = sg.parse_builder("chain:2")
+    c, line = ga.c0x_algebra(s), ga.trivial_algebra(s)
+    assert ga.verify_star_hom(ga.StarHomomorphism(line, c, [[(1, 1)]], "f"))["pass"]
+    with pytest.raises(InvalidAction, match=r"^homomorphism 'f' column 0 has row 1, outside range\(1\)$"):
+        ga.verify_star_hom(ga.StarHomomorphism(c, line, [[(1, 1)], []], "f"))
 
 
 def test_h_algebra_constructors():
@@ -361,7 +385,7 @@ def test_corner_of_a_sum_is_the_summand():
         p = [[(i, 1)] if i in kept else [] for i in range(total.dim)]
         sub, basis = ga.subalgebra_on_projection(total, p)
         assert (sub.alg.mul, sub.alg.star, sub.action) == (part.alg.mul, part.alg.star, part.action)
-        assert basis == [total.alg.basis_vec(i) for i in kept]
+        assert basis == dense_vectors(total.alg.basis_vec(i) for i in kept)
 
 
 def test_empty_direct_sum_is_zero():

@@ -19,7 +19,12 @@
   - the change of basis ``galgebra.transport``, ``transport_matrix``,
     ``corner`` and ``_fiber_rebase``;
   - the induction module's corners and coordinate reads,
-    ``c0_orbits_algebra``, ``theta_res_ind`` and ``_rebase_hom``.
+    ``c0_orbits_algebra``, ``theta_res_ind`` and ``_rebase_hom``;
+  - the maps between algebras and the embeddings, which are kept as sparse
+    columns and ``{col: value}`` dicts: ``galgebra.verify_star_hom``,
+    ``_bijective`` and ``subalgebra_on_projection``, the induction module's
+    ``induce_hom``, ``_verify_iso``, ``theta_res_ind_tensor``,
+    ``_split_class`` and ``res_ind_split``, and ``ktheory._quotient_map``.
 - Every star is kept as its sparse columns: no module indexes a star as a
   dense matrix, ``star[r][c]``, or assigns a ``zero_matrix`` to a name
   ``star`` or ``adjoint``.
@@ -29,6 +34,9 @@
   ``char_matrices`` result to a dense reader (``nonzero_rows``,
   ``nonzero_columns``, ``mat_mul``, ``mat_vec``); and the dense-action
   cache ``_SplitActions``/``action_rows`` is gone.
+- Every *-homomorphism is kept as its sparse columns: ``StarHomomorphism``
+  has a ``cols`` field and no dense ``matrix``, and the dense map helpers
+  ``zero_matrix`` and ``nonzero_columns`` are gone.
 - No cache outlives the object it belongs to: no module uses
   ``functools.cache`` or ``functools.lru_cache``, and no module binds a dict
   or set at module level that is empty or that the module fills. Derived
@@ -122,8 +130,11 @@ def test_sparse_rref_is_called_from_one_function():
 DENSE_HELPERS = {"mat_vec", "mul_vec", "basis_vec"}
 SPARSE_PATHS = {
     "crossed.py": {"_universal", "_groupoid", "_convolution"},
-    "galgebra.py": {"transport", "transport_matrix", "corner", "_fiber_rebase"},
-    "induction.py": {"c0_orbits_algebra", "theta_res_ind", "_rebase_hom"},
+    "galgebra.py": {"transport", "transport_matrix", "corner", "_fiber_rebase", "verify_star_hom",
+                    "_bijective", "subalgebra_on_projection"},
+    "induction.py": {"c0_orbits_algebra", "theta_res_ind", "_rebase_hom", "induce_hom", "_verify_iso",
+                     "theta_res_ind_tensor", "_split_class", "res_ind_split"},
+    "ktheory.py": {"_quotient_map"},
 }
 
 
@@ -194,7 +205,7 @@ def test_stars_are_kept_as_sparse_columns(path):
 
 DENSE_READERS = {"nonzero_rows", "nonzero_columns", "mat_mul", "mat_vec"}
 DERIVED_MAPS = {"mask_matrix", "germ_matrix", "char_matrices"}
-DROPPED = {"_SplitActions", "action_rows"}
+DROPPED = {"_SplitActions", "action_rows", "zero_matrix", "nonzero_columns"}
 
 
 def _name(node):
@@ -234,13 +245,32 @@ def test_scan_finds_dense_actions():
            "    return a.action[e][q], mat_mul(m, m), _apply(a.action[e], {}), nonzero_pairs(a.action[e][0])\n")
     assert dense_action_sites(src) == [
         (1, "_SplitActions"), (2, "action_rows"), (5, "a.action[e][q][q]"), (5, "action[e][0][1]"),
-        (6, "linalg.mat_mul(m, a.germ_matrix(q))"), (6, "nonzero_columns(a.action[e], 2)"),
+        (6, "linalg.mat_mul(m, a.germ_matrix(q))"), (6, "nonzero_columns"),
+        (6, "nonzero_columns(a.action[e], 2)"),
         (7, "action_rows"), (7, "mat_vec(a.mask_matrix(q), m)"), (7, "nonzero_rows(a.char_matrices())")]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_actions_are_kept_as_sparse_columns(path):
     assert dense_action_sites(path.read_text()) == []
+
+
+def class_fields(source: str, name: str) -> list:
+    """The annotated fields of the top-level class ``name``, in order."""
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.ClassDef) and top.name == name:
+            return [node.target.id for node in top.body if isinstance(node, ast.AnnAssign)]
+    raise LookupError(name)
+
+
+def test_scan_finds_class_fields():
+    src = "@dataclass\nclass Hom:\n    source: object\n    matrix: list  # dense\n    label = ''\n"
+    assert class_fields(src, "Hom") == ["source", "matrix"]
+
+
+def test_homomorphisms_are_kept_as_sparse_columns():
+    fields = class_fields((SRC / "galgebra.py").read_text(), "StarHomomorphism")
+    assert "cols" in fields and "matrix" not in fields
 
 
 CACHE_DECORATORS = {"cache", "lru_cache"}

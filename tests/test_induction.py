@@ -6,7 +6,7 @@ from iskk import semigroup as sg
 from iskk import spectrum as sp
 from iskk.errors import ChainTooLong, NotEUnitary, NotSubsemigroup
 from iskk.linalg import identity, mat_inv
-from test_kernels import dense_action
+from test_kernels import dense_action, dense_columns
 
 
 def two_chain():
@@ -125,16 +125,15 @@ def test_induced_direct_sum_intertwines():
     ind_cx = ind.build_induced(s, h, cx)
     ind_line = ind.build_induced(s, h, line)
     assert ind_both.dim == ind_cx.dim + ind_line.dim
-    # identify blockwise: an explicit permutation matrix is an equivariant iso
-    perm = ind.zero_matrix(ind_both.dim, ind_both.dim)
-    col = 0
+    # identify blockwise: an explicit permutation, one unit column per basis
+    # vector of the sum, is an equivariant iso
+    perm = []
     for part, offset in ((ind_cx, 0), (ind_line, cx.dim)):
         for (r, upos, fib, off) in part.blocks:
             both_block = next(b for b in ind_both.blocks if b[0] == r)
             for slot, didx in enumerate(fib):
-                row = both_block[3] + both_block[2].index(didx + offset)
-                perm[row][col] = 1
-                col += 1
+                perm.append([(both_block[3] + both_block[2].index(didx + offset), 1)])
+    assert sorted(perm) == ga._identity(ind_both.dim)
     hom = ga.StarHomomorphism(
         ga.direct_sum(s, [ind_cx.galg, ind_line.galg]),
         ind_both.galg, perm)
@@ -149,20 +148,19 @@ def test_induced_split_exactness():
     a = ga.trivial_line(h, 0)
     b = ga.trivial_line(h, 1)
     d = ga.direct_sum(h, [a, b])
-    inc = ga.StarHomomorphism(a, d, [[1], [0]])
-    quo = ga.StarHomomorphism(d, b, [[0, 1]])
-    sec = ga.StarHomomorphism(b, d, [[0], [1]])
+    inc = ga.StarHomomorphism(a, d, dense_columns([[1], [0]], 1))
+    quo = ga.StarHomomorphism(d, b, dense_columns([[0, 1]], 2))
+    sec = ga.StarHomomorphism(b, d, dense_columns([[0], [1]], 1))
     ia, idd, ib = (ind.build_induced(s, h, x) for x in (a, d, b))
     inc_i = ind.induce_hom(inc, ia, idd)
     quo_i = ind.induce_hom(quo, idd, ib)
     sec_i = ind.induce_hom(sec, ib, idd)
     assert ia.dim + ib.dim == idd.dim
-    comp = ind.mat_mul(quo_i.matrix, inc_i.matrix)
-    assert all(v == 0 for row in comp for v in row)
-    assert ind.mat_mul(quo_i.matrix, sec_i.matrix) == identity(ib.dim)
+    assert ga._compose(quo_i.cols, inc_i.cols) == [[]] * ia.dim
+    assert ga._compose(quo_i.cols, sec_i.cols) == ga._identity(ib.dim)
     from iskk.linalg import rank
 
-    assert rank([list(col) for col in zip(*inc_i.matrix)]) == ia.dim
+    assert rank([dict(col) for col in inc_i.cols], idd.dim) == ia.dim
 
 
 def test_induce_hom_functorial():
@@ -174,19 +172,19 @@ def test_induce_hom_functorial():
     ind2 = ind.build_induced(s, h, two)
     n = len(h.units)
     # fold: (x, y) -> x + y, and the first inclusion
-    fold = ga.StarHomomorphism(two, cx, [[1 if j % n == i else 0 for j in range(2 * n)]
-                                         for i in range(n)])
-    inc = ga.StarHomomorphism(cx, two, [[1 if i == j else 0 for j in range(n)]
-                                        for i in range(2 * n)])
+    fold = ga.StarHomomorphism(two, cx, dense_columns([[1 if j % n == i else 0 for j in range(2 * n)]
+                                                       for i in range(n)], 2 * n))
+    inc = ga.StarHomomorphism(cx, two, dense_columns([[1 if i == j else 0 for j in range(n)]
+                                                      for i in range(2 * n)], n))
     f1 = ind.induce_hom(inc, indc, ind2)
     f2 = ind.induce_hom(fold, ind2, indc)
-    composed = ind.mat_mul(f2.matrix, f1.matrix)
+    composed = ga._compose(f2.cols, f1.cols)
     direct = ind.induce_hom(
-        ga.StarHomomorphism(cx, cx, ind.mat_mul(fold.matrix, inc.matrix)), indc, indc
+        ga.StarHomomorphism(cx, cx, ga._compose(fold.cols, inc.cols)), indc, indc
     )
-    assert composed == direct.matrix
-    ident = ind.induce_hom(ga.StarHomomorphism(cx, cx, identity(n)), indc, indc)
-    assert ident.matrix == identity(indc.dim)
+    assert composed == direct.cols
+    ident = ind.induce_hom(ga.StarHomomorphism(cx, cx, ga._identity(n)), indc, indc)
+    assert ident.cols == ga._identity(indc.dim)
 
 
 # -- the worked isomorphism suites -------------------------------------------
@@ -404,7 +402,7 @@ def test_res_ind_split_classes_match_standalone_technical_split(spec, lset, monk
     for g_ext, instance, (m, lprime, theta, class_rep) in calls["split"]:
         m2, lprime2, theta2, rep2 = ind.technical_split(s, hprime, l, g_ext, d, instance)
         assert (m, lprime, class_rep) == (m2, lprime2, rep2)
-        assert theta.matrix == theta2.matrix
+        assert theta.cols == theta2.cols
         assert theta.source.alg.mul == theta2.source.alg.mul
         assert theta.source.action == theta2.source.action
 

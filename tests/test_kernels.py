@@ -12,7 +12,10 @@ canonicalize only through ``frac``, so ``int / int`` never makes a float. ``dens
 restrictions, rebasings and balanced tensors rebuilt on them must equal the
 sparse ``galgebra.transport`` path's. The references keep their stars and
 action maps as dense matrices; ``dense_action`` reads a map's columns as
-one, to compare them, and ``dense_star`` an algebra's star.
+one, to compare them, and ``dense_star`` an algebra's star. The other way
+round, ``dense_columns`` turns a dense matrix into the columns every map is
+kept as, and ``dense_vectors`` dense vectors into the ``{col: value}`` dicts
+every embedding vector is kept as.
 """
 
 from fractions import Fraction
@@ -38,7 +41,6 @@ from iskk.linalg import (
     identity,
     mat_inv,
     mat_mul,
-    nonzero_columns,
     nonzero_pairs,
     nullspace,
     rank,
@@ -58,6 +60,19 @@ def dense_action(cols):
         for r, x in col:
             out[r][j] = x
     return out
+
+
+def dense_columns(m, ncols):
+    """The first ncols columns of the dense matrix m, each as the nonzero
+    (row, value) pairs in row order: a map in the column format that
+    ``StarHomomorphism.cols``, the stars and the actions are kept in."""
+    return [nonzero_pairs([row[j] for row in m]) for j in range(ncols)]
+
+
+def dense_vectors(vectors):
+    """Dense vectors as ``{col: value}`` dicts without zeros, the format of
+    embedding vectors and of ``Basis.vectors``."""
+    return [{c: x for c, x in enumerate(v) if x} for v in vectors]
 
 
 def dense_star(alg):
@@ -411,8 +426,8 @@ def basis_outcome(vectors, probes):
     except ValueError as e:
         return str(e)
     coords = [b.sparse_coords({c: x for c, x in enumerate(probe) if x}) for probe in probes]
-    return b.dim, typed(b.vectors), [None if c is None else [(k, typed(x)) for k, x in c.items()]
-                                     for c in coords]
+    return b.dim, [[(c, typed(x)) for c, x in v.items()] for v in b.vectors], \
+        [None if c is None else [(k, typed(x)) for k, x in c.items()] for c in coords]
 
 
 def dense_basis_outcome(vectors, probes):
@@ -420,7 +435,7 @@ def dense_basis_outcome(vectors, probes):
         b = DenseBasis(vectors)
     except ValueError as e:
         return str(e)
-    return b.dim, typed(b.vectors), [sparse_typed(b.coords(probe)) for probe in probes]
+    return b.dim, [sparse_typed(v) for v in b.vectors], [sparse_typed(b.coords(probe)) for probe in probes]
 
 
 @st.composite
@@ -440,7 +455,7 @@ def star_algebras(draw):
                                  max_size=d * d))
     mul = cells if d else {}
     star = identity(d) if draw(st.booleans()) else draw(matrices(d, d))
-    alg = ga.StarAlgebra(d, mul, nonzero_columns(star, d))
+    alg = ga.StarAlgebra(d, mul, dense_columns(star, d))
     u = draw(st.lists(entries, min_size=d, max_size=d))
     v = draw(st.lists(entries, min_size=d, max_size=d))
     return alg, as_tuples([u], draw(st.booleans()))[0], as_tuples([v], draw(st.booleans()))[0]
@@ -484,19 +499,19 @@ def square_pairs(draw):
 @given(square_pairs())
 def test_compose_matches_the_dense_product(ab):
     a, b = ab
-    ca, cb = nonzero_columns(a, len(a)), nonzero_columns(b, len(b))
+    ca, cb = dense_columns(a, len(a)), dense_columns(b, len(b))
     got = ga._compose(ca, cb)
     ref = dense_mat_mul(a, b)
     assert dense_action(got) == ref and types(dense_action(got)) == types(ref)
-    assert got == nonzero_columns(ref, len(ref))  # columns in row order, without zeros
+    assert got == dense_columns(ref, len(ref))  # columns in row order, without zeros
 
 
 @settings(max_examples=300, deadline=None)
 @given(square_pairs())
 def test_column_equality_matches_dense_equality(ab):
     a, b = ab
-    assert (nonzero_columns(a, len(a)) == nonzero_columns(b, len(b))) == dense_mat_eq(a, b)
-    ca, cb = nonzero_columns(a, len(a)), nonzero_columns(b, len(b))
+    assert (dense_columns(a, len(a)) == dense_columns(b, len(b))) == dense_mat_eq(a, b)
+    ca, cb = dense_columns(a, len(a)), dense_columns(b, len(b))
     assert (ga._compose(ca, cb) == ga._compose(cb, ca)) == dense_mat_eq(dense_mat_mul(a, b),
                                                                            dense_mat_mul(b, a))
 
@@ -530,7 +545,7 @@ def test_algebra_checks_match_the_dense_loops(problem, data):
     # witness lists are long and their order is compared too
     alg = problem[0]
     m = data.draw(matrices(alg.dim, alg.dim))
-    cols = nonzero_columns(m, alg.dim)
+    cols = dense_columns(m, alg.dim)
     assert list(ga.associativity_failures(alg)) == list(dense_associativity_failures(alg))
     assert list(ga.star_failures(alg)) == list(dense_star_failures(alg))
     assert list(ga.central_multiplier_failures(alg, cols)) == list(dense_central_multiplier_failures(alg, m))
@@ -569,15 +584,15 @@ def test_multiplicative_and_equivariance_failures_match_the_dense_loops(spec):
     broken = [list(row) for row in actions[s.unit]]
     broken[0][0] = Fraction(2)  # 2 b_0 is not idempotent, so b_0 b_0 fails
     for m in [actions[g] for g in s.elements()] + [broken]:
-        got = list(ga.multiplicative_failures(nonzero_columns(m, a.dim), a.alg, a.alg))
+        got = list(ga.multiplicative_failures(dense_columns(m, a.dim), a.alg, a.alg))
         assert got == list(dense_multiplicative_failures(m, a.alg, a.alg))
-    ident = ga.StarHomomorphism(a, a, identity(a.dim))
-    assert list(ga._equivariance_failures(ident, ga._identity(a.dim), s.elements())) == []
+    ident = ga.StarHomomorphism(a, a, ga._identity(a.dim))
+    assert list(ga._equivariance_failures(ident, s.elements())) == []
     for g in s.elements():
-        f = ga.StarHomomorphism(a, a, actions[g])
-        ref = [h for h in s.elements() if not dense_mat_eq(dense_mat_mul(f.matrix, actions[h]),
-                                                           dense_mat_mul(actions[h], f.matrix))]
-        assert list(ga._equivariance_failures(f, nonzero_columns(f.matrix, a.dim), s.elements())) == ref
+        f = ga.StarHomomorphism(a, a, dense_columns(actions[g], a.dim))
+        ref = [h for h in s.elements() if not dense_mat_eq(dense_mat_mul(actions[g], actions[h]),
+                                                           dense_mat_mul(actions[h], actions[g]))]
+        assert list(ga._equivariance_failures(f, s.elements())) == ref
 
 
 @pytest.mark.parametrize("spec", ["symmetric_inverse:2", "brandt_unital:2"])
@@ -613,7 +628,9 @@ def test_eliminations_match_the_dense_loops(problem):
     # the incremental Span reaches the same reduced rows, and its coordinates
     # over them are the dense reference basis's, from dense or sparse probes
     span, ref_basis = Span(rows), DenseBasis(ref_red)
-    assert typed(span.rows) == typed(ref_red) and span.pivots == ref_pivots
+    width = len(probes[-1])  # the rows' width, also when there are no rows
+    dense_rows = [[row.get(c, 0) for c in range(width)] for row in span.sparse_rows]
+    assert typed(dense_rows) == typed(ref_red) and span.pivots == ref_pivots
     for probe in probes:
         ref = sparse_typed(ref_basis.coords(probe))
         assert span.contains(probe) == (ref is not None)
@@ -746,10 +763,71 @@ def test_trace_form_is_certified_without_elimination_only_when_semisimple():
     assert irref.calls == 0
     # span{e11, e22, e12} upper triangular: the radical is spanned by e12
     mul = {(0, 0): {0: 1}, (1, 1): {1: 1}, (0, 2): {2: 1}, (2, 1): {2: 1}}
-    upper = ga.StarAlgebra(3, mul, nonzero_columns(identity(3), 3), "upper")
+    upper = ga.StarAlgebra(3, mul, dense_columns(identity(3), 3), "upper")
     with CountedIrref() as irref:
         assert nullspace(cr._trace_form(upper, upper.left_traces()), 3) == [{2: 1}]
     assert irref.calls == 1
+
+
+# -- maps in the column format -----------------------------------------------
+
+
+@st.composite
+def linear_maps(draw):
+    """A dense target x source matrix and its source dimension: square or
+    not, singular or not (a row made a combination of two others), with int
+    entries or Fractions, and at times one row scaled by ``PRIME``, which
+    keeps its rank over Q but lowers it modulo ``PRIME``."""
+    n = draw(st.integers(0, 5))
+    m = n if draw(st.booleans()) else draw(st.integers(0, 5))
+    rows = draw(matrices(n, m))
+    if n > 2 and draw(st.booleans()):
+        c = draw(entries)
+        rows[-1] = [a + c * b for a, b in zip(rows[0], rows[1])]
+    if n and draw(st.booleans()):
+        rows[0] = [PRIME * x for x in rows[0]]
+    if draw(st.booleans()):
+        rows = [[Fraction(x) for x in row] for row in rows]
+    return rows, m
+
+
+@settings(max_examples=400, deadline=None)
+@given(linear_maps())
+def test_bijective_matches_the_dense_inverse(problem):
+    rows, m = problem
+    ref = len(rows) == m and dense_mat_inv(rows) is not None
+    assert ga._bijective(dense_columns(rows, m), len(rows)) == ref
+
+
+def test_bijective_takes_no_elimination_when_certified():
+    # diag(PRIME, 1) is singular modulo PRIME but not over Q: only it takes
+    # the exact fallback
+    for m, bijective, calls in (([[1, 0], [0, 2]], True, 0), ([[PRIME, 0], [0, 1]], True, 1),
+                                ([[1, 2], [2, 4]], False, 1), ([[1, 0]], False, 0)):
+        with CountedIrref() as irref:
+            assert ga._bijective(dense_columns(m, len(m[0])), len(m)) == bijective
+        assert irref.calls == calls, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(eliminations())
+def test_basis_over_dicts_matches_the_dense_vectors(problem):
+    rows, _, probes = problem
+    assert basis_outcome(dense_vectors(rows), probes) == basis_outcome(rows, probes)
+
+
+def test_verify_iso_rejects_a_singular_map_with_its_dims():
+    s = sg.parse_builder("chain:2")
+    a = ga.c0x_algebra(s)
+    line = ga.trivial_algebra(s)
+    for cols, src, dst, witness in (([[(0, 1)], [(0, 1)]], a, a, "dims 2 -> 2, invertible=False"),
+                                    ([[(0, 1)]], line, a, "dims 1 -> 2, invertible=False")):
+        report = ind._verify_iso(cols, src, dst, list(s.elements()), "lemma", "instance", {})
+        assert report["checks"][0] == {"name": "bijective", "pass": False, "witness": witness}
+        assert not report["pass"]
+    report = ind._verify_iso(ga._identity(a.dim), a, a, list(s.elements()), "lemma", "instance", {})
+    assert report["pass"] and [c["name"] for c in report["checks"]] == [
+        "bijective", "multiplicative", "star_preserving", "equivariant"]
 
 
 # -- the change of basis against the dense rebuild ---------------------------
@@ -789,7 +867,7 @@ def dense_fiber_rebase(a, h, projections, error, label):
         gm = dense_mat_mul(dense_action(a.action[x.g]), projections[h.unit_pos_of_mask(sp.germ_source(x))])
         action[x] = dense_transport_matrix(gm, basis, coords)
     alg = dense_transport(a.alg, basis, coords, label)
-    return list(alg.mul.items()), alg.star, action, unit_of_basis, basis
+    return list(alg.mul.items()), alg.star, action, unit_of_basis, dense_vectors(basis)
 
 
 def dense_signature_matrix(a, idems, chars, spectrum):
@@ -822,7 +900,7 @@ def dense_subalgebra(a, p):
     coords = dense_basis_coords(basis, InvalidAction(f"corner of {a.label!r} is not closed"))
     action = {g: dense_transport_matrix(m, basis, coords) for g, m in dense_actions(a).items()}
     alg = dense_transport(a.alg, basis, coords)
-    return list(alg.mul.items()), alg.star, action, basis
+    return list(alg.mul.items()), alg.star, action, dense_vectors(basis)
 
 
 def dense_balanced_tensor(a, b):
@@ -886,7 +964,7 @@ def test_change_of_basis_matches_the_dense_rebuild(spec, coeff):
         central = [dense_action(a.action[e]) for e in sg.iter_mask(s._idem_mask)
                    if all(s.table[e][g] == s.table[g][e] for g in s.elements())]
         for p in projections + central:
-            assert outcome(lambda: corner_fields(*ga.subalgebra_on_projection(a, nonzero_columns(p, a.dim)))) == \
+            assert outcome(lambda: corner_fields(*ga.subalgebra_on_projection(a, dense_columns(p, a.dim)))) == \
                 outcome(lambda: dense_subalgebra(a, p))
 
 

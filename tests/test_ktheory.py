@@ -9,6 +9,7 @@ from iskk import semigroup as sg
 from iskk import spectrum as sp
 from iskk.errors import HypothesesNotMet, NonIntegralMultiplicity
 from iskk.linalg import identity, mat_mul
+from test_kernels import dense_columns
 
 CORPUS = ["chain:2", "chain:3", "diamond", "cyclic:2", "cyclic:3", "symmetric_inverse:2",
           "brandt_unital:2", "product:symmetric_inverse:2*chain:2"]
@@ -64,11 +65,11 @@ def test_k0_map_unit_atom_retract(spec):
     h = ind.assoc_groupoid(s, sg.idempotents(s))
     cx = ga.c0_units(h)
     n = len(h.units)
-    assert kt.k0_map(ga.StarHomomorphism(cx, cx, identity(n))).matrix == identity(n)
+    assert kt.k0_map(ga.StarHomomorphism(cx, cx, ga._identity(n))).matrix == identity(n)
     for upos in range(n):
         line = ga.trivial_line(h, upos)
-        f = ga.StarHomomorphism(line, cx, [[1] if i == upos else [0] for i in range(n)])
-        p = ga.StarHomomorphism(cx, line, [[1 if j == upos else 0 for j in range(n)]])
+        f = ga.StarHomomorphism(line, cx, dense_columns([[1] if i == upos else [0] for i in range(n)], 1))
+        p = ga.StarHomomorphism(cx, line, dense_columns([[1 if j == upos else 0 for j in range(n)]], n))
         mf, mp = kt.k0_map(f).matrix, kt.k0_map(p).matrix
         assert mat_mul(mp, mf) == [[1]]
         assert sum(map(sum, mf)) == 1 and sum(map(sum, mp)) == 1
@@ -94,10 +95,10 @@ def test_green_julg_decomposes_each_algebra_once(monkeypatch):
 
 def _scaled_line(scale):
     """The map of the scalar line of chain:2 to another copy of it that
-    multiplies by ``scale``; k0_map reads its matrix without checking that
+    multiplies by ``scale``; k0_map reads its columns without checking that
     it is a *-homomorphism."""
     s = sg.parse_builder("chain:2")
-    return ga.StarHomomorphism(ga.trivial_algebra(s), ga.trivial_algebra(s), [[scale]], "scaled")
+    return ga.StarHomomorphism(ga.trivial_algebra(s), ga.trivial_algebra(s), [[(0, scale)]], "scaled")
 
 
 @pytest.mark.parametrize("scale, message", [
