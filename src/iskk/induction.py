@@ -105,7 +105,8 @@ class FiniteGroupoid:
         for i, u in enumerate(self.units):
             if u.chars == mask:
                 return i
-        raise KeyError(f"no groupoid unit with character mask {mask:#x}")
+        raise BrokenInvariant(f"no groupoid unit with character mask {mask:#x}",
+                              witness={"mask": mask})
 
 
 def groupoid_from_elements(s: FiniteInvSgp, elems, from_subset=None) -> FiniteGroupoid:
@@ -189,6 +190,9 @@ def compute_GH(s: FiniteInvSgp, h: FiniteGroupoid, within: int | None = None) ->
     points = sorted(points, key=germ_key)
     pset = set(points)
     parent = {x: x for x in points}
+    by_range = {}
+    for t in h.elements:
+        by_range.setdefault(germ_range(s, t), []).append(t)
 
     def find(x):
         while parent[x] != x:
@@ -197,7 +201,8 @@ def compute_GH(s: FiniteInvSgp, h: FiniteGroupoid, within: int | None = None) ->
         return x
 
     for x in points:
-        for t in h.elements:
+        # units are disjoint, so x.t != 0 only when t ranges onto x's unit
+        for t in by_range.get(x.chars, ()):
             y = tilde_mul(s, x, t)
             if not y.is_zero() and y in pset:
                 rx, ry = find(x), find(y)
@@ -508,13 +513,21 @@ def technical_split(s: FiniteInvSgp, uprime: int, lset: int, g_ext: ExtendedElem
     report). theta maps the small induced algebra onto the carrier block.
     """
     u = assoc_groupoid(s, uprime)
-    return _split_class(s, lset, g_ext, d, build_induced(s, u, restrict(d, u)), instance)
+    return _split_class(s, lset, g_ext, d, build_induced(s, u, restrict(d, u)), {}, instance)
 
 
 def _split_class(s: FiniteInvSgp, lset: int, g_ext: ExtendedElement, d: GAlgebra,
-                 ind_u: InducedAlgebra, instance="") -> tuple:
+                 ind_u: InducedAlgebra, shapes: dict, instance="") -> tuple:
     """technical_split with the induced restriction Ind(Res_U(d)) over the
-    associated groupoid U already built, so one induction serves every class."""
+    associated groupoid U already built, so one induction serves every class.
+
+    shapes holds what classes of one shape share, filled on first use: L' by
+    its generator mask, and (Res_M(d), Ind_M, the basis of Res_M(d)'s
+    embedding) by (M's elements, L'). Given d, groupoid_from_elements,
+    restrict, build_induced and Basis read nothing but M's elements and L', so
+    a shared entry is exactly what the class would build. What depends on g
+    (the conjugate mask, M itself, the carrier and theta) is built per class.
+    """
     u, resu = ind_u.gh.gpd, ind_u.coeff
     uprime = u.from_subset
     sp = spectrum(s)
@@ -524,7 +537,10 @@ def _split_class(s: FiniteInvSgp, lset: int, g_ext: ExtendedElement, d: GAlgebra
         for e in iter_mask(uprime)
         if s.is_idempotent(e)
     )
-    lprime = generate(s, lset | conj)
+    gens = lset | conj
+    if gens not in shapes:
+        shapes[gens] = generate(s, gens)
+    lprime = shapes[gens]
     rng = germ_range(s, g_ext)
     u_r = tilde_unit(s, rng)
 
@@ -535,6 +551,9 @@ def _split_class(s: FiniteInvSgp, lset: int, g_ext: ExtendedElement, d: GAlgebra
             lcut.add(x)
     gug = set()
     for w in u.elements:
+        # units are disjoint, so g.w.g* != 0 only for w in the isotropy at g's source
+        if not w.chars == g_ext.chars == germ_range(s, w):
+            continue
         x = tilde_mul(s, tilde_mul(s, g_ext, w), tilde_star(s, g_ext))
         if not x.is_zero():
             gug.add(x)
@@ -568,9 +587,13 @@ def _split_class(s: FiniteInvSgp, lset: int, g_ext: ExtendedElement, d: GAlgebra
         rep["empty"] = True
         return m_elems, lprime, None, rep
 
-    m_gpd = groupoid_from_elements(s, m_elems)
-    res_m = restrict(d, m_gpd)
-    ind_m = build_induced(s, m_gpd, res_m, within=lprime)
+    shape = (tuple(m_elems), lprime)
+    if shape not in shapes:
+        m_gpd = groupoid_from_elements(s, m_elems)
+        res_m = restrict(d, m_gpd)
+        ind_m = build_induced(s, m_gpd, res_m, within=lprime)
+        shapes[shape] = (res_m, ind_m, Basis(res_m.embed))
+    res_m, ind_m, span_m = shapes[shape]
     dims["ind_m"] = ind_m.dim
 
     # theta^{-1}: evaluate a carrier function j at l.g and push through g
@@ -587,7 +610,6 @@ def _split_class(s: FiniteInvSgp, lset: int, g_ext: ExtendedElement, d: GAlgebra
         return m_elems, lprime, None, rep
 
     dg = d.germ_matrix(g_ext)
-    span_m = Basis(res_m.embed)
     embed_cols = [v.items() for v in resu.embed]  # resu's basis in d's coordinates
     theta_inv = [{} for _ in range(pos)]  # column per carrier position, over ind_m's basis
     for (rho, _, _, off_m) in ind_m.blocks:
@@ -648,7 +670,12 @@ def _split_class(s: FiniteInvSgp, lset: int, g_ext: ExtendedElement, d: GAlgebra
 def res_ind_split(s: FiniteInvSgp, hprime: int, lset: int, d: GAlgebra, instance="") -> tuple:
     """Decompose the restriction of an induced restriction along translation
     classes: one technical split per class, assembled into a verified
-    equivariant isomorphism with exact dimension bookkeeping."""
+    equivariant isomorphism with exact dimension bookkeeping.
+
+    Classes of one shape (the same M-groupoid and L') share L', Res_M(d) and
+    Ind_M, built once per call by _split_class, so their summands share one
+    theta.source object. The shared objects depend on nothing but the shape
+    and d, so every summand is exactly what its own build would give."""
     sp = spectrum(s)
     h = assoc_groupoid(s, hprime)
     resd = restrict(d, h)
@@ -681,13 +708,14 @@ def res_ind_split(s: FiniteInvSgp, hprime: int, lset: int, d: GAlgebra, instance
     j_reps = []
     summands = []
     checks = []
+    shapes = {}  # what classes of one shape share; see _split_class
     for root in sorted(classes):
         orbits = classes[root]
         cdim = sum(len(ind.blocks[o][2]) for o in orbits)
         if cdim == 0:
             continue
         g_rep = min((ind.gh.reps[o] for o in orbits), key=germ_key)
-        m_elems, lprime, theta, rep = _split_class(s, lset, g_rep, d, ind,
+        m_elems, lprime, theta, rep = _split_class(s, lset, g_rep, d, ind, shapes,
                                                    instance=f"{instance}/class{len(j_reps)}")
         checks.append(check(f"class_{len(j_reps)}_split", None if rep["pass"] else rep))
         if not rep["pass"]:
@@ -807,8 +835,7 @@ def _ci0_tower(s: FiniteInvSgp, chain: list, instance="") -> tuple:
     if not split_rep["pass"]:
         return [], make_report("ci0", instance, checks, {}), {}
 
-    ind_tower = hom.target  # Res Ind Res(D) as a G-algebra
-    tower2 = build_induced(s, h2, sgp_to_h_algebra(ind_tower, h2))
+    tower2 = build_induced(s, h2, sgp_to_h_algebra(hom.target, h2))  # hom.target: Res Ind Res(D)
     pairs = []
     part_h = []
     for s_ in summands:
@@ -820,8 +847,7 @@ def _ci0_tower(s: FiniteInvSgp, chain: list, instance="") -> tuple:
 
     # transported assembled iso in the rebased coordinates, then induced
     sum_h = direct_sum(h2, part_h)
-    target_h = sgp_to_h_algebra(ind_tower, h2)
-    phi_h = _rebase_hom(hom, sum_h, target_h, part_h)
+    phi_h = _rebase_hom(hom, sum_h, tower2.coeff, part_h)
     ind_sum = build_induced(s, h2, sum_h)
     ind_phi = induce_hom(phi_h, ind_sum, tower2)
     iso_rep = verify_star_hom(ind_phi, equivariant_keys=list(s.elements()))

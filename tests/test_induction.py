@@ -4,7 +4,7 @@ from iskk import galgebra as ga
 from iskk import induction as ind
 from iskk import semigroup as sg
 from iskk import spectrum as sp
-from iskk.errors import ChainTooLong, NotEUnitary, NotSubsemigroup
+from iskk.errors import BrokenInvariant, ChainTooLong, NotEUnitary, NotSubsemigroup
 from iskk.linalg import identity, mat_inv
 from test_kernels import dense_action, dense_columns
 
@@ -76,6 +76,85 @@ def test_compute_gh_brute_force_cross_check():
                     for t in h.elements
                 )
                 assert related == (gh.orbit_of[x] == gh.orbit_of[y]) or not related
+
+
+def test_unit_pos_of_a_non_unit_mask_is_a_typed_error():
+    s = two_chain()
+    h = ind.assoc_groupoid(s, 0b11)
+    full = sp.spectrum(s).full
+    assert full not in {u.chars for u in h.units}
+    with pytest.raises(BrokenInvariant) as err:
+        h.unit_pos_of_mask(full)
+    assert err.value.witness == {"mask": full}
+
+
+def _gh_unfiltered(s, h, within=None):
+    # compute_GH with the union over every germ of the groupoid
+    spc = sp.spectrum(s)
+    pool = sg.iter_mask(within) if within is not None else s.elements()
+    points = sorted({sp.extended(s, g, u.chars) for g in pool for u in h.units
+                     if u.chars & ~spc.proj(s.source(g)) == 0}, key=sp.germ_key)
+    orbit = {x: {x} for x in points}
+    for x in points:
+        for t in h.elements:
+            y = sp.tilde_mul(s, x, t)
+            if not y.is_zero() and y in orbit and orbit[y] is not orbit[x]:
+                merged = orbit[x] | orbit[y]
+                for z in merged:
+                    orbit[z] = merged
+    reps = sorted({min(o, key=sp.germ_key) for o in orbit.values()}, key=sp.germ_key)
+    orbit_of = {x: reps.index(min(orbit[x], key=sp.germ_key)) for x in points}
+    transfer = {x: sp.tilde_mul(s, sp.tilde_star(s, reps[orbit_of[x]]), x) for x in points}
+    return points, orbit_of, reps, transfer
+
+
+def _m_unfiltered(s, lset, g, u):
+    # _split_class's M = lcut & gug, with g.w.g* formed for every germ w of U
+    rng = sp.germ_range(s, g)
+    u_r = sp.tilde_unit(s, rng)
+    lcut = {x for l in sg.iter_mask(lset)
+            for x in [sp.tilde_mul(s, sp.tilde_mul(s, u_r, sp.extended(s, l)), u_r)]
+            if not x.is_zero() and x.chars == rng}
+    gug = {x for w in u.elements
+           for x in [sp.tilde_mul(s, sp.tilde_mul(s, g, w), sp.tilde_star(s, g))]
+           if not x.is_zero()}
+    return sorted(lcut & gug, key=sp.germ_key)
+
+
+def _gh_fields(gh):
+    return gh.points, gh.orbit_of, gh.reps, gh.transfer
+
+
+# the builders of the induction-lemmas benchmark workload, and I2
+@pytest.mark.parametrize("spec", ["symmetric_inverse:2", "brandt_unital:3",
+                                  "product:symmetric_inverse:2*chain:2", "symmetric_inverse:3",
+                                  "product:symmetric_inverse:2*symmetric_inverse:2"])
+def test_germ_loops_skip_only_zero_products(spec, monkeypatch):
+    # compute_GH pairs a point only with the germs ranging onto its unit, and
+    # _split_class conjugates only the isotropy at g's source; every skipped
+    # product is 0, so both agree with the loops over all germs
+    s = sg.parse_builder(spec)
+    for sub in ("idempotents", "all"):
+        h = ind.assoc_groupoid(s, sg.parse_subset(s, sub))
+        assert _gh_fields(ind.compute_GH(s, h)) == _gh_unfiltered(s, h)
+    d = ga.c0x_algebra(s)
+    split_class, seen = ind._split_class, []
+
+    def recording_split(s_, lset_, g_ext, d_, ind_u, shapes, instance=""):
+        out = split_class(s_, lset_, g_ext, d_, ind_u, shapes, instance)
+        seen.append((lset_, g_ext, ind_u, out))
+        return out
+
+    monkeypatch.setattr(ind, "_split_class", recording_split)
+    for lset in ("unit", "all"):
+        rep = ind.res_ind_split(s, sg.idempotents(s), sg.parse_subset(s, lset), d)[3]
+        assert rep["pass"], rep
+    assert seen
+    for lset, g_ext, ind_u, (m, lprime, _, _) in seen:
+        assert m == _m_unfiltered(s, lset, g_ext, ind_u.gh.gpd)
+        assert _gh_fields(ind_u.gh) == _gh_unfiltered(s, ind_u.gh.gpd)
+        m_gpd = ind.groupoid_from_elements(s, m)
+        assert _gh_fields(ind.compute_GH(s, m_gpd, lprime)) == _gh_unfiltered(s, m_gpd, lprime)
 
 
 def test_build_induced_remark_two_chain():
@@ -374,8 +453,9 @@ def test_res_ind_split_full_l():
 @pytest.mark.parametrize("spec", ["symmetric_inverse:2", "symmetric_inverse:3", "brandt_unital:3"])
 @pytest.mark.parametrize("lset", ["unit", "all"])
 def test_res_ind_split_classes_match_standalone_technical_split(spec, lset, monkeypatch):
-    # res_ind_split induces once and hands the induction to every class; each
-    # class must come out exactly as a technical_split call that builds its own
+    # res_ind_split induces once and builds each class shape (M, L') once;
+    # each class must come out exactly as a technical_split call that builds
+    # its own
     s = sg.parse_builder(spec)
     d = ga.c0x_algebra(s)
     hprime, l = sg.idempotents(s), sg.parse_subset(s, lset)
@@ -386,8 +466,8 @@ def test_res_ind_split_classes_match_standalone_technical_split(spec, lset, monk
         calls["build_induced"] += 1
         return build_induced(*args, **kwargs)
 
-    def recording_split(s_, lset_, g_ext, d_, ind_u, instance=""):
-        out = split_class(s_, lset_, g_ext, d_, ind_u, instance)
+    def recording_split(s_, lset_, g_ext, d_, ind_u, shapes, instance=""):
+        out = split_class(s_, lset_, g_ext, d_, ind_u, shapes, instance)
         calls["split"].append((g_ext, instance, out))
         return out
 
@@ -397,8 +477,14 @@ def test_res_ind_split_classes_match_standalone_technical_split(spec, lset, monk
     monkeypatch.undo()
     assert rep["pass"], rep
     assert len(calls["split"]) == len(j) == rep["dims"]["classes"]
-    # one induction of the whole restriction plus one per class
-    assert calls["build_induced"] == 1 + len(j)
+    # one induction of the whole restriction plus one per class shape
+    shapes = {(tuple(m), lprime) for _, _, (m, lprime, _, _) in calls["split"]}
+    assert calls["build_induced"] == 1 + len(shapes)
+    # classes of one shape share one summand algebra, and no other class has it
+    sources = {}
+    for _, _, (m, lprime, theta, _) in calls["split"]:
+        assert sources.setdefault((tuple(m), lprime), theta.source) is theta.source
+    assert len({id(src) for src in sources.values()}) == len(shapes)
     for g_ext, instance, (m, lprime, theta, class_rep) in calls["split"]:
         m2, lprime2, theta2, rep2 = ind.technical_split(s, hprime, l, g_ext, d, instance)
         assert (m, lprime, class_rep) == (m2, lprime2, rep2)
