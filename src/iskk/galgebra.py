@@ -14,11 +14,16 @@ projections and the *-homomorphisms between two algebras included:
 ``StarHomomorphism.cols[j]`` holds the nonzero (row, value) pairs of f(b_j).
 ``_compose`` gives the columns of a composite, two maps in this format are
 equal exactly when their lists of columns are, and ``_bijective`` reads a
-map's bijectivity off its rank. Every embedding vector, such as a basis
-vector of a corner or a fiber in its parent's coordinates, is a ``{col:
-value}`` dict without zeros. Groupoid coefficient algebras (HAlgebra) keep a
-fiber-adapted basis: every basis vector belongs to the fiber of one
+map's bijectivity off its rank. Groupoid coefficient algebras (HAlgebra)
+keep a fiber-adapted basis: every basis vector belongs to the fiber of one
 groupoid unit, so unit actions are coordinate projections.
+
+Every vector is a ``{col: value}`` dict without zeros and with canonical
+values, the embedding vectors and the unit of ``unit_vector`` included, and
+every algebra check reads both sides through ``_product`` and ``_apply``.
+Only the dense c-dim center of ``crossed``'s split and its float oracle use
+``StarAlgebra.mul_vec`` (with ``basis_vec`` and ``left_mult_matrix``) and
+the table ``left_traces``.
 
 Every change of basis goes through one path. ``transport`` expresses an
 algebra on new vectors, given as sparse ``{col: value}`` lifts, and
@@ -65,14 +70,11 @@ class StarAlgebra:
         self.label = label
 
     def mul_vec(self, u, v):
-        return self.mul_pairs(nonzero_pairs(u), nonzero_pairs(v))
-
-    def mul_pairs(self, u, v):
-        """u v as a dense vector, for u and v given by (index, value) pairs
-        that cover their nonzero entries (``nonzero_pairs``, a mul cell's
-        items, or a single basis vector [(i, 1)])."""
+        """u v for dense vectors u and v, as a dense vector (the module
+        docstring says who reads it)."""
         out = zeros(self.dim)
-        for i, x in u:
+        v = nonzero_pairs(v)
+        for i, x in nonzero_pairs(u):
             for j, y in v:
                 cell = self.mul.get((i, j))
                 if cell:
@@ -103,7 +105,8 @@ class StarAlgebra:
 
         Solves x b_j = b_j = b_j x as one sparse system: a mul cell (a, b)
         puts its constants into the rows (left, b, k) at column a and
-        (right, a, k) at column b. The unit is unique when it exists.
+        (right, a, k) at column b. The unit is unique when it exists; it
+        is returned as a ``{col: value}`` dict.
         """
         rows = {}
         for (a, b), cell in self.mul.items():
@@ -457,16 +460,25 @@ def _report(kind, label, checks) -> dict:
     return {"check": kind, "label": label, "pass": all(c["pass"] for c in checks), "checks": checks}
 
 
+def _live(alg: StarAlgebra, us, vectors) -> list:
+    """For each vector u of ``us``, the set of j at which a ``mul`` cell of
+    ``alg`` pairs a column of u with one of vectors[j]: u vectors[j] is 0 at
+    every other j, and a check skips j where its other side is 0 too."""
+    partners = _right_partners(_cell_columns(alg), vectors)
+    return [set(partners(u)) for u in us]
+
+
 def associativity_failures(alg: StarAlgebra):
     """(i, j, k) for each basis triple with (b_i b_j) b_k != b_i (b_j b_k);
-    both sides are read from the mul cells."""
-    d = alg.dim
+    both sides are read from the mul cells by ``_product``, and both are 0
+    when neither (i, j) nor (j, k) has a cell."""
+    d, mul = alg.dim, alg.mul
     for i in range(d):
         for j in range(d):
-            ij = alg.mul.get((i, j), {}).items()
+            ij = mul.get((i, j))
             for k in range(d):
-                jk = alg.mul.get((j, k), {}).items()
-                if alg.mul_pairs(ij, [(k, 1)]) != alg.mul_pairs([(i, 1)], jk):
+                jk = mul.get((j, k))
+                if (ij or jk) and _product(alg, ij or {}, {k: 1}) != _product(alg, {i: 1}, jk or {}):
                     yield (i, j, k)
 
 
@@ -475,12 +487,14 @@ def star_failures(alg: StarAlgebra):
     (b_i b_j)* != b_j* b_i*; the star is involutive when it maps each of its
     columns back to the basis vector."""
     d, stars = alg.dim, alg.star
-    if any(_apply(stars, dict(col)) != {j: 1} for j, col in enumerate(stars)):
+    cols = [dict(col) for col in stars]
+    if any(_apply(stars, col) != {j: 1} for j, col in enumerate(cols)):
         yield "star not involutive"
+    live = _live(alg, cols, cols)
     for i in range(d):
         for j in range(d):
-            ij = alg.mul.get((i, j), {}).items()
-            if _combine(stars, ij, d) != alg.mul_pairs(stars[j], stars[i]):
+            cell = alg.mul.get((i, j))
+            if (cell or i in live[j]) and _apply(stars, cell or {}) != _product(alg, cols[j], cols[i]):
                 yield (i, j)
 
 
@@ -489,12 +503,16 @@ def central_multiplier_failures(alg: StarAlgebra, m):
     central multiplier of alg: (i, j) where (m b_i) b_j != b_i (m b_j), and
     (i, j, "not a multiplier") where m(b_i b_j) != (m b_i) b_j."""
     d = alg.dim
+    cols, units = [dict(col) for col in m], [{k: 1} for k in range(d)]
+    lhs, rhs = _live(alg, cols, units), _live(alg, units, cols)
     for i in range(d):
         for j in range(d):
-            left = alg.mul_pairs(m[i], [(j, 1)])
-            if left != alg.mul_pairs([(i, 1)], m[j]):
+            if j not in lhs[i] and j not in rhs[i] and (i, j) not in alg.mul:
+                continue  # all three products are 0
+            left = _product(alg, cols[i], units[j])
+            if left != _product(alg, units[i], cols[j]):
                 yield (i, j)
-            if _combine(m, alg.mul.get((i, j), {}).items(), d) != left:
+            if _apply(m, alg.mul.get((i, j), {})) != left:
                 yield (i, j, "not a multiplier")
 
 
@@ -504,21 +522,13 @@ def multiplicative_failures(m, sa: StarAlgebra, sb: StarAlgebra):
 
     m(b_i b_j) is read from the ``sa.mul`` cell (i, j) as a combination of
     m's columns."""
+    cols = [dict(col) for col in m]
+    live = _live(sb, cols, cols)
     for i in range(sa.dim):
         for j in range(sa.dim):
-            ij = sa.mul.get((i, j), {}).items()
-            if _combine(m, ij, sb.dim) != sb.mul_pairs(m[i], m[j]):
+            cell = sa.mul.get((i, j))
+            if (cell or j in live[i]) and _apply(m, cell or {}) != _product(sb, cols[i], cols[j]):
                 yield (i, j)
-
-
-def _combine(cols, coeffs, n):
-    """sum of c * cols[k] over the (k, c) pairs ``coeffs``, as a dense vector
-    of length n; each column is given by its nonzero pairs."""
-    out = zeros(n)
-    for k, c in coeffs:
-        for r, x in cols[k]:
-            out[r] += c * x
-    return out
 
 
 def star_preserving_failures(m, sa: StarAlgebra, sb: StarAlgebra):

@@ -15,6 +15,7 @@ from .errors import BrokenInvariant, CenterDoesNotSplit, HypothesesNotMet, NonIn
 from .galgebra import (
     StarHomomorphism,
     _apply,
+    _product,
     c0_units,
     direct_sum,
     restrict,
@@ -24,7 +25,7 @@ from .galgebra import (
     verify_star_hom,
 )
 from .induction import assoc_groupoid, build_induced, check, make_report
-from .linalg import frac, mat_mul, nonzero_pairs
+from .linalg import frac, mat_mul
 from .semigroup import FiniteInvSgp, bit, build, iter_mask, mask_of
 from .spectrum import spectrum
 
@@ -79,7 +80,8 @@ def k0_map(f: StarHomomorphism) -> K0Map:
     """Trace-normalized multiplicity matrix of a *-homomorphism.
 
     Entry (i, j) is tr(L_{z_i f(z_j)}) / tr(L_{z_i}) over the semisimple
-    quotients; integrality is enforced.
+    quotients, read from the ``{col: value}`` central idempotents by the
+    sparse kernels; integrality is enforced.
     """
     dsrc = _split_block_data(f.source)
     ddst = _split_block_data(f.target)
@@ -87,15 +89,15 @@ def k0_map(f: StarHomomorphism) -> K0Map:
     traces = ddst.quotient.left_traces()
 
     def trace(x):  # tr L_x
-        return sum(v * traces[l] for l, v in nonzero_pairs(x))
+        return sum(v * traces[l] for l, v in x.items())
 
+    images = [_apply(fq, zj) for zj in dsrc.central_idempotents]
     out = []
     for i, zi in enumerate(ddst.central_idempotents):
         ti = trace(zi)
         row = []
-        for j, zj in enumerate(dsrc.central_idempotents):
-            img = _apply(fq, dict(nonzero_pairs(zj)))
-            val = trace(ddst.quotient.mul_pairs(nonzero_pairs(zi), img.items()))
+        for j, img in enumerate(images):
+            val = trace(_product(ddst.quotient, zi, img))
             m = frac(val, ti)
             if type(m) is not int:
                 raise NonIntegralMultiplicity(f"entry ({i},{j}) = {m}")

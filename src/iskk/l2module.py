@@ -94,14 +94,15 @@ def check_psd(gm: GramMatrix) -> dict:
 
 
 def check_independence(s: FiniteInvSgp) -> dict:
-    """Full column rank of the Gram matrices stacked over all characters."""
-    gm = gram(s)
-    sp = spectrum(s)
-    stacked = []
-    for pos in range(sp.size):
-        stacked.extend(gm.at_char(pos))
-    n = len(gm.basis)
-    r = rank(stacked) if stacked else 0
+    """Full column rank of the Gram matrices stacked over all characters.
+    Gram entries are 0/1, so the row of g at the character in position pos
+    is ``{j: 1}`` over the j with bit pos of ``phi_mask(s, g, basis[j])``."""
+    basis = l2_basis(s)
+    masks = [[phi_mask(s, g, h) for h in basis] for g in basis]
+    stacked = [{j: 1 for j, m in enumerate(row) if m >> pos & 1}
+               for pos in range(spectrum(s).size) for row in masks]
+    n = len(basis)
+    r = rank(stacked, n)
     return {
         "check": "phi_independence",
         "basis_size": n,

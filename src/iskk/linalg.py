@@ -8,24 +8,27 @@ is the one place that divides or builds a Fraction: every number a
 reduction produces (a pivot scaling, an elimination read back from ``QQ``,
 an LDL^T multiplier) goes through it, so ``int / int`` never makes a float.
 
+Vectors have one format, a ``{col: value}`` dict without zeros and with
+canonical values, which every entry point takes and returns; ``rref``,
+``rank`` and ``nullspace`` also take the width ``ncols``. Only ``mat_mul``,
+on the small int matrices of K0 maps, and ``psd_certificate``, on one Gram
+matrix per character, read dense lists, as their data are dense.
+
 One batch engine, ``_irref`` (sympy's sparse reduced row echelon form over
 QQ), serves ``rref`` and its readers ``rank``, ``nullspace`` and ``mat_inv``,
 ``sparse_solve`` and ``QuotientSpace``. ``_qq`` is the only code that
 converts to ``QQ``, for ``_irref`` and for the center's polynomials in
 ``crossed``, and it takes each entry's numerator and denominator as they
-are, since ints and Fractions are already reduced. ``rref`` and ``nullspace``
-take dense lists, or ``{col: value}`` dicts with the width ``ncols``, and
-answer in the format they were given. Before ``_irref``, ``rref`` tries a
-certificate: rows scaled to integers that have full column rank modulo the
-fixed prime ``PRIME`` have full column rank over Q, so their form is the
-identity. A lower rank modulo ``PRIME`` proves nothing, and those rows go to
-``_irref`` as they are. ``Span`` is the one
-incremental engine; it keeps its reduced rows as sparse ``{col: value}``
-dicts of canonical values and touches only nonzeros. ``Basis`` is sparse
-vectors plus one ``mat_inv``: it keeps its vectors as ``{col: value}``
-dicts, reduces them in a ``Span`` and inverts the small matrix of their
-entries at the span's pivots, which turns coordinates over the reduced rows
-into coordinates over the vectors.
+are, since ints and Fractions are already reduced. Before ``_irref``,
+``rref`` tries a certificate: rows scaled to integers that have full column
+rank modulo the fixed prime ``PRIME`` have full column rank over Q, so their
+form is the identity. A lower rank modulo ``PRIME`` proves nothing, and
+those rows go to ``_irref`` as they are. ``Span`` is the one incremental
+engine; it keeps its reduced rows as dicts and touches only nonzeros.
+``Basis`` is sparse vectors plus one ``mat_inv``: it reduces its vectors in
+a ``Span`` and inverts the small matrix of their entries at the span's
+pivots, which turns coordinates over the reduced rows into coordinates over
+the vectors.
 
 The three coordinate spaces share one interface: ``sparse_coords`` maps a
 ``{col: value}`` vector to its coordinates as a ``{position: value}`` dict
@@ -34,8 +37,7 @@ a ``QuotientSpace``'s free columns; the first two return None for a vector
 outside them. ``galgebra.transport`` reads every change of basis through it.
 
 ``psd_certificate`` is a pivoted LDL^T check that updates only the nonzero
-columns of each pivot row. ``mat_mul`` multiplies the small dense int
-matrices of K0 maps, touching only nonzero entries.
+columns of each pivot row; ``mat_mul`` touches only nonzero entries.
 """
 
 import bisect
@@ -70,10 +72,6 @@ def zeros(n: int) -> list:
     return [0] * n
 
 
-def identity(n: int) -> list:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def nonzero_pairs(v) -> list:
     """The (index, value) pairs of v with value != 0, in index order."""
     return [(j, x) for j, x in enumerate(v) if x]
@@ -95,10 +93,10 @@ def mat_mul(a, b) -> list:
     return out
 
 
-def _qq(row) -> dict:
-    """A dense list or a ``{key: value}`` dict of canonical values as a
-    ``{key: QQ}`` dict without zeros: the one conversion to ``QQ``, read by
-    the batch elimination and the center's polynomials.
+def _qq(row: dict) -> dict:
+    """A ``{key: value}`` dict of canonical values as a ``{key: QQ}`` dict
+    without zeros: the one conversion to ``QQ``, read by the batch
+    elimination and the center's polynomials.
 
     Ints and Fractions are already in lowest terms with a positive
     denominator, so each value is built from its numerator and denominator
@@ -106,15 +104,14 @@ def _qq(row) -> dict:
     (sympy's pure-Python ``PythonMPQ``) and by the dtype itself otherwise.
     ``_frac_qq`` converts back."""
     mpq = getattr(QQ.dtype, "_new", QQ.dtype)
-    items = row.items() if isinstance(row, dict) else enumerate(row)
-    return {c: mpq(v.numerator, v.denominator) for c, v in items if v}
+    return {c: mpq(v.numerator, v.denominator) for c, v in row.items() if v}
 
 
 def _irref(rows):
-    """The batch elimination: the reduced row echelon form, over QQ, of rows
-    given as ``{col: value}`` dicts that omit zeros or as dense lists.
-    Returns sympy's ``(reduced rows, pivots, nonzero columns)``; the reduced
-    rows are ``{col: QQ}`` dicts keyed by position, in pivot order."""
+    """The batch elimination: the reduced row echelon form, over QQ, of
+    ``{col: value}`` rows. Returns sympy's ``(reduced rows, pivots, nonzero
+    columns)``; the reduced rows are ``{col: QQ}`` dicts keyed by position,
+    in pivot order."""
     qrows = {}
     for i, row in enumerate(rows):
         qrow = _qq(row)
@@ -124,12 +121,12 @@ def _irref(rows):
 
 
 def _full_rank_mod_p(rows, ncols) -> bool:
-    """Whether the rows, dense lists or ``{col: value}`` dicts over ``ncols``
-    columns, are certified to have full column rank: each row is scaled by
-    the lcm of its denominators to an integer row, and those have full
-    column rank modulo ``PRIME``. Then some ncols x ncols minor is nonzero
-    modulo ``PRIME``, so it is a nonzero integer, and the rank over Q is
-    ncols too. False says nothing.
+    """Whether the ``{col: value}`` rows over ``ncols`` columns are certified
+    to have full column rank: each row is scaled by the lcm of its
+    denominators to an integer row, and those have full column rank modulo
+    ``PRIME``. Then some ncols x ncols minor is nonzero modulo ``PRIME``, so
+    it is a nonzero integer, and the rank over Q is ncols too. False says
+    nothing.
 
     The rows are reduced one at a time against echelon rows keyed by their
     leading column, as ``Span`` does, and the pass stops once every column
@@ -138,7 +135,7 @@ def _full_rank_mod_p(rows, ncols) -> bool:
         return False
     echelon = {}  # leading column -> row modulo PRIME, 1 there
     for row in rows:
-        items = [(c, x) for c, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x]
+        items = [(c, x) for c, x in row.items() if x]
         scale = math.lcm(*[x.denominator for _, x in items])
         v = {}
         for c, x in items:
@@ -164,52 +161,37 @@ def _full_rank_mod_p(rows, ncols) -> bool:
     return False
 
 
-def rref(rows, ncols=None):
-    """Reduced row echelon form. Returns (reduced nonzero rows, pivot
-    columns). The rows are dense lists, or ``{col: value}`` dicts with
-    ``ncols`` given, and the reduced rows come back in the same format.
+def rref(rows, ncols: int):
+    """Reduced row echelon form of ``{col: value}`` rows over ``ncols``
+    columns. Returns (reduced nonzero rows, pivot columns); the reduced rows
+    are ``{col: value}`` dicts in column order.
 
     Rows certified to have full column rank (``_full_rank_mod_p``) reduce to
     the identity, returned without an elimination; every other input goes
     to ``_irref``."""
-    sparse, ncols = _shape(rows, ncols)
     if _full_rank_mod_p(rows, ncols):
         pivots = list(range(ncols))
-        return ([{c: 1} for c in pivots] if sparse else identity(ncols)), pivots
+        return [{c: 1} for c in pivots], pivots
     red, pivots, _ = _irref(rows)
-    if sparse:
-        return [{c: _frac_qq(red[i][c]) for c in sorted(red[i])} for i in range(len(pivots))], pivots
-    return [_dense(red[i], ncols) for i in range(len(pivots))], pivots
+    return [_from_qq(red[i]) for i in range(len(pivots))], pivots
 
 
-def _shape(rows, ncols):
-    """(whether the rows are ``{col: value}`` dicts, their width): ``ncols``,
-    which dict rows need, or else the length of a dense row."""
-    sparse = bool(rows) and isinstance(rows[0], dict)
-    if ncols is None:
-        if sparse:
-            raise TypeError("{col: value} rows need their width ncols")
-        ncols = len(rows[0]) if rows else 0
-    return sparse, ncols
-
-
-def rank(rows, ncols=None) -> int:
+def rank(rows, ncols: int) -> int:
     return len(rref(rows, ncols)[1])
 
 
-def nullspace(m, ncols=None) -> list:
-    """Basis of {v : m v = 0} for a matrix given as rows, in ``rref``'s
-    format: dense lists, or ``{col: value}`` dicts over ``ncols`` columns."""
-    sparse, ncols = _shape(m, ncols)
+def nullspace(m, ncols: int) -> list:
+    """Basis of {v : m v = 0} for a matrix given as ``{col: value}`` rows
+    over ``ncols`` columns, as ``{col: value}`` dicts in column order."""
     red, pivots = rref(m, ncols)
     basis = []
     for free in sorted(set(range(ncols)) - set(pivots)):
         v = {free: 1}
         for i, p in enumerate(pivots):
-            x = red[i].get(free) if sparse else red[i][free]
+            x = red[i].get(free)
             if x:
                 v[p] = -x
-        basis.append(dict(sorted(v.items())) if sparse else [v.get(c, 0) for c in range(ncols)])
+        basis.append(dict(sorted(v.items())))
     return basis
 
 
@@ -219,10 +201,10 @@ def sparse_solve(rows: dict, ncols: int, rhs: dict | None = None):
     ``rows`` maps any hashable row key to a ``{col: value}`` dict that
     omits zeros; ``rhs`` maps row keys to right-hand sides (missing keys and
     ``rhs=None`` mean 0, and a key absent from ``rows`` is a zero row).
-    Returns ``(x, kernel)``: one solution as a dense list (None when the
-    system is inconsistent) and a basis of the kernel as dense lists, the one
-    read off the reduced row echelon form (1 at each free column, 0 at the
-    other free columns).
+    Returns ``(x, kernel)``: one solution (None when the system is
+    inconsistent) and a basis of the kernel, the one read off the reduced row
+    echelon form (1 at each free column, 0 at the other free columns), all
+    ``{col: value}`` dicts in column order.
     """
     aug = dict(rows)
     for key, v in (rhs or {}).items():
@@ -231,9 +213,9 @@ def sparse_solve(rows: dict, ncols: int, rhs: dict | None = None):
     red, pivots, nonzero_cols = _irref(aug.values())
     x = None
     if not pivots or pivots[-1] != ncols:  # consistent
-        x = _dense({p: red[i][ncols] for i, p in enumerate(pivots) if ncols in red[i]}, ncols)
+        x = {p: _frac_qq(red[i][ncols]) for i, p in enumerate(pivots) if ncols in red[i]}
     kernel = sdm_nullspace_from_rref(red, QQ.one, ncols, pivots, nonzero_cols)[0]
-    return x, [_dense(vec, ncols) for vec in kernel]
+    return x, [_from_qq(vec) for vec in kernel]
 
 
 def _frac_qq(q):
@@ -241,22 +223,20 @@ def _frac_qq(q):
     return frac(int(q.numerator), int(q.denominator))
 
 
-def _dense(row: dict, n: int) -> list:
-    """A ``{col: QQ}`` row as a dense list of canonical values of length n."""
-    out = zeros(n)
-    for c, v in row.items():
-        out[c] = _frac_qq(v)
-    return out
+def _from_qq(row: dict) -> dict:
+    """A ``{col: QQ}`` row as a ``{col: value}`` dict of canonical values in
+    column order."""
+    return {c: _frac_qq(row[c]) for c in sorted(row)}
 
 
 def mat_inv(m):
-    """Inverse of a square rational matrix, or None if singular."""
+    """Inverse of a square rational matrix given as n ``{col: value}`` rows,
+    as such rows in column order, or None if singular."""
     n = len(m)
-    aug = [list(row) + unit for row, unit in zip(m, identity(n))]
-    red, pivots = rref(aug)
+    red, pivots = rref([{**row, n + i: 1} for i, row in enumerate(m)], 2 * n)
     if pivots != list(range(n)):
         return None
-    return [row[n:] for row in red]
+    return [{c - n: x for c, x in row.items() if c >= n} for row in red]
 
 
 class Span:
@@ -266,8 +246,7 @@ class Span:
     zeros, in pivot order, each 1 at its own pivot and 0 at every other
     pivot. So a vector of the span is the combination of the rows with its
     own entries at the pivots as coefficients, and every method touches only
-    nonzeros. ``add``, ``contains`` and ``sparse_coords`` take dense vectors
-    or ``{col: value}`` dicts.
+    nonzeros.
     """
 
     def __init__(self, vectors=()):
@@ -324,11 +303,10 @@ class Span:
         return len(self.sparse_rows)
 
 
-def _sparse(v) -> dict:
-    """A dense vector, or a ``{col: value}`` dict, as a ``{col: value}`` dict
-    of canonical values without zeros."""
-    items = v.items() if isinstance(v, dict) else enumerate(v)
-    return {c: x if type(x) is int else frac(x) for c, x in items if x}
+def _sparse(v: dict) -> dict:
+    """A copy of the ``{col: value}`` dict v, without zeros and with
+    canonical values."""
+    return {c: x if type(x) is int else frac(x) for c, x in v.items() if x}
 
 
 def _subtract(out: dict, f, row: dict):
@@ -345,10 +323,10 @@ def _subtract(out: dict, f, row: dict):
 
 
 class Basis:
-    """Independent vectors B_i, dense or ``{col: value}`` dicts and kept as
-    such dicts, with coordinates over them in the given order. With R_j, p_j
-    the span's reduced rows and pivots, B_i = sum_j C[i][j] R_j for
-    C[i][j] = B_i[p_j], so coordinates over B are (coordinates over R) inv(C)."""
+    """Independent ``{col: value}`` vectors B_i, with coordinates over them
+    in the given order. With R_j, p_j the span's reduced rows and pivots,
+    B_i = sum_j C[i][j] R_j for C[i][j] = B_i[p_j], so coordinates over B
+    are (coordinates over R) inv(C)."""
 
     def __init__(self, vectors):
         self.vectors = [_sparse(v) for v in vectors]
@@ -357,8 +335,8 @@ class Basis:
             if not self._span.add(v):
                 raise DependentVector(f"vector {idx} is dependent on its predecessors",
                                       witness={"index": idx})
-        self._inv_rows = [nonzero_pairs(row) for row in
-                          mat_inv([[v.get(p, 0) for p in self._span.pivots] for v in self.vectors])]
+        pivots = self._span.pivots
+        self._inv_rows = mat_inv([{j: v[p] for j, p in enumerate(pivots) if p in v} for v in self.vectors])
 
     @property
     def dim(self):
@@ -372,7 +350,7 @@ class Basis:
             return None
         out = {}
         for j, x in c.items():
-            for i, y in self._inv_rows[j]:
+            for i, y in self._inv_rows[j].items():
                 out[i] = out.get(i, 0) + x * y
         return _canonical(out)
 
@@ -380,7 +358,7 @@ class Basis:
 class QuotientSpace:
     """Ambient space modulo a relation span, with reduced representatives.
 
-    The relations, ``{col: value}`` dicts or dense lists, are put in reduced
+    The ``{col: value}`` relations are put in reduced
     row echelon form once with ``_irref``. That form is unique for the span,
     so the free (non-pivot) columns and the coordinates depend only on the
     span, not on the relations that span it. The class of the unit vector at

@@ -11,9 +11,9 @@ from iskk import ktheory as kt
 from iskk import semigroup as sg
 from iskk import spectrum as spc
 from iskk.errors import BrokenInvariant, InvalidAction, NotIdempotent
-from iskk.linalg import Span, frac, identity, nonzero_pairs
+from iskk.linalg import Span, frac, nonzero_pairs
 from test_kernels import (dense_action, dense_columns, dense_mat_vec, dense_nullspace, dense_star,
-                          dense_transport)
+                          dense_transport, dense_vectors, densified, identity)
 
 
 def test_group_algebra_z2():
@@ -269,13 +269,13 @@ def test_groupoid_product_makes_no_dense_products(monkeypatch):
     s = sg.parse_builder("symmetric_inverse:2")
     d = ga.restrict(ga.c0x_algebra(s), ind.assoc_groupoid(s, sg.idempotents(s)))
     calls = []
-    real = ga.StarAlgebra.mul_pairs
+    real = ga.StarAlgebra.mul_vec
 
     def counted(self, u, v):
         calls.append((u, v))
         return real(self, u, v)
 
-    monkeypatch.setattr(ga.StarAlgebra, "mul_pairs", counted)
+    monkeypatch.setattr(ga.StarAlgebra, "mul_vec", counted)
     x = cr.crossed(d, "groupoid")
     assert x.dim > 0 and x.alg.mul
     assert calls == []
@@ -335,11 +335,11 @@ def test_sparse_center_matches_dense_commutator_nullspace(spec, coeff, kind):
     sparse = cr._center_basis(alg)
     dense = _dense_center(alg)
     assert len(sparse) == len(dense)
-    span = Span(dense)
+    span = Span(dense_vectors(dense))
     assert span.dim == len(dense)
     assert all(span.contains(z) for z in sparse)
     assert Span(sparse).dim == len(sparse)
-    for z in sparse:
+    for z in (densified(v, alg.dim) for v in sparse):
         for i in range(alg.dim):
             b = alg.basis_vec(i)
             assert alg.mul_vec(z, b) == alg.mul_vec(b, z)
@@ -347,7 +347,8 @@ def test_sparse_center_matches_dense_commutator_nullspace(spec, coeff, kind):
 
 def test_unit_vector_of_matrix_algebra_is_identity():
     # basis e_ij at index 2i + j, so the identity is e_00 + e_11
-    assert ga.matrix_algebra(2).unit_vector() == [1, 0, 0, 1]
+    unit = ga.matrix_algebra(2).unit_vector()
+    assert unit == {0: 1, 3: 1} and list(unit) == [0, 3] and all(type(x) is int for x in unit.values())
 
 
 def test_unit_vector_none_without_two_sided_unit():
@@ -363,7 +364,7 @@ def test_unit_vector_none_without_two_sided_unit():
 def test_central_idempotents_are_a_partition_of_unity(spec, coeff, kind):
     d = cr.semisimple_quotient(_small_algebra(spec, coeff, kind))
     q = d.quotient
-    idems = d.central_idempotents
+    idems = [densified(e, q.dim) for e in d.central_idempotents]
     assert len(idems) == len({tuple(e) for e in idems})
     total = [0] * q.dim
     for e in idems:
@@ -379,6 +380,18 @@ def test_central_idempotents_are_a_partition_of_unity(spec, coeff, kind):
     for i in range(q.dim):
         b = q.basis_vec(i)
         assert q.mul_vec(total, b) == b == q.mul_vec(b, total)
+
+
+@pytest.mark.parametrize("spec, coeff, kind", SMALL_ALGEBRAS)
+def test_center_vectors_are_dicts_without_zeros(spec, coeff, kind):
+    # the one vector format: {col: value} over the quotient's basis, no zero
+    # value, ints where integral; the values are read, not the keys
+    d = cr.semisimple_quotient(_small_algebra(spec, coeff, kind))
+    assert len(d.center_basis) == d.center_dim and d.central_idempotents
+    for v in d.center_basis + d.central_idempotents:
+        assert type(v) is dict and v and all(type(c) is int and 0 <= c < d.quotient_dim for c in v)
+        for x in v.values():
+            assert x != 0 and (type(x) is int or (type(x) is Fraction and x.denominator != 1)), v
 
 
 def test_k0_computes_the_decomposition_once(monkeypatch):
@@ -440,7 +453,7 @@ def test_non_central_center_product_is_a_typed_error(monkeypatch):
     # e00 is not central in M2, so the identity times itself, read at the
     # free columns 3 and 0, lifts to the identity plus e00
     real = cr._center_basis
-    monkeypatch.setattr(cr, "_center_basis", lambda alg: real(alg) + [[1, 0, 0, 0]])
+    monkeypatch.setattr(cr, "_center_basis", lambda alg: real(alg) + [{0: 1}])
     with pytest.raises(BrokenInvariant, match="^a product of central vectors is not central$") as err:
         cr.semisimple_quotient(ga.matrix_algebra(2))
     assert err.value.witness == {"pair": (0, 0)}
@@ -448,7 +461,7 @@ def test_non_central_center_product_is_a_typed_error(monkeypatch):
 
 def test_lifted_center_unit_that_is_no_unit_is_a_typed_error(monkeypatch):
     real = ga.StarAlgebra.unit_vector
-    monkeypatch.setattr(ga.StarAlgebra, "unit_vector", lambda self: [2 * v for v in real(self)])
+    monkeypatch.setattr(ga.StarAlgebra, "unit_vector", lambda self: {k: 2 * v for k, v in real(self).items()})
     with pytest.raises(InvalidAction, match="^semisimple quotient has no unit; structure data unreliable$"):
         cr.semisimple_quotient(ga.matrix_algebra(2))
 
@@ -499,14 +512,14 @@ def test_biquadratic_field_is_one_piece_of_four_blocks():
     assert d.to_json() == {"radical_dim": 0, "quotient_dim": 4, "center_dim": 4, "blocks": 4,
                            "block_dims": [1, 1, 1, 1], "splits": False, "witness_poly": "x**2 - 2",
                            "method": "numeric"}
-    assert d.central_idempotents == [[1, 0, 0, 0]]
+    assert [list(e.items()) for e in d.central_idempotents] == [[(0, 1)]]
 
 
 def test_two_copies_of_a_quadratic_field_are_two_pieces():
     alg = ga.star_sum([_number_field_algebra([2])] * 2)
     d = cr.semisimple_quotient(alg)
     assert (d.blocks, d.block_dims, d.splits, d.witness_poly) == (4, [1, 1, 1, 1], False, "x**2 - 2")
-    assert sorted(d.central_idempotents) == [[0, 0, 1, 0], [1, 0, 0, 0]]
+    assert sorted(sorted(e.items()) for e in d.central_idempotents) == [[(0, 1)], [(2, 1)]]
 
 
 def _tensor(a, b):
@@ -550,35 +563,45 @@ def test_permuting_the_quotient_basis_permutes_the_central_idempotents(spec, coe
     assert e.to_json() == d.to_json()
 
     def moved(v):
-        out = [None] * len(v)
-        for i, x in enumerate(v):
-            out[perm[i]] = x
-        return tuple(out)
+        return frozenset((perm[i], x) for i, x in v.items())
 
-    assert {moved(v) for v in d.central_idempotents} == {tuple(v) for v in e.central_idempotents}
+    assert {moved(v) for v in d.central_idempotents} == {frozenset(v.items()) for v in e.central_idempotents}
 
 
 def test_center_split_makes_no_quotient_dim_krylov(monkeypatch):
     # on kI2xI2 (dim 49, center dim 16) the only products of quotient vectors
-    # are the c(c+1)/2 products of center basis vectors; powers of central
-    # elements and the e e = e checks are taken in the center
+    # are the c(c+1)/2 products of center basis vectors and then the unit
+    # check, the lifted unit times each basis vector on either side; powers
+    # of central elements and the e e = e checks are taken in the center
     s = sg.parse_builder("product:symmetric_inverse:2*symmetric_inverse:2")
     alg = cr.crossed(ga.trivial_algebra(s), kind="universal").alg
-    calls = []
-    real = ga.StarAlgebra.mul_pairs
+    calls, dense = [], []
+    real_product, real_mul_vec = cr._product, ga.StarAlgebra.mul_vec
 
-    def counted(self, u, v):
-        if self.dim == alg.dim:
+    def counted(a, u, v):
+        if a.dim == alg.dim:
             calls.append((u, v))
-        return real(self, u, v)
+        return real_product(a, u, v)
 
-    monkeypatch.setattr(ga.StarAlgebra, "mul_pairs", counted)
+    def counted_mul_vec(self, u, v):
+        dense.append(self.dim)
+        return real_mul_vec(self, u, v)
+
+    monkeypatch.setattr(cr, "_product", counted)
+    monkeypatch.setattr(ga.StarAlgebra, "mul_vec", counted_mul_vec)
     d = cr.semisimple_quotient(alg)
-    c = d.center_dim
-    assert (d.quotient_dim, c, d.blocks) == (49, 16, 16)
-    assert len(calls) <= c * (c + 1) // 2
-    basis = [nonzero_pairs(z) for z in d.center_basis]
-    assert all(u in basis and v in basis for u, v in calls)
+    c, n = d.center_dim, d.quotient_dim
+    assert (n, c, d.blocks) == (49, 16, 16)
+    assert dense and alg.dim not in dense
+    one = {}
+    for e in d.central_idempotents:
+        for k, x in e.items():
+            one[k] = one.get(k, 0) + x
+    one = {k: x for k, x in one.items() if x}
+    assert calls[len(calls) - 2 * n:] == [p for j in range(n) for p in ((one, {j: 1}), ({j: 1}, one))]
+    center = calls[:len(calls) - 2 * n]
+    assert 0 < len(center) <= c * (c + 1) // 2
+    assert all(u in d.center_basis and v in d.center_basis for u, v in center)
 
 
 def test_zero_radical_makes_no_quotient_and_no_quotient_dim_unit_solve(monkeypatch):
@@ -775,7 +798,7 @@ def _closure_sieben(a):
                 ex = dense_mat_vec(dense_action(a.action[e]), a.alg.basis_vec(i))
                 if any(ex):
                     for j in range(a.dim):
-                        corner.add(a.alg.mul_vec(ex, a.alg.basis_vec(j)))
+                        corner.add(dense_vectors([a.alg.mul_vec(ex, a.alg.basis_vec(j))])[0])
             for row in corner.sparse_rows:
                 v = [0] * uni.dim
                 for k, c in spans[s.range_of(e)].sparse_coords(row).items():
@@ -785,7 +808,7 @@ def _closure_sieben(a):
                 if any(v):
                     relations.append(v)
     ideal = Span()
-    frontier = [v for v in relations if ideal.add(v)]
+    frontier = [v for v in relations if ideal.add(dense_vectors([v])[0])]
     star = dense_star(uni.alg)
     while frontier:
         nxt = []
@@ -794,7 +817,7 @@ def _closure_sieben(a):
             for i in range(uni.dim):
                 b = uni.alg.basis_vec(i)
                 candidates += [uni.alg.mul_vec(b, v), uni.alg.mul_vec(v, b)]
-            nxt += [c for c in candidates if any(c) and ideal.add(c)]
+            nxt += [c for c in candidates if any(c) and ideal.add(dense_vectors([c])[0])]
         frontier = nxt
     return _dense_quotient(uni.alg, ideal.sparse_rows)
 
@@ -811,13 +834,16 @@ def test_tight_product_equals_the_closed_ideal_quotient(spec, coeff):
 def test_two_term_relations_span_a_star_ideal(spec, coeff):
     uni = cr._universal(_tight_coeff(spec, coeff))
     alg = uni.alg
-    relations = [[r.get(c, 0) for c in range(alg.dim)] for r in cr._tight_relations(uni)]
-    span, star = Span(relations), dense_star(alg)
-    for v in ([row.get(c, 0) for c in range(alg.dim)] for row in span.sparse_rows):
-        assert span.contains(dense_mat_vec(star, v))
+    span, star = Span(cr._tight_relations(uni)), dense_star(alg)
+
+    def contains(v):
+        return span.contains(dense_vectors([v])[0])
+
+    for v in (densified(row, alg.dim) for row in span.sparse_rows):
+        assert contains(dense_mat_vec(star, v))
         for i in range(alg.dim):
             b = alg.basis_vec(i)
-            assert span.contains(alg.mul_vec(b, v)) and span.contains(alg.mul_vec(v, b))
+            assert contains(alg.mul_vec(b, v)) and contains(alg.mul_vec(v, b))
 
 
 @pytest.mark.parametrize("spec, coeff", TIGHT_CORPUS)

@@ -12,10 +12,21 @@
   divides with ``/`` or ``/=``, which makes a float of two ints, outside
   ``linalg.frac``, the one canonical divider, and the labelled float oracle
   ``crossed.numeric_block_oracle``.
+- Vectors have one format, ``{col: value}`` dicts: ``linalg`` makes no
+  ``isinstance`` test, so no entry point keeps a dense-or-sparse branch.
 - The sparse paths stay sparse: none of these functions calls the dense
-  vector helpers ``mat_vec``, ``mul_vec`` or ``basis_vec``:
+  vector helpers ``mat_vec``, ``mul_vec``, ``basis_vec`` or
+  ``left_mult_matrix``, or the dense Gram readers ``gram`` and ``at_char``:
   - the crossed-product builders ``_universal``, ``_groupoid`` and their
     shared ``_convolution``;
+  - the algebra checks ``galgebra.associativity_failures``,
+    ``star_failures``, ``central_multiplier_failures`` and
+    ``multiplicative_failures``, which read both sides through the sparse
+    kernels ``_product`` and ``_apply``;
+  - the semisimple step ``crossed.semisimple_quotient`` and its center
+    algebra ``_center_algebra``, ``ktheory.k0_map``, which reads the central
+    idempotents as dicts, and ``l2module.check_independence``, which builds
+    its stacked rows from the character masks;
   - the change of basis ``galgebra.transport``, ``transport_matrix``,
     ``corner`` and ``_fiber_rebase``;
   - the induction module's corners and coordinate reads,
@@ -37,6 +48,10 @@
 - Every *-homomorphism is kept as its sparse columns: ``StarHomomorphism``
   has a ``cols`` field and no dense ``matrix``, and the dense map helpers
   ``zero_matrix`` and ``nonzero_columns`` are gone.
+- The dense second paths are gone and stay gone: the dense product
+  ``StarAlgebra.mul_pairs``, the dense combination ``galgebra._combine``,
+  and ``linalg._shape`` and ``linalg._dense``, which told and made the
+  dense format.
 - No cache outlives the object it belongs to: no module uses
   ``functools.cache`` or ``functools.lru_cache``, and no module binds a dict
   or set at module level that is empty or that the module fills. Derived
@@ -127,14 +142,16 @@ def test_sparse_rref_is_called_from_one_function():
     assert readers((SRC / "crossed.py").read_text(), "_qq") == {"_minimal_polynomial"}
 
 
-DENSE_HELPERS = {"mat_vec", "mul_vec", "basis_vec"}
+DENSE_HELPERS = {"mat_vec", "mul_vec", "basis_vec", "left_mult_matrix", "gram", "at_char"}
 SPARSE_PATHS = {
-    "crossed.py": {"_universal", "_groupoid", "_convolution"},
+    "crossed.py": {"_universal", "_groupoid", "_convolution", "_center_algebra", "semisimple_quotient"},
     "galgebra.py": {"transport", "transport_matrix", "corner", "_fiber_rebase", "verify_star_hom",
-                    "_bijective", "subalgebra_on_projection"},
+                    "_bijective", "subalgebra_on_projection", "associativity_failures", "star_failures",
+                    "central_multiplier_failures", "multiplicative_failures"},
     "induction.py": {"c0_orbits_algebra", "theta_res_ind", "_rebase_hom", "induce_hom", "_verify_iso",
                      "theta_res_ind_tensor", "_split_class", "res_ind_split"},
-    "ktheory.py": {"_quotient_map"},
+    "ktheory.py": {"_quotient_map", "k0_map"},
+    "l2module.py": {"check_independence"},
 }
 
 
@@ -171,6 +188,23 @@ def test_sparse_paths_make_no_dense_calls(module):
     assert found == {name: [] for name in SPARSE_PATHS[module]}
 
 
+def isinstance_sites(source: str) -> list:
+    """(line, code) for each ``isinstance(...)`` call."""
+    return sorted((node.lineno, ast.unparse(node)) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and _name(node.func) == "isinstance")
+
+
+def test_scan_finds_isinstance_calls():
+    src = ("def rref(rows, ncols):\n    if rows and isinstance(rows[0], dict):\n        return rows\n"
+           "    items = v.items() if builtins.isinstance(v, dict) else enumerate(v)\n")
+    assert isinstance_sites(src) == [(2, "isinstance(rows[0], dict)"),
+                                     (4, "builtins.isinstance(v, dict)")]
+
+
+def test_linalg_has_one_vector_format():
+    assert isinstance_sites((SRC / "linalg.py").read_text()) == []
+
+
 def dense_star_sites(source: str) -> list:
     """(line, code) for each double index ``star[r][c]`` of a name or an
     attribute called ``star``, and for each ``zero_matrix(...)`` assigned to
@@ -205,7 +239,8 @@ def test_stars_are_kept_as_sparse_columns(path):
 
 DENSE_READERS = {"nonzero_rows", "nonzero_columns", "mat_mul", "mat_vec"}
 DERIVED_MAPS = {"mask_matrix", "germ_matrix", "char_matrices"}
-DROPPED = {"_SplitActions", "action_rows", "zero_matrix", "nonzero_columns"}
+DROPPED = {"_SplitActions", "action_rows", "zero_matrix", "nonzero_columns", "mul_pairs", "_combine",
+           "_shape", "_dense"}
 
 
 def _name(node):

@@ -5,8 +5,7 @@ from iskk import induction as ind
 from iskk import semigroup as sg
 from iskk import spectrum as sp
 from iskk.errors import BrokenInvariant, ChainTooLong, NotEUnitary, NotSubsemigroup
-from iskk.linalg import identity, mat_inv
-from test_kernels import dense_action, dense_columns
+from test_kernels import dense_action, dense_columns, identity
 
 
 def two_chain():

@@ -15,7 +15,8 @@ action maps as dense matrices; ``dense_action`` reads a map's columns as
 one, to compare them, and ``dense_star`` an algebra's star. The other way
 round, ``dense_columns`` turns a dense matrix into the columns every map is
 kept as, and ``dense_vectors`` dense vectors into the ``{col: value}`` dicts
-every embedding vector is kept as.
+every vector is kept as; ``densified`` turns one such dict back into a
+dense vector for the dense references.
 """
 
 from fractions import Fraction
@@ -38,7 +39,6 @@ from iskk.linalg import (
     Basis,
     Span,
     frac,
-    identity,
     mat_inv,
     mat_mul,
     nonzero_pairs,
@@ -47,6 +47,11 @@ from iskk.linalg import (
     rref,
     zeros,
 )
+
+
+def identity(n):
+    """The n x n identity as a dense matrix."""
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def dense_action(cols):
@@ -73,6 +78,11 @@ def dense_vectors(vectors):
     """Dense vectors as ``{col: value}`` dicts without zeros, the format of
     embedding vectors and of ``Basis.vectors``."""
     return [{c: x for c, x in enumerate(v) if x} for v in vectors]
+
+
+def densified(v, n):
+    """The ``{col: value}`` dict v as a dense vector of length n."""
+    return [v.get(c, 0) for c in range(n)]
 
 
 def dense_star(alg):
@@ -420,7 +430,8 @@ def sparse_typed(coords):
 
 
 def basis_outcome(vectors, probes):
-    """Basis over vectors with its coordinates of each probe, or the error."""
+    """Basis over the ``{col: value}`` vectors with its coordinates of each
+    dense probe, or the error."""
     try:
         b = Basis(vectors)
     except ValueError as e:
@@ -615,55 +626,54 @@ def test_validation_checks_match_the_dense_loops_on_valid_algebras(spec):
 @settings(max_examples=400, deadline=None)
 @given(eliminations())
 def test_eliminations_match_the_dense_loops(problem):
+    # the rows are drawn dense for the references and handed over as dicts
     rows, square, probes = problem
-    (red, pivots), (ref_red, ref_pivots) = rref(rows), dense_rref(rows)
-    assert typed(red) == typed(ref_red) and pivots == ref_pivots
-    assert typed(nullspace(rows)) == typed(dense_nullspace(rows))
-    assert rank(rows) == len(dense_rref(rows)[0])
-    inv = mat_inv(square)
-    assert (inv is None) == (dense_mat_inv(square) is None)
-    if inv is not None:
-        assert typed(inv) == typed(dense_mat_inv(square))
-    assert basis_outcome(rows, probes) == dense_basis_outcome(rows, probes)
-    # the incremental Span reaches the same reduced rows, and its coordinates
-    # over them are the dense reference basis's, from dense or sparse probes
-    span, ref_basis = Span(rows), DenseBasis(ref_red)
     width = len(probes[-1])  # the rows' width, also when there are no rows
-    dense_rows = [[row.get(c, 0) for c in range(width)] for row in span.sparse_rows]
-    assert typed(dense_rows) == typed(ref_red) and span.pivots == ref_pivots
-    for probe in probes:
+    given_rows = dense_vectors(rows)
+    (red, pivots), (ref_red, ref_pivots) = rref(given_rows, width), dense_rref(rows)
+    assert typed_rows(red) == typed_rows(ref_red) and pivots == ref_pivots
+    # a zero row gives the dense reference the width of an empty matrix
+    assert typed_rows(nullspace(given_rows, width)) == typed_rows(dense_nullspace(rows or [[0] * width]))
+    assert rank(given_rows, width) == len(ref_pivots)
+    inv, ref_inv = mat_inv(dense_vectors(square)), dense_mat_inv(square)
+    assert (inv is None) == (ref_inv is None)
+    if inv is not None:
+        assert typed_rows(inv) == typed_rows(ref_inv)
+    assert basis_outcome(given_rows, probes) == dense_basis_outcome(rows, probes)
+    # the incremental Span reaches the same reduced rows, and its coordinates
+    # over them are the dense reference basis's
+    span, ref_basis = Span(given_rows), DenseBasis(ref_red)
+    dense_rows = [densified(row, width) for row in span.sparse_rows]
+    assert typed_rows(dense_rows) == typed_rows(ref_red) and span.pivots == ref_pivots
+    for probe, sparse in zip(probes, dense_vectors(probes)):
         ref = sparse_typed(ref_basis.coords(probe))
-        assert span.contains(probe) == (ref is not None)
-        for got in (span.sparse_coords(probe), span.sparse_coords({c: x for c, x in enumerate(probe) if x})):
-            assert (None if got is None else [(k, typed(x)) for k, x in got.items()]) == ref
+        assert span.contains(sparse) == (ref is not None)
+        got = span.sparse_coords(sparse)
+        assert (None if got is None else [(k, typed(x)) for k, x in got.items()]) == ref
 
 
 def test_elimination_edge_cases():
-    assert rref([]) == dense_rref([]) == ([], [])
-    assert rref([[]]) == dense_rref([[]]) == ([], [])
-    assert rref([[0, 0], [0, 0]]) == ([], [])
-    assert nullspace([]) == [] and nullspace([[0, 0]]) == identity(2)
-    assert rank([(0, 2), (0, Fraction(1, 3))]) == 1
-    assert mat_inv([]) == [] and mat_inv([[0]]) is None
-    assert typed(mat_inv([(2, 0), (0, 1)])) == typed([[Fraction(1, 2), 0], [0, 1]])
+    assert rref([], 0) == dense_rref([]) == ([], [])
+    assert rref([{}], 0) == dense_rref([[]]) == ([], [])
+    assert rref([{}, {}], 2) == ([], [])
+    assert nullspace([], 0) == [] and nullspace([], 2) == nullspace([{}], 2) == [{0: 1}, {1: 1}]
+    assert rank([{1: 2}, {1: Fraction(1, 3)}], 2) == 1
+    assert mat_inv([]) == [] and mat_inv([{}]) is None
+    inv = mat_inv([{0: 2}, {1: 1}])
+    assert inv == [{0: Fraction(1, 2)}, {1: 1}] and typed_rows(inv) == typed_rows([[Fraction(1, 2), 0], [0, 1]])
     empty = Basis([])
-    assert empty.dim == 0 and empty.sparse_coords({}) == {} and empty.sparse_coords([1]) is None
-    b = Basis([[1, 1, 0], [0, 1, 0]])
+    assert empty.dim == 0 and empty.sparse_coords({}) == {} and empty.sparse_coords({0: 1}) is None
+    b = Basis([{0: 1, 1: 1}, {1: 1}])
     got = b.sparse_coords({1: 3, 0: 2})
     assert list(got.items()) == [(0, 2), (1, 1)] and typed(list(got.values())) == typed([2, 1])
     assert b.sparse_coords({0: 1, 1: 1}) == {0: 1} and b.sparse_coords({2: 1}) is None
-    for vectors, idx in (([[0, 0]], 0), ([[1, 2], [2, 4]], 1), ([[1, 0], [0, 1], [1, 1]], 2), ([[]], 0)):
+    for vectors, idx in (([{}], 0), ([{0: 1, 1: 2}, {0: 2, 1: 4}], 1), ([{0: 1}, {1: 1}, {0: 1, 1: 1}], 2)):
         with pytest.raises(ValueError, match=f"^vector {idx} is dependent on its predecessors$") as err:
             Basis(vectors)
         assert isinstance(err.value, DependentVector) and err.value.witness == {"index": idx}
 
 
 # -- the full-rank certificate modulo a prime -----------------------------------
-
-
-def sparse_rows(m):
-    """Dense rows as ``{col: value}`` dicts without zeros."""
-    return [{c: x for c, x in enumerate(row) if x} for row in m]
 
 
 def typed_rows(rows):
@@ -693,8 +703,8 @@ class CountedIrref:
 def tall_matrices(draw):
     """Square and tall matrices with small entries, all ints or some
     Fractions, nonsingular or singular (a column made a combination of the
-    others), given as dense or dict rows. Their minors are far below
-    ``PRIME``, so their rank modulo it is their rank over Q."""
+    others). Their minors are far below ``PRIME``, so their rank modulo it
+    is their rank over Q."""
     m = draw(st.integers(1, 6))
     n = m + draw(st.integers(0, 3))
     values = [-2, -1, 0, 0, 1, 1, 2, 3] + ([Fraction(1, 2), Fraction(-3, 4)] if draw(st.booleans()) else [])
@@ -704,23 +714,22 @@ def tall_matrices(draw):
         if j != k:
             for row in rows:
                 row[j] = frac(c * row[k])
-    return rows, m, draw(st.booleans())
+    return rows, m
 
 
 @settings(max_examples=300, deadline=None)
 @given(tall_matrices())
 def test_certified_eliminations_match_the_dense_loops(problem):
-    rows, ncols, sparse = problem
-    given_rows = sparse_rows(rows) if sparse else rows
+    rows, ncols = problem
+    given_rows = dense_vectors(rows)
     ref_red, ref_pivots = dense_rref(rows)
     with CountedIrref() as irref:
         red, pivots = rref(given_rows, ncols)
     # certified exactly when the rank is full, and then without an elimination
     assert irref.calls == (len(ref_pivots) < ncols)
     assert pivots == ref_pivots and typed_rows(red) == typed_rows(ref_red)
-    assert all(isinstance(row, dict) == sparse for row in red)
     null = nullspace(given_rows, ncols)
-    assert all(isinstance(v, dict) == sparse for v in null)
+    assert all(type(v) is dict for v in red + null)
     assert typed_rows(null) == typed_rows(dense_nullspace(rows))
     assert rank(given_rows, ncols) == len(ref_pivots)
 
@@ -730,14 +739,13 @@ def test_rows_singular_mod_p_take_the_exact_fallback():
     # or a Fraction whose scaled row is PRIME
     for m in ([[PRIME, 0], [0, 1]], [[1, 2], [3, 6 + PRIME]], [[0, 1], [PRIME, 0], [2 * PRIME, 0]],
               [[Fraction(PRIME, 2), 0], [0, Fraction(1, 3)]]):
-        for given_rows in (m, sparse_rows(m)):
-            with CountedIrref() as irref:
-                red, pivots = rref(given_rows, 2)
-            assert irref.calls == 1 and pivots == [0, 1]
-            assert typed_rows(red) == typed_rows(identity(2))
-            assert nullspace(given_rows, 2) == [] and rank(given_rows, 2) == 2
+        given_rows = dense_vectors(m)
+        with CountedIrref() as irref:
+            red, pivots = rref(given_rows, 2)
+        assert irref.calls == 1 and pivots == [0, 1]
+        assert typed_rows(red) == typed_rows(identity(2))
+        assert nullspace(given_rows, 2) == [] and rank(given_rows, 2) == 2
     # singular over Q too: the fallback finds the kernel
-    assert nullspace([[1, PRIME], [2, 2 * PRIME]]) == [[-PRIME, 1]]
     assert nullspace([{0: 1, 1: PRIME}, {0: 2, 1: 2 * PRIME}], 2) == [{0: -PRIME, 1: 1}]
 
 
@@ -748,6 +756,20 @@ def test_stacked_gram_matrices_are_certified_without_elimination():
         with CountedIrref() as irref:
             report = l2.check_independence(sg.parse_builder(spec))
         assert report["pass"] and irref.calls == 0, spec
+
+
+@pytest.mark.parametrize("spec", BUILDERS)
+def test_independence_rank_matches_the_dense_gram(spec):
+    # check_independence reads its rows off the phi_mask bits; the reference
+    # stacks the dense Gram matrices of phi_inner, one per character, and
+    # eliminates them with the dense loop
+    s = sg.parse_builder(spec)
+    basis = l2.l2_basis(s)
+    entries = [[l2.phi_inner(s, g, h) for h in basis] for g in basis]
+    stacked = [[cell[pos] for cell in row] for pos in range(sp.spectrum(s).size) for row in entries]
+    r = len(dense_rref(stacked)[1])
+    assert l2.check_independence(s) == {"check": "phi_independence", "basis_size": len(basis), "rank": r,
+                                        "pass": r == len(basis)}
 
 
 def test_rows_of_dicts_need_their_width():
@@ -813,7 +835,7 @@ def test_bijective_takes_no_elimination_when_certified():
 @given(eliminations())
 def test_basis_over_dicts_matches_the_dense_vectors(problem):
     rows, _, probes = problem
-    assert basis_outcome(dense_vectors(rows), probes) == basis_outcome(rows, probes)
+    assert basis_outcome(dense_vectors(rows), probes) == dense_basis_outcome(rows, probes)
 
 
 def test_verify_iso_rejects_a_singular_map_with_its_dims():

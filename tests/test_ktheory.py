@@ -8,8 +8,8 @@ from iskk import ktheory as kt
 from iskk import semigroup as sg
 from iskk import spectrum as sp
 from iskk.errors import HypothesesNotMet, NonIntegralMultiplicity
-from iskk.linalg import identity, mat_mul
-from test_kernels import dense_columns
+from iskk.linalg import mat_mul
+from test_kernels import dense_columns, identity
 
 CORPUS = ["chain:2", "chain:3", "diamond", "cyclic:2", "cyclic:3", "symmetric_inverse:2",
           "brandt_unital:2", "product:symmetric_inverse:2*chain:2"]

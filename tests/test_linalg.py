@@ -7,10 +7,10 @@ from iskk.linalg import QuotientSpace, Span
 
 
 class DenseQuotient:
-    """Reference: the quotient read off a dense reduced Span."""
+    """Reference: the quotient of dense relations read off a reduced Span."""
 
     def __init__(self, ambient_dim, relations):
-        self.span = Span(relations)
+        self.span = Span({c: x for c, x in enumerate(r) if x} for r in relations)
         self.free = [c for c in range(ambient_dim) if c not in self.span.pivots]
         self.ambient_dim = ambient_dim
 
@@ -37,15 +37,14 @@ def quotient_problems(draw):
         # a full-rank set: every unit vector, mixed with the drawn rows
         rows += [[1 if c == r else 0 for c in range(n)] for r in range(n)]
     vectors = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=4))
-    return n, rows, vectors, draw(st.booleans())
+    return n, rows, vectors
 
 
 @settings(max_examples=200, deadline=None)
 @given(quotient_problems())
 def test_sparse_quotient_space_matches_dense_span(problem):
-    n, rows, vectors, as_dicts = problem
-    relations = [{c: x for c, x in enumerate(r) if x} for r in rows] if as_dicts else rows
-    q, ref = QuotientSpace(n, relations), DenseQuotient(n, rows)
+    n, rows, vectors = problem
+    q, ref = QuotientSpace(n, [{c: x for c, x in enumerate(r) if x} for r in rows]), DenseQuotient(n, rows)
     assert q.free == ref.free and q.dim == len(ref.free)
     # the reduced representative of basis vector i is the unit vector at free[i]
     for i, (c, lift) in enumerate(zip(q.free, ref.lifts())):
@@ -60,6 +59,6 @@ def test_sparse_quotient_space_matches_dense_span(problem):
 def test_quotient_space_edge_cases():
     empty = QuotientSpace(3)
     assert empty.free == [0, 1, 2] and empty.sparse_coords({0: 1, 1: 2, 2: 3}) == {0: 1, 1: 2, 2: 3}
-    full = QuotientSpace(2, [{0: 1, 1: 1}, [1, -1]])
+    full = QuotientSpace(2, [{0: 1, 1: 1}, {0: 1, 1: -1}])
     assert full.dim == 0 and full.free == [] and full.sparse_coords({0: 5, 1: 7}) == {}
     assert QuotientSpace(0).dim == 0

@@ -18,8 +18,8 @@ from iskk import crossed as cr
 from iskk import galgebra as ga
 from iskk import induction as ind
 from iskk import semigroup as sg
-from iskk.linalg import Basis, QuotientSpace, Span, mat_inv, nonzero_pairs, nullspace, rref, sparse_solve
-from test_kernels import eliminations
+from iskk.linalg import Basis, QuotientSpace, Span, mat_inv, nullspace, rref, sparse_solve
+from test_kernels import dense_vectors, eliminations
 from test_spectrum import SMALL
 
 
@@ -31,6 +31,19 @@ def test_canonical_tells_the_forms_apart():
     assert canonical(0) and canonical(-3) and canonical(Fraction(1, 2))
     assert not canonical(Fraction(2)) and not canonical(Fraction(0)) and not canonical(1.0)
     assert not canonical(True)
+
+
+def all_canonical(vectors) -> bool:
+    """Whether every vector is in the one vector format: a ``{col: value}``
+    dict without zeros and with canonical values. Its values are read, not
+    its keys, which iterating a dict would give."""
+    return all(type(v) is dict and all(x != 0 and canonical(x) for x in v.values()) for v in vectors)
+
+
+def test_all_canonical_reads_the_values():
+    assert all_canonical([{0: 1, 3: Fraction(1, 2)}, {}])
+    assert not all_canonical([{0: Fraction(2)}]) and not all_canonical([{1: 0}])
+    assert not all_canonical([[1, 0]]) and not all_canonical([{0: 1.0}])
 
 
 def stored_values(alg: ga.StarAlgebra, action=None) -> list:
@@ -83,13 +96,10 @@ def test_semisimple_data_of_products_are_canonical(problem):
     s, a, _ = problem
     for kind in ("universal", "sieben"):
         d = cr.semisimple_quotient(cr.crossed(a, kind))
-        assert all(map(canonical, (x for z in d.center_basis for x in z)))
-        assert all(map(canonical, (x for e in d.central_idempotents for x in e)))
+        assert len(d.center_basis) == d.center_dim and all_canonical(d.center_basis)
+        assert 0 < len(d.central_idempotents) <= d.blocks
+        assert all_canonical(d.central_idempotents)
         assert all_ints(stored_values(d.quotient))
-
-
-def all_canonical(vectors) -> bool:
-    return all(canonical(x) for v in vectors for x in (v.values() if isinstance(v, dict) else v))
 
 
 @settings(max_examples=300, deadline=None)
@@ -97,11 +107,12 @@ def all_canonical(vectors) -> bool:
 def test_linalg_outputs_are_canonical(problem):
     rows, square, probes = problem
     ncols = len(probes[-1])  # the rows' width, also when there are no rows
-    red, _ = rref(rows)
-    assert all_canonical(red) and all_canonical(nullspace(rows))
-    system = {i: dict(nonzero_pairs(r)) for i, r in enumerate(rows)}
+    rows, square, probes = dense_vectors(rows), dense_vectors(square), dense_vectors(probes)
+    red, _ = rref(rows, ncols)
+    assert all_canonical(red) and all_canonical(nullspace(rows, ncols))
+    system = dict(enumerate(rows))
     for probe in probes:
-        x, kernel = sparse_solve(system, ncols, dict(enumerate(probe[:len(rows)])))
+        x, kernel = sparse_solve(system, ncols, {r: x for r, x in probe.items() if r < len(rows)})
         assert all_canonical(kernel) and (x is None or all_canonical([x]))
     inv = mat_inv(square)
     assert inv is None or all_canonical(inv)
@@ -111,9 +122,8 @@ def test_linalg_outputs_are_canonical(problem):
         basis = Basis(rows)
     except ValueError:
         basis = None
-    for probe in probes:
-        sparse = dict(nonzero_pairs(probe))
-        coords = [span.sparse_coords(probe), space.sparse_coords(sparse)]
+    for sparse in probes:
+        coords = [span.sparse_coords(sparse), space.sparse_coords(sparse)]
         if basis is not None:
             coords.append(basis.sparse_coords(sparse))
         assert all_canonical([c for c in coords if c is not None])
