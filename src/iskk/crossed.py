@@ -1,6 +1,17 @@
 """Algebraic crossed products and exact Wedderburn-style decompositions.
 
-The universal and groupoid crossed products share one builder,
+The universal product of the scalar line over a semigroup S with no
+declared zero, every element acting as the identity (``trivial_algebra``),
+is the semigroup algebra kS. ``_steinberg`` writes it in Steinberg's
+groupoid basis, the Moebius sums of the elements, where it is the algebra
+of the underlying groupoid: only composable arrows multiply. Its zeta
+columns d_t = sum_{u <= t} of the basis vectors at u give the elements of S
+back, and the tight relations are written through them. Every other
+coefficient algebra, and the scalar line over a semigroup with a declared
+zero (the contracted algebra, or ``InvalidAction`` where zero divisors leave
+no action), takes the S basis {a d_g}.
+
+The S-basis universal and the groupoid crossed products share one builder,
 ``_convolution``: basis {a d_g} with a running over the sparse reduced rows
 of the ``Span`` at the range of g, and (a d_g)(b d_h) = a alpha_g(b) d_gh.
 The universal product takes S and its range ideals; the groupoid product
@@ -70,7 +81,7 @@ from .galgebra import (
     quotient,
 )
 from .linalg import QuotientSpace, Span, _qq, frac, nonzero_pairs, nullspace, sparse_solve, zeros
-from .semigroup import leq
+from .semigroup import iter_mask, leq
 from .spectrum import germ_range, tilde_mul, tilde_star
 
 
@@ -80,11 +91,14 @@ class CrossedProductAlgebra:
     alg: StarAlgebra
     basis_labels: list
     universal_dim: int
-    # the ``_convolution`` data of the basis; None for a tight product
+    # the ``_convolution`` data of the basis; None for a tight product and
+    # for kS in its groupoid basis
     layout: list = field(default=None, repr=False)
     offs: dict = field(default=None, repr=False)
     spans: dict = field(default=None, repr=False)
     coeff: object = field(default=None, repr=False)
+    # kS in its groupoid basis only: column t is d_t = sum_{u <= t} [u]
+    zeta: list = field(default=None, repr=False)
 
     @property
     def dim(self):
@@ -101,6 +115,64 @@ def _range_spans(a: GAlgebra):
 
 
 def _universal(a: GAlgebra) -> CrossedProductAlgebra:
+    """The universal crossed product of ``a`` by its semigroup S.
+
+    When ``a`` is the scalar line with every element acting as the identity
+    and S declares no zero, the product is kS, built by ``_steinberg`` in the
+    groupoid basis [g], where [g][h] = [gh] only for composable arrows
+    (g*g = hh*). It carries the S basis only as its zeta columns: column t
+    is d_t = sum_{u <= t} [u], the image of t. No Moebius function is
+    computed: the product and star come from the table and the zeta
+    columns from the down-sets, and the tight relations d_r - d_t are
+    written through the zeta columns.
+
+    Every other ``a`` takes the S basis {a d_g} of ``_s_basis``; so does the
+    scalar line over a semigroup with a declared zero, which acts as 0
+    there: its product is the contracted algebra, or ``InvalidAction`` when
+    zero divisors leave no action."""
+    if _is_scalar_line(a):
+        return _steinberg(a)
+    return _s_basis(a)
+
+
+def _is_scalar_line(a: GAlgebra) -> bool:
+    """Whether ``a`` is ``trivial_algebra`` of a semigroup with no declared
+    zero: Q with every element acting as the identity."""
+    one = [[(0, 1)]]
+    return (a.sgp.zero is None and a.alg.dim == 1 and a.alg.mul == {(0, 0): {0: 1}}
+            and a.alg.star == one and all(a.action.get(g) == one for g in a.sgp.elements()))
+
+
+def _steinberg(a: GAlgebra) -> CrossedProductAlgebra:
+    """kS for the scalar line ``a`` over S, in Steinberg's groupoid basis
+    [s] = sum_{t <= s} mu(t, s) t, labelled ``⌊name⌋``: [g][h] = [gh] when
+    g*g = hh*, and 0 otherwise, and [g]* = [g*]. That is the algebra of the
+    groupoid of arrows g: g*g -> gg*.
+
+    No mu is needed to write it. The zeta map t -> d_t = sum_{u <= t} [u],
+    the inverse of the Moebius map, is multiplicative: the pairs u <= s and
+    v <= t with u*u = vv* are the pairs (s f, t e) with e = (uv)*(uv) and
+    f = t e t*, one for each w = uv <= st (Steinberg, "Moebius functions
+    and semigroup representation theory", J. Combin. Theory Ser. A 113,
+    2006). It is a bijection, unitriangular in the natural order, so it is
+    an isomorphism kS -> kG(S) that sends t to d_t. Its columns, read from
+    the down-sets of S, are kept as ``zeta``; they carry the S-basis layout
+    of the product (d_t at t, as ``_s_basis`` orders it) to
+    ``_tight_relations``."""
+    s = a.sgp
+    ranged = {}  # e -> the h with hh* = e, in order
+    for h in s.elements():
+        ranged.setdefault(s.range_of(h), []).append(h)
+    mul = {(g, h): {s.table[g][h]: 1} for g in s.elements() for h in ranged[s.source(g)]}
+    star = [[(s.star[g], 1)] for g in s.elements()]
+    zeta = [[(u, 1) for u in iter_mask(s.down_set(t))] for t in s.elements()]
+    return CrossedProductAlgebra("universal", StarAlgebra(s.n, mul, star, "AxG"),
+                                 [f"⌊{name}⌋" for name in s.names], s.n, coeff=a, zeta=zeta)
+
+
+def _s_basis(a: GAlgebra) -> CrossedProductAlgebra:
+    """The universal product of ``a`` on the S basis {a d_g}: the
+    ``_convolution`` of S and its range ideals."""
     s = a.sgp
     return _convolution("universal", a, s.elements(), s.range_of, _range_spans(a),
                         lambda g, h: s.table[g][h], s.star.__getitem__,
@@ -192,8 +264,12 @@ def _sieben(a: GAlgebra) -> CrossedProductAlgebra:
 
 def _tight_relations(uni: CrossedProductAlgebra) -> list:
     """The two-term relations a d_r - a d_t of ``_sieben`` as sparse
-    ``{index: value}`` vectors of the universal product ``uni``."""
+    ``{index: value}`` vectors of the universal product ``uni``. On kS in
+    the groupoid basis they are d_r - d_t, written through ``uni.zeta``."""
     s = uni.coeff.sgp
+    if uni.zeta is not None:
+        return [_apply(uni.zeta, {r: 1, t: -1})
+                for r in s.elements() for t in s.elements() if r != t and leq(s, r, t)]
     spans, offs = uni.spans, uni.offs
     relations = []
     escape = InvalidAction("tight relation coefficient escapes range ideals")
@@ -411,8 +487,53 @@ def _minimal_polynomial(alg: StarAlgebra, start, zeta):
 
 def _factors(poly) -> list:
     """The irreducible factors over QQ of a dense ``QQ`` polynomial, with
-    their multiplicities, as sympy's ``dup_factor_list`` lists them."""
-    return sympy.polys.factortools.dup_factor_list(poly, sympy.QQ)[1]
+    their multiplicities, as sympy's ``dup_factor_list`` lists them: each a
+    primitive integral polynomial with a positive leading coefficient, in
+    the order of sympy's ``_sort_factors``.
+
+    A linear polynomial is its own factor. Otherwise the rational roots come
+    off first, x for the trailing zero coefficients and then each p/q in
+    lowest terms with p dividing the constant term and q the leading one of
+    the primitive integral polynomial. A remainder of degree 2 or 3 has no
+    rational root, so it is irreducible; only one of degree 4 or more goes
+    to ``dup_factor_list``."""
+    qq = sympy.QQ
+    nums = _integral(poly)[0]
+    g = math.gcd(*nums) * (1 if nums[0] > 0 else -1)
+    f = [c // g for c in nums]
+    if len(f) == 2:
+        return [([qq(c) for c in f], 1)]
+    out = []
+    mult = 0
+    while f[-1] == 0:
+        f.pop()
+        mult += 1
+    if mult:
+        out.append(([qq(1), qq(0)], mult))
+    for q in sympy.divisors(f[0]):
+        for p in chain.from_iterable((d, -d) for d in sympy.divisors(abs(f[-1]))):
+            if math.gcd(p, q) != 1:
+                continue
+            mult = 0
+            while len(f) > 1:
+                value, qk = f[0], 1  # q**deg f(p/q)
+                for c in f[1:]:
+                    qk *= q
+                    value = value * p + c * qk
+                if value:
+                    break
+                quo = [f[0] // q]  # f / (q x - p), exact
+                for c in f[1:-1]:
+                    quo.append((c + p * quo[-1]) // q)
+                f = quo
+                mult += 1
+            if mult:
+                out.append(([qq(q), qq(-p)], mult))
+    if 2 < len(f) < 5:
+        out.append(([qq(c) for c in f], 1))
+    elif len(f) > 4:
+        out.extend(sympy.polys.factortools.dup_factor_list([qq(c) for c in f], qq)[1])
+    return sympy.polys.polyutils._sort_factors(out)
 
 
 def _crt(poly, f) -> list:

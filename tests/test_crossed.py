@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iskk import crossed as cr
 from iskk import galgebra as ga
@@ -105,7 +107,8 @@ def test_z3_center_does_not_split_with_witness():
     # witness is its least non-linear factor whatever the center basis
     ("cyclic:4", "x**2 + 1"),
     ("cyclic:5", "x**4 + x**3 + x**2 + x + 1"),
-    # d_(g,1) in Q[Z/3 x I2] satisfies x**3 - 1 as well
+    # [(g,1)] in Q[Z/3 x I2] is central, its cube the unit of the block of
+    # the units, so it satisfies x**4 - x = x (x - 1) (x**2 + x + 1)
     ("product:cyclic:3*symmetric_inverse:2", "x**2 + x + 1"),
 ])
 def test_non_split_witness_is_canonical(spec, witness):
@@ -783,10 +786,14 @@ def _dense_quotient(alg, relations):
 def _closure_sieben(a):
     """The tight product as the universal product modulo the *-ideal that
     Sieben's idempotent relations generate, closed by brute force: for
-    idempotents e <= f, a d_e - a d_f over the corner span{alpha_e(x) y}."""
+    idempotents e <= f, a d_e - a d_f over the corner span{alpha_e(x) y}.
+    The relations are written in the S basis {a d_g}, and on kS in its
+    groupoid basis they are read through the product's zeta columns."""
     s = a.sgp
     uni = cr._universal(a)
-    spans, offs = uni.spans, uni.offs
+    spans, offs = cr._range_spans(a), {}
+    for g in s.elements():
+        offs[g] = sum(spans[s.range_of(h)].dim for h in range(g))
     relations = []
     idem = [e for e in s.elements() if s.is_idempotent(e)]
     for e in idem:
@@ -805,6 +812,8 @@ def _closure_sieben(a):
                     v[offs[e] + k] += c
                 for k, c in spans[s.range_of(f)].sparse_coords(row).items():
                     v[offs[f] + k] -= c
+                if uni.zeta is not None:
+                    v = densified(ga._apply(uni.zeta, dense_vectors([v])[0]), uni.dim)
                 if any(v):
                     relations.append(v)
     ideal = Span()
@@ -902,3 +911,191 @@ def test_tight_errors_agree(spec):
         cr.crossed(a, kind="sieben")
     with pytest.raises(InvalidAction):
         cr.crossed(ga.restrict(a, ind.assoc_groupoid(s, sg.parse_subset(s, "all"))), "groupoid")
+
+
+# ---------------------------------------------------------------------------
+# kS in Steinberg's groupoid basis against the S-basis reference
+
+ZERO_FREE_SPECS = [spec for spec in dict.fromkeys(
+    ["chain:1", *SMALL_SPECS, *TIGHT_SPECS, *GROUPOID_SPECS, "cyclic:5", "product:cyclic:3*symmetric_inverse:2",
+     "product:symmetric_inverse:2*symmetric_inverse:2"]) if sg.parse_builder(spec).zero is None]
+
+
+def _moebius_columns(s, flip=None):
+    """The Moebius map [g] -> sum_{t <= g} mu(t, g) t as columns, column g
+    the nonzero (t, mu(t, g)) in row order. mu comes from its recursion
+    mu(g, g) = 1 and mu(t, g) = -sum_{t < u <= g} mu(u, g) over the natural
+    order; ``flip`` = (t, g) negates mu(t, g)."""
+    cols = []
+    for g in s.elements():
+        below = [t for t in s.elements() if sg.leq(s, t, g)]
+        mu = {}
+        # every u > t has a larger down-set than t, so it comes first
+        for t in sorted(below, key=lambda t: -sum(sg.leq(s, u, t) for u in below)):
+            mu[t] = 1 if t == g else -sum(m for u, m in mu.items() if sg.leq(s, t, u))
+        if flip is not None and flip[1] == g:
+            mu[flip[0]] = -mu[flip[0]]
+        cols.append(sorted((t, m) for t, m in mu.items() if m))
+    return cols
+
+
+def _kS_in_both_bases(spec):
+    s = sg.parse_builder(spec)
+    a = ga.trivial_algebra(s)
+    x, ref = cr.crossed(a, "universal"), cr._s_basis(a)
+    # the S-basis reference has d_g at g
+    assert ref.layout == [(g, 0) for g in s.elements()] and ref.zeta is None
+    assert (x.kind, x.dim, x.universal_dim) == ("universal", s.n, s.n)
+    assert x.basis_labels == [f"⌊{name}⌋" for name in s.names]
+    return s, x, ref
+
+
+@pytest.mark.parametrize("spec", ZERO_FREE_SPECS)
+def test_moebius_map_is_a_star_isomorphism_onto_the_s_basis(spec):
+    s, x, ref = _kS_in_both_bases(spec)
+    cols = _moebius_columns(s)
+    assert ga.verify_star_hom(ga.StarHomomorphism(x, ref, cols, "moebius"))["pass"]
+    assert ga._bijective(cols, ref.dim)
+    # the zeta columns invert it
+    assert [ga._column(ga._apply(x.zeta, dict(col))) for col in cols] == ga._identity(s.n)
+    # one mu flipped: mu(t, g) with t < g where S has one; on a group only
+    # mu(1, 1) will do, since g -> -g is an automorphism of Q[Z/2]
+    flips = [(t, g) for g, col in enumerate(cols) for t, _ in col if t != g] or [(s.unit, s.unit)]
+    bad = _moebius_columns(s, flip=random.Random(spec).choice(flips))
+    assert not ga.verify_star_hom(ga.StarHomomorphism(x, ref, bad, "flipped"))["pass"]
+
+
+@pytest.mark.parametrize("spec", ZERO_FREE_SPECS)
+def test_groupoid_basis_keeps_the_semisimple_data(spec):
+    s, x, ref = _kS_in_both_bases(spec)
+    d, e = cr.semisimple_quotient(x), cr.semisimple_quotient(ref)
+    assert d.to_json() == e.to_json()
+    # the radical is 0, so the central idempotents are vectors of kS itself
+    cols = _moebius_columns(s)
+    assert {frozenset(ga._apply(cols, v).items()) for v in d.central_idempotents} == \
+        {frozenset(v.items()) for v in e.central_idempotents}
+
+
+def test_groupoid_basis_multiplies_only_composable_arrows():
+    # [g][h] = [gh] exactly when g*g = hh*: 172 cells at I3 against 34**2
+    s, x, ref = _kS_in_both_bases("symmetric_inverse:3")
+    cells = {(g, h): {s.table[g][h]: 1} for g in s.elements() for h in s.elements()
+             if s.source(g) == s.range_of(h)}
+    assert x.alg.mul == cells and len(cells) == 172 and len(ref.alg.mul) == 34 ** 2
+    assert x.alg.star == [[(s.star[g], 1)] for g in s.elements()]
+
+
+def _munn_block_dims(s):
+    """The block dims of kS = sum over the D-classes D of M_{n_D}(k G_D)
+    (Steinberg, J. Combin. Theory Ser. A 113, 2006), sorted: n_D m for n_D
+    the number of idempotents of D and m each block dim of K0 of the group
+    algebra of its maximal subgroup G_D. Both are read from the table: e D f
+    when some x has xx* = e and x*x = f, and G_e is the x with xx* = e = x*x,
+    whose group algebra is written here as structure constants."""
+    table, star = s.table, s.star
+    classes = []
+    for e in (e for e in s.elements() if table[e][e] == e):
+        for cls in classes:
+            if any(table[x][star[x]] == cls[0] and table[star[x]][x] == e for x in s.elements()):
+                cls.append(e)
+                break
+        else:
+            classes.append([e])
+    dims = []
+    for cls in classes:
+        e = cls[0]
+        group = [x for x in s.elements() if table[x][star[x]] == e == table[star[x]][x]]
+        pos = {x: i for i, x in enumerate(group)}
+        alg = ga.StarAlgebra(len(group), {(pos[x], pos[y]): {pos[table[x][y]]: 1} for x in group for y in group},
+                             [[(pos[star[x]], 1)] for x in group], "QG")
+        dims += [len(cls) * m for m in kt.k0(alg).block_dims]
+    return sorted(dims)
+
+
+@pytest.mark.parametrize("spec", [spec for spec in ZERO_FREE_SPECS if spec in SMALL_SPECS + TIGHT_SPECS]
+                         + ["product:symmetric_inverse:2*symmetric_inverse:2"])
+def test_kS_blocks_match_the_munn_steinberg_decomposition(spec):
+    s = sg.parse_builder(spec)
+    assert sorted(kt.k0(cr.crossed(ga.trivial_algebra(s), "universal")).block_dims) == _munn_block_dims(s)
+
+
+@pytest.mark.parametrize("spec, labels, idempotents", [
+    ("adjoin_zero:cyclic:2", ["[0]d_1", "[0]d_g"],
+     [[(0, Fraction(1, 2)), (1, Fraction(1, 2))], [(0, Fraction(1, 2)), (1, Fraction(-1, 2))]]),
+    ("adjoin_zero:chain:2", ["[0]d_1", "[0]d_e1"], [[(1, 1)], [(0, 1), (1, -1)]]),
+])
+def test_scalar_line_with_a_declared_zero_keeps_the_contracted_s_basis(spec, labels, idempotents):
+    # the zero acts as 0, so its d_0 drops: the contracted algebra, 2 dims
+    # for 3 elements, exactly as built before the groupoid basis
+    x = cr.crossed(ga.trivial_algebra(sg.parse_builder(spec)), "universal")
+    assert (x.dim, x.basis_labels, x.zeta) == (2, labels, None)
+    d = cr.semisimple_quotient(x)
+    assert d.to_json() == {"radical_dim": 0, "quotient_dim": 2, "center_dim": 2, "blocks": 2,
+                           "block_dims": [1, 1], "splits": True, "witness_poly": None, "method": "exact"}
+    assert [sorted(e.items()) for e in d.central_idempotents] == idempotents
+
+
+@pytest.mark.parametrize("spec", ["brandt_unital:2", "brandt_unital:3"])
+def test_scalar_line_with_zero_divisors_still_has_no_universal_product(spec):
+    with pytest.raises(InvalidAction, match="^crossed product coefficient escapes its range ideal$"):
+        cr.crossed(ga.trivial_algebra(sg.parse_builder(spec)), "universal")
+
+
+# ---------------------------------------------------------------------------
+# the factors of the center's minimal polynomials against sympy's
+
+
+def _reference_factors(poly):
+    return sympy.polys.factortools.dup_factor_list(poly, sympy.QQ)[1]
+
+
+def test_factors_match_sympy_on_the_corpus_minimal_polynomials(monkeypatch):
+    # every minimal polynomial of the semisimple calls on the small, tight
+    # and kS corpora and on the number fields above
+    polys = []
+    real = cr._minimal_polynomial
+
+    def recorded(alg, start, zeta):
+        out = real(alg, start, zeta)
+        polys.append(out[0])
+        return out
+
+    monkeypatch.setattr(cr, "_minimal_polynomial", recorded)
+    algebras = [_small_algebra(*case) for case in SMALL_ALGEBRAS]
+    algebras += [cr.crossed(_tight_coeff(spec, coeff), "sieben") for spec, coeff in TIGHT_CORPUS]
+    algebras += [cr.crossed(ga.trivial_algebra(sg.parse_builder(spec)), "universal") for spec in ZERO_FREE_SPECS]
+    algebras += [_number_field_algebra([2, 3]), ga.star_sum([_number_field_algebra([2])] * 2)]
+    for alg in algebras:
+        cr.semisimple_quotient(alg)
+    assert len(polys) > 400 and max(len(p) for p in polys) > 4
+    for poly in polys:
+        assert cr._factors(poly) == _reference_factors(poly), poly
+
+
+@st.composite
+def factored_polynomials(draw):
+    """A product of linear and irreducible quadratic or cubic integral
+    factors, some repeated, made monic as a minimal polynomial is or kept
+    integral."""
+    x = sympy.Symbol("x")
+    product = sympy.Integer(draw(st.integers(1, 6)))
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["linear", "quadratic", "cubic"]))
+        if kind == "linear":
+            f = draw(st.integers(1, 6)) * x + draw(st.integers(-9, 9))
+        elif kind == "quadratic":  # a negative discriminant, so no real root
+            b = draw(st.integers(-4, 4))
+            f = x ** 2 + b * x + draw(st.integers(b * b // 4 + 1, b * b // 4 + 6))
+        else:  # x**3 - c for c no cube
+            f = x ** 3 - draw(st.sampled_from([2, 3, 5, -6, 7, 10]))
+        product *= f ** draw(st.integers(1, 2))
+    coeffs = [sympy.QQ(int(c)) for c in sympy.Poly(product, x).all_coeffs()]
+    if draw(st.booleans()):
+        coeffs = [c / coeffs[0] for c in coeffs]
+    return coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(factored_polynomials())
+def test_factors_match_sympy_on_drawn_products(poly):
+    assert cr._factors(poly) == _reference_factors(poly)

@@ -17,7 +17,8 @@
 - The sparse paths stay sparse: none of these functions calls the dense
   vector helpers ``mat_vec``, ``mul_vec``, ``basis_vec`` or
   ``left_mult_matrix``, or the dense Gram readers ``gram`` and ``at_char``:
-  - the crossed-product builders ``_universal``, ``_groupoid`` and their
+  - the crossed-product builders ``_universal``, kS in the groupoid basis
+    ``_steinberg``, the S-basis ``_s_basis``, ``_groupoid`` and their
     shared ``_convolution``;
   - the algebra checks ``galgebra.associativity_failures``,
     ``star_failures``, ``central_multiplier_failures`` and
@@ -144,7 +145,8 @@ def test_sparse_rref_is_called_from_one_function():
 
 DENSE_HELPERS = {"mat_vec", "mul_vec", "basis_vec", "left_mult_matrix", "gram", "at_char"}
 SPARSE_PATHS = {
-    "crossed.py": {"_universal", "_groupoid", "_convolution", "_center_algebra", "semisimple_quotient"},
+    "crossed.py": {"_universal", "_steinberg", "_s_basis", "_groupoid", "_convolution", "_center_algebra",
+                   "semisimple_quotient"},
     "galgebra.py": {"transport", "transport_matrix", "corner", "_fiber_rebase", "verify_star_hom",
                     "_bijective", "subalgebra_on_projection", "associativity_failures", "star_failures",
                     "central_multiplier_failures", "multiplicative_failures"},
